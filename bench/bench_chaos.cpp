@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "workload/chaos.h"
 #include "workload/storm_minimizer.h"
 
 namespace {
@@ -112,7 +111,7 @@ TrialConfig chaos_base(bool wan, int sim_threads) {
     base.zab.history_depth = 16'384;
     base.epaxos.repair_window = 16'384;
   } else {
-    base = chaos_tuned(base);
+    base = fault_tuned(base);
   }
   return base;
 }
@@ -276,17 +275,19 @@ int minimize_auditor(int argc, char** argv, const std::string& json_path) {
   tc.warmup = ft.warmup;
   const double rate = 12'000;
 
-  const simnet::FaultSchedule storm = chaos_storm(tc, *ci, ft, rate);
+  Trial probe = chaos_trial(tc, *ci, ft, rate);
+  const simnet::FaultSchedule storm = *probe.faults;
   std::printf("grid point %s/%s/seed %s: storm of %zu events; probing...\n",
               system_name(sys), int_name.c_str(), seed_str.c_str(),
               storm.events().size());
   std::size_t probe_no = 0;
   StormMinimizer mini([&](const simnet::FaultSchedule& candidate) {
-    const ChaosResult r = run_chaos_trial(tc, *ci, ft, rate, &candidate);
+    probe.faults = candidate;
+    const std::uint64_t violations = run_trial(probe).violations();
     std::printf("  probe %zu: %zu events -> %llu violations\n", ++probe_no,
                 candidate.events().size(),
-                static_cast<unsigned long long>(r.violations));
-    return r.violations > 0;
+                static_cast<unsigned long long>(violations));
+    return violations > 0;
   });
   const MinimizeResult res = mini.minimize(storm);
   if (!res.reproduced) {
@@ -394,71 +395,77 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<ChaosResult> results(jobs.size());
+  std::vector<TrialReport> results(jobs.size());
   h.pool().run_indexed(jobs.size(), [&](std::size_t i) {
     TrialConfig tc = base;
     tc.system = jobs[i].system;
     tc.seed = jobs[i].seed;
-    results[i] = run_chaos_trial(tc, *jobs[i].intensity, ft, rate);
+    results[i] = run_trial(chaos_trial(tc, *jobs[i].intensity, ft, rate));
   });
 
   std::uint64_t violations_total = 0;
   std::uint64_t retention_breaches = 0;
   std::string last_system;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ChaosResult& r = results[i];
-    if (r.system != last_system) {
-      std::printf("\n--- %s ---\n", r.system.c_str());
-      last_system = r.system;
+    const TrialReport& r = results[i];
+    const GroupReport& fleet = r.groups[0];
+    const std::string system = system_name(jobs[i].system);
+    const std::string& intensity = jobs[i].intensity->name;
+    const std::string seed = std::to_string(jobs[i].seed);
+    if (system != last_system) {
+      std::printf("\n--- %s ---\n", system.c_str());
+      last_system = system;
     }
     std::printf(
         "  %-12s seed %llu  %2llu faults  avail %5.1f%%/%5.1f%%/%5.1f%%  "
         "%s  %s\n",
-        r.intensity.c_str(), static_cast<unsigned long long>(r.seed),
+        intensity.c_str(), static_cast<unsigned long long>(jobs[i].seed),
         static_cast<unsigned long long>(r.fault_events),
-        100 * r.before.throughput / rate, 100 * r.storm.throughput / rate,
+        100 * r.before.throughput / rate, 100 * r.during.throughput / rate,
         100 * r.after.throughput / rate,
-        r.violations == 0 ? "clean" : "VIOLATED",
-        r.recovered
+        fleet.violations == 0 ? "clean" : "VIOLATED",
+        r.recovered()
             ? (std::string("recovered in ") +
                std::to_string(r.recovery_ns / kMillisecond) + " ms")
                   .c_str()
             : "no post-storm completion");
-    violations_total += r.violations;
-    if (!r.retention_ok) ++retention_breaches;
+    violations_total += fleet.violations;
+    if (!fleet.retention_ok) ++retention_breaches;
     for (const AuditViolation& v : r.violation_details)
       std::printf("      !! %s at t=%lld ms: %s\n",
                   audit_violation_name(v.kind),
                   static_cast<long long>(v.at / kMillisecond),
                   v.detail.c_str());
 
-    auto& sr = h.add_series(r.system + " / " + r.intensity + " / seed " +
-                            std::to_string(r.seed));
-    sr.attr("system", r.system)
-        .attr("intensity", r.intensity)
-        .attr("seed", std::to_string(r.seed))
-        .scalar("violations", static_cast<double>(r.violations))
+    // committed_writes and commit_spread are the auditor's replayed counts
+    // (GroupReport), which the committed baseline pins.
+    auto& sr =
+        h.add_series(system + " / " + intensity + " / seed " + seed);
+    sr.attr("system", system)
+        .attr("intensity", intensity)
+        .attr("seed", seed)
+        .scalar("violations", static_cast<double>(fleet.violations))
         .scalar("fault_events", static_cast<double>(r.fault_events))
-        .scalar("acked_writes", static_cast<double>(r.acked_writes))
-        .scalar("observed_reads", static_cast<double>(r.observed_reads))
-        .scalar("committed_writes", static_cast<double>(r.committed_writes))
-        .scalar("commit_spread", static_cast<double>(r.commit_spread))
-        .scalar("comparable_nodes", static_cast<double>(r.comparable_nodes))
+        .scalar("acked_writes", static_cast<double>(fleet.acked_writes))
+        .scalar("observed_reads", static_cast<double>(fleet.observed_reads))
+        .scalar("committed_writes", static_cast<double>(fleet.audited_max))
+        .scalar("commit_spread",
+                static_cast<double>(fleet.audited_max - fleet.audited_min))
+        .scalar("comparable_nodes", static_cast<double>(fleet.comparable))
         .scalar("client_failed", static_cast<double>(r.client_failed))
-        .scalar("recovered", r.recovered ? 1 : 0)
+        .scalar("recovered", r.recovered() ? 1 : 0)
         .scalar("recovery_ms",
-                r.recovered
+                r.recovered()
                     ? static_cast<double>(r.recovery_ns) / kMillisecond
                     : -1)
-        .scalar("snapshots_installed",
-                static_cast<double>(r.snapshots_installed))
+        .scalar("snapshots_installed", static_cast<double>(fleet.snapshots))
         .scalar("log_entries_retained",
-                static_cast<double>(r.max_log_retained))
-        .scalar("retention_ok", r.retention_ok ? 1 : 0)
-        .scalar("availability_storm", r.storm.throughput / rate)
+                static_cast<double>(fleet.max_retained))
+        .scalar("retention_ok", fleet.retention_ok ? 1 : 0)
+        .scalar("availability_storm", r.during.throughput / rate)
         .scalar("availability_after", r.after.throughput / rate)
         .point("before", r.before)
-        .point("storm", r.storm)
+        .point("storm", r.during)
         .point("after", r.after);
   }
 
@@ -470,7 +477,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (jobs[i].system != sys) continue;
       ++trials;
-      if (results[i].recovered) {
+      if (results[i].recovered()) {
         ++recovered;
         rec_ms.push_back(static_cast<double>(results[i].recovery_ns) /
                          kMillisecond);

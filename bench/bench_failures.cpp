@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "workload/fault_scenario.h"
 
 int main(int argc, char** argv) {
   using namespace canopus;
@@ -127,18 +126,20 @@ int main(int argc, char** argv) {
   for (System sys : kAllSystems)
     for (std::size_t sc : selected) jobs.push_back({sys, sc});
 
-  std::vector<ScenarioResult> results(jobs.size());
+  std::vector<TrialReport> results(jobs.size());
   h.pool().run_indexed(jobs.size(), [&](std::size_t i) {
     TrialConfig tc = base;
     tc.system = jobs[i].system;
     tc.warmup = timings[jobs[i].scenario].warmup;
-    results[i] = run_fault_scenario(tc, scenarios[jobs[i].scenario],
-                                    timings[jobs[i].scenario], rate);
+    results[i] = run_trial(scenario_trial(tc, scenarios[jobs[i].scenario],
+                                          timings[jobs[i].scenario], rate));
   });
 
   int violations = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ScenarioResult& r = results[i];
+    const TrialReport& r = results[i];
+    const GroupReport& fleet = r.groups[0];
+    const FaultScenario& scen = scenarios[jobs[i].scenario];
     if (i % selected.size() == 0)
       std::printf("\n--- %s ---\n", system_name(jobs[i].system));
     char fo[32];
@@ -149,17 +150,17 @@ int main(int argc, char** argv) {
       std::snprintf(fo, sizeof fo, "never");
     std::printf(
         "  %-24s  avail %5.1f%% / %5.1f%% / %5.1f%%   failover %-10s %s%s\n",
-        r.scenario.c_str(), 100 * r.before.throughput / rate,
+        scen.name.c_str(), 100 * r.before.throughput / rate,
         100 * r.during.throughput / rate, 100 * r.after.throughput / rate, fo,
-        r.digests_agree ? "agree" : "DIVERGED",
+        fleet.agree ? "agree" : "DIVERGED",
         r.stalled_during() ? " (stalled)" : "");
-    const FaultScenario& scen = scenarios[jobs[i].scenario];
-    if (!r.safe()) ++violations;
+    if (!fleet.agree) ++violations;
     // Every scenario heals and drains, so comparable nodes must converge
     // to the same commit count — EXCEPT a system stalled by majority loss
     // (Canopus survivors freeze a broadcast apart and the dead super-leaf
     // never rejoins).
-    if (r.commit_spread > 0 && !(scen.majority_loss && r.stalled_during()))
+    if (fleet.max_count > fleet.min_count &&
+        !(scen.majority_loss && r.stalled_during()))
       ++violations;
     // Canopus must stall (not diverge) when a super-leaf loses its
     // majority — §6's documented trade. (Other systems may also pause:
@@ -169,25 +170,23 @@ int main(int argc, char** argv) {
       ++violations;
     // Compaction contract: no node may retain more log than its configured
     // bound, in any scenario. A breach is a real bug, not a tuning issue.
-    if (!r.retention_ok) ++violations;
+    if (!fleet.retention_ok) ++violations;
 
     auto& sr = h.add_series(std::string(system_name(jobs[i].system)) + " / " +
-                            r.scenario);
+                            scen.name);
     sr.attr("system", system_name(jobs[i].system))
-        .attr("scenario", r.scenario)
-        .scalar("digests_agree", r.digests_agree ? 1 : 0)
+        .attr("scenario", scen.name)
+        .scalar("digests_agree", fleet.agree ? 1 : 0)
         .scalar("stalled_during", r.stalled_during() ? 1 : 0)
         .scalar("progressed_after", r.progressed_after() ? 1 : 0)
-        .scalar("committed_writes",
-                static_cast<double>(r.committed_writes))
-        .scalar("comparable_nodes",
-                static_cast<double>(r.comparable_nodes))
-        .scalar("commit_spread", static_cast<double>(r.commit_spread))
-        .scalar("snapshots_installed",
-                static_cast<double>(r.snapshots_installed))
+        .scalar("committed_writes", static_cast<double>(fleet.max_count))
+        .scalar("comparable_nodes", static_cast<double>(fleet.comparable))
+        .scalar("commit_spread",
+                static_cast<double>(fleet.max_count - fleet.min_count))
+        .scalar("snapshots_installed", static_cast<double>(fleet.snapshots))
         .scalar("log_entries_retained",
-                static_cast<double>(r.max_log_retained))
-        .scalar("retention_ok", r.retention_ok ? 1 : 0)
+                static_cast<double>(fleet.max_retained))
+        .scalar("retention_ok", fleet.retention_ok ? 1 : 0)
         .scalar("availability_during", r.during.throughput / rate)
         .scalar("failover_ms",
                 r.failed_over() ? static_cast<double>(r.failover_ns) / 1e6

@@ -15,7 +15,6 @@
 // harness-level --sim-threads flag is ignored here.
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,52 +27,23 @@ using namespace canopus;
 using namespace canopus::workload;
 
 struct RunResult {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t events = 0;
+  TrialReport report;
   double wall_s = 0;
 
+  /// Every node's history, the network counters and the event count.
   bool same_trace(const RunResult& o) const {
-    return fingerprint == o.fingerprint && writes == o.writes &&
-           reads == o.reads && messages == o.messages && bytes == o.bytes &&
-           events == o.events;
+    const TrialReport &a = report, &b = o.report;
+    return a.nodes == b.nodes && a.net.messages == b.net.messages &&
+           a.net.bytes == b.net.bytes && a.events == b.events;
   }
 };
 
-/// One fixed-rate trial, timed and digested (run_trial() keeps only the
-/// latency measurement; the identity diff needs the trace counters).
+/// One fixed-rate trial at its pinned seed, timed.
 RunResult run_one(TrialConfig tc, unsigned sim_threads, double rate) {
   tc.sim_threads = sim_threads;
   const auto t0 = std::chrono::steady_clock::now();
-
-  const std::uint64_t trial_seed = derive_seed(tc.seed, 0xbde5ULL);
-  simnet::Simulator sim(trial_seed);
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  auto service = make_service(tc, cluster, net);
-  auto recorder = std::make_shared<LatencyRecorder>();
-  recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto clients = attach_clients(tc, cluster, net, recorder, rate, trial_seed,
-                                tc.warmup + tc.measure);
-  const Time deadline = tc.warmup + tc.measure + tc.drain;
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(deadline);
-  else
-    sim.run_until(deadline);
-
   RunResult r;
-  r.fingerprint = service->commit_fingerprint(0);
-  r.writes = service->committed_writes(0);
-  r.reads = service->served_reads(0);
-  r.messages = net.stats().messages;
-  r.bytes = net.stats().bytes;
-  r.events = sim.events_processed();
+  r.report = run_trial({tc, rate, derive_seed(tc.seed, 0xbde5ULL)});
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count();
@@ -101,7 +71,7 @@ bool scale_one(canopus::bench::Harness& h, const std::string& label,
     all_identical = all_identical && identical;
     const double speedup = r.wall_s > 0 ? serial.wall_s / r.wall_s : 0.0;
     std::printf("%12u  %10.2f  %9.2fx  %10.2f  %s\n", t, r.wall_s, speedup,
-                static_cast<double>(r.events) / 1e6,
+                static_cast<double>(r.report.events) / 1e6,
                 first ? "(serial baseline)"
                       : (identical ? "identical" : "MISMATCH"));
     h.add_series(label + " @ " + std::to_string(t) + " sim-threads")
@@ -109,8 +79,9 @@ bool scale_one(canopus::bench::Harness& h, const std::string& label,
         .scalar("sim_threads", t)
         .scalar("wall_seconds", r.wall_s)
         .scalar("speedup_vs_serial", speedup)
-        .scalar("events", static_cast<double>(r.events))
-        .scalar("committed_writes", static_cast<double>(r.writes))
+        .scalar("events", static_cast<double>(r.report.events))
+        .scalar("committed_writes",
+                static_cast<double>(r.report.nodes[0].writes))
         .scalar("identical_to_serial", identical ? 1 : 0);
     if (t == threads.back()) *speedup_at_max = speedup;
   }

@@ -20,14 +20,14 @@
 //   uniform, larger under zipf skew)
 // plus one chaos series per system (4 groups, per-group storms, medium
 // intensity) with per-group audit verdicts. Exits 2 on any audit violation,
-// any within-group disagreement, or if Canopus/Raft aggregate committed
-// throughput fails to rise with shard count.
+// any within-group disagreement, any node retaining more log than its
+// compaction bound, or if Canopus/Raft aggregate committed throughput fails
+// to rise with shard count.
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "workload/sharded.h"
 
 int main(int argc, char** argv) {
   using namespace canopus;
@@ -41,16 +41,16 @@ int main(int argc, char** argv) {
   const std::vector<KeyDist> dists = {KeyDist::kUniform, KeyDist::kZipfian};
   const double r0 = 20'000;  // per-group offered load (weak scaling)
 
-  ShardedConfig proto;
-  proto.base.sim_threads = h.sim_threads();
-  proto.base.per_group = 3;
-  proto.base.client_machines = 2;  // per rack
-  proto.base.warmup = 400 * kMillisecond;
-  proto.base.measure = quick ? 1 * kSecond : 2 * kSecond;
-  proto.base.drain = 400 * kMillisecond;
+  TrialConfig proto;
+  proto.sim_threads = h.sim_threads();
+  proto.per_group = 3;
+  proto.client_machines = 2;  // per rack
+  proto.warmup = 400 * kMillisecond;
+  proto.measure = quick ? 1 * kSecond : 2 * kSecond;
+  proto.drain = 400 * kMillisecond;
   // Full mode runs the million-session plane: 8 racks x 2 machines x 64k
   // sessions = 2^20 clients, still one 64-bit cursor per session.
-  proto.sessions_per_machine = quick ? 4'096 : 65'536;
+  const std::uint32_t sessions = quick ? 4'096 : 65'536;
 
   struct Job {
     System system;
@@ -62,13 +62,14 @@ int main(int argc, char** argv) {
     for (KeyDist d : dists)
       for (int s : shard_counts) jobs.push_back({sys, d, s});
 
-  std::vector<ShardedTrialResult> results(jobs.size());
+  std::vector<TrialReport> results(jobs.size());
   h.pool().run_indexed(jobs.size(), [&](std::size_t i) {
-    ShardedConfig sc = proto;
-    sc.base.system = jobs[i].system;
-    sc.base.key_dist = jobs[i].dist;
-    sc.base.groups = jobs[i].shards;
-    results[i] = run_sharded_trial(sc, r0 * jobs[i].shards);
+    TrialConfig tc = proto;
+    tc.system = jobs[i].system;
+    tc.key_dist = jobs[i].dist;
+    tc.groups = jobs[i].shards;
+    const double rate = r0 * jobs[i].shards;
+    results[i] = run_trial({tc, rate, trial_seed(tc, rate), sessions});
   });
 
   int violations = 0;
@@ -78,26 +79,26 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(4) * dists.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& j = jobs[i];
-    const ShardedTrialResult& r = results[i];
+    const TrialReport& r = results[i];
+    const std::uint64_t committed = r.committed_writes();
     if (i % (dists.size() * shard_counts.size()) == 0)
       std::printf("\n--- %s ---\n", system_name(j.system));
     std::printf(
         "  %-8s x%d  %7.3f Mreq/s  median %7.3f ms  p99 %7.3f ms  "
         "commits %8llu  %s\n",
-        key_dist_name(j.dist), j.shards, bench::mreq(r.agg.throughput),
-        bench::ms(r.agg.median), bench::ms(r.agg.p99),
-        static_cast<unsigned long long>(r.committed_writes),
-        r.groups_agree ? "agree" : "DIVERGED");
-    if (!r.groups_agree) ++violations;
+        key_dist_name(j.dist), j.shards, bench::mreq(r.steady.throughput),
+        bench::ms(r.steady.median), bench::ms(r.steady.p99),
+        static_cast<unsigned long long>(committed),
+        r.converged() ? "agree" : "DIVERGED");
+    if (!r.converged() || !r.retention_ok()) ++violations;
 
     double max_share = 0;
-    for (const std::uint64_t c : r.group_commits)
+    for (const GroupReport& g : r.groups)
       max_share = std::max(
-          max_share, static_cast<double>(c) /
-                         std::max<double>(1.0, static_cast<double>(
-                                                   r.committed_writes)));
-    curve[i / shard_counts.size()].push_back(
-        static_cast<double>(r.committed_writes));
+          max_share,
+          static_cast<double>(g.max_count) /
+              std::max<double>(1.0, static_cast<double>(committed)));
+    curve[i / shard_counts.size()].push_back(static_cast<double>(committed));
 
     auto& sr = h.add_series(std::string(system_name(j.system)) + " / " +
                             key_dist_name(j.dist) + " / shards=" +
@@ -105,14 +106,14 @@ int main(int argc, char** argv) {
     sr.attr("system", system_name(j.system))
         .attr("dist", key_dist_name(j.dist))
         .scalar("shards", j.shards)
-        .scalar("committed_writes", static_cast<double>(r.committed_writes))
+        .scalar("committed_writes", static_cast<double>(committed))
         .scalar("redirects", static_cast<double>(r.redirects))
         .scalar("retries", static_cast<double>(r.retries))
         .scalar("client_failed", static_cast<double>(r.client_failed))
         .scalar("sessions", static_cast<double>(r.sessions))
-        .scalar("groups_agree", r.groups_agree ? 1 : 0)
+        .scalar("groups_agree", r.converged() ? 1 : 0)
         .scalar("max_group_share", max_share)
-        .point("agg", r.agg);
+        .point("agg", r.steady);
   }
 
   // Scaling gates: aggregate committed throughput must rise strictly with
@@ -146,28 +147,27 @@ int main(int argc, char** argv) {
   ft.drain = 600 * kMillisecond;
   const ChaosIntensity ci = standard_intensities()[1];  // medium
 
-  std::vector<ShardedChaosResult> storms(4);
+  std::vector<TrialReport> storms(4);
   h.pool().run_indexed(storms.size(), [&](std::size_t i) {
-    ShardedConfig sc = proto;
-    sc.base = chaos_tuned(sc.base);
-    sc.base.system = kAllSystems[i];
-    sc.base.groups = 4;
-    storms[i] = run_sharded_chaos_trial(sc, ci, ft, r0 * 4,
-                                        ChaosScope::kPerGroup);
+    TrialConfig tc = fault_tuned(proto);
+    tc.system = kAllSystems[i];
+    tc.groups = 4;
+    storms[i] = run_trial(chaos_trial(tc, ci, ft, r0 * 4, sessions));
   });
   std::uint64_t chaos_violations = 0;
   for (std::size_t i = 0; i < storms.size(); ++i) {
-    const ShardedChaosResult& r = storms[i];
-    chaos_violations += r.violations;
+    const TrialReport& r = storms[i];
+    chaos_violations += r.violations();
+    if (!r.retention_ok()) ++violations;
     std::printf(
         "  %-10s  %3llu faults  violations %llu  acked %8llu  "
         "redirects %6llu  %s\n",
         system_name(kAllSystems[i]),
         static_cast<unsigned long long>(r.fault_events),
-        static_cast<unsigned long long>(r.violations),
-        static_cast<unsigned long long>(r.acked_writes),
+        static_cast<unsigned long long>(r.violations()),
+        static_cast<unsigned long long>(r.acked_writes()),
         static_cast<unsigned long long>(r.redirects),
-        r.recovered ? "recovered" : "NOT RECOVERED");
+        r.recovered() ? "recovered" : "NOT RECOVERED");
     for (const AuditViolation& v : r.violation_details)
       std::printf("    !! %s at t=%lld: %s\n", audit_violation_name(v.kind),
                   static_cast<long long>(v.at), v.detail.c_str());
@@ -176,22 +176,22 @@ int main(int argc, char** argv) {
     sr.attr("system", system_name(kAllSystems[i]))
         .attr("intensity", ci.name)
         .scalar("shards", 4)
-        .scalar("violations", static_cast<double>(r.violations))
+        .scalar("violations", static_cast<double>(r.violations()))
         .scalar("fault_events", static_cast<double>(r.fault_events))
-        .scalar("acked_writes", static_cast<double>(r.acked_writes))
-        .scalar("committed_writes", static_cast<double>(r.committed_writes))
+        .scalar("acked_writes", static_cast<double>(r.acked_writes()))
+        .scalar("committed_writes", static_cast<double>(r.committed_writes()))
         .scalar("redirects", static_cast<double>(r.redirects))
         .scalar("retries", static_cast<double>(r.retries))
         .scalar("client_failed", static_cast<double>(r.client_failed))
-        .scalar("recovered", r.recovered ? 1 : 0)
+        .scalar("recovered", r.recovered() ? 1 : 0)
         .scalar("recovery_ms",
-                r.recovered ? static_cast<double>(r.recovery_ns) / 1e6 : -1)
+                r.recovered() ? static_cast<double>(r.recovery_ns) / 1e6 : -1)
         .point("before", r.before)
-        .point("storm", r.storm)
+        .point("storm", r.during)
         .point("after", r.after);
-    for (std::size_t g = 0; g < r.group_violations.size(); ++g)
+    for (std::size_t g = 0; g < r.groups.size(); ++g)
       sr.scalar("violations_group" + std::to_string(g),
-                static_cast<double>(r.group_violations[g]));
+                static_cast<double>(r.groups[g].violations));
   }
   violations += static_cast<int>(chaos_violations);
 

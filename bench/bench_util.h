@@ -51,8 +51,8 @@
 #include <vector>
 
 #include "alloc_count.h"
-#include "workload/deployments.h"
 #include "workload/runner.h"
+#include "workload/trial.h"
 #include "workload/trial_pool.h"
 
 namespace canopus::bench {

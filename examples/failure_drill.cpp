@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "workload/fault_scenario.h"
+#include "workload/trial.h"
 
 using namespace canopus;
 using namespace canopus::workload;
@@ -46,17 +46,17 @@ int main() {
     for (System sys : kAllSystems) {
       TrialConfig tc = base;
       tc.system = sys;
-      const ScenarioResult r = run_fault_scenario(tc, sc, ft, rate);
+      const TrialReport r = run_trial(scenario_trial(tc, sc, ft, rate));
       const double b = r.before.throughput / rate;
       const double d = r.during.throughput / rate;
       const double a = r.after.throughput / rate;
       std::printf("    %-10s        %5.0f%% / %5.0f%% / %5.0f%% %9llu %7s %7s  %s\n",
-                  r.system.c_str(), 100 * b, 100 * d, 100 * a,
-                  static_cast<unsigned long long>(r.committed_writes),
+                  system_name(sys), 100 * b, 100 * d, 100 * a,
+                  static_cast<unsigned long long>(r.committed_writes()),
                   r.stalled_during() ? "yes" : "no",
                   r.progressed_after() ? "yes" : "no",
-                  r.digests_agree ? "YES" : "NO  <-- SAFETY VIOLATION");
-      if (!r.safe()) all_safe = false;
+                  r.agree() ? "YES" : "NO  <-- SAFETY VIOLATION");
+      if (!r.agree()) all_safe = false;
       // The paper's §6 liveness story, checked end to end: majority loss
       // stalls Canopus (and only stalls it — digests above must agree).
       if (sc.majority_loss && sys == System::kCanopus && !r.stalled_during()) {

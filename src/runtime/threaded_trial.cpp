@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "runtime/threaded.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 
@@ -18,29 +20,29 @@ void sleep_ns(Time ns) {
 
 }  // namespace
 
-Measurement run_threaded_trial(const TrialConfig& tc, double offered_rate) {
-  // Same per-(config, rate) seed derivation as the simulated run_trial, so
-  // client arrival streams are seeded identically on both backends.
-  const std::uint64_t trial_seed =
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate));
-
+TrialReport run_trial_on_threads(const Trial& t) {
+  if (t.faults || t.audit)
+    throw std::invalid_argument(
+        "run_trial: fault schedules and the auditor need the simulated "
+        "backend");
+  const TrialConfig& tc = t.tc;
   simnet::Cluster cluster = build_cluster(tc);
-  runtime::ThreadedRuntime rt(cluster.topo.num_nodes(), trial_seed);
-
-  std::unique_ptr<ConsensusService> service = make_service(tc, cluster, rt);
-
+  runtime::ThreadedRuntime rt(cluster.topo.num_nodes(), t.seed);
   auto recorder = std::make_shared<LatencyRecorder>();
   recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto clients = attach_clients(tc, cluster, rt, recorder, offered_rate,
-                                trial_seed, tc.warmup + tc.measure);
+  detail::Deployment d(t, cluster, rt, recorder, tc.warmup + tc.measure);
 
   rt.start();
   // warmup/measure/drain are wall-clock here; the driver just waits them
   // out while the node threads run.
   const Time deadline = tc.warmup + tc.measure + tc.drain;
   while (rt.now() < deadline) sleep_ns(std::min<Time>(deadline - rt.now(), kMillisecond));
-  rt.stop();
-  return measure(*recorder, offered_rate);
+  rt.stop();  // join = happens-before: protocol state is safe to read now
+
+  TrialReport r;
+  r.steady = measure(*recorder, t.rate);
+  d.report(tc, r);
+  return r;
 }
 
 std::vector<kv::Request> make_script(const TrialConfig& tc, std::size_t k) {

@@ -1,5 +1,5 @@
-// Drivers that run workload deployments on the threaded runtime, plus the
-// scripted-command harness used to cross-validate the two backends.
+// The scripted-command harness that cross-validates the two backends
+// (run_trial's threaded backend lives beside it in threaded_trial.cpp).
 //
 // The scripted harness is the PR's correctness anchor (DESIGN.md §12): a
 // fixed, seed-derived write script is driven into server 0 of a fresh

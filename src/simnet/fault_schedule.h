@@ -154,7 +154,7 @@ class FaultSchedule {
   /// source schedule's relative order at equal timestamps (stable sort, so
   /// a generator's repair-before-fault tie discipline survives the merge).
   /// This is how per-group chaos storms compose into one fleet schedule —
-  /// see workload/sharded.h.
+  /// see chaos_storm in workload/trial.h.
   FaultSchedule& merge(const FaultSchedule& other) {
     events_.insert(events_.end(), other.events_.begin(), other.events_.end());
     std::stable_sort(

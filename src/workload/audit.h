@@ -31,8 +31,8 @@
 //     uncommitted or rolled-back state). A read of a value the server never
 //     committed ("phantom read") is likewise a violation.
 //
-// The auditor has two feeding modes: attach() wires a live
-// ConsensusService + client set (the chaos runner uses this), while the
+// The auditor has two feeding modes: attach_service()/attach() wire a live
+// ConsensusService (+ client set; run_trial in workload/trial.h), while the
 // note_*/check_*/finalize entry points take explicit histories and
 // comparability masks so checker self-tests can prove that INJECTED
 // violations — a lost write, an order flip, a stale read — are detected
@@ -173,9 +173,9 @@ class HistoryAuditor {
   /// commit via service.on_commit and — for ordered systems — schedules
   /// the continuous prefix probe every `check_interval` from `first_probe`
   /// until `until`. The caller feeds client completions itself via
-  /// note_reply (or server_index for NodeId translation); the sharded
-  /// runner (workload/sharded.h) uses this one-auditor-per-group, with
-  /// RouterClient completions demultiplexed onto group auditors.
+  /// note_reply; run_trial (workload/trial.h) attaches one auditor per
+  /// consensus group this way and demultiplexes client completions onto
+  /// the group auditors.
   void attach_service(ConsensusService& service, simnet::Simulator& sim,
                       Time first_probe, Time until) {
     service_ = &service;
@@ -196,14 +196,8 @@ class HistoryAuditor {
       sim.at(first_probe, [this] { probe(); });
   }
 
-  /// The attached service's server index for a NodeId (for feeding
-  /// note_reply from a client's on_reply hook).
-  std::size_t server_index(NodeId n) const { return index_of_.at(n); }
-  /// Current simulation time of the attached run (note_reply timestamps).
-  Time attached_now() const { return sim_->now(); }
-
   /// attach_service plus the classic client wiring: every
-  /// OpenLoopClient::on_reply feeds note_reply (the chaos runner's shape).
+  /// OpenLoopClient::on_reply feeds note_reply (one group, one auditor).
   void attach(ConsensusService& service,
               std::vector<std::unique_ptr<OpenLoopClient>>& clients,
               simnet::Simulator& sim, Time first_probe, Time until) {

@@ -1,30 +1,25 @@
-// Chaos trial runner: one seeded storm against one consensus system, with
-// the invariant audit plane (workload/audit.h) running continuously.
+// Chaos storms: the intensity axis and the seeded storm a grid point draws.
 //
-// A chaos trial is the composition of the three deployment pieces every
-// driver shares (build_cluster / make_service / attach_clients), a
-// simnet::ChaosScheduleGenerator storm armed through the service (crash and
-// recover silence/restart the protocol instance together with the network),
+// A chaos trial (chaos_trial in workload/trial.h) is the one trial pipeline
+// with a simnet::ChaosScheduleGenerator storm armed through the services
 // and a HistoryAuditor wired into every commit and every client completion.
-// The result is a pure function of (TrialConfig, ChaosIntensity,
+// Its result is a pure function of (TrialConfig, ChaosIntensity,
 // FaultTiming, offered rate) — independent of threads or run order — so
 // bench_chaos sweeps (system x seed x intensity) on the TrialPool and stays
 // bit-identical to a serial run, and a violating grid point replays from
 // its coordinates alone.
 //
-// Phases reuse the FaultTiming vocabulary of the scenario runner:
+// Phases reuse the FaultTiming vocabulary of the scenario trials:
 // before = [warmup, fault_at), storm = [fault_at, heal_at),
 // after = [heal_at, end_at), then `drain` for repair traffic to converge
 // before the auditor's final checks.
 #pragma once
 
-#include <bit>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "simnet/chaos.h"
-#include "workload/audit.h"
 #include "workload/deployments.h"
 #include "workload/fault_scenario.h"
 
@@ -98,77 +93,6 @@ inline std::vector<ChaosIntensity> gray_intensities() {
   return out;
 }
 
-/// Chaos-plane tuning on top of fault_tuned. Storms produce long random
-/// downtimes (not one scripted outage); a member that falls outside Zab's
-/// history ring or EPaxos' repair ring is repaired by snapshot transfer, so
-/// the windows stay at production-scale defaults instead of the historical
-/// inflation (16'384-deep rings) that hid the missing state-transfer path
-/// by making retained memory grow with downtime.
-inline TrialConfig chaos_tuned(TrialConfig tc) { return fault_tuned(tc); }
-
-/// PhasedRecorder that additionally pins the first completion of a request
-/// that ARRIVED after the storm ended — the client-observed recovery probe.
-class ChaosRecorder final : public PhasedRecorder {
- public:
-  explicit ChaosRecorder(const FaultTiming& ft)
-      : PhasedRecorder(ft), storm_end_(ft.heal_at) {}
-
-  /// Completion time of the first post-storm arrival; -1 if none completed.
-  Time first_post_storm_completion() const { return first_after_; }
-
- protected:
-  void on_complete(Time now, Time arrival) override {
-    PhasedRecorder::on_complete(now, arrival);
-    // Min over qualifying completions (not first-seen): shard workers may
-    // deliver same-phase completions in any order, and min() is the unique
-    // order-independent formulation that matches the serial answer.
-    if (arrival >= storm_end_ && (first_after_ < 0 || now < first_after_))
-      first_after_ = now;
-  }
-
- private:
-  Time storm_end_;
-  Time first_after_ = -1;
-};
-
-struct ChaosResult {
-  std::string system;
-  std::string intensity;
-  std::uint64_t seed = 0;          ///< tc.seed (the sweep coordinate)
-  std::uint64_t fault_events = 0;  ///< storm size (schedule entries / 2)
-
-  Measurement before, storm, after;
-
-  // Audit verdict — MUST be zero for a correct system.
-  std::uint64_t violations = 0;
-  std::vector<AuditViolation> violation_details;  ///< capped sample
-
-  // Audit-plane observability.
-  std::uint64_t acked_writes = 0;
-  std::uint64_t observed_reads = 0;
-  std::uint64_t committed_writes = 0;  ///< max over comparable nodes
-  std::uint64_t commit_spread = 0;     ///< max - min over comparable nodes;
-                                       ///< prefix lag, not a violation
-                                       ///< (gates only via the auditor)
-  std::uint64_t fingerprint = 0;  ///< commit fingerprint of the first
-                                  ///< comparable node (golden pinning)
-  std::size_t comparable_nodes = 0;
-  std::uint64_t client_failed = 0;  ///< requests failed at submission
-                                    ///< (crashed target server)
-
-  /// Client-observed recovery: time from storm end to the first completion
-  /// of a post-storm arrival. recovered == false when the system never
-  /// served another request (e.g. Canopus after losing a super-leaf
-  /// majority across the storm — a documented stall, not a violation).
-  bool recovered = false;
-  Time recovery_ns = -1;
-
-  /// Compaction/state-transfer observability (see ScenarioResult).
-  std::uint64_t snapshots_installed = 0;
-  std::uint64_t max_log_retained = 0;
-  bool retention_ok = true;
-};
-
 /// Portable 64-bit FNV-1a (std::hash<std::string> is stdlib-specific; seed
 /// derivation must be identical on every platform for committed baselines).
 inline std::uint64_t chaos_salt(const std::string& s) {
@@ -181,14 +105,12 @@ inline std::uint64_t chaos_salt(const std::string& s) {
 }
 
 /// The trial's root seed: a pure function of the sweep coordinates, shared
-/// by run_chaos_trial and the out-of-band storm reconstruction below so a
-/// minimizer probe replays the exact storm of a red grid point.
+/// by the trial and the storm it arms, so a minimizer probe replays the
+/// exact workload of a red grid point.
 inline std::uint64_t chaos_trial_seed(const TrialConfig& tc,
                                       const ChaosIntensity& ci,
                                       double offered_rate) {
-  return derive_seed(
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate)),
-      chaos_salt(ci.name));
+  return derive_seed(trial_seed(tc, offered_rate), chaos_salt(ci.name));
 }
 
 /// Maps an intensity point onto the generator config for one storm window.
@@ -210,109 +132,6 @@ inline simnet::ChaosConfig chaos_config_for(const ChaosIntensity& ci,
   cc.reorder_weight = ci.reorder_weight;
   cc.skew_weight = ci.skew_weight;
   return cc;
-}
-
-/// Reconstructs the exact storm a grid point would draw, without running
-/// the trial — the starting point for StormMinimizer.
-inline simnet::FaultSchedule chaos_storm(const TrialConfig& tc,
-                                         const ChaosIntensity& ci,
-                                         const FaultTiming& ft,
-                                         double offered_rate) {
-  const simnet::Cluster cluster = build_cluster(tc);
-  simnet::ChaosScheduleGenerator gen(
-      derive_seed(chaos_trial_seed(tc, ci, offered_rate), 0xc4a0c5ULL));
-  return gen.generate(chaos_config_for(ci, ft), cluster.servers);
-}
-
-/// Runs one chaos trial. When `storm_override` is non-null the trial arms
-/// that schedule verbatim instead of drawing one — everything else (seeds,
-/// clients, audit plane) is identical, which is what lets the minimizer
-/// probe candidate sub-storms against the same workload.
-inline ChaosResult run_chaos_trial(
-    const TrialConfig& tc, const ChaosIntensity& ci, const FaultTiming& ft,
-    double offered_rate,
-    const simnet::FaultSchedule* storm_override = nullptr) {
-  const std::uint64_t trial_seed = chaos_trial_seed(tc, ci, offered_rate);
-  simnet::Simulator sim(trial_seed);
-
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  std::unique_ptr<ConsensusService> service = make_service(tc, cluster, net);
-
-  auto recorder = std::make_shared<ChaosRecorder>(ft);
-  auto clients = attach_clients(tc, cluster, net, recorder, offered_rate,
-                                trial_seed, ft.end_at);
-
-  // The audit plane listens from the very first commit and probes prefix
-  // agreement continuously through storm and drain.
-  AuditConfig ac;
-  ac.ordered = tc.system != System::kEPaxos;
-  HistoryAuditor auditor(ac, service->num_servers());
-  auditor.attach(*service, clients, sim, ft.warmup, ft.end_at + ft.drain);
-
-  // The storm: drawn from its own derived seed, armed through the service.
-  simnet::FaultSchedule drawn;
-  if (storm_override == nullptr) {
-    simnet::ChaosScheduleGenerator gen(derive_seed(trial_seed, 0xc4a0c5ULL));
-    drawn = gen.generate(chaos_config_for(ci, ft), cluster.servers);
-  }
-  const simnet::FaultSchedule& storm =
-      storm_override != nullptr ? *storm_override : drawn;
-  // Tolerate mode: every system now has a repair path (snapshot transfer /
-  // sponsored rejoin), but hand-rolled configs may disable one — a storm
-  // against such a config measures the degraded outcome rather than
-  // refusing to run.
-  arm_via_service(storm, net, *service,
-                  RecoverArming::kTolerateUnsupported);
-
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(ft.end_at + ft.drain);
-  else
-    sim.run_until(ft.end_at + ft.drain);
-  auditor.finalize(sim.now());
-
-  ChaosResult res;
-  res.system = service->name();
-  res.intensity = ci.name;
-  res.seed = tc.seed;
-  res.fault_events = storm.events().size() / 2;
-  res.before = measure(recorder->before(), offered_rate);
-  res.storm = measure(recorder->during(), offered_rate);
-  res.after = measure(recorder->after(), offered_rate);
-  res.violations = auditor.violation_count();
-  res.violation_details = auditor.violations();
-  res.acked_writes = auditor.acked_writes();
-  res.observed_reads = auditor.observed_reads();
-  std::uint64_t min_committed = 0;
-  for (std::size_t i = 0; i < service->num_servers(); ++i) {
-    if (!service->comparable(i)) continue;
-    const std::uint64_t committed = auditor.committed_writes(i);
-    if (res.comparable_nodes == 0) {
-      res.fingerprint = service->commit_fingerprint(i);
-      min_committed = committed;
-    }
-    ++res.comparable_nodes;
-    res.committed_writes = std::max(res.committed_writes, committed);
-    min_committed = std::min(min_committed, committed);
-  }
-  if (res.comparable_nodes > 0)
-    res.commit_spread = res.committed_writes - min_committed;
-  for (const auto& c : clients) res.client_failed += c->failed();
-  const Time first = recorder->first_post_storm_completion();
-  res.recovered = first >= 0;
-  res.recovery_ns = res.recovered ? first - ft.heal_at : -1;
-  const std::uint64_t bound = retained_log_bound(tc);
-  for (std::size_t i = 0; i < service->num_servers(); ++i) {
-    res.snapshots_installed += service->snapshots_installed(i);
-    if (service->up(i))
-      res.max_log_retained =
-          std::max(res.max_log_retained, service->log_entries_retained(i));
-  }
-  res.retention_ok = res.max_log_retained <= bound;
-  return res;
 }
 
 }  // namespace canopus::workload

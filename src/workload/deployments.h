@@ -1,14 +1,12 @@
-// Ready-made deployments: a consensus system + topology + open-loop clients
-// + measurement, matching the paper's experimental setups (§8).
+// Ready-made deployments: a consensus system + topology + open-loop clients,
+// matching the paper's experimental setups (§8).
 //
 // The deployment pipeline is factored so every driver shares it:
 //   build_cluster(tc)            — topology + server/client placement
 //   make_service(tc, cluster, n) — the system behind workload::ConsensusService
 //   attach_clients(...)          — open-loop Poisson client machines
-// run_trial composes the three for the steady-state benches; the
-// fault-scenario runner (workload/fault_scenario.h) composes the same three
-// plus a simnet::FaultSchedule, which is what makes every scenario run
-// identically against all four systems.
+// workload/trial.h composes the three (plus faults and the auditor) into
+// the one trial pipeline every bench, test and example runs.
 #pragma once
 
 #include <bit>
@@ -20,7 +18,6 @@
 #include "simnet/network.h"
 #include "simnet/topology.h"
 #include "workload/client.h"
-#include "workload/runner.h"
 #include "workload/service.h"
 
 namespace canopus::workload {
@@ -103,6 +100,14 @@ struct TrialConfig {
   zab::Config zab;
   raft::KvConfig raft;
 };
+
+/// A trial's root seed: every offered rate gets its own RNG stream, so a
+/// trial's result depends only on (config, rate) — never on which order or
+/// thread the harness ran it in — and sweep points are statistically
+/// independent rather than replaying one stream at different loads.
+inline std::uint64_t trial_seed(const TrialConfig& tc, double offered_rate) {
+  return derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate));
+}
 
 /// Builds the cluster (topology + server/client node ids) for a config.
 inline simnet::Cluster build_cluster(const TrialConfig& tc) {
@@ -211,49 +216,6 @@ inline std::vector<std::unique_ptr<OpenLoopClient>> attach_clients(
     net.attach(cluster.clients[i], *clients.back());
   }
   return clients;
-}
-
-/// Runs one trial on the threaded runtime (wall-clock; defined in
-/// runtime/threaded_trial.cpp, linked via the canopus_runtime library).
-Measurement run_threaded_trial(const TrialConfig& tc, double offered_rate);
-
-/// Runs one trial at `offered_rate` total requests/second (spread evenly
-/// over all client machines) and reports client-observed completions.
-inline Measurement run_trial(const TrialConfig& tc, double offered_rate) {
-  if (tc.runtime == RuntimeKind::kThreads)
-    return run_threaded_trial(tc, offered_rate);
-  // Per-trial derived seed: every offered rate gets its own RNG stream, so
-  // a trial's result depends only on (config, rate) — never on which order
-  // or thread the harness ran it in — and sweep points are statistically
-  // independent rather than replaying one stream at different loads.
-  const std::uint64_t trial_seed =
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate));
-  simnet::Simulator sim(trial_seed);
-
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-
-  std::unique_ptr<ConsensusService> service = make_service(tc, cluster, net);
-
-  auto recorder = std::make_shared<LatencyRecorder>();
-  recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto clients = attach_clients(tc, cluster, net, recorder, offered_rate,
-                                trial_seed, tc.warmup + tc.measure);
-
-  const Time deadline = tc.warmup + tc.measure + tc.drain;
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(deadline);
-  else
-    sim.run_until(deadline);
-  return measure(*recorder, offered_rate);
-}
-
-/// Convenience: a TrialFn bound to a TrialConfig.
-inline TrialFn make_trial(TrialConfig tc) {
-  return [tc](double rate) { return run_trial(tc, rate); };
 }
 
 }  // namespace canopus::workload

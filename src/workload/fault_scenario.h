@@ -1,13 +1,13 @@
 // FaultScenario: a named fault script that runs identically against any
-// workload::ConsensusService, plus the runner that measures availability
-// before / during / after the faults and audits safety at the end.
+// workload::ConsensusService, plus the fault-plane pieces every faulted
+// trial shares (workload/trial.h): the phase timing, the phase-splitting
+// recorder, and the arming of a simnet::FaultSchedule through the services.
 //
 // A scenario speaks in *server indices* (0 .. groups*per_group-1, group-
-// major, as laid out by build_cluster); the runner maps indices onto
-// NodeIds and arms a simnet::FaultSchedule whose crash/recover events are
-// routed through the service (so the protocol instance is silenced or
-// restarted together with the network), while sever/heal act on the
-// network alone.
+// major, as laid out by build_cluster); make_schedule maps indices onto
+// NodeIds, and arm_via_service routes crash/recover events through the
+// owning service (so the protocol instance is silenced or restarted
+// together with the network), while sever/heal act on the network alone.
 //
 // The standard library covers the liveness cases the paper discusses (§6)
 // and the classics every consensus deployment meets:
@@ -20,21 +20,20 @@
 //                          sequence
 //
 // Safety audit (the Agreement property under faults): at the end of the
-// run, every *comparable* node (see ConsensusService::comparable) must
-// report the same commit fingerprint and count. A system may stall under a
-// fault — Canopus is expected to on majority loss — but must never diverge.
+// run, comparable nodes (see ConsensusService::comparable) with equal
+// commit counts must report equal fingerprints (TrialReport's fleet
+// check). A system may stall under a fault — Canopus is expected to on
+// majority loss — but must never diverge.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "simnet/fault_schedule.h"
@@ -159,10 +158,10 @@ inline TrialConfig fault_tuned(TrialConfig tc) {
 }
 
 /// The compaction bound: the most log records any node of the configured
-/// system may retain, regardless of how long a peer stayed dark. Runners
-/// assert ConsensusService::log_entries_retained against this at the end of
-/// every trial — with snapshots repairing anything beyond the retained
-/// window, a breach means compaction silently stopped working.
+/// system may retain, regardless of how long a peer stayed dark. Every trial
+/// checks ConsensusService::log_entries_retained against this at its end
+/// (GroupReport::retention_ok) — with snapshots repairing anything beyond
+/// the retained window, a breach means compaction silently stopped working.
 inline std::uint64_t retained_log_bound(const TrialConfig& tc) {
   switch (tc.system) {
     case System::kRaft:
@@ -197,10 +196,12 @@ inline std::uint64_t retained_log_bound(const TrialConfig& tc) {
 // --------------------------------------------------------------------------
 
 /// Splits completions into per-phase recorders by request *arrival* time,
-/// so each phase's throughput counts exactly the requests offered in it.
-class PhasedRecorder : public LatencyRecorder {
+/// so each phase's throughput counts exactly the requests offered in it,
+/// and pins the first completion of a request that arrived after the heal —
+/// the client-observed recovery probe.
+class PhasedRecorder final : public LatencyRecorder {
  public:
-  explicit PhasedRecorder(const FaultTiming& ft) {
+  explicit PhasedRecorder(const FaultTiming& ft) : heal_at_(ft.heal_at) {
     before_.set_window(ft.warmup, ft.fault_at);
     during_.set_window(ft.fault_at, ft.heal_at);
     after_.set_window(ft.heal_at, ft.end_at);
@@ -210,6 +211,9 @@ class PhasedRecorder : public LatencyRecorder {
   const LatencyRecorder& during() const { return during_; }
   const LatencyRecorder& after() const { return after_; }
 
+  /// Completion time of the first post-heal arrival; -1 if none completed.
+  Time first_post_heal_completion() const { return first_after_; }
+
  protected:
   // The phase recorders' own locks are uncontended here (all calls arrive
   // under the outer recorder's mutex), and windowing by arrival keeps the
@@ -218,6 +222,11 @@ class PhasedRecorder : public LatencyRecorder {
     before_.complete(now, arrival);
     during_.complete(now, arrival);
     after_.complete(now, arrival);
+    // Min over qualifying completions (not first-seen): shard workers may
+    // deliver same-phase completions in any order, and min() is the unique
+    // order-independent formulation that matches the serial answer.
+    if (arrival >= heal_at_ && (first_after_ < 0 || now < first_after_))
+      first_after_ = now;
   }
 
   void on_fail(Time arrival) override {
@@ -228,17 +237,19 @@ class PhasedRecorder : public LatencyRecorder {
 
  private:
   LatencyRecorder before_, during_, after_;
+  Time heal_at_;
+  Time first_after_ = -1;
 };
 
 // --------------------------------------------------------------------------
-// Runner
+// Arming
 // --------------------------------------------------------------------------
 
 /// What arming a `recover` event against a system whose
-/// supports_recover() is false (Canopus, service.h) should do. The silent
+/// supports_recover() is false should do. The silent
 /// historical behavior — ConsensusService::recover returns false and the
-/// node simply stays dark — is a correct *outcome* for runners that
-/// document it, but a trap for schedule authors: a hand-written scenario
+/// node simply stays dark — is a correct *outcome* for a trial that
+/// documents it, but a trap for schedule authors: a hand-written scenario
 /// that expects the node back gets an unexplained availability hole.
 enum class RecoverArming {
   /// Fail fast at arming time: throw std::invalid_argument naming the
@@ -247,26 +258,27 @@ enum class RecoverArming {
   /// site, not a measurement.
   kStrict,
   /// Accept the schedule; recover events against the unsupporting system
-  /// no-op and the node stays dark. The scenario/chaos runners pass this
-  /// explicitly: "Canopus loses crashed nodes for good" is the documented
-  /// §4.6 design trade their benches exist to measure.
+  /// no-op and the node stays dark. run_trial (workload/trial.h) passes
+  /// this: every system has a repair path, but a hand-rolled config that
+  /// disables one measures the degraded outcome instead of refusing to run.
   kTolerateUnsupported,
 };
 
 /// Arms a FaultSchedule on the network, routing node crash/recover through
-/// the service (so the protocol instance is silenced/restarted together
-/// with the network) while sever/heal act on the network alone. Shared by
-/// the scenario runner and the chaos runner (workload/chaos.h). The service
-/// must outlive the armed events; the node-index map is owned by the hook.
+/// the service that owns the node (so the protocol instance is silenced/
+/// restarted together with the network) while sever/heal and the gray kinds
+/// act on the network alone. `services` are the deployment's consensus
+/// groups: one for a classic deployment, one per rack for a sharded one
+/// (workload/sharded.h). They must outlive the armed events.
 ///
 /// Throws std::invalid_argument when `mode` is kStrict, the schedule
-/// contains recover events, and the service cannot re-admit nodes (see
+/// contains recover events, and the services cannot re-admit nodes (see
 /// RecoverArming).
-inline void arm_via_service(
-    const simnet::FaultSchedule& sched, simnet::Network& net,
-    ConsensusService& service,
-    RecoverArming mode = RecoverArming::kStrict) {
-  if (mode == RecoverArming::kStrict && !service.supports_recover()) {
+inline void arm_via_service(const simnet::FaultSchedule& sched,
+                            simnet::Network& net,
+                            const std::vector<ConsensusService*>& services,
+                            RecoverArming mode = RecoverArming::kStrict) {
+  if (mode == RecoverArming::kStrict && !services.front()->supports_recover()) {
     std::size_t recovers = 0;
     for (const simnet::FaultEvent& ev : sched.events())
       if (ev.kind == simnet::FaultEvent::Kind::kRecover) ++recovers;
@@ -274,33 +286,44 @@ inline void arm_via_service(
       throw std::invalid_argument(
           std::string("arm_via_service: schedule arms ") +
           std::to_string(recovers) + " recover event(s) but " +
-          service.name() +
+          services.front()->name() +
           " has supports_recover() == false — the node(s) would silently "
           "stay dark; pass RecoverArming::kTolerateUnsupported if that "
           "degraded outcome is the measurement");
   }
-  auto index_of = std::make_shared<std::unordered_map<NodeId, std::size_t>>();
-  for (std::size_t i = 0; i < service.num_servers(); ++i)
-    (*index_of)[service.server_node(i)] = i;
-  sched.arm(net, [svc = &service, index_of](simnet::Network& n,
-                                            const simnet::FaultEvent& ev) {
+  auto owner = std::make_shared<
+      std::unordered_map<NodeId, std::pair<ConsensusService*, std::size_t>>>();
+  for (ConsensusService* svc : services)
+    for (std::size_t i = 0; i < svc->num_servers(); ++i)
+      (*owner)[svc->server_node(i)] = {svc, i};
+  sched.arm(net, [owner](simnet::Network& n, const simnet::FaultEvent& ev) {
     switch (ev.kind) {
-      case simnet::FaultEvent::Kind::kCrash:
-        svc->crash(index_of->at(ev.a));
+      case simnet::FaultEvent::Kind::kCrash: {
+        const auto [svc, i] = owner->at(ev.a);
+        svc->crash(i);
         break;
-      case simnet::FaultEvent::Kind::kRecover:
-        svc->recover(index_of->at(ev.a));
+      }
+      case simnet::FaultEvent::Kind::kRecover: {
+        const auto [svc, i] = owner->at(ev.a);
+        svc->recover(i);
         break;
+      }
       default:
         simnet::FaultSchedule::apply(n, ev);
     }
   });
 }
 
+inline void arm_via_service(const simnet::FaultSchedule& sched,
+                            simnet::Network& net, ConsensusService& service,
+                            RecoverArming mode = RecoverArming::kStrict) {
+  arm_via_service(sched, net, std::vector<ConsensusService*>{&service}, mode);
+}
+
 /// Lowers a scenario's server-index steps onto concrete NodeIds. `servers`
-/// is the fleet-wide server list the indices address (the runner passes
-/// cluster.servers; sharded tests pass the same list with group-scoped
-/// scenarios mapped through scope_to_group first).
+/// is the fleet-wide server list the indices address (cluster.servers;
+/// sharded deployments pass the same list with group-scoped scenarios
+/// mapped through scope_to_group first).
 inline simnet::FaultSchedule make_schedule(const FaultScenario& scenario,
                                            const std::vector<NodeId>& servers) {
   simnet::FaultSchedule sched;
@@ -400,189 +423,13 @@ inline FaultScenario dc_outage_scenario(int dc, int per_group,
   return s;
 }
 
-struct ScenarioResult {
-  std::string system;
-  std::string scenario;
-
-  /// Client-observed availability per phase (same offered rate throughout).
-  Measurement before, during, after;
-
-  // Safety audit over comparable nodes at the end of the run. Fingerprints
-  // are rolling hashes, so two nodes frozen at different commit counts are
-  // not directly comparable — a system stalled mid-broadcast (Canopus
-  // after a whole-DC outage on the WAN topology) legitimately freezes its
-  // survivors a cycle apart. Agreement is therefore asserted per count
-  // class — equal counts must mean equal fingerprints, the split-brain
-  // signature — and the count spread is reported separately so callers can
-  // gate spread == 0 wherever convergence is expected (every scenario that
-  // heals and drains).
-  bool digests_agree = true;
-  std::size_t comparable_nodes = 0;
-  std::uint64_t committed_writes = 0;  ///< max over comparable nodes
-  std::uint64_t commit_spread = 0;     ///< max - min count over comparable
-  std::uint64_t fingerprint = 0;       ///< at the deepest count class
-
-  /// Client-observed failover time: completion time of the first WRITE
-  /// that arrived at or after fault_at, minus fault_at; -1 when no
-  /// post-fault write ever completed (e.g. Canopus after losing a whole
-  /// super-leaf). Writes, not reads: reads are served from a node's local
-  /// store and keep completing on surviving nodes through a leader outage,
-  /// so they would hide exactly the re-election gap this measures.
-  Time failover_ns = -1;
-  bool failed_over() const { return failover_ns >= 0; }
-
-  // Progress probes (max over live nodes, protocol units). "Stalled" is
-  // judged over the SECOND half of the fault window: commits in flight at
-  // the fault instant legitimately land for a propagation delay afterwards
-  // (~100 ms of pipelined cycles on the WAN topology), and that drain-out
-  // is not progress.
-  std::uint64_t progress_at_fault = 0;
-  std::uint64_t progress_at_mid = 0;  ///< at (fault_at + heal_at) / 2
-  std::uint64_t progress_at_heal = 0;
-  std::uint64_t progress_at_end = 0;
-
-  // Compaction/state-transfer observability: snapshots installed across the
-  // fleet, the largest per-node retained log at run end, and whether it
-  // stayed within retained_log_bound (it must — a breach means compaction
-  // silently stopped and memory is growing with downtime again).
-  std::uint64_t snapshots_installed = 0;
-  std::uint64_t max_log_retained = 0;
-  bool retention_ok = true;
-  bool stalled_during() const { return progress_at_heal <= progress_at_mid; }
-  bool progressed_after() const { return progress_at_end > progress_at_heal; }
-
-  /// The SAFETY verdict: comparable nodes with equal commit counts
-  /// committed identical writes. Liveness is reported separately
-  /// (stalled_during / progressed_after / the per-phase availability)
-  /// because the expected liveness outcome is scenario- and
-  /// system-specific — Canopus is SUPPOSED to stall on majority loss — so
-  /// callers assert it, and commit_spread, against their own expectations.
-  bool safe() const { return digests_agree; }
-};
-
-/// Runs `scenario` against the system configured in `tc` at a fixed offered
-/// rate. Deterministic: the result is a pure function of (tc, scenario,
-/// timing, rate), independent of threads or run order — trials build fresh
-/// simulators from per-trial derived seeds exactly like run_trial.
-inline ScenarioResult run_fault_scenario(const TrialConfig& tc,
-                                         const FaultScenario& scenario,
-                                         const FaultTiming& ft,
-                                         double offered_rate) {
-  const std::uint64_t trial_seed = derive_seed(
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate)),
-      std::hash<std::string>{}(scenario.name));
-  simnet::Simulator sim(trial_seed);
-
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  std::unique_ptr<ConsensusService> service = make_service(tc, cluster, net);
-
-  auto recorder = std::make_shared<PhasedRecorder>(ft);
-  auto clients = attach_clients(tc, cluster, net, recorder, offered_rate,
-                                trial_seed, ft.end_at);
-
-  ScenarioResult res;
-  res.system = service->name();
-  res.scenario = scenario.name;
-
-  // Failover pin: min completion time over post-fault-arrival writes.
-  // min() is order-independent, and the mutex covers concurrent client
-  // shards under the PDES kernel — serial and sharded runs agree.
-  std::mutex failover_mu;
-  Time first_write_after = -1;
-  for (auto& c : clients)
-    c->on_reply = [&](NodeId, const kv::Completion& done) {
-      if (!done.is_write || done.arrival < ft.fault_at) return;
-      const Time now = sim.now();
-      std::lock_guard<std::mutex> lock(failover_mu);
-      if (first_write_after < 0 || now < first_write_after)
-        first_write_after = now;
-    };
-
-  // Progress probes: max over currently-up nodes. Scheduled before the
-  // fault schedule is armed so a probe at the same timestamp observes the
-  // pre-fault state (the event queue is FIFO for ties).
-  const auto max_progress = [&service] {
-    std::uint64_t p = 0;
-    for (std::size_t i = 0; i < service->num_servers(); ++i) {
-      if (service->up(i)) p = std::max(p, service->progress(i));
-    }
-    return p;
-  };
-  sim.at(ft.fault_at, [&] { res.progress_at_fault = max_progress(); });
-  sim.at(ft.fault_at + (ft.heal_at - ft.fault_at) / 2,
-         [&] { res.progress_at_mid = max_progress(); });
-  sim.at(ft.heal_at, [&] { res.progress_at_heal = max_progress(); });
-
-  // Map server indices -> NodeIds and arm the schedule, routing node
-  // faults through the service. Every system now has a repair path (Raft/
-  // Zab/EPaxos snapshot transfer, Canopus sponsored rejoin), so strict
-  // arming would accept these schedules too; tolerate mode is kept so
-  // hand-rolled TrialConfigs that disable a repair path still run.
-  const simnet::FaultSchedule sched =
-      make_schedule(scenario, cluster.servers);
-  arm_via_service(sched, net, *service,
-                  RecoverArming::kTolerateUnsupported);
-
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(ft.end_at + ft.drain);
-  else
-    sim.run_until(ft.end_at + ft.drain);
-
-  // --- availability ------------------------------------------------------
-  res.before = measure(recorder->before(), offered_rate);
-  res.during = measure(recorder->during(), offered_rate);
-  res.after = measure(recorder->after(), offered_rate);
-  res.progress_at_end = max_progress();
-  res.failover_ns =
-      first_write_after >= 0 ? first_write_after - ft.fault_at : -1;
-
-  // --- safety audit (per count class; see ScenarioResult) -----------------
-  std::map<std::uint64_t, std::uint64_t> fp_by_count;
-  std::uint64_t min_count = 0, max_count = 0;
-  for (std::size_t i = 0; i < service->num_servers(); ++i) {
-    if (!service->comparable(i)) continue;
-    ++res.comparable_nodes;
-    const std::uint64_t f = service->commit_fingerprint(i);
-    const std::uint64_t c = service->committed_writes(i);
-    const auto [it, inserted] = fp_by_count.emplace(c, f);
-    if (!inserted && it->second != f) res.digests_agree = false;
-    if (res.comparable_nodes == 1) {
-      min_count = max_count = c;
-    } else {
-      min_count = std::min(min_count, c);
-      max_count = std::max(max_count, c);
-    }
-  }
-  res.committed_writes = max_count;
-  res.commit_spread = max_count - min_count;
-  if (!fp_by_count.empty()) res.fingerprint = fp_by_count.rbegin()->second;
-
-  // --- compaction audit ---------------------------------------------------
-  const std::uint64_t bound = retained_log_bound(tc);
-  for (std::size_t i = 0; i < service->num_servers(); ++i) {
-    res.snapshots_installed += service->snapshots_installed(i);
-    if (!service->up(i)) continue;
-    res.max_log_retained =
-        std::max(res.max_log_retained, service->log_entries_retained(i));
-  }
-  res.retention_ok = res.max_log_retained <= bound;
-  return res;
-}
-
-/// Runs the whole suite for one system; the caller typically iterates
-/// kAllSystems over this.
-inline std::vector<ScenarioResult> run_scenario_suite(
-    const TrialConfig& tc, const std::vector<FaultScenario>& scenarios,
-    const FaultTiming& ft, double offered_rate) {
-  std::vector<ScenarioResult> out;
-  out.reserve(scenarios.size());
-  for (const FaultScenario& sc : scenarios)
-    out.push_back(run_fault_scenario(tc, sc, ft, offered_rate));
-  return out;
+/// The root seed of a scenario trial: trial_seed salted with the scenario
+/// name, so every scenario of a suite draws its own client stream.
+inline std::uint64_t scenario_seed(const TrialConfig& tc,
+                                   const FaultScenario& scenario,
+                                   double offered_rate) {
+  return derive_seed(trial_seed(tc, offered_rate),
+                     std::hash<std::string>{}(scenario.name));
 }
 
 }  // namespace canopus::workload

@@ -3,7 +3,7 @@
 //
 // Every system in the repository (Canopus, Raft, Zab/ZooKeeper, EPaxos)
 // deploys as N server processes attached to a simnet::Network. This layer
-// gives the workload drivers — run_trial, the fault-scenario runner, the
+// gives the workload drivers — the trial pipeline (workload/trial.h), the
 // benches, the examples — ONE interface to submit requests, inject node
 // faults, and audit safety, so a scenario is written once and runs
 // identically against all four systems instead of once per `switch` arm
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -200,6 +201,7 @@ class NodeService : public ConsensusService {
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       nodes_.push_back(make(i));
       host_.attach(servers_[i], *nodes_.back());
+      forward_hooks(i);
     }
   }
 
@@ -209,6 +211,36 @@ class NodeService : public ConsensusService {
   }
 
   std::vector<std::unique_ptr<Node>> nodes_;
+
+ private:
+  /// Forwards node i's commit and snapshot-install hooks to the
+  /// service-level ones, tagged with the server index. EPaxos reports
+  /// executed batches without a protocol unit, and Zab names the zxid of
+  /// an installed snapshot; neither detail reaches the service hooks.
+  void forward_hooks(std::size_t i) {
+    Node& n = *nodes_[i];
+    const auto commit = [this, i](std::uint64_t unit,
+                                  const std::vector<kv::Request>& batch) {
+      if (on_commit) on_commit(i, unit, batch);
+    };
+    const auto install = [this, i](const kv::Snapshot& s) {
+      if (on_snapshot_install) on_snapshot_install(i, s);
+    };
+    if constexpr (requires { n.on_execute; })
+      n.on_execute = [commit](const std::vector<kv::Request>& batch) {
+        commit(0, batch);
+      };
+    else
+      n.on_commit = commit;
+    if constexpr (std::is_invocable_v<decltype(n.on_snapshot_install),
+                                      const kv::Snapshot&>)
+      n.on_snapshot_install = install;
+    else
+      n.on_snapshot_install = [install](std::uint64_t,
+                                        const kv::Snapshot& s) {
+        install(s);
+      };
+  }
 };
 
 // --------------------------------------------------------------------------
@@ -225,11 +257,6 @@ class CanopusService final : public NodeService<core::CanopusNode> {
 
   const char* name() const override { return "Canopus"; }
 
-  /// A failed pnode is excluded via membership update (§4.6) and re-admitted
-  /// by the rejoin path: a live super-leaf sibling sponsors its kJoin and
-  /// transfers a full state snapshot (CanopusNode::recover).
-  bool supports_recover() const override { return true; }
-
   /// A node between recover() and its snapshot install is not yet a member:
   /// its digest chain restarts at the install, so it only rejoins the
   /// agreement check once the transfer lands.
@@ -239,9 +266,6 @@ class CanopusService final : public NodeService<core::CanopusNode> {
 
   std::uint64_t progress(std::size_t i) const override {
     return nodes_[i]->last_committed_cycle();
-  }
-  std::uint64_t snapshots_installed(std::size_t i) const override {
-    return nodes_[i]->snapshots_installed();
   }
   std::uint64_t log_entries_retained(std::size_t i) const override {
     return nodes_[i]->retained_cycles();
@@ -256,17 +280,7 @@ class CanopusService final : public NodeService<core::CanopusNode> {
                     [&](std::size_t) {
                       return std::make_unique<core::CanopusNode>(lot, cfg);
                     }),
-        lot_(std::move(lot)) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->on_commit = [this, i](CycleId c,
-                                       const std::vector<kv::Request>& w) {
-        if (on_commit) on_commit(i, c, w);
-      };
-      nodes_[i]->on_snapshot_install = [this, i](const kv::Snapshot& s) {
-        if (on_snapshot_install) on_snapshot_install(i, s);
-      };
-    }
-  }
+        lot_(std::move(lot)) {}
 
   std::shared_ptr<const lot::Lot> lot_;
 };
@@ -281,17 +295,7 @@ class RaftService final : public NodeService<raft::RaftKvNode> {
               raft::KvConfig cfg)
       : NodeService(net, std::move(servers), [&](std::size_t) {
           return std::make_unique<raft::RaftKvNode>(servers_, cfg);
-        }) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->on_commit = [this, i](raft::LogIndex idx,
-                                       const std::vector<kv::Request>& w) {
-        if (on_commit) on_commit(i, idx, w);
-      };
-      nodes_[i]->on_snapshot_install = [this, i](const kv::Snapshot& s) {
-        if (on_snapshot_install) on_snapshot_install(i, s);
-      };
-    }
-  }
+        }) {}
 
   const char* name() const override { return "Raft"; }
   std::uint64_t progress(std::size_t i) const override {
@@ -309,18 +313,7 @@ class ZabService final : public NodeService<zab::ZabNode> {
              zab::Config cfg)
       : NodeService(net, std::move(servers), [&](std::size_t) {
           return std::make_unique<zab::ZabNode>(servers_, cfg);
-        }) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->on_commit = [this, i](zab::Zxid z,
-                                       const std::vector<kv::Request>& w) {
-        if (on_commit) on_commit(i, z, w);
-      };
-      nodes_[i]->on_snapshot_install = [this, i](zab::Zxid,
-                                                 const kv::Snapshot& s) {
-        if (on_snapshot_install) on_snapshot_install(i, s);
-      };
-    }
-  }
+        }) {}
 
   const char* name() const override { return "ZooKeeper"; }
   std::uint64_t progress(std::size_t i) const override {
@@ -338,17 +331,7 @@ class EPaxosService final : public NodeService<epaxos::EPaxosNode> {
                 epaxos::Config cfg)
       : NodeService(net, std::move(servers), [&](std::size_t) {
           return std::make_unique<epaxos::EPaxosNode>(servers_, cfg);
-        }) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->on_execute =
-          [this, i](const std::vector<kv::Request>& batch) {
-            if (on_commit) on_commit(i, 0, batch);
-          };
-      nodes_[i]->on_snapshot_install = [this, i](const kv::Snapshot& s) {
-        if (on_snapshot_install) on_snapshot_install(i, s);
-      };
-    }
-  }
+        }) {}
 
   const char* name() const override { return "EPaxos"; }
 

@@ -1,69 +1,44 @@
 // ShardedService: N independent consensus groups behind one hash-
-// partitioned keyspace — the production shape of ROADMAP direction 1
-// (ZooKeeper/etcd-style multi-group deployment; Canopus super-leaves map
-// naturally onto shards).
+// partitioned keyspace — the production shape of a multi-group deployment
+// (ZooKeeper/etcd-style; Canopus super-leaves map naturally onto shards).
 //
-// Composition with the simulator's own sharding (PR 6): the sharded
-// deployment places one consensus group per rack (build_cluster with
-// groups = rack count), and make_shard_map assigns one PDES event shard
-// per rack — so consensus groups and simulation shards coincide, and a
-// sharded trial parallelizes along exactly the boundary where the system
-// itself is partitioned. All cross-group traffic is client traffic.
+// Composition with the simulator's own sharding: the sharded deployment
+// places one consensus group per rack (build_cluster with groups = rack
+// count), and make_shard_map assigns one PDES event shard per rack — so
+// consensus groups and simulation shards coincide, and a sharded trial
+// parallelizes along exactly the boundary where the system itself is
+// partitioned. All cross-group traffic is client traffic.
 //
 // Pieces:
 //  * ShardedService — owns one ConsensusService per group (any of the four
 //    systems via make_group_service), group g serving servers
-//    [g*per_group, (g+1)*per_group) of the cluster, plus the fleet-index /
-//    NodeId / key -> group translations every other layer shares.
+//    [g*per_group, (g+1)*per_group) of the cluster, addressed by group or
+//    by fleet index.
 //  * attach_router_clients — RouterClient machines (router_client.h):
 //    hash-routed, redirect-on-crash, bounded-backoff clients hosting flat
 //    per-session cursors (the million-client workload plane).
-//  * run_sharded_trial — steady-state aggregate measurement plus the
-//    per-group agreement audit (the sharded analogue of run_trial).
-//  * run_sharded_chaos_trial — seeded storms targeting the whole fleet or
-//    each group independently (ChaosScope), with one HistoryAuditor PER
-//    GROUP: cross-group commit order is undefined by construction (groups
-//    are independent state machines over disjoint keys), so prefix/lost-
-//    write/read audits only make sense within a group.
-//
-// Determinism: every entry point is a pure function of (config, rate[,
-// intensity, timing]) — trial seeds derive exactly like run_trial's, and
-// all recorders/auditors accumulate order-independently — so sharded
-// benches stay bit-identical across --threads and --sim-threads.
+// A Trial with sessions_per_machine > 0 (workload/trial.h) runs this
+// deployment, with per-group storms (chaos_storm) and one HistoryAuditor
+// per group: cross-group commit order is undefined by construction (groups
+// are independent state machines over disjoint keys), so prefix/lost-write/
+// read audits only make sense within a group.
 #pragma once
 
-#include <bit>
 #include <memory>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "simnet/chaos.h"
-#include "workload/audit.h"
-#include "workload/chaos.h"
 #include "workload/deployments.h"
-#include "workload/fault_scenario.h"
 #include "workload/router_client.h"
 
 namespace canopus::workload {
 
-/// A sharded deployment: `base.groups` consensus groups of
-/// `base.per_group` servers each, one group per rack/DC, `base.system`
-/// everywhere. base.client_machines RouterClient machines per rack each
-/// host `sessions_per_machine` client sessions.
-struct ShardedConfig {
-  TrialConfig base;
-  std::uint32_t sessions_per_machine = 1'024;
-  int max_attempts = 4;
-  Time retry_backoff = 2 * kMillisecond;
-};
-
+/// A sharded deployment: `tc.groups` consensus groups of `tc.per_group`
+/// servers each, one group per rack/DC, `tc.system` everywhere.
 class ShardedService {
  public:
   ShardedService(const TrialConfig& tc, const simnet::Cluster& cluster,
-                 simnet::Network& net) {
+                 runtime::Host& net) {
     const std::size_t groups = static_cast<std::size_t>(tc.groups);
     const std::size_t per = static_cast<std::size_t>(tc.per_group);
     if (cluster.servers.size() != groups * per)
@@ -76,32 +51,16 @@ class ShardedService {
                                cluster.servers.begin() + (g + 1) * per);
       groups_.push_back(
           make_group_service(tc, group_servers_[g], cluster.topo, net));
-      for (std::size_t s = 0; s < per; ++s)
-        locate_[group_servers_[g][s]] = {g, s};
     }
   }
 
   std::size_t num_groups() const { return groups_.size(); }
   std::size_t servers_per_group() const { return group_servers_[0].size(); }
-  std::size_t num_servers() const {
-    return num_groups() * servers_per_group();
-  }
 
   ConsensusService& group(std::size_t g) { return *groups_[g]; }
   const ConsensusService& group(std::size_t g) const { return *groups_[g]; }
   const std::vector<std::vector<NodeId>>& group_servers() const {
     return group_servers_;
-  }
-
-  /// (group, group-local server index) of a server NodeId.
-  std::pair<std::size_t, std::size_t> locate(NodeId n) const {
-    return locate_.at(n);
-  }
-
-  /// The consensus group owning `key` (the one partition function — see
-  /// key_sampler.h).
-  std::size_t group_of_key(std::uint64_t key) const {
-    return shard_of_key(key, static_cast<std::uint32_t>(num_groups()));
   }
 
   // Fleet-indexed fault entry points (indices group-major, as laid out by
@@ -114,118 +73,29 @@ class ShardedService {
     return groups_[fleet_index / servers_per_group()]->recover(
         fleet_index % servers_per_group());
   }
-  bool supports_recover() const { return groups_[0]->supports_recover(); }
-  const char* name() const { return groups_[0]->name(); }
 
-  // --- per-group agreement audit ----------------------------------------
-
-  /// Whether every comparable node of group g reports the same commit
-  /// fingerprint and count (the Agreement check, per group).
-  bool group_agrees(std::size_t g) const {
-    const ConsensusService& svc = *groups_[g];
-    bool first = true;
-    std::uint64_t fp = 0, count = 0;
-    for (std::size_t i = 0; i < svc.num_servers(); ++i) {
-      if (!svc.comparable(i)) continue;
-      const std::uint64_t f = svc.commit_fingerprint(i);
-      const std::uint64_t c = svc.committed_writes(i);
-      if (first) {
-        fp = f;
-        count = c;
-        first = false;
-      } else if (f != fp || c != count) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Committed writes of group g (max over its comparable nodes).
-  std::uint64_t group_committed(std::size_t g) const {
-    const ConsensusService& svc = *groups_[g];
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < svc.num_servers(); ++i)
-      if (svc.comparable(i))
-        count = std::max(count, svc.committed_writes(i));
-    return count;
-  }
-
-  /// Commit fingerprint of group g's first comparable node (0 if none).
-  std::uint64_t group_fingerprint(std::size_t g) const {
-    const ConsensusService& svc = *groups_[g];
-    for (std::size_t i = 0; i < svc.num_servers(); ++i)
-      if (svc.comparable(i)) return svc.commit_fingerprint(i);
-    return 0;
-  }
-
-  /// One order-sensitive fold over all group fingerprints — the sharded
-  /// trial's identity digest (FNV-1a over the group fingerprint bytes).
-  std::uint64_t fingerprint_fold() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t g = 0; g < num_groups(); ++g) {
-      std::uint64_t v = group_fingerprint(g);
-      for (int b = 0; b < 8; ++b) {
-        h ^= v & 0xff;
-        h *= 0x100000001b3ULL;
-        v >>= 8;
-      }
-    }
-    return h;
+  /// Every group's service, in group order (for arm_via_service).
+  std::vector<ConsensusService*> services() const {
+    std::vector<ConsensusService*> out;
+    for (const auto& g : groups_) out.push_back(g.get());
+    return out;
   }
 
  private:
   std::vector<std::unique_ptr<ConsensusService>> groups_;
   std::vector<std::vector<NodeId>> group_servers_;
-  std::unordered_map<NodeId, std::pair<std::size_t, std::size_t>> locate_;
 };
 
-/// arm_via_service for a sharded fleet: node crash/recover events route to
-/// the OWNING group's service; sever/heal act on the network alone. Same
-/// RecoverArming contract (fail fast by default when the system cannot
-/// re-admit nodes and the schedule arms recovers).
-inline void arm_sharded(const simnet::FaultSchedule& sched,
-                        simnet::Network& net, ShardedService& svc,
-                        RecoverArming mode = RecoverArming::kStrict) {
-  if (mode == RecoverArming::kStrict && !svc.supports_recover()) {
-    std::size_t recovers = 0;
-    for (const simnet::FaultEvent& ev : sched.events())
-      if (ev.kind == simnet::FaultEvent::Kind::kRecover) ++recovers;
-    if (recovers > 0)
-      throw std::invalid_argument(
-          std::string("arm_sharded: schedule arms ") +
-          std::to_string(recovers) + " recover event(s) but " + svc.name() +
-          " has supports_recover() == false — pass "
-          "RecoverArming::kTolerateUnsupported if dark nodes are the "
-          "intended measurement");
-  }
-  sched.arm(net, [fleet = &svc](simnet::Network& n,
-                                const simnet::FaultEvent& ev) {
-    switch (ev.kind) {
-      case simnet::FaultEvent::Kind::kCrash: {
-        const auto [g, local] = fleet->locate(ev.a);
-        fleet->group(g).crash(local);
-        break;
-      }
-      case simnet::FaultEvent::Kind::kRecover: {
-        const auto [g, local] = fleet->locate(ev.a);
-        fleet->group(g).recover(local);
-        break;
-      }
-      default:
-        simnet::FaultSchedule::apply(n, ev);
-    }
-  });
-}
-
 /// Attaches one RouterClient per client machine, spreading `offered_rate`
-/// evenly. Session identity is per machine (RequestId.seq's upper bits,
-/// see RouterClient::kSessionShift); RequestId.client stays the machine's
+/// evenly; each machine hosts `sessions_per_machine` client sessions.
+/// Session identity is per machine (RequestId.seq's upper bits, see
+/// RouterClient::kSessionShift); RequestId.client stays the machine's
 /// NodeId because every protocol routes its replies to it.
 inline std::vector<std::unique_ptr<RouterClient>> attach_router_clients(
-    const ShardedConfig& sc, const simnet::Cluster& cluster,
-    const ShardedService& svc, simnet::Network& net,
-    std::shared_ptr<LatencyRecorder> recorder, double offered_rate,
-    std::uint64_t trial_seed, Time stop_at) {
+    const TrialConfig& tc, std::uint32_t sessions_per_machine,
+    const simnet::Cluster& cluster, const ShardedService& svc,
+    runtime::Host& net, std::shared_ptr<LatencyRecorder> recorder,
+    double offered_rate, std::uint64_t trial_seed, Time stop_at) {
   const double per_machine_rate =
       offered_rate / static_cast<double>(cluster.clients.size());
   Rng seeder(derive_seed(trial_seed, 0x40757e5ULL));
@@ -234,214 +104,18 @@ inline std::vector<std::unique_ptr<RouterClient>> attach_router_clients(
   for (std::size_t i = 0; i < cluster.clients.size(); ++i) {
     RouterConfig rc;
     rc.groups = svc.group_servers();
-    rc.sessions = sc.sessions_per_machine;
+    rc.sessions = sessions_per_machine;
     rc.rate_per_s = per_machine_rate;
-    rc.write_ratio = sc.base.write_ratio;
-    rc.num_keys = sc.base.num_keys;
-    rc.key_dist = sc.base.key_dist;
-    rc.zipf_theta = sc.base.zipf_theta;
+    rc.write_ratio = tc.write_ratio;
+    rc.num_keys = tc.num_keys;
+    rc.key_dist = tc.key_dist;
+    rc.zipf_theta = tc.zipf_theta;
     rc.stop_at = stop_at;
-    rc.max_attempts = sc.max_attempts;
-    rc.retry_backoff = sc.retry_backoff;
     routers.push_back(
         std::make_unique<RouterClient>(rc, recorder, seeder()));
     net.attach(cluster.clients[i], *routers.back());
   }
   return routers;
-}
-
-struct ShardedTrialResult {
-  Measurement agg;  ///< aggregate over all groups and machines
-
-  std::vector<std::uint64_t> group_commits;  ///< committed writes per group
-  std::uint64_t committed_writes = 0;        ///< sum over groups
-  bool groups_agree = true;  ///< within-group Agreement, every group
-  std::uint64_t fingerprint = 0;  ///< ShardedService::fingerprint_fold
-
-  std::uint64_t sessions = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t redirects = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t client_failed = 0;
-};
-
-/// Steady-state sharded trial at `offered_rate` aggregate requests/second.
-/// The sharded analogue of run_trial: same seed derivation, same window
-/// discipline, plus the per-group agreement audit.
-inline ShardedTrialResult run_sharded_trial(const ShardedConfig& sc,
-                                            double offered_rate) {
-  const TrialConfig& tc = sc.base;
-  const std::uint64_t trial_seed =
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate));
-  simnet::Simulator sim(trial_seed);
-
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
-
-  auto recorder = std::make_shared<LatencyRecorder>();
-  recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto routers = attach_router_clients(sc, cluster, svc, net, recorder,
-                                       offered_rate, trial_seed,
-                                       tc.warmup + tc.measure);
-
-  const Time deadline = tc.warmup + tc.measure + tc.drain;
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(deadline);
-  else
-    sim.run_until(deadline);
-
-  ShardedTrialResult res;
-  res.agg = measure(*recorder, offered_rate);
-  res.group_commits.resize(svc.num_groups());
-  for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-    res.group_commits[g] = svc.group_committed(g);
-    res.committed_writes += res.group_commits[g];
-    res.groups_agree = res.groups_agree && svc.group_agrees(g);
-  }
-  res.fingerprint = svc.fingerprint_fold();
-  for (const auto& r : routers) {
-    res.sessions += r->sessions();
-    res.sent += r->sent();
-    res.redirects += r->redirects();
-    res.retries += r->retries();
-    res.client_failed += r->failed();
-  }
-  return res;
-}
-
-/// Storm targeting for a sharded fleet.
-enum class ChaosScope {
-  kFleet,     ///< one storm drawn over all servers (cross-group blast radius)
-  kPerGroup,  ///< one independent storm per group, derived seeds, merged —
-              ///< every group gets its own faults at the configured
-              ///< intensity (the blast radius applies per group)
-};
-
-struct ShardedChaosResult {
-  Measurement before, storm, after;
-  std::uint64_t fault_events = 0;
-
-  // Per-group audit verdicts — MUST all be zero for a correct system.
-  std::uint64_t violations = 0;  ///< sum over groups
-  std::vector<std::uint64_t> group_violations;
-  std::vector<AuditViolation> violation_details;  ///< capped sample
-
-  std::uint64_t acked_writes = 0;
-  std::uint64_t observed_reads = 0;
-  std::uint64_t committed_writes = 0;  ///< sum of per-group maxima
-  std::uint64_t client_failed = 0;
-  std::uint64_t redirects = 0;
-  std::uint64_t retries = 0;
-
-  bool recovered = false;
-  Time recovery_ns = -1;
-};
-
-/// One seeded storm against a sharded deployment, with one HistoryAuditor
-/// per group running continuously. Pure function of (config, intensity,
-/// timing, rate, scope) — the sharded analogue of run_chaos_trial.
-inline ShardedChaosResult run_sharded_chaos_trial(const ShardedConfig& sc,
-                                                  const ChaosIntensity& ci,
-                                                  const FaultTiming& ft,
-                                                  double offered_rate,
-                                                  ChaosScope scope) {
-  const TrialConfig& tc = sc.base;
-  const std::uint64_t trial_seed = derive_seed(
-      derive_seed(tc.seed, std::bit_cast<std::uint64_t>(offered_rate)),
-      chaos_salt(ci.name));
-  simnet::Simulator sim(trial_seed);
-
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
-
-  auto recorder = std::make_shared<ChaosRecorder>(ft);
-  auto routers = attach_router_clients(sc, cluster, svc, net, recorder,
-                                       offered_rate, trial_seed, ft.end_at);
-
-  // One auditor per group: commits via the group service, completions
-  // demultiplexed by serving server's owning group. Cross-group order is
-  // undefined by construction, so that is the strongest sound audit.
-  AuditConfig ac;
-  ac.ordered = tc.system != System::kEPaxos;
-  std::vector<std::unique_ptr<HistoryAuditor>> auditors;
-  auditors.reserve(svc.num_groups());
-  for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-    auditors.push_back(std::make_unique<HistoryAuditor>(
-        ac, svc.group(g).num_servers()));
-    auditors.back()->attach_service(svc.group(g), sim, ft.warmup,
-                                    ft.end_at + ft.drain);
-  }
-  for (std::size_t mi = 0; mi < routers.size(); ++mi)
-    routers[mi]->on_reply = [&svc, &auditors, &sim, mi](
-                                NodeId server, const kv::Completion& c) {
-      const auto [g, local] = svc.locate(server);
-      auditors[g]->note_reply(mi, local, c, sim.now());
-    };
-
-  // The storm(s): fleet scope draws one schedule over all servers;
-  // per-group scope derives an independent seed per group and merges.
-  simnet::ChaosConfig cc;
-  cc.start = ft.fault_at;
-  cc.end = ft.heal_at;
-  cc.events_per_s = ci.events_per_s;
-  cc.max_down = ci.max_down;
-  cc.max_severed = ci.max_severed;
-  cc.min_heal = ci.min_heal;
-  cc.mean_extra = ci.mean_extra;
-  const std::uint64_t storm_seed = derive_seed(trial_seed, 0xc4a0c5ULL);
-  simnet::FaultSchedule storm;
-  if (scope == ChaosScope::kFleet) {
-    simnet::ChaosScheduleGenerator gen(storm_seed);
-    storm = gen.generate(cc, cluster.servers);
-  } else {
-    for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-      simnet::ChaosScheduleGenerator gen(derive_seed(storm_seed, g));
-      storm.merge(gen.generate(cc, svc.group_servers()[g]));
-    }
-  }
-  // Tolerate mode: like run_chaos_trial, Canopus nodes darkening over the
-  // storm is the documented design trade under measurement.
-  arm_sharded(storm, net, svc, RecoverArming::kTolerateUnsupported);
-
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(ft.end_at + ft.drain);
-  else
-    sim.run_until(ft.end_at + ft.drain);
-
-  ShardedChaosResult res;
-  res.fault_events = storm.events().size() / 2;
-  res.before = measure(recorder->before(), offered_rate);
-  res.storm = measure(recorder->during(), offered_rate);
-  res.after = measure(recorder->after(), offered_rate);
-  res.group_violations.resize(svc.num_groups());
-  for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-    auditors[g]->finalize(sim.now());
-    res.group_violations[g] = auditors[g]->violation_count();
-    res.violations += res.group_violations[g];
-    for (const AuditViolation& v : auditors[g]->violations())
-      if (res.violation_details.size() < 64)
-        res.violation_details.push_back(v);
-    res.acked_writes += auditors[g]->acked_writes();
-    res.observed_reads += auditors[g]->observed_reads();
-    res.committed_writes += svc.group_committed(g);
-  }
-  for (const auto& r : routers) {
-    res.client_failed += r->failed();
-    res.redirects += r->redirects();
-    res.retries += r->retries();
-  }
-  const Time first = recorder->first_post_storm_completion();
-  res.recovered = first >= 0;
-  res.recovery_ns = res.recovered ? first - ft.heal_at : -1;
-  return res;
 }
 
 }  // namespace canopus::workload

@@ -91,9 +91,9 @@ class LatencyHistogram {
 /// Shared sink for client-side completions within a measurement window.
 ///
 /// The public complete()/fail() entry points serialize on a mutex and then
-/// invoke the protected on_complete()/on_fail() hooks — fault-scenario and
-/// chaos runs override the hooks to split completions into per-phase
-/// windows (workload/fault_scenario.h, workload/chaos.h). The mutex exists
+/// invoke the protected on_complete()/on_fail() hooks — faulted trials
+/// override the hooks to split completions into per-phase windows
+/// (PhasedRecorder, workload/fault_scenario.h). The mutex exists
 /// for the sharded simulation kernel: clients in different shards report
 /// concurrently, and everything the hooks accumulate (histogram buckets,
 /// counters, per-phase minima) is order-independent, so the aggregate is

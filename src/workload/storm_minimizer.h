@@ -3,8 +3,8 @@
 // A red chaos grid point hands the operator a storm of dozens of
 // fault/repair pairs, almost all of which are noise. The minimizer shrinks
 // it to a locally-minimal sub-storm that still trips an oracle (normally
-// "run_chaos_trial with this schedule override reports violations"), in
-// two passes:
+// "the grid point's audited trial, with this schedule armed instead,
+// reports violations"), in two passes:
 //
 //  1. Event-subset removal — classic ddmin (Zeller & Hildebrandt) over
 //     *units*, where a unit is a fault together with its matching repair

@@ -1,6 +1,6 @@
 // Whole-stack smoke tests: every system runs under open-loop Poisson load
 // on both topologies and completes requests with sane latencies.
-#include "workload/deployments.h"
+#include "workload/trial.h"
 
 #include <gtest/gtest.h>
 

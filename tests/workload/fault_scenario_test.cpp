@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/trial.h"
+
 namespace canopus::workload {
 namespace {
 
@@ -26,6 +28,11 @@ TrialConfig small_config(System sys) {
   tc.client_machines = 1;
   tc.warmup = short_timing().warmup;
   return fault_tuned(tc);
+}
+
+TrialReport run_scenario(const TrialConfig& tc, const FaultScenario& sc,
+                         const FaultTiming& ft) {
+  return run_trial(scenario_trial(tc, sc, ft, 5'000));
 }
 
 TEST(StandardScenarios, SuiteShape) {
@@ -69,13 +76,14 @@ TEST_P(ScenarioSuiteTest, AllScenariosSafeAndAvailableBeforeFault) {
   const FaultTiming ft = short_timing();
   const TrialConfig tc = small_config(GetParam());
   const auto suite = standard_scenarios(tc.groups, tc.per_group, ft);
+  const char* name = system_name(GetParam());
   for (const FaultScenario& sc : suite) {
-    const ScenarioResult r = run_fault_scenario(tc, sc, ft, 5'000);
-    EXPECT_TRUE(r.safe()) << r.system << " diverged in " << sc.name;
+    const TrialReport r = run_scenario(tc, sc, ft);
+    EXPECT_TRUE(r.agree()) << name << " diverged in " << sc.name;
     EXPECT_GT(r.before.throughput, 0.5 * 5'000)
-        << r.system << " unhealthy before faults in " << sc.name;
-    EXPECT_GT(r.comparable_nodes, 0u);
-    EXPECT_GT(r.committed_writes, 0u) << sc.name;
+        << name << " unhealthy before faults in " << sc.name;
+    EXPECT_GT(r.groups[0].comparable, 0u);
+    EXPECT_GT(r.committed_writes(), 0u) << sc.name;
   }
 }
 
@@ -85,8 +93,8 @@ TEST_P(ScenarioSuiteTest, MajorityLossStallsOnlyCanopus) {
   const auto suite = standard_scenarios(tc.groups, tc.per_group, ft);
   const FaultScenario& loss = suite[2];
   ASSERT_TRUE(loss.majority_loss);
-  const ScenarioResult r = run_fault_scenario(tc, loss, ft, 5'000);
-  EXPECT_TRUE(r.safe());
+  const TrialReport r = run_scenario(tc, loss, ft);
+  EXPECT_TRUE(r.agree());
   if (GetParam() == System::kCanopus) {
     // The documented §6 trade: no progress while a super-leaf lacks a
     // majority — and no divergence.
@@ -105,13 +113,15 @@ TEST_P(ScenarioSuiteTest, RecoverableSystemsRegainAvailabilityAfterCrash) {
   const FaultTiming ft = short_timing();
   const TrialConfig tc = small_config(GetParam());
   const auto suite = standard_scenarios(tc.groups, tc.per_group, ft);
-  const ScenarioResult r = run_fault_scenario(tc, suite[0], ft, 5'000);
-  ASSERT_EQ(r.scenario, "single_node_crash");
-  EXPECT_TRUE(r.safe());
+  ASSERT_EQ(suite[0].name, "single_node_crash");
+  const TrialReport r = run_scenario(tc, suite[0], ft);
+  const char* name = system_name(GetParam());
+  EXPECT_TRUE(r.agree());
   EXPECT_TRUE(r.progressed_after());
-  EXPECT_GT(r.after.throughput, 0.5 * 5'000) << r.system;
-  EXPECT_TRUE(r.retention_ok) << r.system << " retained " << r.max_log_retained
-                              << " > bound " << retained_log_bound(tc);
+  EXPECT_GT(r.after.throughput, 0.5 * 5'000) << name;
+  EXPECT_TRUE(r.retention_ok()) << name << " retained "
+                                << r.groups[0].max_retained << " > bound "
+                                << retained_log_bound(tc);
 }
 
 // The regression the snapshot layer exists for: one node misses more
@@ -121,26 +131,28 @@ TEST_P(ScenarioSuiteTest, LongDowntimeRejoinsViaSnapshot) {
   const FaultTiming ft = long_downtime_timing();
   TrialConfig tc = small_config(GetParam());
   const FaultScenario sc = long_downtime_scenario(tc.per_group, ft);
-  const ScenarioResult r = run_fault_scenario(tc, sc, ft, 5'000);
-  EXPECT_TRUE(r.safe()) << r.system;
-  EXPECT_TRUE(r.progressed_after()) << r.system;
-  EXPECT_GT(r.snapshots_installed, 0u)
-      << r.system << " rejoined without a state transfer";
-  EXPECT_TRUE(r.retention_ok) << r.system << " retained " << r.max_log_retained
-                              << " > bound " << retained_log_bound(tc);
+  const TrialReport r = run_scenario(tc, sc, ft);
+  const char* name = system_name(GetParam());
+  EXPECT_TRUE(r.agree()) << name;
+  EXPECT_TRUE(r.progressed_after()) << name;
+  EXPECT_GT(r.groups[0].snapshots, 0u)
+      << name << " rejoined without a state transfer";
+  EXPECT_TRUE(r.retention_ok()) << name << " retained "
+                                << r.groups[0].max_retained << " > bound "
+                                << retained_log_bound(tc);
 }
 
 TEST_P(ScenarioSuiteTest, DeterministicAcrossRuns) {
   const FaultTiming ft = short_timing();
   const TrialConfig tc = small_config(GetParam());
   const auto suite = standard_scenarios(tc.groups, tc.per_group, ft);
-  const ScenarioResult a = run_fault_scenario(tc, suite[1], ft, 5'000);
-  const ScenarioResult b = run_fault_scenario(tc, suite[1], ft, 5'000);
+  const TrialReport a = run_scenario(tc, suite[1], ft);
+  const TrialReport b = run_scenario(tc, suite[1], ft);
   EXPECT_EQ(a.before.completed, b.before.completed);
   EXPECT_EQ(a.during.completed, b.during.completed);
   EXPECT_EQ(a.after.completed, b.after.completed);
   EXPECT_EQ(a.during.median, b.during.median);
-  EXPECT_EQ(a.committed_writes, b.committed_writes);
+  EXPECT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(a.progress_at_end, b.progress_at_end);
 }
 

@@ -8,11 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 
-#include "workload/chaos.h"
-#include "workload/deployments.h"
-#include "workload/fault_scenario.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {
@@ -56,30 +53,22 @@ TEST_P(GoldenDigest, RunMatchesRecordedTrace) {
   tc.drain = 100 * kMillisecond;
   tc.seed = 42;
 
-  const std::uint64_t trial_seed = derive_seed(tc.seed, 0xf19aULL);
-  simnet::Simulator sim(trial_seed);
-  simnet::Cluster cluster = build_cluster(tc);
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  auto service = make_service(tc, cluster, net);
-  auto recorder = std::make_shared<LatencyRecorder>();
-  recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto clients = attach_clients(tc, cluster, net, recorder, 20'000.0,
-                                trial_seed, tc.warmup + tc.measure);
-  sim.run_until(tc.warmup + tc.measure + tc.drain);
+  const TrialReport r =
+      run_trial({tc, 20'000.0, derive_seed(tc.seed, 0xf19aULL)});
+  const char* name = system_name(g.system);
 
-  EXPECT_EQ(service->commit_fingerprint(0), g.fingerprint) << service->name();
-  EXPECT_EQ(service->committed_writes(0), g.writes);
-  EXPECT_EQ(service->served_reads(0), g.reads);
-  EXPECT_EQ(net.stats().messages, g.messages);
-  EXPECT_EQ(net.stats().bytes, g.bytes);
-  EXPECT_EQ(net.stats().dropped, 0u);
-  EXPECT_EQ(sim.events_processed(), g.events);
+  EXPECT_EQ(r.nodes[0].fingerprint, g.fingerprint) << name;
+  EXPECT_EQ(r.nodes[0].writes, g.writes);
+  EXPECT_EQ(r.nodes[0].reads, g.reads);
+  EXPECT_EQ(r.net.messages, g.messages);
+  EXPECT_EQ(r.net.bytes, g.bytes);
+  EXPECT_EQ(r.net.dropped, 0u);
+  EXPECT_EQ(r.events, g.events);
 
   // Agreement: every server holds the same committed history.
-  for (std::size_t i = 1; i < service->num_servers(); ++i) {
-    EXPECT_EQ(service->commit_fingerprint(i), g.fingerprint)
-        << service->name() << " node " << i;
-    EXPECT_EQ(service->committed_writes(i), g.writes);
+  for (std::size_t i = 1; i < r.nodes.size(); ++i) {
+    EXPECT_EQ(r.nodes[i].fingerprint, g.fingerprint) << name << " node " << i;
+    EXPECT_EQ(r.nodes[i].writes, g.writes);
   }
 }
 
@@ -130,7 +119,7 @@ TEST_P(ChaosGoldenDigest, StormMatchesRecordedTraceAndStaysClean) {
   tc.client_machines = 2;
   tc.write_ratio = 0.5;
   tc.seed = 42;
-  tc = chaos_tuned(tc);
+  tc = fault_tuned(tc);
 
   FaultTiming ft;
   ft.warmup = 100 * kMillisecond;
@@ -142,20 +131,22 @@ TEST_P(ChaosGoldenDigest, StormMatchesRecordedTraceAndStaysClean) {
 
   const ChaosIntensity ci{"golden", 12.0, 2, 2, 80 * kMillisecond,
                           100 * kMillisecond};
-  const ChaosResult r = run_chaos_trial(tc, ci, ft, 15'000.0);
+  const TrialReport r = run_trial(chaos_trial(tc, ci, ft, 15'000.0));
+  const GroupReport& fleet = r.groups[0];
+  const char* name = system_name(g.system);
 
   // The invariant audit is the point: a storm must never violate safety.
-  EXPECT_EQ(r.violations, 0u) << r.system;
+  EXPECT_EQ(fleet.violations, 0u) << name;
   for (const AuditViolation& v : r.violation_details)
-    ADD_FAILURE() << r.system << ": " << audit_violation_name(v.kind) << ": "
+    ADD_FAILURE() << name << ": " << audit_violation_name(v.kind) << ": "
                   << v.detail;
 
   // Determinism pins: the storm and its surviving history replay exactly.
-  EXPECT_EQ(r.fault_events, g.fault_events) << r.system;
-  EXPECT_EQ(r.fingerprint, g.fingerprint) << r.system;
-  EXPECT_EQ(r.committed_writes, g.committed) << r.system;
-  EXPECT_EQ(r.acked_writes, g.acked) << r.system;
-  EXPECT_EQ(r.comparable_nodes, g.comparable) << r.system;
+  EXPECT_EQ(r.fault_events, g.fault_events) << name;
+  EXPECT_EQ(fleet.fingerprint, g.fingerprint) << name;
+  EXPECT_EQ(fleet.audited_max, g.committed) << name;
+  EXPECT_EQ(fleet.acked_writes, g.acked) << name;
+  EXPECT_EQ(fleet.comparable, g.comparable) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, ChaosGoldenDigest,
@@ -207,7 +198,7 @@ TEST_P(GrayChaosGoldenDigest, GrayMixStormPinsAndReplaysAcrossSimThreads) {
   tc.client_machines = 2;
   tc.write_ratio = 0.5;
   tc.seed = 42;
-  tc = chaos_tuned(tc);
+  tc = fault_tuned(tc);
 
   FaultTiming ft;
   ft.warmup = 100 * kMillisecond;
@@ -224,31 +215,34 @@ TEST_P(GrayChaosGoldenDigest, GrayMixStormPinsAndReplaysAcrossSimThreads) {
   ASSERT_EQ(mix.name, "gray-mix");
   mix.events_per_s = 40.0;
 
-  const ChaosResult r = run_chaos_trial(tc, mix, ft, 15'000.0);
+  const TrialReport r = run_trial(chaos_trial(tc, mix, ft, 15'000.0));
+  const GroupReport& fleet = r.groups[0];
+  const char* name = system_name(g.system);
 
-  EXPECT_EQ(r.violations, 0u) << r.system;
+  EXPECT_EQ(fleet.violations, 0u) << name;
   for (const AuditViolation& v : r.violation_details)
-    ADD_FAILURE() << r.system << ": " << audit_violation_name(v.kind) << ": "
+    ADD_FAILURE() << name << ": " << audit_violation_name(v.kind) << ": "
                   << v.detail;
 
-  EXPECT_EQ(r.fault_events, g.fault_events) << r.system;
-  EXPECT_EQ(r.fingerprint, g.fingerprint) << r.system;
-  EXPECT_EQ(r.committed_writes, g.committed) << r.system;
-  EXPECT_EQ(r.acked_writes, g.acked) << r.system;
-  EXPECT_EQ(r.comparable_nodes, g.comparable) << r.system;
+  EXPECT_EQ(r.fault_events, g.fault_events) << name;
+  EXPECT_EQ(fleet.fingerprint, g.fingerprint) << name;
+  EXPECT_EQ(fleet.audited_max, g.committed) << name;
+  EXPECT_EQ(fleet.acked_writes, g.acked) << name;
+  EXPECT_EQ(fleet.comparable, g.comparable) << name;
 
   // Same trial under the sharded parallel kernel: every observable must be
   // bit-identical to the serial run.
   TrialConfig ptc = tc;
   ptc.sim_threads = 2;
-  const ChaosResult p = run_chaos_trial(ptc, mix, ft, 15'000.0);
-  EXPECT_EQ(p.violations, 0u) << p.system;
-  EXPECT_EQ(p.fault_events, r.fault_events) << p.system;
-  EXPECT_EQ(p.fingerprint, r.fingerprint) << p.system;
-  EXPECT_EQ(p.committed_writes, r.committed_writes) << p.system;
-  EXPECT_EQ(p.acked_writes, r.acked_writes) << p.system;
-  EXPECT_EQ(p.comparable_nodes, r.comparable_nodes) << p.system;
-  EXPECT_EQ(p.commit_spread, r.commit_spread) << p.system;
+  const TrialReport p = run_trial(chaos_trial(ptc, mix, ft, 15'000.0));
+  const GroupReport& pfleet = p.groups[0];
+  EXPECT_EQ(pfleet.violations, 0u) << name;
+  EXPECT_EQ(p.fault_events, r.fault_events) << name;
+  EXPECT_EQ(pfleet.fingerprint, fleet.fingerprint) << name;
+  EXPECT_EQ(pfleet.audited_max, fleet.audited_max) << name;
+  EXPECT_EQ(pfleet.acked_writes, fleet.acked_writes) << name;
+  EXPECT_EQ(pfleet.comparable, fleet.comparable) << name;
+  EXPECT_EQ(pfleet.audited_min, fleet.audited_min) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, GrayChaosGoldenDigest,
@@ -301,26 +295,28 @@ TEST_P(DowntimeGoldenDigest, SnapshotRejoinPinsAndReplaysAcrossSimThreads) {
   const FaultTiming ft = long_downtime_timing();
   tc.warmup = ft.warmup;
   const FaultScenario sc = long_downtime_scenario(tc.per_group, ft);
-  const ScenarioResult r = run_fault_scenario(tc, sc, ft, 5'000.0);
+  const GroupReport r =
+      run_trial(scenario_trial(tc, sc, ft, 5'000.0)).groups[0];
+  const char* name = system_name(g.system);
 
-  EXPECT_TRUE(r.safe()) << r.system;
-  EXPECT_TRUE(r.retention_ok)
-      << r.system << " retained " << r.max_log_retained << " > bound "
-      << retained_log_bound(tc);
-  EXPECT_EQ(r.fingerprint, g.fingerprint) << r.system;
-  EXPECT_EQ(r.committed_writes, g.committed) << r.system;
-  EXPECT_EQ(r.snapshots_installed, g.snapshots) << r.system;
-  EXPECT_EQ(r.comparable_nodes, g.comparable) << r.system;
+  EXPECT_TRUE(r.agree) << name;
+  EXPECT_TRUE(r.retention_ok) << name << " retained " << r.max_retained
+                              << " > bound " << retained_log_bound(tc);
+  EXPECT_EQ(r.fingerprint, g.fingerprint) << name;
+  EXPECT_EQ(r.max_count, g.committed) << name;
+  EXPECT_EQ(r.snapshots, g.snapshots) << name;
+  EXPECT_EQ(r.comparable, g.comparable) << name;
 
   // Same trial under the sharded parallel kernel: bit-identical.
   TrialConfig ptc = tc;
   ptc.sim_threads = 2;
-  const ScenarioResult p = run_fault_scenario(ptc, sc, ft, 5'000.0);
-  EXPECT_EQ(p.fingerprint, r.fingerprint) << p.system;
-  EXPECT_EQ(p.committed_writes, r.committed_writes) << p.system;
-  EXPECT_EQ(p.snapshots_installed, r.snapshots_installed) << p.system;
-  EXPECT_EQ(p.comparable_nodes, r.comparable_nodes) << p.system;
-  EXPECT_EQ(p.max_log_retained, r.max_log_retained) << p.system;
+  const GroupReport p =
+      run_trial(scenario_trial(ptc, sc, ft, 5'000.0)).groups[0];
+  EXPECT_EQ(p.fingerprint, r.fingerprint) << name;
+  EXPECT_EQ(p.max_count, r.max_count) << name;
+  EXPECT_EQ(p.snapshots, r.snapshots) << name;
+  EXPECT_EQ(p.comparable, r.comparable) << name;
+  EXPECT_EQ(p.max_retained, r.max_retained) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, DowntimeGoldenDigest,

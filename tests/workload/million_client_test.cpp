@@ -31,35 +31,34 @@ struct AllocProfile {
 // (the session pick costs one draw either way), so both profiles execute
 // the same simulation events and differ only in request attribution.
 AllocProfile run_with_sessions(std::uint32_t sessions_per_machine) {
-  ShardedConfig sc;
-  sc.base.system = System::kRaft;
-  sc.base.groups = 2;
-  sc.base.per_group = 3;
-  sc.base.client_machines = 1;  // 2 racks x 1 machine
-  sc.base.key_dist = KeyDist::kZipfian;  // the skewed-popularity trial
-  sc.base.num_keys = 1'000'000;
-  sc.base.warmup = 200 * kMillisecond;
-  sc.base.measure = 500 * kMillisecond;
-  sc.base.drain = 300 * kMillisecond;
-  sc.sessions_per_machine = sessions_per_machine;
+  TrialConfig tc;
+  tc.system = System::kRaft;
+  tc.groups = 2;
+  tc.per_group = 3;
+  tc.client_machines = 1;  // 2 racks x 1 machine
+  tc.key_dist = KeyDist::kZipfian;  // the skewed-popularity trial
+  tc.num_keys = 1'000'000;
+  tc.warmup = 200 * kMillisecond;
+  tc.measure = 500 * kMillisecond;
+  tc.drain = 300 * kMillisecond;
 
   const double rate = 4'000;
-  const std::uint64_t trial_seed = derive_seed(sc.base.seed, 0x106aULL);
+  const std::uint64_t trial_seed = derive_seed(tc.seed, 0x106aULL);
   simnet::Simulator sim(trial_seed);
-  simnet::Cluster cluster = build_cluster(sc.base);
-  simnet::Network net(sim, cluster.topo, sc.base.cpu);
-  ShardedService svc(sc.base, cluster, net);
+  simnet::Cluster cluster = build_cluster(tc);
+  simnet::Network net(sim, cluster.topo, tc.cpu);
+  ShardedService svc(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
-  rec->set_window(sc.base.warmup, sc.base.warmup + sc.base.measure);
+  rec->set_window(tc.warmup, tc.warmup + tc.measure);
   auto routers =
-      attach_router_clients(sc, cluster, svc, net, rec, rate, trial_seed,
-                            sc.base.warmup + sc.base.measure);
+      attach_router_clients(tc, sessions_per_machine, cluster, svc, net, rec,
+                            rate, trial_seed, tc.warmup + tc.measure);
 
   AllocProfile p;
   const std::uint64_t at_start = bench::heap_allocations();
-  sim.run_until(sc.base.warmup);
+  sim.run_until(tc.warmup);
   const std::uint64_t at_warm = bench::heap_allocations();
-  sim.run_until(sc.base.warmup + sc.base.measure + sc.base.drain);
+  sim.run_until(tc.warmup + tc.measure + tc.drain);
   const std::uint64_t at_end = bench::heap_allocations();
   p.setup = at_warm - at_start;
   p.window = at_end - at_warm;

@@ -21,10 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 
-#include "workload/chaos.h"
-#include "workload/deployments.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {
@@ -51,8 +49,7 @@ std::ostream& operator<<(std::ostream& os, const Digest& d) {
             << " ev=" << d.events << "}";
 }
 
-/// One fixed-rate steady-state trial, digested. Mirrors run_trial() but
-/// reads the service/network/simulator counters instead of latency stats.
+/// One fixed-rate steady-state trial at its pinned seed, digested.
 Digest run_digest(System sys, std::uint64_t seed, bool wan,
                   unsigned sim_threads) {
   TrialConfig tc;
@@ -75,39 +72,22 @@ Digest run_digest(System sys, std::uint64_t seed, bool wan,
   }
   const double rate = wan ? 2'000.0 : 20'000.0;
 
-  const std::uint64_t trial_seed = derive_seed(tc.seed, 0xf19aULL);
-  simnet::Simulator sim(trial_seed);
-  simnet::Cluster cluster = build_cluster(tc);
-  if (tc.sim_threads > 1)
-    sim.configure_shards(cluster.topo,
-                         simnet::make_shard_map(cluster.topo, tc.sim_threads));
-  simnet::Network net(sim, cluster.topo, tc.cpu);
-  auto service = make_service(tc, cluster, net);
-  auto recorder = std::make_shared<LatencyRecorder>();
-  recorder->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto clients = attach_clients(tc, cluster, net, recorder, rate, trial_seed,
-                                tc.warmup + tc.measure);
-  const Time deadline = tc.warmup + tc.measure + tc.drain;
-  if (tc.sim_threads > 1)
-    sim.run_parallel_until(deadline);
-  else
-    sim.run_until(deadline);
+  const TrialReport r = run_trial({tc, rate, derive_seed(tc.seed, 0xf19aULL)});
 
   Digest d;
   // Fold EVERY node's history into the digest (FNV-style): at the fixed
   // deadline, distant followers legitimately lag the leader by up to a WAN
   // RTT, so nodes need not agree yet — but each node's exact prefix must
   // be identical between the serial and sharded runs.
-  for (std::size_t i = 0; i < service->num_servers(); ++i) {
-    d.fingerprint = (d.fingerprint ^ service->commit_fingerprint(i)) *
-                    0x100000001b3ULL;
-    d.writes += service->committed_writes(i);
-    d.reads += service->served_reads(i);
+  for (const TrialReport::NodeDigest& n : r.nodes) {
+    d.fingerprint = (d.fingerprint ^ n.fingerprint) * 0x100000001b3ULL;
+    d.writes += n.writes;
+    d.reads += n.reads;
   }
-  d.messages = net.stats().messages;
-  d.bytes = net.stats().bytes;
-  d.dropped = net.stats().dropped;
-  d.events = sim.events_processed();
+  d.messages = r.net.messages;
+  d.bytes = r.net.bytes;
+  d.dropped = r.net.dropped;
+  d.events = r.events;
   return d;
 }
 
@@ -150,7 +130,7 @@ TEST_P(PdesDeterminism, ChaosStormBitIdenticalThroughControlBarriers) {
     tc.client_machines = 2;
     tc.write_ratio = 0.5;
     tc.seed = 42;
-    tc = chaos_tuned(tc);
+    tc = fault_tuned(tc);
     tc.sim_threads = sim_threads;
 
     FaultTiming ft;
@@ -163,26 +143,24 @@ TEST_P(PdesDeterminism, ChaosStormBitIdenticalThroughControlBarriers) {
 
     const ChaosIntensity ci{"pdes", 12.0, 2, 2, 80 * kMillisecond,
                             100 * kMillisecond};
-    return run_chaos_trial(tc, ci, ft, 15'000.0);
+    return run_trial(chaos_trial(tc, ci, ft, 15'000.0));
   };
 
-  const ChaosResult serial = storm(1);
-  EXPECT_EQ(serial.violations, 0u);
-  ASSERT_GT(serial.committed_writes, 0u);
+  const TrialReport serial = storm(1);
+  const GroupReport& s = serial.groups[0];
+  EXPECT_EQ(s.violations, 0u);
+  ASSERT_GT(s.audited_max, 0u);
   for (unsigned t : kThreadCounts) {
-    const ChaosResult par = storm(t);
-    EXPECT_EQ(par.violations, 0u) << "sim_threads " << t;
+    const TrialReport par = storm(t);
+    const GroupReport& p = par.groups[0];
+    EXPECT_EQ(p.violations, 0u) << "sim_threads " << t;
     EXPECT_EQ(par.fault_events, serial.fault_events) << "sim_threads " << t;
-    EXPECT_EQ(par.fingerprint, serial.fingerprint) << "sim_threads " << t;
-    EXPECT_EQ(par.committed_writes, serial.committed_writes)
-        << "sim_threads " << t;
-    EXPECT_EQ(par.acked_writes, serial.acked_writes) << "sim_threads " << t;
-    EXPECT_EQ(par.observed_reads, serial.observed_reads)
-        << "sim_threads " << t;
-    EXPECT_EQ(par.comparable_nodes, serial.comparable_nodes)
-        << "sim_threads " << t;
+    EXPECT_EQ(p.fingerprint, s.fingerprint) << "sim_threads " << t;
+    EXPECT_EQ(p.audited_max, s.audited_max) << "sim_threads " << t;
+    EXPECT_EQ(p.acked_writes, s.acked_writes) << "sim_threads " << t;
+    EXPECT_EQ(p.observed_reads, s.observed_reads) << "sim_threads " << t;
+    EXPECT_EQ(p.comparable, s.comparable) << "sim_threads " << t;
     EXPECT_EQ(par.client_failed, serial.client_failed) << "sim_threads " << t;
-    EXPECT_EQ(par.recovered, serial.recovered) << "sim_threads " << t;
     EXPECT_EQ(par.recovery_ns, serial.recovery_ns) << "sim_threads " << t;
   }
 }

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "runtime/threaded.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {
@@ -101,8 +102,13 @@ void expect_snapshot_catchup_threads(System sys) {
                            const std::vector<kv::Request>& batch) {
     committed[i].fetch_add(batch.size(), std::memory_order_relaxed);
   };
-  service->on_snapshot_install = [&](std::size_t i, const kv::Snapshot&) {
-    if (i == victim) victim_snapshot.store(true, std::memory_order_relaxed);
+  // An install adopts the donor's prefix wholesale: the victim's count
+  // restarts at the snapshot's, so the final wait below can only pass once
+  // the victim really holds all 52 writes.
+  service->on_snapshot_install = [&](std::size_t i, const kv::Snapshot& s) {
+    if (i != victim) return;
+    committed[i].store(s.digest_count, std::memory_order_relaxed);
+    victim_snapshot.store(true, std::memory_order_relaxed);
   };
 
   const auto deadline =
@@ -158,9 +164,7 @@ void expect_snapshot_catchup_threads(System sys) {
   submit_writes(500, 4);
   ASSERT_TRUE(wait_for([&] {
     for (std::size_t i = 0; i < n; ++i)
-      if (committed[i].load(std::memory_order_relaxed) <
-          (i == victim ? 4u : 52u))
-        return false;
+      if (committed[i].load(std::memory_order_relaxed) < 52) return false;
     return true;
   })) << "post-recovery writes did not reach every server";
 

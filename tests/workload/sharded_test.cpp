@@ -8,23 +8,31 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {
 
-ShardedConfig small_sharded(System sys, int groups = 2) {
-  ShardedConfig sc;
-  sc.base.system = sys;
-  sc.base.groups = groups;
-  sc.base.per_group = 3;
-  sc.base.client_machines = 1;  // per rack
-  sc.base.num_keys = 100'000;
-  sc.base.warmup = 200 * kMillisecond;
-  sc.base.measure = 600 * kMillisecond;
-  sc.base.drain = 300 * kMillisecond;
-  sc.sessions_per_machine = 32;
-  return sc;
+constexpr std::uint32_t kSessions = 32;
+
+TrialConfig small_sharded(System sys, int groups = 2) {
+  TrialConfig tc;
+  tc.system = sys;
+  tc.groups = groups;
+  tc.per_group = 3;
+  tc.client_machines = 1;  // per rack
+  tc.num_keys = 100'000;
+  tc.warmup = 200 * kMillisecond;
+  tc.measure = 600 * kMillisecond;
+  tc.drain = 300 * kMillisecond;
+  return tc;
+}
+
+TrialReport run_sharded(const TrialConfig& tc, double rate) {
+  return run_trial({tc, rate, trial_seed(tc, rate), kSessions});
 }
 
 FaultTiming short_timing() {
@@ -40,34 +48,32 @@ FaultTiming short_timing() {
 class ShardedSystemsTest : public ::testing::TestWithParam<System> {};
 
 TEST_P(ShardedSystemsTest, EveryGroupCommitsAndAgrees) {
-  const ShardedConfig sc = small_sharded(GetParam());
-  const ShardedTrialResult r = run_sharded_trial(sc, 4'000);
-  EXPECT_GT(r.agg.completed, 0u);
-  EXPECT_TRUE(r.groups_agree);
-  ASSERT_EQ(r.group_commits.size(), 2u);
-  for (std::size_t g = 0; g < r.group_commits.size(); ++g)
-    EXPECT_GT(r.group_commits[g], 0u) << "group " << g << " committed nothing";
+  const TrialReport r = run_sharded(small_sharded(GetParam()), 4'000);
+  EXPECT_GT(r.steady.completed, 0u);
+  EXPECT_TRUE(r.converged());
+  EXPECT_TRUE(r.retention_ok());
+  ASSERT_EQ(r.groups.size(), 2u);
+  for (std::size_t g = 0; g < r.groups.size(); ++g)
+    EXPECT_GT(r.groups[g].max_count, 0u)
+        << "group " << g << " committed nothing";
   EXPECT_EQ(r.sessions, 2u * 32u);  // 2 racks x 1 machine x 32 sessions
   EXPECT_EQ(r.client_failed, 0u);
   EXPECT_EQ(r.retries, 0u);  // no faults: no group was ever fully down
 }
 
 TEST_P(ShardedSystemsTest, ZeroAuditViolationsUnderPerGroupStorm) {
-  const ShardedConfig sc = small_sharded(GetParam());
-  const FaultTiming ft = short_timing();
+  const TrialConfig tc = fault_tuned(small_sharded(GetParam()));
   const ChaosIntensity ci = standard_intensities()[0];  // low
-  ShardedConfig tuned = sc;
-  tuned.base = chaos_tuned(tuned.base);
-  const ShardedChaosResult r =
-      run_sharded_chaos_trial(tuned, ci, ft, 4'000, ChaosScope::kPerGroup);
-  EXPECT_EQ(r.violations, 0u) << (r.violation_details.empty()
-                                      ? std::string("(no details)")
-                                      : r.violation_details[0].detail);
-  ASSERT_EQ(r.group_violations.size(), 2u);
-  for (const std::uint64_t v : r.group_violations) EXPECT_EQ(v, 0u);
+  const TrialReport r =
+      run_trial(chaos_trial(tc, ci, short_timing(), 4'000, kSessions));
+  EXPECT_EQ(r.violations(), 0u) << (r.violation_details.empty()
+                                        ? std::string("(no details)")
+                                        : r.violation_details[0].detail);
+  ASSERT_EQ(r.groups.size(), 2u);
+  for (const GroupReport& g : r.groups) EXPECT_EQ(g.violations, 0u);
   EXPECT_GT(r.fault_events, 0u);
-  EXPECT_GT(r.acked_writes, 0u);
-  EXPECT_GT(r.committed_writes, 0u);
+  EXPECT_GT(r.acked_writes(), 0u);
+  EXPECT_GT(r.committed_writes(), 0u);
   EXPECT_GT(r.before.completed, 0u);
 }
 
@@ -78,18 +84,17 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, ShardedSystemsTest,
                            return std::string(system_name(info.param));
                          });
 
-TEST(ShardedService, LocateAndFleetIndexingAreGroupMajor) {
-  const ShardedConfig sc = small_sharded(System::kRaft);
+TEST(ShardedService, FleetIndexingIsGroupMajor) {
+  const TrialConfig tc = small_sharded(System::kRaft);
   simnet::Simulator sim(1);
-  simnet::Cluster cluster = build_cluster(sc.base);
-  simnet::Network net(sim, cluster.topo, sc.base.cpu);
-  ShardedService svc(sc.base, cluster, net);
+  simnet::Cluster cluster = build_cluster(tc);
+  simnet::Network net(sim, cluster.topo, tc.cpu);
+  ShardedService svc(tc, cluster, net);
   ASSERT_EQ(svc.num_groups(), 2u);
   ASSERT_EQ(svc.servers_per_group(), 3u);
   for (std::size_t g = 0; g < svc.num_groups(); ++g)
     for (std::size_t s = 0; s < svc.servers_per_group(); ++s) {
       const NodeId n = svc.group_servers()[g][s];
-      EXPECT_EQ(svc.locate(n), (std::pair<std::size_t, std::size_t>{g, s}));
       EXPECT_EQ(svc.group(g).server_node(s), n);
       EXPECT_EQ(cluster.servers[g * 3 + s], n);
     }
@@ -102,20 +107,20 @@ TEST(ShardedService, LocateAndFleetIndexingAreGroupMajor) {
 }
 
 TEST(ShardedService, RoutersRedirectAroundACrashedServer) {
-  const ShardedConfig sc = small_sharded(System::kRaft);
+  const TrialConfig tc = small_sharded(System::kRaft);
   const std::uint64_t seed = 77;
   simnet::Simulator sim(seed);
-  simnet::Cluster cluster = build_cluster(sc.base);
-  simnet::Network net(sim, cluster.topo, sc.base.cpu);
-  ShardedService svc(sc.base, cluster, net);
+  simnet::Cluster cluster = build_cluster(tc);
+  simnet::Network net(sim, cluster.topo, tc.cpu);
+  ShardedService svc(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
-  rec->set_window(sc.base.warmup, sc.base.warmup + sc.base.measure);
-  auto routers = attach_router_clients(sc, cluster, svc, net, rec, 4'000,
-                                       seed, sc.base.warmup + sc.base.measure);
+  rec->set_window(tc.warmup, tc.warmup + tc.measure);
+  auto routers = attach_router_clients(tc, kSessions, cluster, svc, net, rec,
+                                       4'000, seed, tc.warmup + tc.measure);
   // Take group 0's follower down for the whole run: every batch whose
   // round-robin pick lands on it must be redirected to a live sibling.
   sim.at(1, [&svc] { svc.crash(1); });
-  sim.run_until(sc.base.warmup + sc.base.measure + sc.base.drain);
+  sim.run_until(tc.warmup + tc.measure + tc.drain);
   std::uint64_t redirects = 0, failed = 0;
   for (const auto& r : routers) {
     redirects += r->redirects();
@@ -126,27 +131,28 @@ TEST(ShardedService, RoutersRedirectAroundACrashedServer) {
   EXPECT_GT(rec->completed(), 0u);
   // Both groups still commit and agree despite the dark node.
   for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-    EXPECT_GT(svc.group_committed(g), 0u);
-    EXPECT_TRUE(svc.group_agrees(g));
+    const GroupReport check =
+        check_group(svc.group(g), retained_log_bound(tc));
+    EXPECT_GT(check.max_count, 0u);
+    EXPECT_TRUE(check.converged());
   }
 }
 
 TEST(ShardedService, WholeGroupDownRetriesThenFailsHonestly) {
-  ShardedConfig sc = small_sharded(System::kRaft);
-  sc.max_attempts = 2;
+  const TrialConfig tc = small_sharded(System::kRaft);
   const std::uint64_t seed = 78;
   simnet::Simulator sim(seed);
-  simnet::Cluster cluster = build_cluster(sc.base);
-  simnet::Network net(sim, cluster.topo, sc.base.cpu);
-  ShardedService svc(sc.base, cluster, net);
+  simnet::Cluster cluster = build_cluster(tc);
+  simnet::Network net(sim, cluster.topo, tc.cpu);
+  ShardedService svc(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
-  rec->set_window(sc.base.warmup, sc.base.warmup + sc.base.measure);
-  auto routers = attach_router_clients(sc, cluster, svc, net, rec, 4'000,
-                                       seed, sc.base.warmup + sc.base.measure);
+  rec->set_window(tc.warmup, tc.warmup + tc.measure);
+  auto routers = attach_router_clients(tc, kSessions, cluster, svc, net, rec,
+                                       4'000, seed, tc.warmup + tc.measure);
   sim.at(1, [&svc] {
     for (std::size_t s = 0; s < svc.servers_per_group(); ++s) svc.crash(s);
   });
-  sim.run_until(sc.base.warmup + sc.base.measure + sc.base.drain);
+  sim.run_until(tc.warmup + tc.measure + tc.drain);
   std::uint64_t retries = 0, failed = 0;
   for (const auto& r : routers) {
     retries += r->retries();
@@ -159,26 +165,27 @@ TEST(ShardedService, WholeGroupDownRetriesThenFailsHonestly) {
   EXPECT_GT(rec->failed(), 0u);
   EXPECT_LE(rec->failed(), failed);
   // The surviving group keeps serving its share of the keyspace.
-  EXPECT_GT(svc.group_committed(1), 0u);
+  EXPECT_GT(check_group(svc.group(1), retained_log_bound(tc)).max_count, 0u);
   EXPECT_GT(rec->completed(), 0u);
 }
 
 TEST(ShardedService, GroupScopedScenarioHitsOnlyItsGroup) {
-  const ShardedConfig sc = small_sharded(System::kRaft);
+  const TrialConfig tc = small_sharded(System::kRaft);
   const FaultTiming ft = short_timing();
   simnet::Simulator sim(5);
-  simnet::Cluster cluster = build_cluster(sc.base);
-  simnet::Network net(sim, cluster.topo, sc.base.cpu);
-  ShardedService svc(sc.base, cluster, net);
+  simnet::Cluster cluster = build_cluster(tc);
+  simnet::Network net(sim, cluster.topo, tc.cpu);
+  ShardedService svc(tc, cluster, net);
   // A group-local single-node crash scoped onto group 1.
   FaultScenario local;
   local.name = "single_node_crash";
   local.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, 1, -1});
   local.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, 1, -1});
-  const FaultScenario scoped = scope_to_group(local, 1, sc.base.per_group);
+  const FaultScenario scoped = scope_to_group(local, 1, tc.per_group);
   EXPECT_EQ(scoped.name, "single_node_crash@group1");
   EXPECT_EQ(scoped.steps[0].a, 4);  // 1 * per_group + 1
-  arm_sharded(make_schedule(scoped, cluster.servers), net, svc);
+  arm_via_service(make_schedule(scoped, cluster.servers), net,
+                  svc.services());
   sim.run_until(ft.fault_at + 1);
   EXPECT_FALSE(svc.group(1).up(1));
   for (std::size_t s = 0; s < 3; ++s) EXPECT_TRUE(svc.group(0).up(s));
@@ -190,71 +197,78 @@ TEST(ShardedService, StrictArmingAcceptsRecoversForAllSystems) {
   // Every system — Canopus included, via sponsored rejoin — now has a
   // repair path, so strict arming accepts recover events everywhere.
   for (System sys : {System::kCanopus, System::kRaft}) {
-    ShardedConfig sc = small_sharded(sys);
+    const TrialConfig tc = small_sharded(sys);
     simnet::Simulator sim(6);
-    simnet::Cluster cluster = build_cluster(sc.base);
-    simnet::Network net(sim, cluster.topo, sc.base.cpu);
-    ShardedService svc(sc.base, cluster, net);
-    ASSERT_TRUE(svc.supports_recover());
+    simnet::Cluster cluster = build_cluster(tc);
+    simnet::Network net(sim, cluster.topo, tc.cpu);
+    ShardedService svc(tc, cluster, net);
+    ASSERT_TRUE(svc.group(0).supports_recover());
     simnet::FaultSchedule with_recover;
     with_recover.crash_at(10, cluster.servers[0])
         .recover_at(20, cluster.servers[0]);
-    EXPECT_NO_THROW(arm_sharded(with_recover, net, svc));
-    EXPECT_NO_THROW(arm_sharded(with_recover, net, svc,
-                                RecoverArming::kTolerateUnsupported));
+    EXPECT_NO_THROW(arm_via_service(with_recover, net, svc.services()));
+    EXPECT_NO_THROW(arm_via_service(with_recover, net, svc.services(),
+                                    RecoverArming::kTolerateUnsupported));
   }
 }
 
-TEST(ShardedChaos, PerGroupScopeStormsEveryGroup) {
-  ShardedConfig sc = small_sharded(System::kRaft);
-  sc.base = chaos_tuned(sc.base);
-  const FaultTiming ft = short_timing();
-  const ChaosIntensity ci = standard_intensities()[0];
-  const ShardedChaosResult fleet =
-      run_sharded_chaos_trial(sc, ci, ft, 4'000, ChaosScope::kFleet);
-  const ShardedChaosResult per_group =
-      run_sharded_chaos_trial(sc, ci, ft, 4'000, ChaosScope::kPerGroup);
-  // Per-group scope draws an independent storm of the same intensity for
-  // EACH group, so its fleet-wide fault count is strictly larger here.
-  EXPECT_GT(per_group.fault_events, fleet.fault_events);
-  EXPECT_EQ(fleet.violations, 0u);
-  EXPECT_EQ(per_group.violations, 0u);
+TEST(ShardedChaos, GrayIntensityDrawsOnlyGrayEventsInEveryGroup) {
+  // gray-cpu zeroes the crash and sever weights: the per-group storms a
+  // sharded trial arms must carry the whole palette, not just the rates.
+  const TrialConfig tc = fault_tuned(small_sharded(System::kRaft, 3));
+  const ChaosIntensity gray_cpu = gray_intensities()[0];
+  ASSERT_EQ(gray_cpu.name, "gray-cpu");
+  const Trial t =
+      chaos_trial(tc, gray_cpu, short_timing(), 4'000, kSessions);
+  ASSERT_FALSE(t.faults->events().empty());
+  std::set<NodeId> slowed;
+  for (const simnet::FaultEvent& ev : t.faults->events()) {
+    EXPECT_TRUE(ev.kind == simnet::FaultEvent::Kind::kCpuSlow ||
+                ev.kind == simnet::FaultEvent::Kind::kCpuNormal)
+        << "gray-cpu storm drew fault kind " << static_cast<int>(ev.kind);
+    slowed.insert(ev.a);
+  }
+  // One storm per group: every group's servers see gray faults.
+  std::set<std::size_t> groups_hit;
+  const simnet::Cluster cluster = build_cluster(tc);
+  for (std::size_t s = 0; s < cluster.servers.size(); ++s)
+    if (slowed.contains(cluster.servers[s]))
+      groups_hit.insert(s / static_cast<std::size_t>(tc.per_group));
+  EXPECT_EQ(groups_hit.size(), 3u);
 }
 
 TEST(ShardedChaos, BitIdenticalAcrossSimThreads) {
-  ShardedConfig sc = small_sharded(System::kRaft);
-  sc.base = chaos_tuned(sc.base);
+  TrialConfig tc = fault_tuned(small_sharded(System::kRaft));
   const FaultTiming ft = short_timing();
   const ChaosIntensity ci = standard_intensities()[1];  // medium
-  const ShardedChaosResult serial =
-      run_sharded_chaos_trial(sc, ci, ft, 4'000, ChaosScope::kPerGroup);
-  sc.base.sim_threads = 2;
-  const ShardedChaosResult sharded =
-      run_sharded_chaos_trial(sc, ci, ft, 4'000, ChaosScope::kPerGroup);
-  EXPECT_EQ(serial.violations, 0u);
-  EXPECT_EQ(sharded.violations, 0u);
+  const TrialReport serial =
+      run_trial(chaos_trial(tc, ci, ft, 4'000, kSessions));
+  tc.sim_threads = 2;
+  const TrialReport sharded =
+      run_trial(chaos_trial(tc, ci, ft, 4'000, kSessions));
+  EXPECT_EQ(serial.violations(), 0u);
+  EXPECT_EQ(sharded.violations(), 0u);
   EXPECT_EQ(serial.fault_events, sharded.fault_events);
   EXPECT_EQ(serial.before.completed, sharded.before.completed);
-  EXPECT_EQ(serial.storm.completed, sharded.storm.completed);
+  EXPECT_EQ(serial.during.completed, sharded.during.completed);
   EXPECT_EQ(serial.after.completed, sharded.after.completed);
-  EXPECT_EQ(serial.acked_writes, sharded.acked_writes);
-  EXPECT_EQ(serial.committed_writes, sharded.committed_writes);
+  EXPECT_EQ(serial.acked_writes(), sharded.acked_writes());
+  EXPECT_EQ(serial.committed_writes(), sharded.committed_writes());
   EXPECT_EQ(serial.redirects, sharded.redirects);
   EXPECT_EQ(serial.client_failed, sharded.client_failed);
   EXPECT_EQ(serial.recovery_ns, sharded.recovery_ns);
 }
 
 TEST(ShardedTrial, BitIdenticalAcrossSimThreadsAndRepeatable) {
-  ShardedConfig sc = small_sharded(System::kCanopus);
-  const ShardedTrialResult a = run_sharded_trial(sc, 4'000);
-  const ShardedTrialResult b = run_sharded_trial(sc, 4'000);
-  sc.base.sim_threads = 2;
-  const ShardedTrialResult c = run_sharded_trial(sc, 4'000);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.fingerprint, c.fingerprint);
-  EXPECT_EQ(a.agg.completed, c.agg.completed);
-  EXPECT_EQ(a.agg.median, c.agg.median);
-  EXPECT_EQ(a.group_commits, c.group_commits);
+  TrialConfig tc = small_sharded(System::kCanopus);
+  const TrialReport a = run_sharded(tc, 4'000);
+  const TrialReport b = run_sharded(tc, 4'000);
+  tc.sim_threads = 2;
+  const TrialReport c = run_sharded(tc, 4'000);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.steady.completed, c.steady.completed);
+  EXPECT_EQ(a.steady.median, c.steady.median);
+  EXPECT_EQ(a.nodes, c.nodes);
   EXPECT_EQ(a.sent, c.sent);
 }
 

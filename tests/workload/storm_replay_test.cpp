@@ -16,9 +16,8 @@
 #include <sstream>
 #include <string>
 
-#include "workload/chaos.h"
-#include "workload/fault_scenario.h"
 #include "workload/storm_minimizer.h"
+#include "workload/trial.h"
 
 #ifndef CANOPUS_TEST_DATA_DIR
 #define CANOPUS_TEST_DATA_DIR "tests/data"
@@ -44,12 +43,18 @@ TrialConfig replay_config() {
   return tc;
 }
 
-ChaosResult replay(const simnet::FaultSchedule& storm, double rate,
+/// The audited trial of the artifact's grid point with `storm` armed: the
+/// seed is the one a "replay" chaos intensity derives.
+TrialReport replay(const simnet::FaultSchedule& storm, double rate,
                    int sim_threads = 1) {
   TrialConfig tc = replay_config();
   tc.sim_threads = sim_threads;
-  const ChaosIntensity unused{"replay", 0, 0, 0, 0, 0};
-  return run_chaos_trial(tc, unused, long_downtime_timing(), rate, &storm);
+  const ChaosIntensity replay_point{"replay", 0, 0, 0, 0, 0};
+  Trial t(tc, rate, chaos_trial_seed(tc, replay_point, rate));
+  t.faults = storm;
+  t.timing = long_downtime_timing();
+  t.audit = true;
+  return run_trial(t);
 }
 
 TEST(StormReplay, MinimizedRejoinArtifactReproduces) {
@@ -64,20 +69,22 @@ TEST(StormReplay, MinimizedRejoinArtifactReproduces) {
   EXPECT_EQ(loaded.system, "Canopus");
   ASSERT_FALSE(loaded.storm.events().empty());
 
-  const ChaosResult r = replay(loaded.storm, loaded.offered_rate);
+  const TrialReport rr = replay(loaded.storm, loaded.offered_rate);
+  const GroupReport& r = rr.groups[0];
   EXPECT_EQ(r.violations, 0u);
-  for (const AuditViolation& v : r.violation_details)
+  for (const AuditViolation& v : rr.violation_details)
     ADD_FAILURE() << audit_violation_name(v.kind) << ": " << v.detail;
-  EXPECT_GE(r.snapshots_installed, 1u)
+  EXPECT_GE(r.snapshots, 1u)
       << "the minimized storm no longer exercises the rejoin transfer";
   EXPECT_TRUE(r.retention_ok);
 
   // The artifact replays identically under the parallel event kernel.
-  const ChaosResult p = replay(loaded.storm, loaded.offered_rate, 2);
+  const GroupReport p =
+      replay(loaded.storm, loaded.offered_rate, 2).groups[0];
   EXPECT_EQ(p.violations, 0u);
   EXPECT_EQ(p.fingerprint, r.fingerprint);
-  EXPECT_EQ(p.committed_writes, r.committed_writes);
-  EXPECT_EQ(p.snapshots_installed, r.snapshots_installed);
+  EXPECT_EQ(p.audited_max, r.audited_max);
+  EXPECT_EQ(p.snapshots, r.snapshots);
 }
 
 // Round-trip sanity on the parser itself, independent of the artifact.
@@ -163,8 +170,8 @@ TEST(StormReplay, DISABLED_RegenerateArtifact) {
       .skew_clear_at(1'700 * kMillisecond, cluster.servers[2]);
 
   StormMinimizer::Oracle oracle = [&](const simnet::FaultSchedule& s) {
-    const ChaosResult r = replay(s, rate);
-    return r.violations == 0 && r.snapshots_installed >= 1;
+    const GroupReport r = replay(s, rate).groups[0];
+    return r.violations == 0 && r.snapshots >= 1;
   };
   MinimizeOptions opt;
   opt.shrink_durations = false;  // keep the artifact's downtime realistic

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "workload/deployments.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {

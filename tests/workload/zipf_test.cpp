@@ -10,7 +10,7 @@
 #include <set>
 #include <vector>
 
-#include "workload/sharded.h"
+#include "workload/trial.h"
 
 namespace canopus::workload {
 namespace {
@@ -151,21 +151,21 @@ TEST(ZipfDeterminism, ClassicTrialRepeatsExactly) {
 
 TEST(ZipfDeterminism, ShardedZipfStreamsIdenticalAcrossSimThreads) {
   // The strongest pin available: the per-group commit fingerprints hash
-  // every committed (id, key, value) in order, so equal folds mean the
+  // every committed (id, key, value) in order, so equal digests mean the
   // zipfian key stream reaching every group was bit-identical under the
   // serial and the 2-shard PDES kernels.
-  ShardedConfig sc;
-  sc.base = zipf_config(System::kRaft);
-  sc.sessions_per_machine = 64;
-  const ShardedTrialResult serial = run_sharded_trial(sc, 4'000);
-  sc.base.sim_threads = 2;
-  const ShardedTrialResult sharded = run_sharded_trial(sc, 4'000);
-  EXPECT_GT(serial.agg.completed, 0u);
-  EXPECT_TRUE(serial.groups_agree);
-  EXPECT_TRUE(sharded.groups_agree);
-  EXPECT_EQ(serial.fingerprint, sharded.fingerprint);
-  EXPECT_EQ(serial.group_commits, sharded.group_commits);
-  EXPECT_EQ(serial.agg.completed, sharded.agg.completed);
+  TrialConfig tc = zipf_config(System::kRaft);
+  const auto run = [&tc] {
+    return run_trial({tc, 4'000, trial_seed(tc, 4'000), 64});
+  };
+  const TrialReport serial = run();
+  tc.sim_threads = 2;
+  const TrialReport sharded = run();
+  EXPECT_GT(serial.steady.completed, 0u);
+  EXPECT_TRUE(serial.converged());
+  EXPECT_TRUE(sharded.converged());
+  EXPECT_EQ(serial.nodes, sharded.nodes);
+  EXPECT_EQ(serial.steady.completed, sharded.steady.completed);
   EXPECT_EQ(serial.sent, sharded.sent);
 }
 
