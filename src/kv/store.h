@@ -2,9 +2,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,38 +15,109 @@
 namespace canopus::kv {
 
 /// Deterministic snapshot image of a Store: (key, value) pairs sorted by
-/// key, so the image is independent of unordered_map iteration order (and
-/// therefore identical on every replica that holds the same state).
+/// key, so the image does not depend on the table's slot order (which
+/// follows insertion and growth history) and is therefore identical on
+/// every replica that holds the same state.
 using StoreImage = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /// The state machine every replica applies committed writes to.
+///
+/// Every participant applies every committed write, so this sits on each
+/// replica's hot path. The map is a flat open-addressing table (DESIGN.md
+/// §8.3): one contiguous array of {key, value} slots, power-of-two
+/// capacity, Fibonacci hash, linear probing, doubled once it would pass
+/// 3/4 load. A new key costs no allocation except at a doubling, so
+/// inserting n keys allocates O(log n) times. Keys are never erased.
+/// kEmptyKey marks a free slot; a write to that key itself lives in a
+/// side slot.
 class Store {
  public:
   void apply(const Request& w) {
-    if (w.is_write) map_[w.key] = w.value;
+    if (w.is_write) put(w.key, w.value);
   }
 
   std::uint64_t read(std::uint64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? 0 : it->second;
+    if (key == kEmptyKey) return empty_key_value_.value_or(0);
+    if (slots_.empty()) return 0;
+    return slots_[probe(key)].value;  // a free slot holds value 0
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return used_ + (empty_key_value_ ? 1 : 0); }
 
   StoreImage export_image() const {
-    StoreImage img(map_.begin(), map_.end());
+    StoreImage img;
+    img.reserve(size());
+    if (empty_key_value_) img.emplace_back(kEmptyKey, *empty_key_value_);
+    for (const Slot& s : slots_)
+      if (s.key != kEmptyKey) img.emplace_back(s.key, s.value);
     std::sort(img.begin(), img.end());
     return img;
   }
 
+  /// Replaces the contents with `img`, sizing the table once for it.
   void restore(const StoreImage& img) {
-    map_.clear();
-    map_.reserve(img.size());
-    for (const auto& [k, v] : img) map_[k] = v;
+    *this = Store();
+    if (img.empty()) return;
+    std::size_t cap = kMinCapacity;
+    while (!within_load(img.size(), cap)) cap *= 2;
+    rehash(cap);
+    for (const auto& [k, v] : img) put(k, v);
   }
 
  private:
-  std::unordered_map<std::uint64_t, std::uint64_t> map_;
+  struct Slot {
+    std::uint64_t key;
+    std::uint64_t value;
+  };
+
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+  static constexpr std::size_t kMinCapacity = 16;
+
+  static bool within_load(std::size_t n, std::size_t cap) {
+    return 4 * n <= 3 * cap;
+  }
+
+  /// Index of `key`'s slot, or of the free slot where it would go. The load
+  /// bound keeps a free slot in the table, so the probe terminates.
+  std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+    while (slots_[i].key != key && slots_[i].key != kEmptyKey)
+      i = (i + 1) & mask;
+    return i;
+  }
+
+  void put(std::uint64_t key, std::uint64_t value) {
+    if (key == kEmptyKey) {
+      empty_key_value_ = value;
+      return;
+    }
+    if (slots_.empty()) rehash(kMinCapacity);
+    std::size_t i = probe(key);
+    if (slots_[i].key == key) {
+      slots_[i].value = value;
+      return;
+    }
+    if (!within_load(used_ + 1, slots_.size())) {
+      rehash(2 * slots_.size());
+      i = probe(key);
+    }
+    slots_[i] = {key, value};
+    ++used_;
+  }
+
+  void rehash(std::size_t cap) {
+    std::vector<Slot> old(cap, Slot{kEmptyKey, 0});
+    old.swap(slots_);
+    shift_ = std::countl_zero(static_cast<std::uint64_t>(cap)) + 1;
+    for (const Slot& s : old)
+      if (s.key != kEmptyKey) slots_[probe(s.key)] = s;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;  ///< occupied slots (the side slot not counted)
+  int shift_ = 64;        ///< 64 - log2(capacity)
+  std::optional<std::uint64_t> empty_key_value_;  ///< the side slot
 };
 
 /// Rolling digest of the committed write sequence. Two replicas that applied

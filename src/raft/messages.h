@@ -19,9 +19,15 @@ enum class MsgType {
   kInstallSnapshot,
   /// Not part of Raft proper: sent by the reliable-broadcast layer when it
   /// receives traffic for a group it has already dissolved (§4.3 "all the
-  /// nodes leave that group"). Tells stragglers to finish applying their
-  /// local log for the group and dissolve it too.
+  /// nodes leave that group"). Tells stragglers where the group's log ends
+  /// (last_log_index/last_log_term) so they finish applying it and dissolve
+  /// the group too. A reply to kDissolvedTailRequest also carries the
+  /// entries after prev_log_index.
   kGroupDissolved,
+  /// Not part of Raft proper: a straggler whose log lacks the dissolved
+  /// group's final entry asks for the entries after its commit index
+  /// (prev_log_index).
+  kDissolvedTailRequest,
 };
 
 struct WireMsg {

@@ -252,6 +252,7 @@ void RaftNode::on_message(NodeId src, const WireMsg& m) {
       handle_install_snapshot(src, m);
       break;
     case MsgType::kGroupDissolved:
+    case MsgType::kDissolvedTailRequest:
       break;  // handled by the layer above (rbcast)
   }
 }
@@ -485,11 +486,47 @@ void RaftNode::add_member(NodeId peer) {
   last_repair_.push_back(0);
 }
 
-void RaftNode::force_commit_all() {
-  if (log_.last_index() > commit_) {
-    commit_ = log_.last_index();
+bool RaftNode::finish_dissolution(const WireMsg& m) {
+  // The tail starts after the requester's commit index, so its anchor is
+  // committed here and matches unless compaction moved past it.
+  if (!m.entries.empty() && m.prev_log_index >= log_.base_index() &&
+      m.prev_log_index <= log_.last_index() &&
+      log_.term_at(m.prev_log_index) == m.prev_log_term) {
+    LogIndex idx = m.prev_log_index;
+    for (const LogEntry& e : m.entries) {
+      ++idx;
+      if (idx <= log_.last_index()) {
+        if (log_.term_at(idx) == e.term) continue;  // already have it
+        log_.truncate_after(idx - 1);
+      }
+      log_.append(e);
+    }
+  }
+  const LogIndex last = m.last_log_index;
+  if (last == 0 || last < log_.base_index() || last > log_.last_index() ||
+      log_.term_at(last) != m.last_log_term)
+    return false;
+  if (last > commit_) {
+    commit_ = last;
     apply_committed();
   }
+  return true;
+}
+
+bool RaftNode::dissolution_notice(const WireMsg& request,
+                                  WireMsg& notice) const {
+  notice.group = group_;
+  notice.type = MsgType::kGroupDissolved;
+  notice.last_log_index = commit_;
+  notice.last_log_term = log_.term_at(commit_);
+  if (request.type != MsgType::kDissolvedTailRequest) return true;
+  const LogIndex from = request.prev_log_index;
+  if (from < log_.base_index() || from >= commit_) return false;
+  notice.prev_log_index = from;
+  notice.prev_log_term = log_.term_at(from);
+  for (LogIndex i = from + 1; i <= commit_; ++i)
+    notice.entries.push_back(log_.at(i));
+  return true;
 }
 
 void RaftNode::advance_commit() {

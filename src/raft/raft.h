@@ -119,11 +119,21 @@ class RaftNode {
   /// follower's log is repaired by the ordinary AppendEntries backoff.
   void add_member(NodeId peer);
 
-  /// Applies every entry in the local log. Only safe when an external
-  /// signal guarantees the whole log is committed — the reliable-broadcast
-  /// layer uses this on dissolution gossip, where the dissolver's no-op
-  /// commit implies this node's log (which acked it) is complete.
-  void force_commit_all();
+  /// Dissolution catch-up for the reliable-broadcast layer (§4.3). A
+  /// dissolver's kGroupDissolved notice names the group's final committed
+  /// entry (last_log_index/last_log_term) and may carry the entries after
+  /// prev_log_index. Adopts those entries, then commits through the final
+  /// entry if this log holds it: by Log Matching the log then equals the
+  /// dissolver's up to there. Returns false when the log still lacks it
+  /// (this node missed the replacement leader's no-op); the caller then
+  /// asks the dissolver for the entries after commit_index().
+  bool finish_dissolution(const WireMsg& notice);
+
+  /// The kGroupDissolved notice this stopped group sends a straggler in
+  /// reply to `request`: its commit point, plus the committed entries
+  /// after the requester's commit index when `request` asks for the tail.
+  /// Returns false when that tail was compacted away: nothing is sent.
+  bool dissolution_notice(const WireMsg& request, WireMsg& notice) const;
 
   // --- observers -------------------------------------------------------
   Role role() const { return role_; }

@@ -37,7 +37,8 @@ void ReliableBroadcast::make_group(NodeId origin) {
     if (leader != origin && !dissolved_.contains(origin)) {
       dissolved_.insert(origin);
       // Defer the upcall: the handler typically dissolves this very group
-      // (remove_member destroys the RaftNode whose apply loop we are in).
+      // (remove_member stops and retires the RaftNode whose apply loop we
+      // are in).
       sim_.after(0, [this, origin] {
         if (cb_.on_peer_failed) cb_.on_peer_failed(origin);
       });
@@ -75,24 +76,32 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
   if (!started_) return;
 
   if (m.type == raft::MsgType::kGroupDissolved) {
-    // A peer already dissolved this group. Its no-op commit implies our
-    // local log for the group is complete (we acked every committed entry),
-    // so drain it; the surfaced no-op triggers the normal failure upcall.
+    // A peer already dissolved this group. Commit our log through the
+    // group's final entry; the surfaced no-op triggers the normal failure
+    // upcall. If we missed that entry (the replacement leader's no-op
+    // reached a majority and the group was dissolved before our repair
+    // round trip), ask the dissolver for the tail — once per bare notice,
+    // so a dissolver that cannot serve it is not asked in a loop.
     auto it = groups_.find(m.group);
-    if (it != groups_.end() && !dissolved_.contains(m.group))
-      it->second->force_commit_all();
+    if (it != groups_.end() && !dissolved_.contains(m.group) &&
+        !it->second->finish_dissolution(m) && m.entries.empty()) {
+      raft::WireMsg request;
+      request.group = m.group;
+      request.type = raft::MsgType::kDissolvedTailRequest;
+      request.prev_log_index = it->second->commit_index();
+      cb_.send(src, request);
+    }
     return;
   }
 
   auto it = groups_.find(m.group);
   if (it == groups_.end()) {
-    if (dissolved_.contains(m.group)) {
-      // Straggler traffic for a group we dissolved: gossip the dissolution
-      // so the sender can finish and stop electioneering.
-      raft::WireMsg reply;
-      reply.group = m.group;
-      reply.type = raft::MsgType::kGroupDissolved;
-      cb_.send(src, reply);
+    // Straggler traffic for a group we dissolved: gossip the dissolution,
+    // with the tail when asked, so the sender can finish and stop
+    // electioneering.
+    if (auto r = retired_.find(m.group); r != retired_.end()) {
+      raft::WireMsg notice;
+      if (r->second->dissolution_notice(m, notice)) cb_.send(src, notice);
     }
     return;
   }
@@ -110,6 +119,7 @@ void ReliableBroadcast::remove_member(NodeId peer) {
   dissolved_.insert(peer);
   if (auto it = groups_.find(peer); it != groups_.end()) {
     it->second->stop();
+    retired_[peer] = std::move(it->second);
     groups_.erase(it);
   }
   // Shrink every surviving group's membership (single-server change applied
@@ -121,6 +131,7 @@ void ReliableBroadcast::add_member(NodeId peer) {
   if (is_member(peer)) return;
   members_.push_back(peer);
   dissolved_.erase(peer);
+  retired_.erase(peer);
   for (auto& [origin, node] : groups_) node->add_member(peer);
   // Create the joiner's own broadcast group on this node.
   if (!groups_.contains(peer)) {

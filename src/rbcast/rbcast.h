@@ -91,6 +91,9 @@ class ReliableBroadcast final : public Broadcast {
   /// One Raft group per member, keyed by the member (== group id).
   std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> groups_;
   std::unordered_set<raft::GroupId> dissolved_;
+  /// Dissolved groups, stopped, kept to answer stragglers that missed the
+  /// group's final entry. One per peer: a rejoin replaces it.
+  std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> retired_;
   bool started_ = false;
 };
 

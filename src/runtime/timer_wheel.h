@@ -136,7 +136,8 @@ class TimerWheel {
     // Beyond the horizon: park at the furthest top-level slot; it will
     // cascade (and re-insert closer) each time the top level turns over.
     const std::uint64_t pos =
-        (cur_tick_ >> (kSlotBits * (kLevels - 1))) + kSlots - 1 & (kSlots - 1);
+        ((cur_tick_ >> (kSlotBits * (kLevels - 1))) + kSlots - 1) &
+        (kSlots - 1);
     return static_cast<std::uint32_t>((kLevels - 1) * kSlots + pos);
   }
 

@@ -238,6 +238,29 @@ TEST(Canopus, StalledNodesResumeNothingButStayConsistent) {
   EXPECT_TRUE(c.all_agree());
 }
 
+TEST(Canopus, RejoinInstallsSnapshotAndConverges) {
+  // The sponsored rejoin (DESIGN.md §14.1): a recovered node installs a
+  // live sibling's snapshot (kv::Store export/restore), catches up and
+  // ends with the same store and commit chain as everyone else.
+  CanopusCluster c(3, 3);
+  for (std::uint64_t i = 0; i < 200; ++i)
+    c.write_at(kMillisecond + static_cast<Time>(i) * 200 * kMicrosecond,
+               i % 9, /*key=*/i % 64, /*val=*/i);
+  c.sim().at(50 * kMillisecond, [&c] { c.crash(1); });
+  c.sim().at(2 * kSecond, [&c] { c.recover(1); });
+  for (std::uint64_t i = 0; i < 100; ++i)
+    c.write_at(2100 * kMillisecond + static_cast<Time>(i) * kMillisecond,
+               i % 9, /*key=*/1000 + i, /*val=*/i);
+  c.sim().run_until(5 * kSecond);
+
+  const CanopusNode& n1 = c.node(1);
+  EXPECT_FALSE(n1.joining());
+  EXPECT_EQ(n1.snapshots_installed(), 1u);
+  EXPECT_TRUE(c.all_agree());
+  EXPECT_EQ(n1.store().export_image(), c.node(0).store().export_image());
+  EXPECT_EQ(n1.committed_writes(), c.node(0).committed_writes());
+}
+
 TEST(Canopus, PipelinedMultiDcCommitsInOrder) {
   core::Config cfg;
   cfg.pipelining = true;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -139,6 +140,83 @@ TEST_F(RbcastTest, InFlightBroadcastSurvivesOriginCrash) {
     ASSERT_EQ(t.size(), 1u) << h;
     EXPECT_EQ(t[0], "will-survive");
   }
+}
+
+TEST_F(RbcastTest, StragglerThatMissedTheNoopCatchesUpFromDissolvers) {
+  // A survivor that misses the replacement leader's no-op until every other
+  // survivor has dissolved the failed origin's group must still deliver
+  // that group's log and report the failure: the dissolvers' notices name
+  // the group's final entry and serve the tail the straggler lacks.
+  constexpr std::size_t kOrigin = 4;
+  const Time crash_at = 10 * kMillisecond;
+  const Time end = 3 * kSecond;
+  // Runs the crash with `straggler`'s inbound links cut over
+  // [cut_from, cut_to). Returns each host's first failure-report time.
+  const auto run = [&](std::size_t straggler, Time cut_from, Time cut_to) {
+    build(5);
+    for (auto& h : hosts_) h->dissolve_on_failure = true;
+    sim_->run_until(crash_at - 5 * kMillisecond);
+    for (std::size_t i = 0; i < hosts_.size(); ++i)
+      hosts_[i]->rb->broadcast(std::to_string(i), 1);
+    sim_->run_until(crash_at);
+    net_->crash(cluster_.servers[kOrigin]);
+    hosts_[kOrigin]->rb->stop();
+    std::vector<Time> reported(hosts_.size(), 0);
+    for (Time t = crash_at; t < end; t += kMillisecond) {
+      if (t == cut_from || t == cut_to) {
+        for (std::size_t i = 0; i < hosts_.size(); ++i) {
+          if (i == straggler) continue;
+          if (t == cut_from)
+            net_->sever(cluster_.servers[i], cluster_.servers[straggler]);
+          else
+            net_->heal(cluster_.servers[i], cluster_.servers[straggler]);
+        }
+      }
+      sim_->run_until(t + kMillisecond);
+      for (std::size_t i = 0; i < hosts_.size(); ++i)
+        if (reported[i] == 0 && !hosts_[i]->failures.empty())
+          reported[i] = sim_->now();
+    }
+    return reported;
+  };
+
+  // Probe: when the first survivor (the replacement leader) detects the
+  // crash. The straggler is another survivor.
+  const std::vector<Time> probe = run(kOrigin, 0, 0);
+  std::size_t first = 0;
+  for (std::size_t i = 1; i < kOrigin; ++i)
+    if (probe[i] < probe[first]) first = i;
+  ASSERT_GT(probe[first], crash_at);
+  const std::size_t straggler = first == 0 ? 1 : 0;
+
+  // Same seed, but the straggler hears nothing from 20 ms before that
+  // point until 40 ms after it: less than an election timeout, so it
+  // triggers no election of its own in the live groups.
+  const Time cut_from = probe[first] - 20 * kMillisecond;
+  const Time cut_to = probe[first] + 40 * kMillisecond;
+  const std::vector<Time> reported = run(straggler, cut_from, cut_to);
+  for (std::size_t i = 0; i < kOrigin; ++i) {
+    ASSERT_EQ(hosts_[i]->failures,
+              std::vector<NodeId>{cluster_.servers[kOrigin]})
+        << i;
+    if (i != straggler) {
+      EXPECT_LT(reported[i], cut_to) << i;
+    }
+  }
+  // Every other survivor dissolved the group before the straggler could
+  // hear the no-op, so it learned of the failure through the notices.
+  EXPECT_GT(reported[straggler], cut_to);
+  // Agreement: every survivor delivered the same set, the origin's last
+  // broadcast included (order across origins is not part of the contract).
+  const auto delivered_set = [&](std::size_t i) {
+    auto t = texts(static_cast<int>(i));
+    std::sort(t.begin(), t.end());
+    return t;
+  };
+  for (std::size_t i = 0; i < kOrigin; ++i)
+    EXPECT_EQ(delivered_set(i),
+              (std::vector<std::string>{"0", "1", "2", "3", "4"}))
+        << i;
 }
 
 TEST_F(RbcastTest, RemoveMemberKeepsBroadcastWorking) {

@@ -82,6 +82,12 @@ class CanopusCluster {
     nodes_[i]->crash();
   }
 
+  /// Recover node i: it rejoins through the sponsored snapshot install.
+  void recover(std::size_t i) {
+    net_->recover(server(i));
+    nodes_[i]->recover();
+  }
+
   /// True when all live (non-crashed) nodes share the same commit digest.
   bool all_agree() const {
     const kv::CommitDigest* first = nullptr;

@@ -98,6 +98,7 @@ class RbcastHost : public simnet::Process {
     };
     cb.on_peer_failed = [this](NodeId failed) {
       failures.push_back(failed);
+      if (dissolve_on_failure) rb->remove_member(failed);
     };
     rb = std::make_unique<rbcast::ReliableBroadcast>(
         node_id(), std::move(members), sim, std::move(cb), opt);
@@ -117,6 +118,8 @@ class RbcastHost : public simnet::Process {
   std::unique_ptr<rbcast::ReliableBroadcast> rb;
   std::vector<Delivery> delivered;
   std::vector<NodeId> failures;
+  /// Dissolve a failed peer's group at the upcall, as Canopus does.
+  bool dissolve_on_failure = false;
 };
 
 }  // namespace canopus::testutil
