@@ -83,7 +83,7 @@ void CanopusNode::enter_joining() {
   pending_reads_.clear();
   pending_membership_.clear();
   pending_joiners_.clear();
-  reply_buffer_.clear();
+  drop_replies();
   leases_.clear();
   for (auto& [c, cs] : cycles_) drop_fetch_timers(cs);
   cycles_.clear();
@@ -113,7 +113,7 @@ void CanopusNode::on_message(const simnet::Message& m) {
   } else if (const auto* jr = m.as<proto::JoinRequest>()) {
     handle_join_request(*jr);
   } else if (const auto* batch = m.as<kv::ClientBatch>()) {
-    handle_client_batch(*batch);
+    intake(batch->reqs);
   }
 }
 
@@ -171,16 +171,12 @@ void CanopusNode::send_join_ack(NodeId joiner, CycleId snapshot_cycle,
   proto::JoinAck ack;
   ack.snapshot_cycle = snapshot_cycle;
   ack.first_cycle = act;
-  ack.snap.image =
-      std::make_shared<const kv::StoreImage>(store_.export_image());
-  ack.snap.digest_hash = digest_.value();
-  ack.snap.digest_count = digest_.count();
+  ack.snap = capture_snapshot();
   ack.members.reserve(sl_live_.size());
   for (NodeId m : sl_live_) ack.members.emplace_back(m, active_from(m));
   for (NodeId p : lot_->descendants(lot_->root())) {
     if (!emu_.is_live(p)) ack.dead.push_back(p);
   }
-  ++snapshots_served_;
   send(joiner, ack.wire_bytes(), ack);
 }
 
@@ -193,10 +189,7 @@ void CanopusNode::handle_join_ack(const proto::JoinAck& ack) {
   joining_ = false;
   // Install the sponsor's committed state (through snapshot_cycle); our
   // digest chain continues the sponsor's exactly.
-  if (ack.snap.image) store_.restore(*ack.snap.image);
-  digest_.restore(ack.snap.digest_hash, ack.snap.digest_count);
-  ++snapshots_installed_;
-  if (on_snapshot_install) on_snapshot_install(ack.snap);
+  install_snapshot(ack.snap);
   last_committed_ = ack.snapshot_cycle;
   last_started_ = ack.first_cycle - 1;  // own cycles resume at first_cycle
   own_active_from_ = ack.first_cycle;
@@ -232,22 +225,9 @@ void CanopusNode::handle_join_ack(const proto::JoinAck& ack) {
 // Client requests and reads (§5, §7.2)
 // --------------------------------------------------------------------------
 
-void CanopusNode::submit(kv::Request r) {
+void CanopusNode::intake(std::span<const kv::Request> reqs) {
   if (crashed_ || joining_) return;
-  r.origin = node_id();
-  if (r.is_write) {
-    pending_writes_.push_back(r);
-  } else {
-    enqueue_read(r);
-  }
-  maybe_start_next_cycle();
-  flush_replies();
-}
-
-void CanopusNode::handle_client_batch(const kv::ClientBatch& batch) {
-  if (crashed_ || joining_) return;
-  for (const kv::Request& req : batch.reqs) {
-    kv::Request r = req;
+  for (kv::Request r : reqs) {
     r.origin = node_id();
     if (r.is_write) {
       pending_writes_.push_back(r);
@@ -263,7 +243,7 @@ void CanopusNode::enqueue_read(kv::Request r) {
   if (cfg_.write_leases && !lease_active(r.key)) {
     // §7.2: no write lease active for this key in any ongoing cycle —
     // read the committed state immediately.
-    serve_read(r);
+    answer_read(r);
     return;
   }
   pending_reads_.push_back(PendingRead{r, pending_writes_.size()});
@@ -274,25 +254,9 @@ bool CanopusNode::lease_active(std::uint64_t key) const {
   return it != leases_.end() && it->second >= last_committed_ + 1;
 }
 
-void CanopusNode::serve_read(const kv::Request& r) {
-  ++served_reads_;
-  net().busy(node_id(), cfg_.cpu_per_read);
-  const std::uint64_t value = store_.read(r.key);
+void CanopusNode::answer_read(const kv::Request& r) {
+  const std::uint64_t value = serve_read(r, cfg_.cpu_per_read);
   if (on_read) on_read(r, value);
-  kv::Completion done{r.id, false, value, r.arrival, r.key};
-  reply_buffer_[r.id.client].done.push_back(done);
-}
-
-void CanopusNode::flush_replies() {
-  for (auto& [client, batch] : reply_buffer_) {
-    if (client != kInvalidNode && !batch.done.empty()) {
-      // Size before move: argument evaluation order is unspecified, so
-      // wire_bytes() inline could read the moved-from (emptied) batch.
-      const std::size_t bytes = batch.wire_bytes();
-      send(client, bytes, std::move(batch));
-    }
-  }
-  reply_buffer_.clear();
 }
 
 // --------------------------------------------------------------------------
@@ -346,14 +310,6 @@ void CanopusNode::maybe_start_next_cycle(bool timer_fired) {
         local_work || (!idle && empty_streak_ < cfg_.max_outstanding_cycles);
     go = prompted_ || batch_full || (timer_fired && keep_cadence) ||
          (idle && local_work);
-    if (go) {
-      if (timer_fired)
-        ++debug_.starts_timer;
-      else if (batch_full)
-        ++debug_.starts_batch_full;
-      else
-        ++debug_.starts_idle;
-    }
   }
   if (go) start_cycle(last_started_ + 1);
 }
@@ -364,7 +320,6 @@ void CanopusNode::start_cycle(CycleId c) {
   cs.started = true;
   last_started_ = c;
   prompted_ = false;
-  if (on_cycle_start) on_cycle_start(c);
 
   // Cap the batch (paper §7.1: "...or after 1000 requests have
   // accumulated"). Without the cap, a transient slowdown snowballs: the
@@ -437,7 +392,6 @@ void CanopusNode::arm_pipeline_timer() {
   if (pipeline_timer_ != simnet::kInvalidEvent) sim().cancel(pipeline_timer_);
   pipeline_timer_ = after(cfg_.cycle_interval, [this] {
     pipeline_timer_ = simnet::kInvalidEvent;
-    ++debug_.timer_fires;
     maybe_start_next_cycle(/*timer_fired=*/true);
     // Keep ticking while cycles are in flight so batched work is not
     // stranded waiting for a prompt.
@@ -472,7 +426,6 @@ void CanopusNode::add_proposal(CycleId c, const proto::Proposal& p) {
   CycleState& cs = cycle(c);
   auto& round_acc = cs.acc[p.round];
   if (!round_acc.emplace(p.vnode, p).second) return;  // duplicate
-  if (on_proposal_added) on_proposal_added(c, p.round, p.vnode);
 
   // A satisfied fetch no longer needs its retry timer.
   if (auto it = cs.fetches.find(p.vnode); it != cs.fetches.end()) {
@@ -569,7 +522,6 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
 
   if (r == h) {
     cs.complete = true;
-    if (on_cycle_complete) on_cycle_complete(c);
     try_commit();
     return;
   }
@@ -799,17 +751,12 @@ void CanopusNode::commit_cycle(CycleId c) {
   for (std::size_t i = 0; i <= writes.size(); ++i) {
     while (next_read != cs.reads.end() &&
            cs.own_prefix + next_read->pos == i) {
-      serve_read(next_read->req);
+      answer_read(next_read->req);
       ++next_read;
     }
     if (i == writes.size()) break;
-    const kv::Request& w = writes[i];
-    store_.apply(w);
-    digest_.append(w);
-    if (w.origin == node_id()) {
-      kv::Completion done{w.id, true, 0, w.arrival, w.key};
-      reply_buffer_[w.id.client].done.push_back(done);
-    }
+    apply_write(writes[i]);
+    ack_write(writes[i]);
   }
 
   // Membership updates agreed in this cycle take effect now, identically on

@@ -21,21 +21,21 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "canopus/config.h"
 #include "canopus/lot.h"
 #include "canopus/messages.h"
-#include "kv/store.h"
+#include "kv/replica.h"
 #include "kv/types.h"
 #include "rbcast/broadcast.h"
 #include "rbcast/rbcast.h"
-#include "simnet/network.h"
 
 namespace canopus::core {
 
-class CanopusNode : public simnet::Process {
+class CanopusNode : public kv::ReplicaNode {
  public:
   CanopusNode(std::shared_ptr<const lot::Lot> lot, Config cfg);
 
@@ -44,7 +44,7 @@ class CanopusNode : public simnet::Process {
 
   /// Local submission path for examples/tests (bypasses the client wire
   /// protocol; replies surface via the commit hook only).
-  void submit(kv::Request r);
+  void submit(kv::Request r) { intake({&r, 1}); }
 
   /// Crash-stop this node (also silences its broadcast groups).
   void crash();
@@ -62,51 +62,27 @@ class CanopusNode : public simnet::Process {
   bool joining() const { return joining_; }
 
   // --- observers --------------------------------------------------------
-  CycleId last_started_cycle() const { return last_started_; }
+  // Store, digest, counters and the on_commit/on_snapshot_install hooks
+  // live in kv::ReplicaNode. on_commit fires with the cycle's globally
+  // ordered writes (identical on every live node — the Agreement
+  // property); a rejoin snapshot install fires on_snapshot_install.
   CycleId last_committed_cycle() const { return last_committed_; }
-  std::uint64_t committed_writes() const { return digest_.count(); }
-  std::uint64_t served_reads() const { return served_reads_; }
-  const kv::Store& store() const { return store_; }
-  const kv::CommitDigest& digest() const { return digest_; }
   const lot::EmulationTable& emulation_table() const { return emu_; }
   const lot::Lot& lot() const { return *lot_; }
   bool is_representative() const;
 
-  /// Rejoin observability: join snapshots installed (this node) / served
-  /// (as sponsor), and the cycle-history footprint prune_history bounds.
-  std::uint64_t snapshots_installed() const { return snapshots_installed_; }
-  std::uint64_t snapshots_served() const { return snapshots_served_; }
-  std::size_t retained_cycles() const { return cycles_.size(); }
+  /// Cycle states retained in history: the footprint prune_history bounds.
+  std::size_t log_entries_retained() const { return cycles_.size(); }
 
   /// Current failure-detector view of the own super-leaf (§4.3).
   const std::vector<NodeId>& live_peers() const { return sl_live_; }
-
-  /// Fired at commit time with the cycle's globally ordered writes
-  /// (identical on every live node — the Agreement property).
-  std::function<void(CycleId, const std::vector<kv::Request>&)> on_commit;
 
   /// Fired when a read is served, with the value returned to the client
   /// (linearizability checkers hang off this).
   std::function<void(const kv::Request&, std::uint64_t value)> on_read;
 
-  /// Fired when a rejoin snapshot is installed (the audit plane reconciles
-  /// the node's history from the snapshot rather than per-write replay).
-  std::function<void(const kv::Snapshot&)> on_snapshot_install;
-
-  /// Diagnostics hooks (tests, tracing). May be null.
-  std::function<void(CycleId)> on_cycle_start;
-  std::function<void(CycleId)> on_cycle_complete;
+  /// Diagnostics hook (tests): fired when round r of a cycle completes.
   std::function<void(CycleId, RoundId)> on_round_done;
-  std::function<void(CycleId, RoundId, VnodeId)> on_proposal_added;
-
-  /// Diagnostics counters (pipelining cadence analysis).
-  struct Debug {
-    std::uint64_t timer_fires = 0;
-    std::uint64_t starts_timer = 0;
-    std::uint64_t starts_batch_full = 0;
-    std::uint64_t starts_idle = 0;
-  };
-  const Debug& debug() const { return debug_; }
 
  private:
   struct PendingRead {
@@ -142,7 +118,8 @@ class CanopusNode : public simnet::Process {
   };
 
   // --- message handlers ---------------------------------------------------
-  void handle_client_batch(const kv::ClientBatch& batch);
+  /// Client intake, shared by submit() and client batches.
+  void intake(std::span<const kv::Request> reqs);
   void handle_proposal_request(NodeId src, const proto::ProposalRequest& pr);
   void handle_fetched_proposal(const proto::Proposal& p);
   void handle_rb_deliver(NodeId origin, const simnet::Payload& payload);
@@ -178,10 +155,9 @@ class CanopusNode : public simnet::Process {
 
   // --- reads & leases (§5, §7.2) -------------------------------------------
   void enqueue_read(kv::Request r);
-  void serve_read(const kv::Request& r);
+  void answer_read(const kv::Request& r);
   bool lease_active(std::uint64_t key) const;
 
-  void flush_replies();
   std::vector<NodeId> current_reps() const;
   int rep_index() const;  ///< position among reps, or -1
 
@@ -205,16 +181,8 @@ class CanopusNode : public simnet::Process {
   /// Outside prompting seen for a not-yet-started cycle (§4.4).
   bool prompted_ = false;
 
-  kv::Store store_;
-  kv::CommitDigest digest_;
-  std::uint64_t served_reads_ = 0;
-
   /// key -> last cycle in which its write lease is active (§7.2).
   std::unordered_map<std::uint64_t, CycleId> leases_;
-
-  /// Per-client completions accumulated during a commit, flushed as one
-  /// ReplyBatch per client.
-  std::unordered_map<NodeId, kv::ReplyBatch> reply_buffer_;
 
   // --- rejoin state -------------------------------------------------------
   /// True between recover() and the JoinAck install: the node only listens
@@ -240,15 +208,12 @@ class CanopusNode : public simnet::Process {
   /// A stale kLeave for *this* node committed after its rejoin: re-enter
   /// joining once the commit loop unwinds (see try_commit).
   bool pending_rejoin_ = false;
-  std::uint64_t snapshots_installed_ = 0;
-  std::uint64_t snapshots_served_ = 0;
 
   simnet::EventId pipeline_timer_ = simnet::kInvalidEvent;
   bool crashed_ = false;
   /// Consecutive cycles this node started with nothing to propose; bounds
   /// idle pipeline churn (see maybe_start_next_cycle).
   std::size_t empty_streak_ = 0;
-  Debug debug_;
 };
 
 }  // namespace canopus::core

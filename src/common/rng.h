@@ -70,6 +70,11 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
+  /// Poisson-distributed count with the given mean (0 for mean <= 0):
+  /// Knuth's product method below a mean of 32, a rounded normal
+  /// approximation above.
+  std::uint64_t poisson(double mean);
+
   /// Derive an independent stream (e.g. one per node) from this one.
   constexpr Rng fork() { return Rng((*this)()); }
 

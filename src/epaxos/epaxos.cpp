@@ -22,7 +22,7 @@ void EPaxosNode::crash() {
   // The un-proposed batch and unsent replies are volatile; committed
   // instances model state recovered from the durable log.
   pending_.clear();
-  reply_buffer_.clear();
+  drop_replies();
 }
 
 void EPaxosNode::recover() {
@@ -210,10 +210,7 @@ void EPaxosNode::handle_snap_request(NodeId src) {
     if (e != m) return;
   }
   SnapshotMsg s;
-  s.snap.image =
-      std::make_shared<const kv::StoreImage>(store_.export_image());
-  s.snap.digest_hash = digest_.value();
-  s.snap.digest_count = digest_.count();
+  s.snap = capture_snapshot();
   s.snap.set_sum = set_digest_.value();
   s.snap.set_count = set_digest_.count();
   s.executed_count = executed_;
@@ -222,7 +219,6 @@ void EPaxosNode::handle_snap_request(NodeId src) {
     const auto ec = exec_contig_.find(r);
     s.covered.emplace_back(r, ec == exec_contig_.end() ? 0 : ec->second);
   }
-  ++snapshots_served_;
   send(src, s.wire_bytes(), s);
 }
 
@@ -256,9 +252,8 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
       replay.push_back(id);
     }
   }
-  // Install: adopt the donor's state machine and digest chains wholesale.
-  if (s.snap.image) store_.restore(*s.snap.image);
-  digest_.restore(s.snap.digest_hash, s.snap.digest_count);
+  // Install: adopt the donor's set digest and per-replica frontiers here,
+  // its store and commit digest in install_snapshot below.
   set_digest_.restore(s.snap.set_sum, s.snap.set_count);
   executed_ = s.executed_count;
   for (const auto& [r, upto] : covered) {
@@ -269,7 +264,6 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
     raise(max_committed_seen_[r]);
     raise(pruned_below_[r]);
     gap_attempts_[r] = 0;
-    gap_unrecoverable_[r] = false;
     if (r == node_id()) {
       own_committed_ = std::max(own_committed_, upto);
       if (next_seq_ <= upto) next_seq_ = upto + 1;
@@ -287,25 +281,25 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
   std::erase_if(blocked_, [&](const InstanceId& id) {
     return id.seq <= covered_upto(id.replica);
   });
-  ++snapshots_installed_;
-  if (on_snapshot_install) on_snapshot_install(s.snap);
+  install_snapshot(s.snap);
   // Replay the kept-ahead executions in InstanceId order (the digests are
   // order-insensitive across non-interfering instances, so a deterministic
-  // order suffices). on_execute fires again so an external audit log that
-  // reset to the image stays consistent with the final state.
+  // order suffices). Their clients were answered at the first execution,
+  // so the replay applies without acknowledging. on_commit fires again so
+  // an external audit log that reset to the image stays consistent with
+  // the final state.
   std::sort(replay.begin(), replay.end());
   for (const InstanceId& id : replay) {
     auto it = instances_.find(id);
     if (it == instances_.end() || !it->second.batch) continue;
     for (const kv::Request& r : *it->second.batch) {
       if (r.is_write) {
-        store_.apply(r);
-        digest_.append(r);
+        apply_write(r);
         set_digest_.append(r);
       }
       ++executed_;
     }
-    if (on_execute) on_execute(*it->second.batch);
+    if (on_commit) on_commit(executed_, *it->second.batch);
   }
   for (NodeId r : replicas_) advance_exec_contig(r);
   retry_blocked();
@@ -350,21 +344,17 @@ void EPaxosNode::arm_repair_timer() {
     // case it is dead or has already evicted the batch. The rotation is
     // BOUNDED per replica: one full pass over the targets without frontier
     // progress — or a gap wider than the repair window, which no peer's
-    // ring can cover — escalates to a state snapshot (or, with snapshots
-    // off, a loud unrecoverable-gap declaration) instead of rotating
+    // ring can cover — escalates to a state snapshot instead of rotating
     // CommitFull fetches forever.
     for (const auto& [replica, seen] : max_committed_seen_) {
       if (replica == node_id()) continue;
       const std::uint64_t contig = contig_[replica];
       if (contig >= seen) {
         gap_attempts_[replica] = 0;
-        gap_unrecoverable_[replica] = false;
         continue;
       }
-      if (contig > gap_at_[replica]) {  // progress resets the budget
+      if (contig > gap_at_[replica])  // progress resets the budget
         gap_attempts_[replica] = 0;
-        gap_unrecoverable_[replica] = false;
-      }
       gap_at_[replica] = contig;
       std::vector<NodeId> targets{replica};
       for (NodeId peer : replicas_) {
@@ -374,20 +364,12 @@ void EPaxosNode::arm_repair_timer() {
           static_cast<std::size_t>(gap_attempts_[replica]++);
       const bool too_wide = seen - contig > cfg_.repair_window;
       const bool rotated_dry = attempt >= targets.size();
-      if (too_wide || rotated_dry) {
-        if (cfg_.snapshots) {
-          const NodeId donor = targets[attempt % targets.size()];
-          send(donor, SnapRequest::kWire, SnapRequest{});
-          work_left = true;
-        } else if (!gap_unrecoverable_[replica]) {
-          gap_unrecoverable_[replica] = true;
-          ++unrecoverable_gaps_;
-        }
-        // An unrecoverable gap does not keep the timer alive by itself.
-        continue;
-      }
       work_left = true;
       const NodeId target = targets[attempt % targets.size()];
+      if (too_wide || rotated_dry) {
+        send(target, SnapRequest::kWire, SnapRequest{});
+        continue;
+      }
       Fetch f{replica, contig + 1, seen};
       send(target, Fetch::kWire, f);
     }
@@ -468,24 +450,22 @@ void EPaxosNode::execute(const InstanceId& id) {
   advance_exec_contig(id.replica);
 
   for (const kv::Request& r : *inst.batch) {
-    if (r.is_write) {
-      store_.apply(r);
-      digest_.append(r);
-      set_digest_.append(r);
-    }
     ++executed_;
-    if (inst.own && r.origin == node_id() && r.id.client != kInvalidNode) {
-      if (!r.is_write) ++served_reads_;
-      kv::Completion done{r.id, r.is_write,
-                          r.is_write ? 0 : store_.read(r.key), r.arrival,
-                          r.key};
-      reply_buffer_[r.id.client].done.push_back(done);
+    if (r.is_write) {
+      apply_write(r);
+      set_digest_.append(r);
+      if (inst.own) ack_write(r);
+    } else if (inst.own && r.origin == node_id()) {
+      // Reads travel through the protocol (§8.1.1) and are answered where
+      // they entered, when their instance executes. The protocol already
+      // charged cpu_per_command for them.
+      serve_read(r, 0);
     }
   }
   active_interfering_.erase(
       std::remove(active_interfering_.begin(), active_interfering_.end(), id),
       active_interfering_.end());
-  if (on_execute) on_execute(*inst.batch);
+  if (on_commit) on_commit(executed_, *inst.batch);
   // Executed batches stay resident in a bounded ring for peer repair, then
   // become dead weight and are dropped.
   repair_ring_.push_back(id);
@@ -498,15 +478,7 @@ void EPaxosNode::execute(const InstanceId& id) {
     // serve repair: erase them so the instance map stays bounded too.
     prune_instances(victim.replica);
   }
-
-  for (auto& [client, batch] : reply_buffer_) {
-    if (!batch.done.empty()) {
-      // Size before move: argument evaluation order is unspecified.
-      const std::size_t bytes = batch.wire_bytes();
-      send(client, bytes, std::move(batch));
-    }
-  }
-  reply_buffer_.clear();
+  flush_replies();
 }
 
 void EPaxosNode::advance_exec_contig(NodeId replica) {

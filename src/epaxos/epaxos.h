@@ -23,7 +23,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -31,9 +30,8 @@
 #include <utility>
 #include <vector>
 
-#include "kv/store.h"
+#include "kv/replica.h"
 #include "kv/types.h"
-#include "simnet/network.h"
 
 namespace canopus::epaxos {
 
@@ -58,13 +56,6 @@ struct Config {
   /// commits are mistaken for gaps; single-DC failure scenarios lower it
   /// for fast post-heal repair.
   Time repair_retry = 350 * kMillisecond;
-  /// Snapshot/state transfer: when a gap is provably unservable (wider
-  /// than the repair window, or a full rotation of fetches came back
-  /// empty), ask a peer for a full state snapshot instead of rotating
-  /// CommitFull fetches forever. With snapshots off the gap is surfaced
-  /// as an explicit unrecoverable outcome (unrecoverable_gaps()) and the
-  /// fetch spam stops — loud, never a silent stall.
-  bool snapshots = true;
 };
 
 /// Instance id: (replica, per-replica sequence number).
@@ -148,7 +139,7 @@ struct SnapshotMsg {
   }
 };
 
-class EPaxosNode : public simnet::Process {
+class EPaxosNode : public kv::ReplicaNode {
  public:
   EPaxosNode(std::vector<NodeId> replicas, Config cfg);
 
@@ -167,11 +158,10 @@ class EPaxosNode : public simnet::Process {
   /// Probes every peer for instances this replica missed.
   void resync();
 
+  // Store, digest, counters and hooks: kv::ReplicaNode. on_commit fires
+  // when a batch executes locally (its unit is executed_requests()), and
+  // again for each batch a snapshot install replays.
   std::uint64_t executed_requests() const { return executed_; }
-  /// Reads this node answered to its own clients.
-  std::uint64_t served_reads() const { return served_reads_; }
-  const kv::Store& store() const { return store_; }
-  const kv::CommitDigest& digest() const { return digest_; }
   /// Order-insensitive digest of executed writes — the agreement check that
   /// is meaningful for EPaxos (see kv::SetDigest).
   const kv::SetDigest& set_digest() const { return set_digest_; }
@@ -188,21 +178,9 @@ class EPaxosNode : public simnet::Process {
   }
 
   /// Repair observability: retained instance records / resident batches
-  /// (the memory footprint repair_window bounds) and snapshot counters.
+  /// (the memory footprint repair_window bounds).
   std::size_t log_entries_retained() const { return repair_ring_.size(); }
   std::size_t instance_records() const { return instances_.size(); }
-  std::uint64_t snapshots_installed() const { return snapshots_installed_; }
-  std::uint64_t snapshots_served() const { return snapshots_served_; }
-  /// Gaps declared unrecoverable (snapshots disabled and every peer has
-  /// evicted the instances). Nonzero means this replica said so loudly
-  /// instead of rotating fetches forever.
-  std::uint64_t unrecoverable_gaps() const { return unrecoverable_gaps_; }
-
-  /// Fired when a batch executes locally, with the instance's requests.
-  std::function<void(const std::vector<kv::Request>&)> on_execute;
-  /// Fired after this replica installs a peer snapshot (its state
-  /// fast-forwarded past the gap without executing the missed instances).
-  std::function<void(const kv::Snapshot&)> on_snapshot_install;
 
  private:
   struct Instance {
@@ -268,10 +246,9 @@ class EPaxosNode : public simnet::Process {
   /// Bounded fetch rotation (the PR 10 bugfix): per-replica attempt count
   /// since the frontier last advanced, and the frontier it was counted at.
   /// One full rotation of targets without progress escalates to a
-  /// SnapRequest (or an unrecoverable-gap declaration).
+  /// SnapRequest.
   std::unordered_map<NodeId, std::uint64_t> gap_attempts_;
   std::unordered_map<NodeId, std::uint64_t> gap_at_;
-  std::unordered_map<NodeId, bool> gap_unrecoverable_;
   /// Own instances not yet committed, oldest first, with their proposal
   /// times — the repair timer retransmits PreAccepts lost to a partition.
   std::deque<std::pair<InstanceId, Time>> own_uncommitted_;
@@ -282,16 +259,9 @@ class EPaxosNode : public simnet::Process {
   bool crashed_ = false;
   /// This replica's own latest committed seq (answer to SeqProbe).
   std::uint64_t own_committed_ = 0;
-  std::uint64_t snapshots_installed_ = 0;
-  std::uint64_t snapshots_served_ = 0;
-  std::uint64_t unrecoverable_gaps_ = 0;
 
-  kv::Store store_;
-  kv::CommitDigest digest_;
   kv::SetDigest set_digest_;
   std::uint64_t executed_ = 0;
-  std::uint64_t served_reads_ = 0;
-  std::unordered_map<NodeId, kv::ReplyBatch> reply_buffer_;
   bool batch_timer_armed_ = false;
 };
 

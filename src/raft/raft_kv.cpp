@@ -16,23 +16,15 @@ void RaftKvNode::on_start() {
   };
   cb.on_commit = [this](LogIndex idx, const LogEntry& e) {
     if (const auto* b = e.payload.as<KvBatch>(); b != nullptr && b->reqs)
-      apply(idx, *b->reqs);
+      commit_batch(idx, *b->reqs, cfg_.cpu_per_write);
   };
   cb.make_snapshot = [this](std::size_t& bytes) {
-    KvSnapshot s;
-    s.snap.image = std::make_shared<const kv::StoreImage>(
-        store_.export_image());
-    s.snap.digest_hash = digest_.value();
-    s.snap.digest_count = digest_.count();
+    KvSnapshot s{capture_snapshot()};
     bytes = s.wire_bytes();
     return simnet::Payload(std::move(s));
   };
   cb.install_snapshot = [this](LogIndex, const simnet::Payload& p) {
-    const auto* s = p.as<KvSnapshot>();
-    if (s == nullptr) return;
-    if (s->snap.image) store_.restore(*s->snap.image);
-    digest_.restore(s->snap.digest_hash, s->snap.digest_count);
-    if (on_snapshot_install) on_snapshot_install(s->snap);
+    if (const auto* s = p.as<KvSnapshot>()) install_snapshot(s->snap);
   };
   raft_ = std::make_unique<RaftNode>(/*group=*/0, node_id(), members_, sim(),
                                      std::move(cb), cfg_.raft);
@@ -43,7 +35,7 @@ void RaftKvNode::crash() {
   crashed_ = true;
   if (raft_) raft_->stop();
   pending_.clear();        // volatile: unproposed batches die with the node
-  reply_buffer_.clear();
+  drop_replies();
 }
 
 void RaftKvNode::recover() {
@@ -92,18 +84,11 @@ void RaftKvNode::on_message(const simnet::Message& m) {
 
 void RaftKvNode::enqueue(kv::Request r) {
   if (!r.is_write) {
-    serve_read(r);
+    serve_read(r, cfg_.cpu_per_read);
     return;
   }
   pending_.push_back(std::move(r));
   arm_flush_timer();
-}
-
-void RaftKvNode::serve_read(const kv::Request& r) {
-  ++served_reads_;
-  net().busy(node_id(), cfg_.cpu_per_read);
-  kv::Completion done{r.id, false, store_.read(r.key), r.arrival, r.key};
-  reply_buffer_[r.id.client].done.push_back(done);
 }
 
 void RaftKvNode::arm_flush_timer() {
@@ -137,32 +122,6 @@ void RaftKvNode::flush_batch() {
   KvForward f{std::move(pending_)};
   pending_.clear();
   send(leader, f.wire_bytes(), f);
-}
-
-void RaftKvNode::apply(LogIndex idx, const std::vector<kv::Request>& batch) {
-  net().busy(node_id(),
-             static_cast<Time>(batch.size()) * cfg_.cpu_per_write);
-  for (const kv::Request& r : batch) {
-    store_.apply(r);
-    digest_.append(r);
-    if (r.origin == node_id() && r.id.client != kInvalidNode) {
-      kv::Completion done{r.id, true, 0, r.arrival, r.key};
-      reply_buffer_[r.id.client].done.push_back(done);
-    }
-  }
-  if (on_commit) on_commit(idx, batch);
-  flush_replies();
-}
-
-void RaftKvNode::flush_replies() {
-  for (auto& [client, batch] : reply_buffer_) {
-    if (client != kInvalidNode && !batch.done.empty()) {
-      // Size before move: argument evaluation order is unspecified.
-      const std::size_t bytes = batch.wire_bytes();
-      send(client, bytes, std::move(batch));
-    }
-  }
-  reply_buffer_.clear();
 }
 
 }  // namespace canopus::raft

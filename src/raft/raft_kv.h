@@ -20,15 +20,12 @@
 // failure scenarios use as the "self-healing leader" reference point.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "kv/store.h"
+#include "kv/replica.h"
 #include "kv/types.h"
 #include "raft/raft.h"
-#include "simnet/network.h"
 
 namespace canopus::raft {
 
@@ -71,7 +68,7 @@ struct KvSnapshot {
   std::size_t wire_bytes() const { return snap.wire_bytes(); }
 };
 
-class RaftKvNode : public simnet::Process {
+class RaftKvNode : public kv::ReplicaNode {
  public:
   /// `members` lists every server; members[0] bootstraps as leader.
   RaftKvNode(std::vector<NodeId> members, KvConfig cfg);
@@ -89,37 +86,20 @@ class RaftKvNode : public simnet::Process {
   void recover();
   bool crashed() const { return crashed_; }
 
-  // --- observers --------------------------------------------------------
+  // --- observers (store, digest and counters: kv::ReplicaNode) ----------
   bool is_leader() const { return raft_ && raft_->is_leader(); }
   NodeId leader_hint() const {
     return raft_ ? raft_->leader_hint() : kInvalidNode;
   }
   LogIndex commit_index() const { return raft_ ? raft_->commit_index() : 0; }
-  std::uint64_t committed_writes() const { return digest_.count(); }
-  std::uint64_t served_reads() const { return served_reads_; }
-  const kv::Store& store() const { return store_; }
-  const kv::CommitDigest& digest() const { return digest_; }
-  std::uint64_t snapshots_installed() const {
-    return raft_ ? raft_->snapshots_installed() : 0;
-  }
   std::size_t log_entries_retained() const {
     return raft_ ? raft_->log_entries_retained() : 0;
   }
 
-  /// Fired at apply time with each committed batch (log order, identical on
-  /// every live member).
-  std::function<void(LogIndex, const std::vector<kv::Request>&)> on_commit;
-  /// Fired when this member installs a leader snapshot (it skipped the
-  /// compacted entries and adopted the image + digest state wholesale).
-  std::function<void(const kv::Snapshot&)> on_snapshot_install;
-
  private:
   void enqueue(kv::Request r);
-  void serve_read(const kv::Request& r);
   void arm_flush_timer();
   void flush_batch();
-  void apply(LogIndex idx, const std::vector<kv::Request>& batch);
-  void flush_replies();
 
   std::vector<NodeId> members_;
   KvConfig cfg_;
@@ -128,11 +108,6 @@ class RaftKvNode : public simnet::Process {
   std::vector<kv::Request> pending_;
   bool flush_timer_armed_ = false;
   bool crashed_ = false;
-
-  kv::Store store_;
-  kv::CommitDigest digest_;
-  std::uint64_t served_reads_ = 0;
-  std::unordered_map<NodeId, kv::ReplyBatch> reply_buffer_;
 };
 
 }  // namespace canopus::raft

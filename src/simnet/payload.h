@@ -61,7 +61,6 @@ enum class PayloadTag : std::uint16_t {
   kZabInform,
   kZabSyncReq,
   kZabSnapshot,
-  kZabSyncTooOld,
 
   // epaxos/ — leaderless baseline.
   kEpaxosPreAccept,

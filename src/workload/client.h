@@ -6,8 +6,6 @@
 // each request keeps its exact arrival timestamp for latency measurement.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -80,7 +78,7 @@ class OpenLoopClient : public simnet::Process {
     if (cfg_.stop_at > 0 && sim().now() >= cfg_.stop_at) return;
     const double mean =
         cfg_.rate_per_s * static_cast<double>(cfg_.tick) / kSecond;
-    const std::uint64_t n = poisson(mean);
+    const std::uint64_t n = rng_.poisson(mean);
     if (n > 0) {
       // One batch per target server; requests round-robin across servers
       // with a rotating offset so each server sees the full key/op mix.
@@ -120,28 +118,6 @@ class OpenLoopClient : public simnet::Process {
       }
     }
     after(cfg_.tick, [this] { tick(); });
-  }
-
-  std::uint64_t poisson(double mean) {
-    if (mean <= 0) return 0;
-    if (mean < 32) {
-      // Knuth's method.
-      const double limit = std::exp(-mean);
-      double p = 1.0;
-      std::uint64_t k = 0;
-      do {
-        ++k;
-        p *= rng_.uniform();
-      } while (p > limit);
-      return k - 1;
-    }
-    // Normal approximation for large means.
-    const double u1 = std::max(rng_.uniform(), 1e-12);
-    const double u2 = rng_.uniform();
-    const double gauss =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-    const double v = mean + std::sqrt(mean) * gauss;
-    return v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
   }
 
   ClientConfig cfg_;

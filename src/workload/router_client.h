@@ -28,8 +28,6 @@
 // bit-identical across --threads and --sim-threads like every other client.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -130,7 +128,7 @@ class RouterClient : public simnet::Process {
     if (cfg_.stop_at > 0 && sim().now() >= cfg_.stop_at) return;
     const double mean =
         cfg_.rate_per_s * static_cast<double>(cfg_.tick) / kSecond;
-    const std::uint64_t n = poisson(mean);
+    const std::uint64_t n = rng_.poisson(mean);
     if (n > 0) {
       // One batch per owning group this tick. The per-tick vector is the
       // only allocation of the generation path and is independent of the
@@ -188,28 +186,6 @@ class RouterClient : public simnet::Process {
     after(backoff, [this, g, attempt, b = std::move(batch)]() mutable {
       dispatch(g, std::move(b), attempt + 1);
     });
-  }
-
-  std::uint64_t poisson(double mean) {
-    if (mean <= 0) return 0;
-    if (mean < 32) {
-      // Knuth's method.
-      const double limit = std::exp(-mean);
-      double p = 1.0;
-      std::uint64_t k = 0;
-      do {
-        ++k;
-        p *= rng_.uniform();
-      } while (p > limit);
-      return k - 1;
-    }
-    // Normal approximation for large means.
-    const double u1 = std::max(rng_.uniform(), 1e-12);
-    const double u2 = rng_.uniform();
-    const double gauss =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-    const double v = mean + std::sqrt(mean) * gauss;
-    return v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
   }
 
   RouterConfig cfg_;

@@ -29,16 +29,16 @@
 //    recovered node.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "canopus/node.h"
 #include "epaxos/epaxos.h"
-#include "kv/store.h"
+#include "kv/replica.h"
 #include "kv/types.h"
 #include "raft/raft_kv.h"
 #include "simnet/network.h"
@@ -148,11 +148,11 @@ class ConsensusService {
 
 /// Shared wiring of the one-Process-per-server services: owns the node
 /// instances, attaches them, and forwards everything the four node types
-/// expose with the same shape (submit / crash / store / digest /
-/// served_reads). A concrete service supplies the node factory plus the
-/// system-specific pieces: name, progress units, fingerprint semantics,
-/// and recovery support.
-template <class Node>
+/// expose with the same shape — the kv::ReplicaNode surface plus
+/// submit / crash / recover / log_entries_retained. A concrete service
+/// supplies the node factory plus the system-specific pieces: name,
+/// progress units and fingerprint semantics.
+template <std::derived_from<kv::ReplicaNode> Node>
 class NodeService : public ConsensusService {
  public:
   /// Routed through Host::post so the protocol instance is only ever
@@ -178,16 +178,10 @@ class NodeService : public ConsensusService {
     return nodes_[i]->store();
   }
   std::uint64_t snapshots_installed(std::size_t i) const override {
-    if constexpr (requires(const Node& n) { n.snapshots_installed(); })
-      return nodes_[i]->snapshots_installed();
-    else
-      return 0;
+    return nodes_[i]->snapshots_installed();
   }
   std::uint64_t log_entries_retained(std::size_t i) const override {
-    if constexpr (requires(const Node& n) { n.log_entries_retained(); })
-      return nodes_[i]->log_entries_retained();
-    else
-      return 0;
+    return nodes_[i]->log_entries_retained();
   }
 
   Node& node(std::size_t i) { return *nodes_[i]; }
@@ -200,47 +194,23 @@ class NodeService : public ConsensusService {
     nodes_.reserve(servers_.size());
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       nodes_.push_back(make(i));
-      host_.attach(servers_[i], *nodes_.back());
-      forward_hooks(i);
+      Node& n = *nodes_.back();
+      host_.attach(servers_[i], n);
+      // Node i's hooks feed the service-level ones, tagged with its index.
+      n.on_commit = [this, i](std::uint64_t unit,
+                              const std::vector<kv::Request>& batch) {
+        if (on_commit) on_commit(i, unit, batch);
+      };
+      n.on_snapshot_install = [this, i](const kv::Snapshot& s) {
+        if (on_snapshot_install) on_snapshot_install(i, s);
+      };
     }
   }
 
   void node_crash(std::size_t i) override { nodes_[i]->crash(); }
-  void node_recover(std::size_t i) override {
-    if constexpr (requires(Node& n) { n.recover(); }) nodes_[i]->recover();
-  }
+  void node_recover(std::size_t i) override { nodes_[i]->recover(); }
 
   std::vector<std::unique_ptr<Node>> nodes_;
-
- private:
-  /// Forwards node i's commit and snapshot-install hooks to the
-  /// service-level ones, tagged with the server index. EPaxos reports
-  /// executed batches without a protocol unit, and Zab names the zxid of
-  /// an installed snapshot; neither detail reaches the service hooks.
-  void forward_hooks(std::size_t i) {
-    Node& n = *nodes_[i];
-    const auto commit = [this, i](std::uint64_t unit,
-                                  const std::vector<kv::Request>& batch) {
-      if (on_commit) on_commit(i, unit, batch);
-    };
-    const auto install = [this, i](const kv::Snapshot& s) {
-      if (on_snapshot_install) on_snapshot_install(i, s);
-    };
-    if constexpr (requires { n.on_execute; })
-      n.on_execute = [commit](const std::vector<kv::Request>& batch) {
-        commit(0, batch);
-      };
-    else
-      n.on_commit = commit;
-    if constexpr (std::is_invocable_v<decltype(n.on_snapshot_install),
-                                      const kv::Snapshot&>)
-      n.on_snapshot_install = install;
-    else
-      n.on_snapshot_install = [install](std::uint64_t,
-                                        const kv::Snapshot& s) {
-        install(s);
-      };
-  }
 };
 
 // --------------------------------------------------------------------------
@@ -266,9 +236,6 @@ class CanopusService final : public NodeService<core::CanopusNode> {
 
   std::uint64_t progress(std::size_t i) const override {
     return nodes_[i]->last_committed_cycle();
-  }
-  std::uint64_t log_entries_retained(std::size_t i) const override {
-    return nodes_[i]->retained_cycles();
   }
 
   const lot::Lot& lot() const { return *lot_; }

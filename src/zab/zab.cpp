@@ -31,7 +31,7 @@ void ZabNode::crash() {
   // the uncommitted/ready tables and the leader's in-flight table model
   // state recovered from the durable log.
   if (role() == Role::kLeader) pending_.clear();
-  reply_buffer_.clear();
+  drop_replies();
 }
 
 void ZabNode::recover() {
@@ -52,61 +52,29 @@ void ZabNode::resync() {
   arm_sync_timer();
 }
 
-void ZabNode::submit(kv::Request r) {
-  if (crashed_) return;
-  r.origin = node_id();
-  if (!r.is_write) {
-    // Reads are served locally from committed state (ZooKeeper semantics).
-    ++served_reads_;
-    net().busy(node_id(), cfg_.cpu_per_read);
-    kv::Completion done{r.id, false, store_.read(r.key), r.arrival, r.key};
-    reply_buffer_[r.id.client].done.push_back(done);
-    flush_replies();
-    return;
-  }
-  if (role() == Role::kLeader) {
-    pending_.push_back(r);
-    if (!batch_timer_armed_) {
-      batch_timer_armed_ = true;
-      after(cfg_.batch_interval, [this] {
-        batch_timer_armed_ = false;
-        if (!crashed_) flush_batch();
-      });
+void ZabNode::intake(std::span<const kv::Request> reqs) {
+  // Reads are served locally from committed state (ZooKeeper semantics);
+  // a member forwards its writes to the leader in one message.
+  Forward fwd;
+  for (kv::Request r : reqs) {
+    r.origin = node_id();
+    if (!r.is_write) {
+      serve_read(r, cfg_.cpu_per_read);
+    } else if (role() == Role::kLeader) {
+      pending_.push_back(r);
+      arm_batch_timer();
+    } else {
+      fwd.reqs.push_back(r);
     }
-  } else {
-    Forward f{{r}};
-    send(leader_, f.wire_bytes(), f);
   }
+  if (!fwd.reqs.empty()) send(leader_, fwd.wire_bytes(), fwd);
+  flush_replies();
 }
 
 void ZabNode::on_message(const simnet::Message& m) {
   if (crashed_) return;
   if (const auto* batch = m.as<kv::ClientBatch>()) {
-    // Forward writes in one message; serve reads immediately.
-    Forward fwd;
-    for (const kv::Request& req : batch->reqs) {
-      kv::Request r = req;
-      r.origin = node_id();
-      if (!r.is_write) {
-        ++served_reads_;
-        net().busy(node_id(), cfg_.cpu_per_read);
-        kv::Completion done{r.id, false, store_.read(r.key), r.arrival, r.key};
-        reply_buffer_[r.id.client].done.push_back(done);
-      } else if (role() == Role::kLeader) {
-        pending_.push_back(r);
-        if (!batch_timer_armed_) {
-          batch_timer_armed_ = true;
-          after(cfg_.batch_interval, [this] {
-            batch_timer_armed_ = false;
-            if (!crashed_) flush_batch();
-          });
-        }
-      } else {
-        fwd.reqs.push_back(r);
-      }
-    }
-    if (!fwd.reqs.empty()) send(leader_, fwd.wire_bytes(), fwd);
-    flush_replies();
+    intake(batch->reqs);
   } else if (const auto* f = m.as<Forward>()) {
     handle_forward(*f);
   } else if (const auto* p = m.as<Propose>()) {
@@ -121,21 +89,22 @@ void ZabNode::on_message(const simnet::Message& m) {
     handle_sync_req(m.src(), *sr);
   } else if (const auto* snap = m.as<Snapshot>()) {
     handle_snapshot(*snap);
-  } else if (const auto* old = m.as<SyncTooOld>()) {
-    handle_sync_too_old(*old);
   }
 }
 
 void ZabNode::handle_forward(const Forward& f) {
   assert(role() == Role::kLeader);
   pending_.insert(pending_.end(), f.reqs.begin(), f.reqs.end());
-  if (!batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    after(cfg_.batch_interval, [this] {
-      batch_timer_armed_ = false;
-      if (!crashed_) flush_batch();
-    });
-  }
+  arm_batch_timer();
+}
+
+void ZabNode::arm_batch_timer() {
+  if (batch_timer_armed_) return;
+  batch_timer_armed_ = true;
+  after(cfg_.batch_interval, [this] {
+    batch_timer_armed_ = false;
+    if (!crashed_) flush_batch();
+  });
 }
 
 void ZabNode::flush_batch() {
@@ -236,26 +205,17 @@ void ZabNode::handle_sync_req(NodeId src, const SyncReq& sr) {
   if (role() != Role::kLeader) return;
   if (sr.from < history_base_) {
     // The requested zxid predates retained history. Never black-hole the
-    // requester (the pre-snapshot bug: it would re-request forever):
-    // either ship a full state snapshot at the leader's applied frontier —
-    // which covers the whole retained window too, so no Informs are
-    // needed — or tell the member explicitly that it cannot be repaired.
-    if (cfg_.snapshots) {
-      const Zxid upto = applied_upto();
-      if (snap_cache_upto_ != upto || snap_cache_.image == nullptr) {
-        snap_cache_upto_ = upto;
-        snap_cache_.image =
-            std::make_shared<const kv::StoreImage>(store_.export_image());
-        snap_cache_.digest_hash = digest_.value();
-        snap_cache_.digest_count = digest_.count();
-      }
-      Snapshot s{upto, snap_cache_};
-      ++snapshots_served_;
-      send(src, s.wire_bytes(), s);
-    } else {
-      SyncTooOld t{history_base_};
-      send(src, SyncTooOld::kWire, t);
+    // requester (the pre-snapshot bug: it would re-request forever): ship
+    // a full state snapshot at the leader's applied frontier, which covers
+    // the whole retained window too, so no Informs are needed.
+    const Zxid upto = applied_upto();
+    if (snap_cache_upto_ != upto || snap_cache_.image == nullptr) {
+      snap_cache_upto_ = upto;
+      snap_cache_ = capture_snapshot();
     }
+    Snapshot s{upto, snap_cache_};
+    ++snapshots_served_;
+    send(src, s.wire_bytes(), s);
     return;
   }
   // Resend every committed batch the requester is missing, oldest first.
@@ -269,24 +229,15 @@ void ZabNode::handle_sync_req(NodeId src, const SyncReq& sr) {
 
 void ZabNode::handle_snapshot(const Snapshot& s) {
   if (s.upto < next_apply_) return;  // stale: we advanced past it meanwhile
-  store_.restore(s.snap.image ? *s.snap.image : kv::StoreImage{});
-  digest_.restore(s.snap.digest_hash, s.snap.digest_count);
+  // History fast-forwards to `upto` without applying the commits it covers.
   next_apply_ = s.upto + 1;
   max_committed_seen_ = std::max(max_committed_seen_, s.upto);
   std::erase_if(uncommitted_,
                 [&](const auto& kv) { return kv.first <= s.upto; });
   std::erase_if(ready_, [&](const auto& kv) { return kv.first <= s.upto; });
-  ++snapshots_installed_;
-  if (on_snapshot_install) on_snapshot_install(s.upto, s.snap);
+  install_snapshot(s.snap);
   // Later commits may already be parked in ready_.
   advance_apply();
-}
-
-void ZabNode::handle_sync_too_old(const SyncTooOld&) {
-  // Snapshots are disabled and our gap predates the leader's history: this
-  // member can never catch up. Record the failure and stop the sync-retry
-  // loop — loud and observable (catch_up_failed()), never a silent stall.
-  catch_up_failed_ = true;
 }
 
 void ZabNode::handle_commit(const CommitMsg& c) {
@@ -312,7 +263,8 @@ void ZabNode::advance_apply() {
   const bool leader = role() == Role::kLeader;
   while (ready_.contains(next_apply_)) {
     if (leader) record_history(next_apply_, ready_[next_apply_]);
-    apply(next_apply_, *ready_[next_apply_]);
+    max_committed_seen_ = std::max(max_committed_seen_, next_apply_);
+    commit_batch(next_apply_, *ready_[next_apply_], cfg_.cpu_per_write);
     ready_.erase(next_apply_);
     ++next_apply_;
   }
@@ -322,45 +274,17 @@ void ZabNode::advance_apply() {
 }
 
 void ZabNode::arm_sync_timer() {
-  if (sync_timer_armed_ || role() == Role::kLeader || catch_up_failed_)
-    return;
+  if (sync_timer_armed_ || role() == Role::kLeader) return;
   sync_timer_armed_ = true;
   after(cfg_.sync_retry, [this] {
     sync_timer_armed_ = false;
-    if (crashed_ || catch_up_failed_) return;
+    if (crashed_) return;
     if (next_apply_ <= max_committed_seen_) {
       SyncReq sr{next_apply_};
       send(leader_, SyncReq::kWire, sr);
       arm_sync_timer();
     }
   });
-}
-
-void ZabNode::apply(Zxid zxid, const std::vector<kv::Request>& batch) {
-  net().busy(node_id(),
-             static_cast<Time>(batch.size()) * cfg_.cpu_per_write);
-  for (const kv::Request& r : batch) {
-    store_.apply(r);
-    digest_.append(r);
-    if (r.origin == node_id() && r.id.client != kInvalidNode) {
-      kv::Completion done{r.id, true, 0, r.arrival, r.key};
-      reply_buffer_[r.id.client].done.push_back(done);
-    }
-  }
-  max_committed_seen_ = std::max(max_committed_seen_, zxid);
-  if (on_commit) on_commit(zxid, batch);
-  flush_replies();
-}
-
-void ZabNode::flush_replies() {
-  for (auto& [client, batch] : reply_buffer_) {
-    if (client != kInvalidNode && !batch.done.empty()) {
-      // Size before move: argument evaluation order is unspecified.
-      const std::size_t bytes = batch.wire_bytes();
-      send(client, bytes, std::move(batch));
-    }
-  }
-  reply_buffer_.clear();
 }
 
 }  // namespace canopus::zab

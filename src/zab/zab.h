@@ -21,15 +21,14 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "kv/store.h"
+#include "kv/replica.h"
 #include "kv/types.h"
-#include "simnet/network.h"
 
 namespace canopus::zab {
 
@@ -52,11 +51,8 @@ struct Config {
   /// Committed batches the leader retains for member catch-up; the bound
   /// on every node's retained log. A member that falls further behind than
   /// this window is repaired by a full state snapshot (ZooKeeper's fuzzy
-  /// snapshot, modeled at a commit boundary) when `snapshots` is on; with
-  /// snapshots off the leader replies SyncTooOld and the member fails
-  /// loudly instead of silently stalling.
+  /// snapshot, modeled at a commit boundary).
   std::size_t history_depth = 512;
-  bool snapshots = true;
 };
 
 using Zxid = std::uint64_t;
@@ -107,14 +103,7 @@ struct Snapshot {  // leader -> member whose gap predates retained history
   std::size_t wire_bytes() const { return 32 + snap.wire_bytes(); }
 };
 
-struct SyncTooOld {  // leader -> member: requested zxid was compacted away
-  /// Oldest zxid the leader can still serve (snapshots disabled — the
-  /// member cannot be repaired and must surface the failure, not stall).
-  Zxid retained_from = 0;
-  static constexpr std::size_t kWire = 24;
-};
-
-class ZabNode : public simnet::Process {
+class ZabNode : public kv::ReplicaNode {
  public:
   enum class Role { kLeader, kFollower, kObserver };
 
@@ -125,7 +114,9 @@ class ZabNode : public simnet::Process {
   void on_start() override;
   void on_message(const simnet::Message& m) override;
 
-  void submit(kv::Request r);
+  void submit(kv::Request r) {
+    if (!crashed_) intake({&r, 1});
+  }
 
   /// Crash-stop: the node drops all traffic and timers until recover().
   /// Committed state, the uncommitted proposal buffer and (on the leader)
@@ -137,26 +128,16 @@ class ZabNode : public simnet::Process {
   /// Asks the leader to resend committed batches this node is missing.
   void resync();
 
+  // Store, digest, counters and hooks: kv::ReplicaNode (on_commit's unit
+  // is the zxid).
   Role role() const;
-  std::uint64_t committed_writes() const { return digest_.count(); }
-  std::uint64_t served_reads() const { return served_reads_; }
   /// Highest zxid applied locally (commits apply strictly in zxid order).
   Zxid applied_upto() const { return next_apply_ - 1; }
-  const kv::Store& store() const { return store_; }
-  const kv::CommitDigest& digest() const { return digest_; }
   /// Committed batches currently retained for catch-up (the leader's ring;
   /// 0 elsewhere) — the memory footprint history_depth bounds.
   std::size_t log_entries_retained() const { return history_.size(); }
-  std::uint64_t snapshots_installed() const { return snapshots_installed_; }
+  /// Snapshots this node shipped as leader.
   std::uint64_t snapshots_served() const { return snapshots_served_; }
-  /// True when catch-up hit compacted history with snapshots disabled: the
-  /// member can never recover and says so instead of retrying forever.
-  bool catch_up_failed() const { return catch_up_failed_; }
-
-  std::function<void(Zxid, const std::vector<kv::Request>&)> on_commit;
-  /// Fired after this member installs a leader snapshot (its history
-  /// fast-forwarded to `upto` without applying the individual commits).
-  std::function<void(Zxid, const kv::Snapshot&)> on_snapshot_install;
 
  private:
   struct InFlight {
@@ -166,8 +147,11 @@ class ZabNode : public simnet::Process {
     bool committed = false;
   };
 
+  /// Client intake, shared by submit() and client batches: reads are
+  /// served locally, writes batched (leader) or forwarded.
+  void intake(std::span<const kv::Request> reqs);
+  void arm_batch_timer();                   // leader only
   void flush_batch();                       // leader only
-  void apply(Zxid zxid, const std::vector<kv::Request>& batch);
   void advance_apply();
   void handle_forward(const Forward& f);    // leader only
   void handle_propose(NodeId src, const Propose& p);
@@ -176,12 +160,10 @@ class ZabNode : public simnet::Process {
   void handle_inform(const Inform& inf);
   void handle_sync_req(NodeId src, const SyncReq& sr);  // leader only
   void handle_snapshot(const Snapshot& s);
-  void handle_sync_too_old(const SyncTooOld& t);
   void record_history(Zxid zxid,
                       std::shared_ptr<const std::vector<kv::Request>> batch);
   void arm_retransmit_timer();              // leader only
   void arm_sync_timer();                    // lagging member
-  void flush_replies();
   std::size_t quorum() const {
     return (static_cast<std::size_t>(cfg_.followers) + 1) / 2 + 1;
   }
@@ -216,18 +198,10 @@ class ZabNode : public simnet::Process {
   bool crashed_ = false;
 
   // Snapshot state: the leader caches the exported image per applied
-  // frontier (one export serves every lagging member at that frontier);
-  // members count installs and remember an unrecoverable catch-up.
+  // frontier (one export serves every lagging member at that frontier).
   Zxid snap_cache_upto_ = 0;
   kv::Snapshot snap_cache_;
-  std::uint64_t snapshots_installed_ = 0;
   std::uint64_t snapshots_served_ = 0;
-  bool catch_up_failed_ = false;
-
-  kv::Store store_;
-  kv::CommitDigest digest_;
-  std::uint64_t served_reads_ = 0;
-  std::unordered_map<NodeId, kv::ReplyBatch> reply_buffer_;
 };
 
 }  // namespace canopus::zab
@@ -239,4 +213,3 @@ CANOPUS_REGISTER_PAYLOAD(canopus::zab::CommitMsg, kZabCommit);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::Inform, kZabInform);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::SyncReq, kZabSyncReq);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::Snapshot, kZabSnapshot);
-CANOPUS_REGISTER_PAYLOAD(canopus::zab::SyncTooOld, kZabSyncTooOld);

@@ -58,7 +58,7 @@ TEST_F(EPaxosTest, BatchingDelaysFlush) {
   cfg.batch_interval = 5 * kMillisecond;
   build(3, cfg);
   Time executed_at = 0;
-  nodes_[0]->on_execute = [&](const std::vector<kv::Request>&) {
+  nodes_[0]->on_commit = [&](std::uint64_t, const std::vector<kv::Request>&) {
     if (executed_at == 0) executed_at = sim_->now();
   };
   write_at(kMillisecond, 0, 1, 1);
@@ -85,9 +85,10 @@ TEST_F(EPaxosTest, ReadsTravelThroughProtocol) {
   write_at(kMillisecond, 0, 9, 99);
   sim_->run_until(200 * kMillisecond);
   // A read goes through a full instance; it executes (counted) and can be
-  // observed via on_execute at remote replicas too.
+  // observed via on_commit at remote replicas too.
   int read_seen_remote = 0;
-  nodes_[1]->on_execute = [&](const std::vector<kv::Request>& batch) {
+  nodes_[1]->on_commit = [&](std::uint64_t,
+                             const std::vector<kv::Request>& batch) {
     for (const auto& r : batch)
       if (!r.is_write) ++read_seen_remote;
   };
@@ -261,39 +262,9 @@ TEST_F(EPaxosTest, LongCrashedReplicaEscalatesToSnapshot) {
   });
   sim_->run_until(2 * kSecond);
   EXPECT_GE(nodes_[4]->snapshots_installed(), 1u);
-  EXPECT_EQ(nodes_[4]->unrecoverable_gaps(), 0u);
   for (int i = 0; i < 24; ++i)
     EXPECT_EQ(nodes_[4]->store().read(100 + i), 1000u + i);
   EXPECT_TRUE(nodes_[4]->set_digest() == nodes_[0]->set_digest());
-}
-
-// With snapshots disabled the same gap becomes an explicit unrecoverable
-// outcome: the replica counts it and stops asking — no endless CommitFull
-// retry loop, and the survivors keep executing.
-TEST_F(EPaxosTest, BeyondWindowGapIsLoudlyUnrecoverableWithoutSnapshots) {
-  Config cfg;
-  cfg.repair_retry = 20 * kMillisecond;
-  cfg.repair_window = 4;
-  cfg.snapshots = false;
-  build(5, cfg);
-  sim_->at(10 * kMillisecond, [this] {
-    net_->crash(cluster_.servers[4]);
-    nodes_[4]->crash();
-  });
-  for (int i = 0; i < 24; ++i)
-    write_at((50 + 5 * i) * kMillisecond, i % 4, 100 + i, 1000 + i);
-  sim_->run_until(500 * kMillisecond);
-  sim_->at(sim_->now(), [this] {
-    net_->recover(cluster_.servers[4]);
-    nodes_[4]->recover();
-  });
-  sim_->run_until(2 * kSecond);
-  EXPECT_GE(nodes_[4]->unrecoverable_gaps(), 1u);
-  EXPECT_EQ(nodes_[4]->snapshots_installed(), 0u);
-  // Survivors are unaffected by the failed repair.
-  write_at(sim_->now() + 10 * kMillisecond, 0, 7, 77);
-  sim_->run_until(sim_->now() + 500 * kMillisecond);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(nodes_[i]->store().read(7), 77u);
 }
 
 // A short outage — fewer missed instances than the window — repairs from

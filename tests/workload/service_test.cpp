@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "workload/deployments.h"
 
@@ -18,11 +20,12 @@ struct Deployment {
   std::unique_ptr<simnet::Network> net;
   std::unique_ptr<ConsensusService> service;
 
-  explicit Deployment(System sys, int groups = 2, int per_group = 3) {
+  explicit Deployment(System sys, int groups = 2, int per_group = 3,
+                      int client_machines = 0) {
     tc.system = sys;
     tc.groups = groups;
     tc.per_group = per_group;
-    tc.client_machines = 0;
+    tc.client_machines = client_machines;
     tc = fault_tuned_local(tc);
     cluster = build_cluster(tc);
     net = std::make_unique<simnet::Network>(sim, cluster.topo);
@@ -65,6 +68,20 @@ struct Deployment {
     }
     return true;
   }
+};
+
+/// A client machine that sends hand-built batches and records every
+/// completion it receives.
+class RecordingClient final : public simnet::Process {
+ public:
+  void on_message(const simnet::Message& m) override {
+    if (const auto* b = m.as<kv::ReplyBatch>())
+      done.insert(done.end(), b->done.begin(), b->done.end());
+  }
+  void send_batch(NodeId server, const kv::ClientBatch& b) {
+    send(server, b.wire_bytes(), b);
+  }
+  std::vector<kv::Completion> done;
 };
 
 class ServiceTest : public ::testing::TestWithParam<System> {};
@@ -153,6 +170,63 @@ TEST_P(ServiceTest, OnCommitHookFiresWithBatches) {
   d.sim.run_until(2 * kSecond);
   // Every node reports its commit: groups*per_group nodes x 1 write.
   EXPECT_EQ(hook_writes, d.service->num_servers());
+}
+
+// The server side of the client protocol, the same under all four ordering
+// protocols: the server a client sent a request to answers it exactly once
+// (a write once it commits, a read with the committed value), and a write
+// submitted locally, with no client, is answered by no ReplyBatch at all.
+TEST_P(ServiceTest, ServerAnswersEachClientRequestExactlyOnce) {
+  Deployment d(GetParam(), 2, 3, /*client_machines=*/1);
+  const NodeId client_id = d.cluster.clients[0];
+  const NodeId server = d.service->server_node(1);  // not the Zab/Raft leader
+  RecordingClient client;
+  d.net->attach(client_id, client);
+  std::size_t reply_batches = 0;
+  d.net->set_trace([&](Time, const simnet::Message& m) {
+    if (m.as<kv::ReplyBatch>() == nullptr) return;
+    ++reply_batches;
+    EXPECT_EQ(m.src(), server);
+    EXPECT_EQ(m.dst(), client_id);
+  });
+  constexpr std::uint64_t kKeys = 4;
+  const auto batch_at = [&](Time t, bool writes) {
+    d.sim.at(t, [&, writes] {
+      kv::ClientBatch b;
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        kv::Request r;
+        r.id = {client_id, (writes ? 0 : kKeys) + k};
+        r.is_write = writes;
+        r.key = k;
+        r.value = writes ? 100 + k : 0;
+        r.arrival = d.sim.now();
+        b.reqs.push_back(r);
+      }
+      client.send_batch(server, b);
+    });
+  };
+  batch_at(5 * kMillisecond, /*writes=*/true);
+  d.write_at(5 * kMillisecond, 1, 9, 99);  // local: client is kInvalidNode
+  d.sim.run_until(kSecond);
+  batch_at(kSecond, /*writes=*/false);
+  d.sim.run_until(2 * kSecond);
+
+  std::map<std::uint64_t, int> answers;
+  for (const kv::Completion& c : client.done) {
+    ++answers[c.id.seq];
+    EXPECT_EQ(c.id.client, client_id);
+    EXPECT_EQ(c.is_write, c.id.seq < kKeys) << "request " << c.id.seq;
+    if (!c.is_write) {
+      EXPECT_EQ(c.value, 100 + c.key) << "key " << c.key;
+    }
+  }
+  EXPECT_EQ(answers.size(), 2 * kKeys);
+  for (const auto& [seq, n] : answers) EXPECT_EQ(n, 1) << "request " << seq;
+  EXPECT_GE(reply_batches, 2u);
+  for (std::size_t i = 0; i < d.service->num_servers(); ++i) {
+    EXPECT_EQ(d.service->served_reads(i), i == 1 ? kKeys : 0u) << "node " << i;
+    EXPECT_EQ(d.service->store(i).read(9), 99u) << "node " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, ServiceTest,

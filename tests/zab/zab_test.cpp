@@ -253,45 +253,10 @@ TEST_F(ZabTest, FollowerBeyondHistoryInstallsSnapshot) {
   sim_->run_until(kSecond);
   EXPECT_EQ(nodes_[5]->snapshots_installed(), 1u);
   EXPECT_GE(nodes_[0]->snapshots_served(), 1u);
-  EXPECT_FALSE(nodes_[5]->catch_up_failed());
   for (int i = 0; i < 20; ++i)
     EXPECT_EQ(nodes_[5]->store().read(100 + i), 1000u + i);
   EXPECT_TRUE(nodes_[5]->digest() == nodes_[0]->digest());
   EXPECT_EQ(nodes_[5]->applied_upto(), nodes_[0]->applied_upto());
-}
-
-// The regression for the silent stall: with snapshots disabled the leader
-// answers the stale sync with an explicit SyncTooOld, the member fails
-// LOUDLY (catch_up_failed) and stops retrying — it must never spin on a
-// sync that can no longer be served.
-TEST_F(ZabTest, SyncTooOldFailsLoudlyWhenSnapshotsDisabled) {
-  Config cfg;
-  cfg.followers = 5;
-  cfg.sync_retry = 20 * kMillisecond;
-  cfg.history_depth = 8;
-  cfg.snapshots = false;
-  build(6, cfg);
-  sim_->at(10 * kMillisecond, [this] {
-    net_->crash(cluster_.servers[5]);
-    nodes_[5]->crash();
-  });
-  for (int i = 0; i < 20; ++i)
-    write_at((50 + 5 * i) * kMillisecond, 0, 100 + i, 1000 + i);
-  sim_->run_until(400 * kMillisecond);
-  sim_->at(sim_->now(), [this] {
-    net_->recover(cluster_.servers[5]);
-    nodes_[5]->recover();
-  });
-  sim_->run_until(kSecond);
-  EXPECT_TRUE(nodes_[5]->catch_up_failed());
-  EXPECT_EQ(nodes_[5]->snapshots_installed(), 0u);
-  // The failure is terminal, not a retry loop: the survivors keep
-  // committing and the failed member stays frozen where it was.
-  const auto frozen = nodes_[5]->applied_upto();
-  write_at(sim_->now() + 10 * kMillisecond, 0, 7, 77);
-  sim_->run_until(sim_->now() + 500 * kMillisecond);
-  EXPECT_EQ(nodes_[0]->store().read(7), 77u);
-  EXPECT_EQ(nodes_[5]->applied_upto(), frozen);
 }
 
 // A member that fell behind by LESS than history_depth still syncs from the
