@@ -39,10 +39,13 @@
 //                         reduces identically twice. Writes the minimal
 //                         storm as canopus-storm-v1 JSON (--json=PATH,
 //                         default BENCH_storm_min.json).
-//   --minimize=auditor    ddmin a RED grid point (--only, --intensity and
-//                         --seed required) against the real oracle "the
-//                         audited trial still reports violations", and
-//                         write the minimal replayable storm.
+//   --minimize=auditor    ddmin one grid point — --only, --intensity and
+//                         --seed must name exactly one row of the sweep
+//                         that the same --full/--wan flags run — against
+//                         the real oracle "the audited trial still reports
+//                         violations", and write the minimal replayable
+//                         storm. A green point writes its untouched storm
+//                         with "reproduced": false.
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -77,44 +80,98 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// The sweep's fault timing, shared by the sweep and --minimize=auditor so
-/// a minimizer run replays the exact trial of a red grid point.
-FaultTiming chaos_timing(bool quick, bool wan) {
-  FaultTiming ft;
-  if (wan) {  // WAN phases must dwarf the 80+ ms inter-DC round trips
-    ft.warmup = 500 * kMillisecond;
-    ft.fault_at = 1'500 * kMillisecond;
-    ft.heal_at = 3'000 * kMillisecond;
-    ft.end_at = 4'500 * kMillisecond;
-    ft.drain = 1'000 * kMillisecond;
-  } else {
-    ft.warmup = 300 * kMillisecond;
-    ft.fault_at = 700 * kMillisecond;
-    ft.heal_at = quick ? 2'000 * kMillisecond : 3'500 * kMillisecond;
-    ft.end_at = ft.heal_at + 700 * kMillisecond;
-    ft.drain = 700 * kMillisecond;
-  }
-  return ft;
-}
+/// One row of the sweep: a grid point.
+struct Row {
+  System system;
+  const ChaosIntensity* intensity;
+  std::uint64_t seed;
+};
 
-TrialConfig chaos_base(bool wan, int sim_threads) {
-  TrialConfig base;
-  base.sim_threads = sim_threads;
-  base.groups = 3;
-  base.per_group = 3;
-  base.client_machines = 2;
-  if (wan) {
-    // Deep repair windows so a node dark through a long storm can rejoin,
-    // but the DEFAULT retry timers: fault_tuned's 25 ms retries are
-    // rack-scale tunings that would thrash 80+ ms WAN round trips.
-    base.wan = true;
-    base.zab.history_depth = 16'384;
-    base.epaxos.repair_window = 16'384;
-  } else {
-    base = fault_tuned(base);
+/// The sweep's grid for one (--full, --wan) setting. The sweep and
+/// --minimize=auditor both build their trials through trial(), so a
+/// minimizer run probes exactly the trial of the row it names.
+struct Grid {
+  Grid(bool quick, bool wan, unsigned sim_threads)
+      : rate(wan ? 6'000 : 12'000) {
+    if (wan) {
+      ft = wan_fault_timing();
+      base = wan_fault_tuned(base);
+    } else {
+      ft.warmup = 300 * kMillisecond;
+      ft.fault_at = 700 * kMillisecond;
+      ft.heal_at = quick ? 2'000 * kMillisecond : 3'500 * kMillisecond;
+      ft.end_at = ft.heal_at + 700 * kMillisecond;
+      ft.drain = 700 * kMillisecond;
+      base = fault_tuned(base);
+    }
+    base.sim_threads = sim_threads;
+    base.groups = 3;
+    base.per_group = 3;
+    base.client_machines = 2;
+    base.warmup = ft.warmup;
+
+    // The intensity axis. LAN: the classic escalation plus the gray palette
+    // (one pure storm per gray kind, then the all-kinds mix). WAN: a
+    // reduced grid — long phases make each trial ~4x a LAN one.
+    if (wan) {
+      for (ChaosIntensity& ci : standard_intensities())
+        if (ci.name != "high") intensities.push_back(std::move(ci));
+      for (ChaosIntensity& ci : gray_intensities())
+        if (ci.name == "gray-mix") intensities.push_back(std::move(ci));
+      classic_seeds = gray_seeds = quick ? std::vector<std::uint64_t>{1}
+                                         : std::vector<std::uint64_t>{1, 2};
+    } else {
+      intensities = standard_intensities();
+      if (!quick)
+        intensities.push_back(
+            {"extreme", {.events_per_s = 50.0, .max_down = 2,
+                         .max_severed = 6, .min_heal = 100 * kMillisecond,
+                         .mean_extra = 120 * kMillisecond}});
+      for (ChaosIntensity& ci : gray_intensities())
+        intensities.push_back(std::move(ci));
+      classic_seeds = quick ? std::vector<std::uint64_t>{1, 2, 3}
+                            : std::vector<std::uint64_t>{1, 2, 3, 4, 5};
+      gray_seeds = quick ? std::vector<std::uint64_t>{1}
+                         : std::vector<std::uint64_t>{1, 2, 3};
+    }
   }
-  return base;
-}
+
+  /// The rows in sweep order, filtered the way bisection asks: --only
+  /// matches a substring of the system name, --intensity and --seed match
+  /// exactly. Filters change WHICH trials run, never their bits.
+  std::vector<Row> rows(const std::string& only_system,
+                        const std::string& only_intensity,
+                        const std::string& only_seed) const {
+    std::vector<Row> out;
+    for (System sys : kAllSystems) {
+      if (std::string(system_name(sys)).find(only_system) == std::string::npos)
+        continue;
+      for (const ChaosIntensity& ci : intensities) {
+        if (!only_intensity.empty() && ci.name != only_intensity) continue;
+        const bool gray = ci.name.rfind("gray-", 0) == 0;
+        for (std::uint64_t seed : gray ? gray_seeds : classic_seeds) {
+          if (!only_seed.empty() && std::to_string(seed) != only_seed)
+            continue;
+          out.push_back({sys, &ci, seed});
+        }
+      }
+    }
+    return out;
+  }
+
+  Trial trial(const Row& row) const {
+    TrialConfig tc = base;
+    tc.system = row.system;
+    tc.seed = row.seed;
+    return chaos_trial(tc, *row.intensity, ft, rate);
+  }
+
+  FaultTiming ft;
+  TrialConfig base;
+  double rate;
+  std::vector<ChaosIntensity> intensities;
+  std::vector<std::uint64_t> classic_seeds, gray_seeds;
+};
 
 void write_storm_json(const std::string& path,
                       const simnet::FaultSchedule& storm,
@@ -127,18 +184,6 @@ void write_storm_json(const std::string& path,
   storm_to_json(f, storm, meta);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-}
-
-bool storms_equal(const simnet::FaultSchedule& x,
-                  const simnet::FaultSchedule& y) {
-  if (x.events().size() != y.events().size()) return false;
-  for (std::size_t i = 0; i < x.events().size(); ++i) {
-    const simnet::FaultEvent &a = x.events()[i], &b = y.events()[i];
-    if (a.at != b.at || a.kind != b.kind || a.a != b.a || a.b != b.b ||
-        a.x != b.x || a.d != b.d)
-      return false;
-  }
-  return true;
 }
 
 /// --minimize=synthetic: end-to-end minimizer self-test with a cheap
@@ -212,7 +257,7 @@ int minimize_synthetic(const std::string& json_path) {
                  first.minimal_events);
     ok = false;
   }
-  if (!storms_equal(first.minimal, second.minimal) ||
+  if (first.minimal.events() != second.minimal.events() ||
       first.probes != second.probes) {
     std::fprintf(stderr, "FAIL: reduction is not deterministic\n");
     ok = false;
@@ -235,50 +280,22 @@ int minimize_synthetic(const std::string& json_path) {
 }
 
 /// --minimize=auditor: shrink one red grid point against the real oracle.
-int minimize_auditor(int argc, char** argv, const std::string& json_path) {
-  const bool quick = has_flag(argc, argv, "--quick");
-  const std::string sys_name = flag_value(argc, argv, "--only=");
-  const std::string int_name = flag_value(argc, argv, "--intensity=");
-  const std::string seed_str = flag_value(argc, argv, "--seed=");
-  if (sys_name.empty() || int_name.empty() || seed_str.empty()) {
+int minimize_auditor(const Grid& grid, const std::vector<Row>& rows,
+                     const std::string& json_path) {
+  if (rows.size() != 1) {
     std::fprintf(stderr,
-                 "error: --minimize=auditor needs the full grid coordinates: "
-                 "--only=SYSTEM --intensity=NAME --seed=K\n");
+                 "error: --minimize=auditor needs --only=SYSTEM "
+                 "--intensity=NAME --seed=K naming one row of the sweep "
+                 "(%zu rows match)\n",
+                 rows.size());
     return 1;
   }
-
-  bool found_sys = false;
-  System sys = System::kCanopus;
-  for (System s : kAllSystems)
-    if (std::string(system_name(s)).find(sys_name) != std::string::npos) {
-      sys = s;
-      found_sys = true;
-      break;
-    }
-  std::vector<ChaosIntensity> intensities = standard_intensities();
-  intensities.push_back(
-      {"extreme", 50.0, 2, 6, 100 * kMillisecond, 120 * kMillisecond});
-  for (ChaosIntensity& g : gray_intensities())
-    intensities.push_back(std::move(g));
-  const ChaosIntensity* ci = nullptr;
-  for (const ChaosIntensity& c : intensities)
-    if (c.name == int_name) ci = &c;
-  if (!found_sys || ci == nullptr) {
-    std::fprintf(stderr, "error: unknown system or intensity\n");
-    return 1;
-  }
-
-  const FaultTiming ft = chaos_timing(quick, /*wan=*/false);
-  TrialConfig tc = chaos_base(/*wan=*/false, /*sim_threads=*/1);
-  tc.system = sys;
-  tc.seed = std::stoull(seed_str);
-  tc.warmup = ft.warmup;
-  const double rate = 12'000;
-
-  Trial probe = chaos_trial(tc, *ci, ft, rate);
+  const Row& row = rows[0];
+  Trial probe = grid.trial(row);
   const simnet::FaultSchedule storm = *probe.faults;
-  std::printf("grid point %s/%s/seed %s: storm of %zu events; probing...\n",
-              system_name(sys), int_name.c_str(), seed_str.c_str(),
+  std::printf("grid point %s/%s/seed %llu: storm of %zu events; probing...\n",
+              system_name(row.system), row.intensity->name.c_str(),
+              static_cast<unsigned long long>(row.seed),
               storm.events().size());
   std::size_t probe_no = 0;
   StormMinimizer mini([&](const simnet::FaultSchedule& candidate) {
@@ -290,20 +307,19 @@ int minimize_auditor(int argc, char** argv, const std::string& json_path) {
     return violations > 0;
   });
   const MinimizeResult res = mini.minimize(storm);
-  if (!res.reproduced) {
+  if (res.reproduced)
+    std::printf("minimized: %zu events -> %zu (probes %zu, duration shrinks "
+                "%zu)\n",
+                res.original_events, res.minimal_events, res.probes,
+                res.duration_shrinks);
+  else
     std::printf("grid point is green — nothing to minimize\n");
-    return 0;
-  }
-  std::printf("minimized: %zu events -> %zu (probes %zu, duration shrinks "
-              "%zu)\n",
-              res.original_events, res.minimal_events, res.probes,
-              res.duration_shrinks);
   StormJsonMeta meta;
-  meta.system = system_name(sys);
-  meta.intensity = int_name;
-  meta.seed = tc.seed;
-  meta.offered_rate = rate;
-  meta.reproduced = true;
+  meta.system = system_name(row.system);
+  meta.intensity = row.intensity->name;
+  meta.seed = row.seed;
+  meta.offered_rate = grid.rate;
+  meta.reproduced = res.reproduced;
   meta.original_events = res.original_events;
   meta.probes = res.probes;
   meta.duration_shrinks = res.duration_shrinks;
@@ -317,11 +333,10 @@ int main(int argc, char** argv) {
   using namespace canopus;
   using namespace canopus::workload;
   const std::string minimize = flag_value(argc, argv, "--minimize=");
-  if (!minimize.empty()) {
-    std::string json_path = flag_value(argc, argv, "--json=");
-    if (json_path.empty()) json_path = "BENCH_storm_min.json";
-    if (minimize == "synthetic") return minimize_synthetic(json_path);
-    if (minimize == "auditor") return minimize_auditor(argc, argv, json_path);
+  std::string storm_path = flag_value(argc, argv, "--json=");
+  if (storm_path.empty()) storm_path = "BENCH_storm_min.json";
+  if (minimize == "synthetic") return minimize_synthetic(storm_path);
+  if (!minimize.empty() && minimize != "auditor") {
     std::fprintf(stderr, "error: --minimize must be synthetic or auditor\n");
     return 1;
   }
@@ -333,85 +348,32 @@ int main(int argc, char** argv) {
           : "Chaos sweep: seeded fault storms x intensity, invariant-audited",
       wan ? "Sec 8.2 topology (Table 1); no paper figure"
           : "Sec 6 (safety under failures); no paper figure");
-  const bool quick = h.quick();
-
-  // Bisection filters: replay one slice of the grid (same derived seeds as
-  // the full sweep — filtering changes WHICH trials run, never their bits).
-  const std::string only_system = flag_value(argc, argv, "--only=");
-  const std::string only_intensity = flag_value(argc, argv, "--intensity=");
-  const std::string only_seed = flag_value(argc, argv, "--seed=");
-
-  const FaultTiming ft = chaos_timing(quick, wan);
-  TrialConfig base = chaos_base(wan, h.sim_threads());
-  base.warmup = ft.warmup;
-  const double rate = wan ? 6'000 : 12'000;
-
-  // The intensity axis. LAN: the classic escalation plus the gray palette
-  // (one pure storm per gray kind, then the all-kinds mix). WAN: a reduced
-  // grid — long phases make each trial ~4x a LAN one.
-  std::vector<ChaosIntensity> intensities;
-  std::vector<std::uint64_t> classic_seeds, gray_seeds;
-  if (wan) {
-    for (ChaosIntensity& ci : standard_intensities())
-      if (ci.name != "high") intensities.push_back(std::move(ci));
-    for (ChaosIntensity& ci : gray_intensities())
-      if (ci.name == "gray-mix") intensities.push_back(std::move(ci));
-    classic_seeds = gray_seeds = quick ? std::vector<std::uint64_t>{1}
-                                       : std::vector<std::uint64_t>{1, 2};
-  } else {
-    intensities = standard_intensities();
-    if (!quick)
-      intensities.push_back(
-          {"extreme", 50.0, 2, 6, 100 * kMillisecond, 120 * kMillisecond});
-    for (ChaosIntensity& ci : gray_intensities())
-      intensities.push_back(std::move(ci));
-    classic_seeds = quick ? std::vector<std::uint64_t>{1, 2, 3}
-                          : std::vector<std::uint64_t>{1, 2, 3, 4, 5};
-    gray_seeds = quick ? std::vector<std::uint64_t>{1}
-                       : std::vector<std::uint64_t>{1, 2, 3};
-  }
-
-  struct Job {
-    System system;
-    const ChaosIntensity* intensity;
-    std::uint64_t seed;
-  };
-  std::vector<Job> jobs;
-  for (System sys : kAllSystems) {
-    if (!only_system.empty() &&
-        std::string(system_name(sys)).find(only_system) == std::string::npos)
-      continue;
-    for (const ChaosIntensity& ci : intensities) {
-      if (!only_intensity.empty() && ci.name != only_intensity) continue;
-      const bool gray = ci.name.rfind("gray-", 0) == 0;
-      for (std::uint64_t seed : gray ? gray_seeds : classic_seeds) {
-        if (!only_seed.empty() && std::to_string(seed) != only_seed) continue;
-        jobs.push_back({sys, &ci, seed});
-      }
-    }
-  }
-  if (jobs.empty()) {
+  const Grid grid(h.quick(), wan, h.sim_threads());
+  const double rate = grid.rate;
+  const std::vector<Row> rows =
+      grid.rows(flag_value(argc, argv, "--only="),
+                flag_value(argc, argv, "--intensity="),
+                flag_value(argc, argv, "--seed="));
+  if (rows.empty()) {
     std::fprintf(stderr, "error: --only/--intensity/--seed matched nothing\n");
     return 1;
   }
+  if (minimize == "auditor") return minimize_auditor(grid, rows, storm_path);
 
-  std::vector<TrialReport> results(jobs.size());
-  h.pool().run_indexed(jobs.size(), [&](std::size_t i) {
-    TrialConfig tc = base;
-    tc.system = jobs[i].system;
-    tc.seed = jobs[i].seed;
-    results[i] = run_trial(chaos_trial(tc, *jobs[i].intensity, ft, rate));
+  std::vector<TrialReport> results(rows.size());
+  h.pool().run_indexed(rows.size(), [&](std::size_t i) {
+    results[i] = run_trial(grid.trial(rows[i]));
   });
 
   std::uint64_t violations_total = 0;
   std::uint64_t retention_breaches = 0;
   std::string last_system;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     const TrialReport& r = results[i];
     const GroupReport& fleet = r.groups[0];
-    const std::string system = system_name(jobs[i].system);
-    const std::string& intensity = jobs[i].intensity->name;
-    const std::string seed = std::to_string(jobs[i].seed);
+    const std::string system = system_name(rows[i].system);
+    const std::string& intensity = rows[i].intensity->name;
+    const std::string seed = std::to_string(rows[i].seed);
     if (system != last_system) {
       std::printf("\n--- %s ---\n", system.c_str());
       last_system = system;
@@ -419,7 +381,7 @@ int main(int argc, char** argv) {
     std::printf(
         "  %-12s seed %llu  %2llu faults  avail %5.1f%%/%5.1f%%/%5.1f%%  "
         "%s  %s\n",
-        intensity.c_str(), static_cast<unsigned long long>(jobs[i].seed),
+        intensity.c_str(), static_cast<unsigned long long>(rows[i].seed),
         static_cast<unsigned long long>(r.fault_events),
         100 * r.before.throughput / rate, 100 * r.during.throughput / rate,
         100 * r.after.throughput / rate,
@@ -474,8 +436,8 @@ int main(int argc, char** argv) {
   for (System sys : kAllSystems) {
     std::vector<double> rec_ms;
     int trials = 0, recovered = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].system != sys) continue;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].system != sys) continue;
       ++trials;
       if (results[i].recovered()) {
         ++recovered;

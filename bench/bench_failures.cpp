@@ -58,14 +58,8 @@ int main(int argc, char** argv) {
   const bool quick = h.quick();
 
   const int groups = 3, per_group = 3;
-  FaultTiming ft;
-  if (wan) {  // WAN phases must dwarf the 80+ ms inter-DC round trips
-    ft.warmup = 500 * kMillisecond;
-    ft.fault_at = 1'500 * kMillisecond;
-    ft.heal_at = 3'000 * kMillisecond;
-    ft.end_at = 4'500 * kMillisecond;
-    ft.drain = 1'000 * kMillisecond;
-  } else if (!quick) {  // longer phases tighten the availability estimates
+  FaultTiming ft = wan ? wan_fault_timing() : FaultTiming{};
+  if (!wan && !quick) {  // longer phases tighten the availability estimates
     ft.fault_at = 1'300 * kMillisecond;
     ft.heal_at = 2'600 * kMillisecond;
     ft.end_at = 3'900 * kMillisecond;
@@ -78,16 +72,7 @@ int main(int argc, char** argv) {
   base.per_group = per_group;
   base.client_machines = 2;
   base.warmup = ft.warmup;
-  if (wan) {
-    // Deep repair windows so a DC dark for 1.5 s can rejoin, but the
-    // DEFAULT retry timers: fault_tuned's 25 ms retries are rack-scale
-    // tunings that would thrash 80+ ms WAN round trips.
-    base.wan = true;
-    base.zab.history_depth = 16'384;
-    base.epaxos.repair_window = 16'384;
-  } else {
-    base = fault_tuned(base);
-  }
+  base = wan ? wan_fault_tuned(base) : fault_tuned(base);
   const double rate = wan ? 6'000 : 20'000;
 
   // Scenarios carry their own timing: the standard suite shares `ft`, but

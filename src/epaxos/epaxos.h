@@ -166,21 +166,9 @@ class EPaxosNode : public kv::ReplicaNode {
   /// is meaningful for EPaxos (see kv::SetDigest).
   const kv::SetDigest& set_digest() const { return set_digest_; }
 
-  /// Repair diagnostics: (contiguously committed seq, highest seq known
-  /// committed) for `replica`'s instances at this node. A first component
-  /// below the second is an open gap the repair plane is working on.
-  std::pair<std::uint64_t, std::uint64_t> repair_frontier(
-      NodeId replica) const {
-    const auto c = contig_.find(replica);
-    const auto m = max_committed_seen_.find(replica);
-    return {c == contig_.end() ? 0 : c->second,
-            m == max_committed_seen_.end() ? 0 : m->second};
-  }
-
-  /// Repair observability: retained instance records / resident batches
-  /// (the memory footprint repair_window bounds).
+  /// Repair observability: retained instance records (the memory
+  /// footprint repair_window bounds).
   std::size_t log_entries_retained() const { return repair_ring_.size(); }
-  std::size_t instance_records() const { return instances_.size(); }
 
  private:
   struct Instance {

@@ -388,7 +388,6 @@ void RaftNode::send_install_snapshot(NodeId peer) {
   m.snapshot_bytes = snap_bytes_;
   next_index_[pos] = snap_index_ + 1;
   sent_up_to_[pos] = snap_index_;
-  ++snapshots_sent_;
   cb_.send(peer, m);
 }
 

@@ -152,9 +152,7 @@ class RaftNode {
 
   /// Compaction observability: retained log entries and installs received.
   std::size_t log_entries_retained() const { return log_.size(); }
-  LogIndex compaction_base() const { return log_.base_index(); }
   std::uint64_t snapshots_installed() const { return snapshots_installed_; }
-  std::uint64_t snapshots_sent() const { return snapshots_sent_; }
 
  private:
   void become_follower(Term term);
@@ -212,7 +210,6 @@ class RaftNode {
   simnet::Payload snap_payload_;
   std::size_t snap_bytes_ = 0;
   std::uint64_t snapshots_installed_ = 0;
-  std::uint64_t snapshots_sent_ = 0;
   int apply_depth_ = 0;  // reentrancy guard: compact only at the outer frame
 
   // Candidate state.

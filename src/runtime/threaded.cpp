@@ -10,6 +10,13 @@ namespace canopus::runtime {
 
 namespace {
 
+constexpr std::size_t kRingSlots = 256;   // per directed-pair mailbox (pow2)
+constexpr std::size_t kPostSlots = 1024;  // Host::post injection ring (pow2)
+constexpr std::size_t kTimerCells = 256;  // preallocated wheel cells per node
+constexpr int kSpinRounds = 64;           // empty polls before yielding
+constexpr int kYieldRounds = 256;         // yields before parking in a sleep
+constexpr Time kIdleSleep = 50'000;       // park time (ns) when fully idle
+
 /// Which node's execution context this thread is, if any. send/arm/cancel
 /// route through it: a message's source ring and a timer's wheel are both
 /// "the calling node's", exactly as the simulator's exec context works.
@@ -32,9 +39,8 @@ inline void cpu_relax() {
 /// Everything one node thread owns, padded to its own cache line so
 /// neighbouring nodes' counters never false-share.
 struct alignas(64) ThreadedRuntime::NodeCell {
-  explicit NodeCell(const ThreadedConfig& cfg)
-      : posts(cfg.post_slots), wheel(0, cfg.timer_cells) {
-    overflow.reserve(4 * cfg.ring_slots);
+  NodeCell() : posts(kPostSlots), wheel(0, kTimerCells) {
+    overflow.reserve(4 * kRingSlots);
   }
 
   simnet::Process* proc = nullptr;
@@ -63,15 +69,13 @@ struct alignas(64) ThreadedRuntime::NodeCell {
   std::atomic<std::uint64_t> stalls{0};
 };
 
-ThreadedRuntime::ThreadedRuntime(std::size_t num_nodes, std::uint64_t seed,
-                                 ThreadedConfig cfg)
+ThreadedRuntime::ThreadedRuntime(std::size_t num_nodes, std::uint64_t seed)
     : seed_(seed),
-      cfg_(cfg),
       sev_(num_nodes * num_nodes),
       epoch_(std::chrono::steady_clock::now()) {
   cells_.reserve(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i)
-    cells_.push_back(std::make_unique<NodeCell>(cfg_));
+    cells_.push_back(std::make_unique<NodeCell>());
 }
 
 ThreadedRuntime::~ThreadedRuntime() { stop(); }
@@ -100,7 +104,7 @@ void ThreadedRuntime::start() {
     for (std::size_t s = 0; s < cells_.size(); ++s)
       if (cells_[s]->proc != nullptr)
         cell->in[s] =
-            std::make_unique<simnet::SpscRing<simnet::Message>>(cfg_.ring_slots);
+            std::make_unique<simnet::SpscRing<simnet::Message>>(kRingSlots);
   }
   for (std::size_t i = 0; i < cells_.size(); ++i)
     if (cells_[i]->proc != nullptr)
@@ -291,13 +295,13 @@ void ThreadedRuntime::node_main(NodeId id) {
     work += fired;
     if (work != 0) {
       idle = 0;
-    } else if (++idle <= cfg_.spin_rounds) {
+    } else if (++idle <= kSpinRounds) {
       cpu_relax();
-    } else if (idle <= cfg_.spin_rounds + cfg_.yield_rounds) {
+    } else if (idle <= kSpinRounds + kYieldRounds) {
       std::this_thread::yield();
     } else {
       // Park, but never past the next timer deadline.
-      Time ns = cfg_.idle_sleep;
+      Time ns = kIdleSleep;
       const Time next = me.wheel.next_deadline();
       if (next >= 0) ns = std::clamp<Time>(next - now(), 0, ns);
       if (ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));

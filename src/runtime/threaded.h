@@ -38,19 +38,9 @@
 
 namespace canopus::runtime {
 
-struct ThreadedConfig {
-  std::size_t ring_slots = 256;   ///< per directed-pair mailbox (pow2)
-  std::size_t post_slots = 1024;  ///< driver->node injection ring (pow2)
-  std::size_t timer_cells = 256;  ///< preallocated wheel cells per node
-  int spin_rounds = 64;           ///< empty polls before yielding
-  int yield_rounds = 256;         ///< yields before parking in a sleep
-  Time idle_sleep = 50'000;       ///< park time (ns) when fully idle
-};
-
 class ThreadedRuntime final : public Runtime, public Host {
  public:
-  ThreadedRuntime(std::size_t num_nodes, std::uint64_t seed,
-                  ThreadedConfig cfg = {});
+  ThreadedRuntime(std::size_t num_nodes, std::uint64_t seed);
   ~ThreadedRuntime() override;
 
   ThreadedRuntime(const ThreadedRuntime&) = delete;
@@ -113,7 +103,6 @@ class ThreadedRuntime final : public Runtime, public Host {
   }
 
   const std::uint64_t seed_;
-  const ThreadedConfig cfg_;
   std::vector<std::unique_ptr<NodeCell>> cells_;
   std::vector<std::atomic<std::uint8_t>> sev_;  ///< directed-pair severs
   std::atomic<int> severed_count_{0};

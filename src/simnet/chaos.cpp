@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,45 +13,12 @@ namespace {
 /// Repairs sort before faults at equal timestamps so that replaying the
 /// sorted list in order never observes more concurrent faults than the
 /// generator's own bookkeeping did (a victim whose repair ties a later
-/// fault's timestamp frees its blast-radius slot first). The relative
-/// order of the pre-gray kinds is unchanged, so classic-only storms sort
-/// exactly as before.
-int kind_rank(FaultEvent::Kind k) {
-  switch (k) {
-    case FaultEvent::Kind::kRecover: return 0;
-    case FaultEvent::Kind::kHeal: return 1;
-    case FaultEvent::Kind::kCpuNormal: return 2;
-    case FaultEvent::Kind::kFlapStop: return 3;
-    case FaultEvent::Kind::kDupStop: return 4;
-    case FaultEvent::Kind::kReorderStop: return 5;
-    case FaultEvent::Kind::kSkewClear: return 6;
-    case FaultEvent::Kind::kCrash: return 7;
-    case FaultEvent::Kind::kSever: return 8;
-    case FaultEvent::Kind::kCpuSlow: return 9;
-    case FaultEvent::Kind::kFlapStart: return 10;
-    case FaultEvent::Kind::kDupStart: return 11;
-    case FaultEvent::Kind::kReorderStart: return 12;
-    case FaultEvent::Kind::kSkewSet: return 13;
-  }
-  return 14;
+/// fault's timestamp frees its blast-radius slot first). Within each half,
+/// kinds sort in family-table order, so classic-only storms sort exactly as
+/// they did before the gray families existed.
+std::size_t kind_rank(FaultEvent::Kind k) {
+  return fault_family(k) + (is_repair(k) ? 0 : kNumFaultFamilies);
 }
-
-/// The draw loop's kind table, in a FIXED order: the weighted pick walks
-/// it front to back, so adding kinds at the end cannot change the draw
-/// sequence of storms that leave them disabled.
-enum KindIdx : std::size_t {
-  kKCrash = 0,
-  kKSever,
-  kKCpu,
-  kKFlap,
-  kKDup,
-  kKReorder,
-  kKSkew,
-  kNumKinds,
-};
-
-constexpr bool kIsPairKind[kNumKinds] = {false, true,  false, true,
-                                         true,  true,  false};
 
 [[noreturn]] void config_error(const std::string& what) {
   throw std::invalid_argument("ChaosConfig: " + what);
@@ -93,34 +59,44 @@ FaultSchedule ChaosScheduleGenerator::generate(
   FaultSchedule out;
   if (nodes.empty() || cfg.events_per_s <= 0) return out;
 
-  const double weight[kNumKinds] = {
-      cfg.crash_weight, cfg.sever_weight,   cfg.cpu_weight, cfg.flap_weight,
-      cfg.dup_weight,   cfg.reorder_weight, cfg.skew_weight,
+  // The config's knobs per family, in kFaultFamilies order: the weighted
+  // pick walks them front to back. `x`/`d` parameterize the fault event
+  // (skew draws its rate per fault instead).
+  struct Knobs {
+    double weight;
+    int cap;
+    double x;
+    Time d;
   };
-  const int cap[kNumKinds] = {
-      cfg.max_down, cfg.max_severed, cfg.max_slow,  cfg.max_flapping,
-      cfg.max_dup,  cfg.max_reorder, cfg.max_skewed,
+  const Knobs knob[kNumFaultFamilies] = {
+      {cfg.crash_weight, cfg.max_down, 0, 0},
+      {cfg.sever_weight, cfg.max_severed, 0, 0},
+      {cfg.cpu_weight, cfg.max_slow, cfg.cpu_factor, 0},
+      {cfg.flap_weight, cfg.max_flapping, 0, cfg.flap_period},
+      {cfg.dup_weight, cfg.max_dup, 0, cfg.dup_echo},
+      {cfg.reorder_weight, cfg.max_reorder, 0, cfg.reorder_jitter},
+      {cfg.skew_weight, cfg.max_skewed, 0, cfg.skew_offset},
   };
   double all_weight = 0;
-  for (double w : weight) all_weight += w;
+  for (const Knobs& k : knob) all_weight += k.weight;
   if (all_weight <= 0) return out;
 
-  // Active-fault bookkeeping per kind, keyed by the scheduled repair time.
-  // An entry is retired once the injection clock passes its repair,
+  // Active-fault bookkeeping per family, keyed by the scheduled repair
+  // time. An entry is retired once the injection clock passes its repair,
   // mirroring what a replay of the final (time-sorted, repairs-first)
-  // event list observes. Node kinds leave `b` invalid.
+  // event list observes. Node families leave `b` invalid.
   struct Active {
     Time until;
     NodeId a, b;
   };
-  std::array<std::vector<Active>, kNumKinds> active;
+  std::array<std::vector<Active>, kNumFaultFamilies> active;
   std::vector<FaultEvent> events;
 
   const double mean_gap_ns = static_cast<double>(kSecond) / cfg.events_per_s;
   const Time last_injection = cfg.end - cfg.min_heal;
 
   // Injection times form a Poisson process over [start, last_injection];
-  // each draws a fault kind with blast-radius headroom, a victim, and an
+  // each draws a fault family with blast-radius headroom, a victim, and an
   // exponential duration >= min_heal clipped to heal by `end`.
   Time t = cfg.start;
   for (;;) {
@@ -131,37 +107,37 @@ FaultSchedule ChaosScheduleGenerator::generate(
                                 [t](const Active& f) { return f.until <= t; }),
                  list.end());
 
-    bool ok[kNumKinds];
+    bool ok[kNumFaultFamilies];
     double ok_weight = 0;
     std::size_t ok_count = 0, only = 0;
-    for (std::size_t k = 0; k < kNumKinds; ++k) {
+    for (std::size_t k = 0; k < kNumFaultFamilies; ++k) {
       const std::size_t headroom =
-          static_cast<std::size_t>(std::max(cap[k], 0));
-      ok[k] = weight[k] > 0 && active[k].size() < headroom &&
-              (kIsPairKind[k] ? nodes.size() >= 2
-                              : active[k].size() < nodes.size());
+          static_cast<std::size_t>(std::max(knob[k].cap, 0));
+      ok[k] = knob[k].weight > 0 && active[k].size() < headroom &&
+              (kFaultFamilies[k].pair ? nodes.size() >= 2
+                                      : active[k].size() < nodes.size());
       if (ok[k]) {
-        ok_weight += weight[k];
+        ok_weight += knob[k].weight;
         ++ok_count;
         only = k;
       }
     }
     if (ok_count == 0) continue;  // at the blast radius: drop this one
 
-    // Weighted kind pick. A single eligible kind is taken without a draw —
+    // Weighted family pick. A single eligible one is taken without a draw —
     // this keeps the RNG stream (and therefore every committed storm)
     // byte-identical to the pre-gray generator when only crash/sever are
     // enabled.
-    std::size_t kind = only;
+    std::size_t fam = only;
     if (ok_count > 1) {
       double u = rng_.uniform() * ok_weight;
-      for (std::size_t k = 0; k < kNumKinds; ++k) {
+      for (std::size_t k = 0; k < kNumFaultFamilies; ++k) {
         if (!ok[k]) continue;
-        if (u < weight[k]) {
-          kind = k;
+        if (u < knob[k].weight) {
+          fam = k;
           break;
         }
-        u -= weight[k];
+        u -= knob[k].weight;
       }
     }
 
@@ -170,18 +146,19 @@ FaultSchedule ChaosScheduleGenerator::generate(
     const Time repair = std::min(cfg.end, t + cfg.min_heal + extra);
 
     NodeId a = kInvalidNode, b = kInvalidNode;
-    if (!kIsPairKind[kind]) {
-      // Victim: uniform over nodes this kind is not currently hitting.
+    const FaultFamily& row = kFaultFamilies[fam];
+    if (!row.pair) {
+      // Victim: uniform over nodes this family is not currently hitting.
       std::vector<NodeId> free;
       free.reserve(nodes.size());
       for (NodeId n : nodes) {
         bool hit = false;
-        for (const Active& f : active[kind]) hit |= f.a == n;
+        for (const Active& f : active[fam]) hit |= f.a == n;
         if (!hit) free.push_back(n);
       }
       a = free[rng_.below(free.size())];
     } else {
-      // Victim pair: a uniform directed pair this kind is not currently
+      // Victim pair: a uniform directed pair this family is not currently
       // hitting. The pair space is tiny (n*(n-1) for cluster-sized n), so
       // rejection sampling against the active set terminates quickly; bail
       // to the next injection if the space is saturated.
@@ -190,7 +167,7 @@ FaultSchedule ChaosScheduleGenerator::generate(
         const NodeId cb = nodes[rng_.below(nodes.size())];
         if (ca == cb) continue;
         bool hit = false;
-        for (const Active& f : active[kind]) hit |= f.a == ca && f.b == cb;
+        for (const Active& f : active[fam]) hit |= f.a == ca && f.b == cb;
         if (hit) continue;
         a = ca;
         b = cb;
@@ -199,51 +176,13 @@ FaultSchedule ChaosScheduleGenerator::generate(
       if (a == kInvalidNode) continue;
     }
 
-    switch (kind) {
-      case kKCrash:
-        events.push_back({t, FaultEvent::Kind::kCrash, a, kInvalidNode, 0, 0});
-        events.push_back(
-            {repair, FaultEvent::Kind::kRecover, a, kInvalidNode, 0, 0});
-        break;
-      case kKSever:
-        events.push_back({t, FaultEvent::Kind::kSever, a, b, 0, 0});
-        events.push_back({repair, FaultEvent::Kind::kHeal, a, b, 0, 0});
-        break;
-      case kKCpu:
-        events.push_back({t, FaultEvent::Kind::kCpuSlow, a, kInvalidNode,
-                          cfg.cpu_factor, 0});
-        events.push_back(
-            {repair, FaultEvent::Kind::kCpuNormal, a, kInvalidNode, 0, 0});
-        break;
-      case kKFlap:
-        events.push_back(
-            {t, FaultEvent::Kind::kFlapStart, a, b, 0, cfg.flap_period});
-        events.push_back({repair, FaultEvent::Kind::kFlapStop, a, b, 0, 0});
-        break;
-      case kKDup:
-        events.push_back(
-            {t, FaultEvent::Kind::kDupStart, a, b, 0, cfg.dup_echo});
-        events.push_back({repair, FaultEvent::Kind::kDupStop, a, b, 0, 0});
-        break;
-      case kKReorder:
-        events.push_back(
-            {t, FaultEvent::Kind::kReorderStart, a, b, 0, cfg.reorder_jitter});
-        events.push_back(
-            {repair, FaultEvent::Kind::kReorderStop, a, b, 0, 0});
-        break;
-      case kKSkew: {
-        const double rate =
-            cfg.skew_rate_lo +
-            rng_.uniform() * (cfg.skew_rate_hi - cfg.skew_rate_lo);
-        events.push_back({t, FaultEvent::Kind::kSkewSet, a, kInvalidNode, rate,
-                          cfg.skew_offset});
-        events.push_back(
-            {repair, FaultEvent::Kind::kSkewClear, a, kInvalidNode, 0, 0});
-        break;
-      }
-      default: assert(false);
-    }
-    active[kind].push_back({repair, a, b});
+    double x = knob[fam].x;
+    if (row.fault == FaultEvent::Kind::kSkewSet)
+      x = cfg.skew_rate_lo +
+          rng_.uniform() * (cfg.skew_rate_hi - cfg.skew_rate_lo);
+    events.push_back({t, row.fault, a, b, x, knob[fam].d});
+    events.push_back({repair, row.repair, a, b, 0, 0});
+    active[fam].push_back({repair, a, b});
   }
 
   std::stable_sort(events.begin(), events.end(),

@@ -5,23 +5,18 @@
 namespace canopus::simnet {
 
 const char* fault_kind_name(FaultEvent::Kind k) {
-  switch (k) {
-    case FaultEvent::Kind::kCrash: return "crash";
-    case FaultEvent::Kind::kRecover: return "recover";
-    case FaultEvent::Kind::kSever: return "sever";
-    case FaultEvent::Kind::kHeal: return "heal";
-    case FaultEvent::Kind::kCpuSlow: return "cpu_slow";
-    case FaultEvent::Kind::kCpuNormal: return "cpu_normal";
-    case FaultEvent::Kind::kFlapStart: return "flap_start";
-    case FaultEvent::Kind::kFlapStop: return "flap_stop";
-    case FaultEvent::Kind::kDupStart: return "dup_start";
-    case FaultEvent::Kind::kDupStop: return "dup_stop";
-    case FaultEvent::Kind::kReorderStart: return "reorder_start";
-    case FaultEvent::Kind::kReorderStop: return "reorder_stop";
-    case FaultEvent::Kind::kSkewSet: return "skew_set";
-    case FaultEvent::Kind::kSkewClear: return "skew_clear";
+  const FaultFamily& f = kFaultFamilies[fault_family(k)];
+  return f.fault == k ? f.fault_name : f.repair_name;
+}
+
+bool fault_kind_parse(std::string_view name, FaultEvent::Kind* out) {
+  for (const FaultFamily& f : kFaultFamilies) {
+    if (name == f.fault_name || name == f.repair_name) {
+      *out = name == f.fault_name ? f.fault : f.repair;
+      return true;
+    }
   }
-  return "?";
+  return false;
 }
 
 void FaultSchedule::apply(Network& net, const FaultEvent& ev) {

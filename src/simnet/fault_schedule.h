@@ -7,11 +7,13 @@
 // failure benches compare systems under *identical* fault histories, and
 // lets parallel trial execution stay bit-identical to serial.
 //
-// Two fault families (DESIGN.md §9, §13):
+// Two fault classes (DESIGN.md §9, §13):
 //  * fail-stop: crash/recover a node, sever/heal a directed pair;
 //  * gray failures: degraded CPU (slow, not dead), flapping links, message
 //    duplication, bounded reordering, and per-node clock skew — the
 //    failures that page people without tripping a liveness detector.
+// kFaultFamilies below is the one statement of the taxonomy: which kind
+// repairs which, and which kinds hit a node versus a directed pair.
 //
 // The schedule only knows the Network primitives (network.h). Protocols
 // that need node-level crash handling on top (Canopus silencing its
@@ -21,7 +23,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
 #include "simnet/network.h"
@@ -55,9 +60,58 @@ struct FaultEvent {
   double x = 0;  ///< CPU factor (kCpuSlow) or clock rate (kSkewSet)
   Time d = 0;    ///< flap period / dup echo delay / reorder jitter bound /
                  ///< skew offset
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
+/// One fault family: the kind that injects the fault, the kind that
+/// repairs it, and what it targets. Every fault the plane knows pairs with
+/// exactly one repair of its own family on the same victim.
+struct FaultFamily {
+  FaultEvent::Kind fault;
+  FaultEvent::Kind repair;
+  bool pair;  ///< targets the directed pair a -> b; otherwise node a
+  const char* fault_name;   ///< fault_kind_name(fault): the canopus-storm-v1
+  const char* repair_name;  ///< spelling of each kind
+};
+
+/// The fault taxonomy, one row per family. The row order is the chaos
+/// generator's fixed draw order (simnet/chaos.cpp), so a family added later
+/// goes at the end and leaves the draws of storms that disable it unchanged.
+inline constexpr FaultFamily kFaultFamilies[] = {
+    {FaultEvent::Kind::kCrash, FaultEvent::Kind::kRecover, false, "crash",
+     "recover"},
+    {FaultEvent::Kind::kSever, FaultEvent::Kind::kHeal, true, "sever", "heal"},
+    {FaultEvent::Kind::kCpuSlow, FaultEvent::Kind::kCpuNormal, false,
+     "cpu_slow", "cpu_normal"},
+    {FaultEvent::Kind::kFlapStart, FaultEvent::Kind::kFlapStop, true,
+     "flap_start", "flap_stop"},
+    {FaultEvent::Kind::kDupStart, FaultEvent::Kind::kDupStop, true,
+     "dup_start", "dup_stop"},
+    {FaultEvent::Kind::kReorderStart, FaultEvent::Kind::kReorderStop, true,
+     "reorder_start", "reorder_stop"},
+    {FaultEvent::Kind::kSkewSet, FaultEvent::Kind::kSkewClear, false,
+     "skew_set", "skew_clear"},
+};
+inline constexpr std::size_t kNumFaultFamilies = std::size(kFaultFamilies);
+
+/// The kFaultFamilies row `k` belongs to, as its fault or its repair.
+constexpr std::size_t fault_family(FaultEvent::Kind k) {
+  std::size_t f = 0;
+  while (f + 1 < kNumFaultFamilies && kFaultFamilies[f].fault != k &&
+         kFaultFamilies[f].repair != k)
+    ++f;
+  return f;
+}
+
+/// True when `k` repairs a fault; false when it injects one.
+constexpr bool is_repair(FaultEvent::Kind k) {
+  return kFaultFamilies[fault_family(k)].repair == k;
+}
+
 const char* fault_kind_name(FaultEvent::Kind k);
+/// Inverts fault_kind_name. False when `name` is no fault kind.
+bool fault_kind_parse(std::string_view name, FaultEvent::Kind* out);
 
 class FaultSchedule {
  public:
@@ -145,6 +199,21 @@ class FaultSchedule {
   FaultSchedule& add(const FaultEvent& ev) {
     events_.push_back(ev);
     return *this;
+  }
+
+  /// This schedule with every node id n replaced by to(n), both ends of a
+  /// pair fault included. With an injective `to` the builders' sever/heal
+  /// dedup decides exactly as it would have on the relabelled ids, which is
+  /// how a scenario written over server indices lands on a fleet's NodeIds
+  /// (workload/fault_scenario.h).
+  template <typename F>
+  FaultSchedule relabeled(F&& to) const {
+    FaultSchedule out = *this;
+    for (FaultEvent& ev : out.events_) {
+      ev.a = to(ev.a);
+      if (ev.b != kInvalidNode) ev.b = to(ev.b);
+    }
+    return out;
   }
 
   const std::vector<FaultEvent>& events() const { return events_; }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simnet/chaos.h"
@@ -25,25 +26,13 @@
 
 namespace canopus::workload {
 
-/// One point on the storm-intensity axis. The trailing weights select the
-/// fault palette (simnet::ChaosConfig): the classic fail-stop kinds default
-/// on, the gray kinds default off, so pre-gray intensity literals mean what
-/// they always did.
+/// One point on the storm-intensity axis: a name (it salts the trial seed,
+/// chaos_trial_seed) and the generator knobs of its storms. The storm
+/// window (storm.start, storm.end) is left to the trial's FaultTiming
+/// (chaos_storm in workload/trial.h).
 struct ChaosIntensity {
   std::string name;
-  double events_per_s = 10.0;  ///< mean fault injections per second
-  int max_down = 1;            ///< blast radius: concurrent crashed nodes
-  int max_severed = 2;         ///< blast radius: concurrent severed pairs
-  Time min_heal = 120 * kMillisecond;
-  Time mean_extra = 200 * kMillisecond;
-
-  double crash_weight = 1.0;
-  double sever_weight = 1.0;
-  double cpu_weight = 0;      ///< gray: degraded-CPU nodes
-  double flap_weight = 0;     ///< gray: flapping links
-  double dup_weight = 0;      ///< gray: message duplication
-  double reorder_weight = 0;  ///< gray: bounded delivery reordering
-  double skew_weight = 0;     ///< gray: clock skew on timer arming
+  simnet::ChaosConfig storm;
 };
 
 /// The standard intensity grid. The blast radius never exceeds a minority
@@ -52,9 +41,15 @@ struct ChaosIntensity {
 /// high intensities are expected to cost availability — never safety.
 inline std::vector<ChaosIntensity> standard_intensities() {
   return {
-      {"low", 4.0, 1, 1, 150 * kMillisecond, 250 * kMillisecond},
-      {"medium", 10.0, 2, 2, 120 * kMillisecond, 200 * kMillisecond},
-      {"high", 25.0, 2, 4, 100 * kMillisecond, 150 * kMillisecond},
+      {"low", {.events_per_s = 4.0, .max_down = 1, .max_severed = 1,
+               .min_heal = 150 * kMillisecond,
+               .mean_extra = 250 * kMillisecond}},
+      {"medium", {.events_per_s = 10.0, .max_down = 2, .max_severed = 2,
+                  .min_heal = 120 * kMillisecond,
+                  .mean_extra = 200 * kMillisecond}},
+      {"high", {.events_per_s = 25.0, .max_down = 2, .max_severed = 4,
+                .min_heal = 100 * kMillisecond,
+                .mean_extra = 150 * kMillisecond}},
   };
 }
 
@@ -63,33 +58,33 @@ inline std::vector<ChaosIntensity> standard_intensities() {
 /// a single fault primitive. Rates are moderate — gray faults overlap
 /// (flap + skew on one node is legal), the per-kind caps bound each kind.
 inline std::vector<ChaosIntensity> gray_intensities() {
+  using simnet::ChaosConfig;
+  const std::pair<const char*, double ChaosConfig::*> kinds[] = {
+      {"gray-cpu", &ChaosConfig::cpu_weight},
+      {"gray-flap", &ChaosConfig::flap_weight},
+      {"gray-dup", &ChaosConfig::dup_weight},
+      {"gray-reorder", &ChaosConfig::reorder_weight},
+      {"gray-skew", &ChaosConfig::skew_weight},
+  };
   std::vector<ChaosIntensity> out;
-  const char* names[] = {"gray-cpu", "gray-flap", "gray-dup", "gray-reorder",
-                         "gray-skew"};
-  for (int k = 0; k < 5; ++k) {
-    ChaosIntensity ci;
-    ci.name = names[k];
-    ci.events_per_s = 8.0;
-    ci.min_heal = 150 * kMillisecond;
-    ci.mean_extra = 200 * kMillisecond;
-    ci.crash_weight = 0;
-    ci.sever_weight = 0;
-    (k == 0   ? ci.cpu_weight
-     : k == 1 ? ci.flap_weight
-     : k == 2 ? ci.dup_weight
-     : k == 3 ? ci.reorder_weight
-              : ci.skew_weight) = 1.0;
+  for (const auto& [name, weight] : kinds) {
+    ChaosIntensity ci{name, {.events_per_s = 8.0,
+                             .min_heal = 150 * kMillisecond,
+                             .mean_extra = 200 * kMillisecond,
+                             .crash_weight = 0,
+                             .sever_weight = 0}};
+    ci.storm.*weight = 1.0;
     out.push_back(std::move(ci));
   }
   // The composite: the whole palette at once, classic kinds included.
-  ChaosIntensity mix;
-  mix.name = "gray-mix";
-  mix.events_per_s = 12.0;
-  mix.min_heal = 120 * kMillisecond;
-  mix.mean_extra = 180 * kMillisecond;
-  mix.cpu_weight = mix.flap_weight = mix.dup_weight = mix.reorder_weight =
-      mix.skew_weight = 1.0;
-  out.push_back(std::move(mix));
+  out.push_back({"gray-mix", {.events_per_s = 12.0,
+                              .min_heal = 120 * kMillisecond,
+                              .mean_extra = 180 * kMillisecond,
+                              .cpu_weight = 1.0,
+                              .flap_weight = 1.0,
+                              .dup_weight = 1.0,
+                              .reorder_weight = 1.0,
+                              .skew_weight = 1.0}});
   return out;
 }
 
@@ -111,27 +106,6 @@ inline std::uint64_t chaos_trial_seed(const TrialConfig& tc,
                                       const ChaosIntensity& ci,
                                       double offered_rate) {
   return derive_seed(trial_seed(tc, offered_rate), chaos_salt(ci.name));
-}
-
-/// Maps an intensity point onto the generator config for one storm window.
-inline simnet::ChaosConfig chaos_config_for(const ChaosIntensity& ci,
-                                            const FaultTiming& ft) {
-  simnet::ChaosConfig cc;
-  cc.start = ft.fault_at;
-  cc.end = ft.heal_at;
-  cc.events_per_s = ci.events_per_s;
-  cc.max_down = ci.max_down;
-  cc.max_severed = ci.max_severed;
-  cc.min_heal = ci.min_heal;
-  cc.mean_extra = ci.mean_extra;
-  cc.crash_weight = ci.crash_weight;
-  cc.sever_weight = ci.sever_weight;
-  cc.cpu_weight = ci.cpu_weight;
-  cc.flap_weight = ci.flap_weight;
-  cc.dup_weight = ci.dup_weight;
-  cc.reorder_weight = ci.reorder_weight;
-  cc.skew_weight = ci.skew_weight;
-  return cc;
 }
 
 }  // namespace canopus::workload

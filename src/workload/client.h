@@ -18,6 +18,11 @@
 
 namespace canopus::workload {
 
+/// Arrival aggregation granularity of both open-loop clients (this one and
+/// RouterClient): one tick's Poisson arrivals leave as one batch per
+/// target, each stamped at its own point inside the tick.
+inline constexpr Time kArrivalTick = 200 * kMicrosecond;
+
 struct ClientConfig {
   /// Servers this client machine's sessions connect to. The paper's
   /// clients each pick a uniform same-rack node; a machine aggregates many
@@ -30,7 +35,6 @@ struct ClientConfig {
   /// stream) or Zipfian with exponent `zipf_theta` (key_sampler.h).
   KeyDist key_dist = KeyDist::kUniform;
   double zipf_theta = 0.99;          ///< YCSB's default skew
-  Time tick = 200 * kMicrosecond;    ///< arrival aggregation granularity
   Time stop_at = 0;                  ///< stop generating at this time
 };
 
@@ -77,7 +81,7 @@ class OpenLoopClient : public simnet::Process {
   void tick() {
     if (cfg_.stop_at > 0 && sim().now() >= cfg_.stop_at) return;
     const double mean =
-        cfg_.rate_per_s * static_cast<double>(cfg_.tick) / kSecond;
+        cfg_.rate_per_s * static_cast<double>(kArrivalTick) / kSecond;
     const std::uint64_t n = rng_.poisson(mean);
     if (n > 0) {
       // One batch per target server; requests round-robin across servers
@@ -94,7 +98,7 @@ class OpenLoopClient : public simnet::Process {
         // Arrival uniform within the tick; order within the batch is the
         // client's submission order, so timestamps must be sorted.
         r.arrival = sim().now() + static_cast<Time>(
-                                      static_cast<double>(cfg_.tick) *
+                                      static_cast<double>(kArrivalTick) *
                                       (static_cast<double>(i) + 0.5) /
                                       static_cast<double>(n));
         batches[(rotate_ + i) % batches.size()].reqs.push_back(r);
@@ -117,7 +121,7 @@ class OpenLoopClient : public simnet::Process {
         send(cfg_.servers[s], bytes, std::move(batches[s]));
       }
     }
-    after(cfg_.tick, [this] { tick(); });
+    after(kArrivalTick, [this] { tick(); });
   }
 
   ClientConfig cfg_;

@@ -3,11 +3,12 @@
 // trial shares (workload/trial.h): the phase timing, the phase-splitting
 // recorder, and the arming of a simnet::FaultSchedule through the services.
 //
-// A scenario speaks in *server indices* (0 .. groups*per_group-1, group-
-// major, as laid out by build_cluster); make_schedule maps indices onto
-// NodeIds, and arm_via_service routes crash/recover events through the
-// owning service (so the protocol instance is silenced or restarted
-// together with the network), while sever/heal act on the network alone.
+// A scenario is a simnet::FaultSchedule over *server indices* (0 ..
+// groups*per_group-1, group-major, as laid out by build_cluster);
+// make_schedule relabels the indices onto NodeIds, and arm_via_service
+// routes crash/recover events through the owning service (so the protocol
+// instance is silenced or restarted together with the network), while
+// sever/heal act on the network alone.
 //
 // The standard library covers the liveness cases the paper discusses (§6)
 // and the classics every consensus deployment meets:
@@ -58,17 +59,10 @@ struct FaultTiming {
 };
 
 struct FaultScenario {
-  enum class Op { kCrash, kRecover, kSever, kHeal };
-  struct Step {
-    Time at = 0;
-    Op op = Op::kCrash;
-    int a = -1;  ///< server index (crash/recover) or source (sever/heal)
-    int b = -1;  ///< destination server index (sever/heal)
-  };
-
   std::string name;
   std::string description;
-  std::vector<Step> steps;
+  /// The fault script, with server indices where the NodeIds go.
+  simnet::FaultSchedule steps;
   /// The scenario removes a super-leaf majority: Canopus is *expected* to
   /// stall (and must not diverge); quorum systems are expected to proceed.
   bool majority_loss = false;
@@ -88,16 +82,14 @@ inline std::vector<FaultScenario> standard_scenarios(int groups,
     s.name = "single_node_crash";
     s.description = "one non-leader server crashes, recovers later";
     const int victim = per_group;  // first server of group 1
-    s.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, victim, -1});
-    s.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, victim, -1});
+    s.steps.crash_at(ft.fault_at, victim).recover_at(ft.heal_at, victim);
     out.push_back(std::move(s));
   }
   {
     FaultScenario s;
     s.name = "leader_crash";
     s.description = "server 0 (Zab/Raft leader) crashes, recovers later";
-    s.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, 0, -1});
-    s.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, 0, -1});
+    s.steps.crash_at(ft.fault_at, 0).recover_at(ft.heal_at, 0);
     out.push_back(std::move(s));
   }
   {
@@ -106,22 +98,17 @@ inline std::vector<FaultScenario> standard_scenarios(int groups,
     s.description = "a majority of group 0 crashes (Canopus stalls, Sec 6)";
     s.majority_loss = true;
     const int majority = per_group / 2 + 1;
-    for (int v = 0; v < majority; ++v) {
-      s.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, v, -1});
-      s.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, v, -1});
-    }
+    for (int v = 0; v < majority; ++v)
+      s.steps.crash_at(ft.fault_at, v).recover_at(ft.heal_at, v);
     out.push_back(std::move(s));
   }
   {
     FaultScenario s;
     s.name = "partition_asym";
     s.description = "one-way partition: group 0 cannot reach other groups";
-    for (int a = 0; a < per_group; ++a) {
-      for (int b = per_group; b < groups * per_group; ++b) {
-        s.steps.push_back({ft.fault_at, FaultScenario::Op::kSever, a, b});
-        s.steps.push_back({ft.heal_at, FaultScenario::Op::kHeal, a, b});
-      }
-    }
+    for (int a = 0; a < per_group; ++a)
+      for (int b = per_group; b < groups * per_group; ++b)
+        s.steps.sever_at(ft.fault_at, a, b).heal_at(ft.heal_at, a, b);
     out.push_back(std::move(s));
   }
   {
@@ -134,9 +121,7 @@ inline std::vector<FaultScenario> standard_scenarios(int groups,
       const int victim = g * per_group + 1;  // never server 0 (leader_crash
                                              // covers the leader)
       const Time down = ft.fault_at + g * stagger;
-      s.steps.push_back({down, FaultScenario::Op::kCrash, victim, -1});
-      s.steps.push_back(
-          {down + stagger, FaultScenario::Op::kRecover, victim, -1});
+      s.steps.crash_at(down, victim).recover_at(down + stagger, victim);
     }
     out.push_back(std::move(s));
   }
@@ -154,6 +139,17 @@ inline TrialConfig fault_tuned(TrialConfig tc) {
   tc.canopus.fetch_timeout = 100 * kMillisecond;
   tc.epaxos.repair_retry = 25 * kMillisecond;
   tc.zab.sync_retry = 25 * kMillisecond;
+  return tc;
+}
+
+/// Multi-DC fault-plane tuning for the Table 1 topology: repair windows
+/// deep enough that a node or a whole DC dark through a long fault can
+/// rejoin, but the DEFAULT retry timers — fault_tuned's 25 ms retries are
+/// rack-scale tunings that would thrash 80+ ms WAN round trips.
+inline TrialConfig wan_fault_tuned(TrialConfig tc) {
+  tc.wan = true;
+  tc.zab.history_depth = 16'384;
+  tc.epaxos.repair_window = 16'384;
   return tc;
 }
 
@@ -320,33 +316,15 @@ inline void arm_via_service(const simnet::FaultSchedule& sched,
   arm_via_service(sched, net, std::vector<ConsensusService*>{&service}, mode);
 }
 
-/// Lowers a scenario's server-index steps onto concrete NodeIds. `servers`
-/// is the fleet-wide server list the indices address (cluster.servers;
+/// Lowers a scenario's server indices onto concrete NodeIds. `servers` is
+/// the fleet-wide server list the indices address (cluster.servers;
 /// sharded deployments pass the same list with group-scoped scenarios
 /// mapped through scope_to_group first).
 inline simnet::FaultSchedule make_schedule(const FaultScenario& scenario,
                                            const std::vector<NodeId>& servers) {
-  simnet::FaultSchedule sched;
-  const auto node_of = [&servers](int idx) {
-    return servers[static_cast<std::size_t>(idx)];
-  };
-  for (const FaultScenario::Step& st : scenario.steps) {
-    switch (st.op) {
-      case FaultScenario::Op::kCrash:
-        sched.crash_at(st.at, node_of(st.a));
-        break;
-      case FaultScenario::Op::kRecover:
-        sched.recover_at(st.at, node_of(st.a));
-        break;
-      case FaultScenario::Op::kSever:
-        sched.sever_at(st.at, node_of(st.a), node_of(st.b));
-        break;
-      case FaultScenario::Op::kHeal:
-        sched.heal_at(st.at, node_of(st.a), node_of(st.b));
-        break;
-    }
-  }
-  return sched;
+  return scenario.steps.relabeled([&servers](NodeId idx) {
+    return servers.at(idx);
+  });
 }
 
 /// Re-scopes a scenario authored in group-LOCAL server indices (0 ..
@@ -355,10 +333,8 @@ inline simnet::FaultSchedule make_schedule(const FaultScenario& scenario,
 /// consensus group of a ShardedService instead of the whole fleet.
 inline FaultScenario scope_to_group(FaultScenario s, int group,
                                     int per_group) {
-  for (FaultScenario::Step& st : s.steps) {
-    if (st.a >= 0) st.a += group * per_group;
-    if (st.b >= 0) st.b += group * per_group;
-  }
+  const NodeId offset = group * per_group;
+  s.steps = s.steps.relabeled([offset](NodeId idx) { return idx + offset; });
   s.name += "@group" + std::to_string(group);
   return s;
 }
@@ -380,8 +356,7 @@ inline FaultScenario long_downtime_scenario(int per_group,
       "one server dark past every retained-history window, rejoins by "
       "snapshot/state transfer";
   const int victim = per_group;  // first server of group 1
-  s.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, victim, -1});
-  s.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, victim, -1});
+  s.steps.crash_at(ft.fault_at, victim).recover_at(ft.heal_at, victim);
   return s;
 }
 
@@ -397,6 +372,18 @@ inline FaultTiming long_downtime_timing() {
   ft.heal_at = 2'500 * kMillisecond;  // ~2 s dark
   ft.end_at = 4'500 * kMillisecond;
   ft.drain = 800 * kMillisecond;
+  return ft;
+}
+
+/// Timing for faults on the Table 1 WAN topology: every phase dwarfs the
+/// 80+ ms inter-DC round trips.
+inline FaultTiming wan_fault_timing() {
+  FaultTiming ft;
+  ft.warmup = 500 * kMillisecond;
+  ft.fault_at = 1'500 * kMillisecond;
+  ft.heal_at = 3'000 * kMillisecond;
+  ft.end_at = 4'500 * kMillisecond;
+  ft.drain = 1'000 * kMillisecond;
   return ft;
 }
 
@@ -416,10 +403,8 @@ inline FaultScenario dc_outage_scenario(int dc, int per_group,
   s.description = "all servers of datacenter " + std::to_string(dc) +
                   " crash, later recover (geo-failover)";
   s.majority_loss = true;  // a whole super-leaf is gone: Canopus must stall
-  for (int v = dc * per_group; v < (dc + 1) * per_group; ++v) {
-    s.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, v, -1});
-    s.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, v, -1});
-  }
+  for (int v = dc * per_group; v < (dc + 1) * per_group; ++v)
+    s.steps.crash_at(ft.fault_at, v).recover_at(ft.heal_at, v);
   return s;
 }
 

@@ -16,8 +16,8 @@
 // the router round-robins over the group's servers and REDIRECTS on crashed
 // targets: a down server is skipped for the next live sibling (counted in
 // redirects()). When the whole group is down the batch is retried with
-// bounded exponential backoff (retry_backoff << attempt) and counted failed
-// only after max_attempts dispatches — subsuming the old fail-at-submit
+// bounded exponential backoff (kRetryBackoff << attempt) and counted failed
+// only after kMaxAttempts dispatches — subsuming the old fail-at-submit
 // client behavior with an honest retry story; retried requests keep their
 // original arrival timestamps, so their latency includes the backoff the
 // client actually waited.
@@ -38,6 +38,7 @@
 #include "common/rng.h"
 #include "kv/types.h"
 #include "simnet/network.h"
+#include "workload/client.h"
 #include "workload/key_sampler.h"
 #include "workload/stats.h"
 
@@ -61,14 +62,7 @@ struct RouterConfig {
   std::uint64_t num_keys = 1'000'000;
   KeyDist key_dist = KeyDist::kUniform;
   double zipf_theta = 0.99;
-  Time tick = 200 * kMicrosecond;
   Time stop_at = 0;
-
-  /// Dispatch attempts per batch (1 initial + max_attempts-1 retries)
-  /// before its requests are counted failed.
-  int max_attempts = 4;
-  /// Backoff before retry k is retry_backoff << (k-1).
-  Time retry_backoff = 2 * kMillisecond;
 };
 
 class RouterClient : public simnet::Process {
@@ -77,6 +71,11 @@ class RouterClient : public simnet::Process {
   /// RouterConfig::sessions): seq = session << kSessionShift | counter.
   static constexpr unsigned kSessionShift = 20;
   static constexpr std::uint32_t kMaxSessions = 1u << kSessionShift;
+  /// Dispatch attempts per batch (1 initial + kMaxAttempts-1 retries)
+  /// before its requests are counted failed.
+  static constexpr int kMaxAttempts = 4;
+  /// Backoff before retry k is kRetryBackoff << (k-1).
+  static constexpr Time kRetryBackoff = 2 * kMillisecond;
 
   RouterClient(RouterConfig cfg, std::shared_ptr<LatencyRecorder> rec,
                std::uint64_t seed)
@@ -112,7 +111,7 @@ class RouterClient : public simnet::Process {
   /// Requests actually handed to the network.
   std::uint64_t sent() const { return sent_; }
   /// Requests that exhausted every dispatch attempt (whole owning group
-  /// down through max_attempts tries); reported via LatencyRecorder::fail.
+  /// down through kMaxAttempts tries); reported via LatencyRecorder::fail.
   std::uint64_t failed() const { return failed_; }
   /// Down servers skipped for a live sibling at dispatch time.
   std::uint64_t redirects() const { return redirects_; }
@@ -127,7 +126,7 @@ class RouterClient : public simnet::Process {
   void tick() {
     if (cfg_.stop_at > 0 && sim().now() >= cfg_.stop_at) return;
     const double mean =
-        cfg_.rate_per_s * static_cast<double>(cfg_.tick) / kSecond;
+        cfg_.rate_per_s * static_cast<double>(kArrivalTick) / kSecond;
     const std::uint64_t n = rng_.poisson(mean);
     if (n > 0) {
       // One batch per owning group this tick. The per-tick vector is the
@@ -147,7 +146,7 @@ class RouterClient : public simnet::Process {
         r.key = zipf_ ? zipf_->draw(rng_) : rng_.below(cfg_.num_keys);
         r.value = rng_();
         r.arrival = sim().now() + static_cast<Time>(
-                                      static_cast<double>(cfg_.tick) *
+                                      static_cast<double>(kArrivalTick) *
                                       (static_cast<double>(i) + 0.5) /
                                       static_cast<double>(n));
         batches[shard_of_key(r.key, num_groups)].reqs.push_back(r);
@@ -157,7 +156,7 @@ class RouterClient : public simnet::Process {
         dispatch(g, std::move(batches[g]), 1);
       }
     }
-    after(cfg_.tick, [this] { tick(); });
+    after(kArrivalTick, [this] { tick(); });
   }
 
   /// Sends `batch` to a live server of group g, redirecting past crashed
@@ -176,13 +175,13 @@ class RouterClient : public simnet::Process {
       send(target, bytes, std::move(batch));
       return;
     }
-    if (attempt >= cfg_.max_attempts) {
+    if (attempt >= kMaxAttempts) {
       failed_ += batch.reqs.size();
       for (const kv::Request& r : batch.reqs) rec_->fail(r.arrival);
       return;
     }
     ++retries_;
-    const Time backoff = cfg_.retry_backoff << (attempt - 1);
+    const Time backoff = kRetryBackoff << (attempt - 1);
     after(backoff, [this, g, attempt, b = std::move(batch)]() mutable {
       dispatch(g, std::move(b), attempt + 1);
     });

@@ -110,31 +110,13 @@ class StormMinimizer {
     std::vector<std::size_t> indices;
   };
 
-  static bool is_start(simnet::FaultEvent::Kind k) {
-    using K = simnet::FaultEvent::Kind;
-    return k == K::kCrash || k == K::kSever || k == K::kCpuSlow ||
-           k == K::kFlapStart || k == K::kDupStart || k == K::kReorderStart ||
-           k == K::kSkewSet;
-  }
-
   /// Pairing key: fault family + victim. A repair closes the OLDEST open
-  /// start with its key (generator storms never nest same-key pairs, so
+  /// fault with its key (generator storms never nest same-key pairs, so
   /// this is exact for them).
   static std::uint64_t unit_key(const simnet::FaultEvent& ev) {
-    using K = simnet::FaultEvent::Kind;
-    int family = 0;
-    bool pair = false;
-    switch (ev.kind) {
-      case K::kCrash: case K::kRecover: family = 0; break;
-      case K::kSever: case K::kHeal: family = 1; pair = true; break;
-      case K::kCpuSlow: case K::kCpuNormal: family = 2; break;
-      case K::kFlapStart: case K::kFlapStop: family = 3; pair = true; break;
-      case K::kDupStart: case K::kDupStop: family = 4; pair = true; break;
-      case K::kReorderStart: case K::kReorderStop:
-        family = 5; pair = true; break;
-      case K::kSkewSet: case K::kSkewClear: family = 6; break;
-    }
-    const std::uint64_t b = pair ? ev.b : kInvalidNode;
+    const std::size_t family = simnet::fault_family(ev.kind);
+    const std::uint64_t b =
+        simnet::kFaultFamilies[family].pair ? ev.b : kInvalidNode;
     return (static_cast<std::uint64_t>(family) << 56) ^
            (static_cast<std::uint64_t>(ev.a) << 24) ^ b;
   }
@@ -145,7 +127,7 @@ class StormMinimizer {
     std::vector<std::pair<std::uint64_t, std::size_t>> open;  // key -> unit
     for (std::size_t i = 0; i < events.size(); ++i) {
       const std::uint64_t key = unit_key(events[i]);
-      if (is_start(events[i].kind)) {
+      if (!simnet::is_repair(events[i].kind)) {
         units.push_back({{i}});
         open.emplace_back(key, units.size() - 1);
       } else {
@@ -253,7 +235,7 @@ class StormMinimizer {
     for (std::size_t u : kept) {
       if (units[u].indices.size() != 2) continue;
       std::size_t si = units[u].indices[0], ri = units[u].indices[1];
-      if (!is_start(events[si].kind)) std::swap(si, ri);
+      if (simnet::is_repair(events[si].kind)) std::swap(si, ri);
       while (probes_ < opt_.max_probes) {
         const Time gap = events[ri].at - events[si].at;
         if (gap <= opt_.min_duration) break;
@@ -289,20 +271,6 @@ struct StormJsonMeta {
   std::size_t probes = 0;
   std::size_t duration_shrinks = 0;
 };
-
-/// Inverts simnet::fault_kind_name. False when `name` is no fault kind.
-inline bool fault_kind_parse(const std::string& name,
-                             simnet::FaultEvent::Kind* out) {
-  using K = simnet::FaultEvent::Kind;
-  for (int k = static_cast<int>(K::kCrash); k <= static_cast<int>(K::kSkewClear);
-       ++k) {
-    if (name == simnet::fault_kind_name(static_cast<K>(k))) {
-      *out = static_cast<K>(k);
-      return true;
-    }
-  }
-  return false;
-}
 
 /// A canopus-storm-v1 artifact read back from disk: the schedule plus the
 /// grid coordinates needed to replay it.
@@ -390,7 +358,7 @@ inline bool storm_from_json(const std::string& text, LoadedStorm* out) {
     if (!find_key("at_ns", obj, &q) || q > obj_end || !read_number(q, &at))
       return false;
     if (!find_key("kind", obj, &q) || q > obj_end || !read_string(q, &kind) ||
-        !fault_kind_parse(kind, &ev.kind))
+        !simnet::fault_kind_parse(kind, &ev.kind))
       return false;
     if (!find_key("a", obj, &q) || q > obj_end || !read_number(q, &a))
       return false;

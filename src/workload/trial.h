@@ -424,8 +424,8 @@ inline Trial scenario_trial(const TrialConfig& tc,
   return t;
 }
 
-/// The storm `t` arms at intensity `ci`: the intensity's palette
-/// (chaos_config_for) over t.timing's storm window, seeded from the trial's
+/// The storm `t` arms at intensity `ci`: the intensity's generator knobs
+/// over t.timing's storm window [fault_at, heal_at], seeded from the trial's
 /// root seed. The deployment decides the scope: a one-group trial draws one
 /// storm over the fleet; a sharded trial draws one storm per group over that
 /// group's servers, each from its own derived seed, merged, so every group
@@ -434,7 +434,9 @@ inline Trial scenario_trial(const TrialConfig& tc,
 inline simnet::FaultSchedule chaos_storm(const Trial& t,
                                          const ChaosIntensity& ci) {
   const simnet::Cluster cluster = build_cluster(t.tc);
-  const simnet::ChaosConfig cc = chaos_config_for(ci, t.timing);
+  simnet::ChaosConfig cc = ci.storm;
+  cc.start = t.timing.fault_at;
+  cc.end = t.timing.heal_at;
   const std::uint64_t storm_seed = derive_seed(t.seed, 0xc4a0c5ULL);
   if (t.sessions_per_machine == 0) {
     simnet::ChaosScheduleGenerator gen(storm_seed);

@@ -157,6 +157,17 @@ TEST(FaultKindNameTest, AllKindsNamed) {
   EXPECT_STREQ(fault_kind_name(FaultEvent::Kind::kSkewClear), "skew_clear");
 }
 
+TEST(FaultKindNameTest, ParseInvertsName) {
+  for (int k = 0; k <= static_cast<int>(FaultEvent::Kind::kSkewClear); ++k) {
+    const auto kind = static_cast<FaultEvent::Kind>(k);
+    FaultEvent::Kind parsed = FaultEvent::Kind::kCrash;
+    ASSERT_TRUE(fault_kind_parse(fault_kind_name(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  FaultEvent::Kind parsed = FaultEvent::Kind::kCrash;
+  EXPECT_FALSE(fault_kind_parse("crashed", &parsed));
+}
+
 TEST(FaultScheduleBuilder, DoubleSeverOfSamePairDedups) {
   // An idempotent double-sever (a scenario composed of overlapping
   // partition helpers) collapses to one event; so does its double-heal.

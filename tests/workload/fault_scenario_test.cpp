@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testutil/schedule_digest.h"
 #include "workload/trial.h"
 
 namespace canopus::workload {
@@ -39,23 +40,43 @@ TEST(StandardScenarios, SuiteShape) {
   const FaultTiming ft = short_timing();
   const auto suite = standard_scenarios(3, 3, ft);
   ASSERT_EQ(suite.size(), 5u);
+  // A 3x3 fleet whose NodeIds are not the server indices, so the checks
+  // below also cover the index -> NodeId lowering.
+  std::vector<NodeId> servers;
+  for (NodeId i = 0; i < 9; ++i) servers.push_back(100 + i);
   int majority_loss = 0;
+  std::uint64_t digest = testutil::kScheduleDigestSeed;
   for (const FaultScenario& sc : suite) {
     EXPECT_FALSE(sc.name.empty());
-    EXPECT_FALSE(sc.steps.empty());
-    for (const auto& st : sc.steps) {
-      EXPECT_GE(st.at, ft.fault_at);
-      EXPECT_LE(st.at, ft.heal_at);
-      EXPECT_GE(st.a, 0);
-      EXPECT_LT(st.a, 9);
+    const simnet::FaultSchedule sched = make_schedule(sc, servers);
+    EXPECT_FALSE(sched.empty());
+    for (const simnet::FaultEvent& ev : sched.events()) {
+      EXPECT_GE(ev.at, ft.fault_at);
+      EXPECT_LE(ev.at, ft.heal_at);
+      EXPECT_GE(ev.a, 100u);
+      EXPECT_LT(ev.a, 109u);
     }
     if (sc.majority_loss) ++majority_loss;
+    digest = testutil::schedule_digest(sched, digest);
   }
   EXPECT_EQ(majority_loss, 1);
   // The one-way partition severs every group-0 -> other-group pair.
   const auto& part = suite[3];
   EXPECT_EQ(part.name, "partition_asym");
-  EXPECT_EQ(part.steps.size(), 2u * 3u * 6u);
+  EXPECT_EQ(make_schedule(part, servers).events().size(), 2u * 3u * 6u);
+
+  // Every lowered schedule of the library, pinned bit for bit: the suite
+  // above, long_downtime, a DC outage and a group-scoped scenario.
+  digest = testutil::schedule_digest(
+      make_schedule(long_downtime_scenario(3, long_downtime_timing()),
+                    servers),
+      digest);
+  digest = testutil::schedule_digest(
+      make_schedule(dc_outage_scenario(1, 3, ft), servers), digest);
+  const FaultScenario scoped = scope_to_group(suite[1], 2, 3);
+  EXPECT_EQ(scoped.name, "leader_crash@group2");
+  digest = testutil::schedule_digest(make_schedule(scoped, servers), digest);
+  EXPECT_EQ(digest, 0x904d2ca113f3b00eULL);
 }
 
 TEST(PhasedRecorder, RoutesByArrivalPhase) {

@@ -129,8 +129,10 @@ TEST_P(ChaosGoldenDigest, StormMatchesRecordedTraceAndStaysClean) {
   ft.drain = 400 * kMillisecond;
   tc.warmup = ft.warmup;
 
-  const ChaosIntensity ci{"golden", 12.0, 2, 2, 80 * kMillisecond,
-                          100 * kMillisecond};
+  const ChaosIntensity ci{
+      "golden", {.events_per_s = 12.0, .max_down = 2, .max_severed = 2,
+                 .min_heal = 80 * kMillisecond,
+                 .mean_extra = 100 * kMillisecond}};
   const TrialReport r = run_trial(chaos_trial(tc, ci, ft, 15'000.0));
   const GroupReport& fleet = r.groups[0];
   const char* name = system_name(g.system);
@@ -213,7 +215,7 @@ TEST_P(GrayChaosGoldenDigest, GrayMixStormPinsAndReplaysAcrossSimThreads) {
   // reorder and dup — too thin for a full-palette pin).
   ChaosIntensity mix = gray_intensities().back();
   ASSERT_EQ(mix.name, "gray-mix");
-  mix.events_per_s = 40.0;
+  mix.storm.events_per_s = 40.0;
 
   const TrialReport r = run_trial(chaos_trial(tc, mix, ft, 15'000.0));
   const GroupReport& fleet = r.groups[0];

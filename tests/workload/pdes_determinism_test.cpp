@@ -141,8 +141,10 @@ TEST_P(PdesDeterminism, ChaosStormBitIdenticalThroughControlBarriers) {
     ft.drain = 200 * kMillisecond;
     tc.warmup = ft.warmup;
 
-    const ChaosIntensity ci{"pdes", 12.0, 2, 2, 80 * kMillisecond,
-                            100 * kMillisecond};
+    const ChaosIntensity ci{
+        "pdes", {.events_per_s = 12.0, .max_down = 2, .max_severed = 2,
+                 .min_heal = 80 * kMillisecond,
+                 .mean_extra = 100 * kMillisecond}};
     return run_trial(chaos_trial(tc, ci, ft, 15'000.0));
   };
 

@@ -179,11 +179,10 @@ TEST(ShardedService, GroupScopedScenarioHitsOnlyItsGroup) {
   // A group-local single-node crash scoped onto group 1.
   FaultScenario local;
   local.name = "single_node_crash";
-  local.steps.push_back({ft.fault_at, FaultScenario::Op::kCrash, 1, -1});
-  local.steps.push_back({ft.heal_at, FaultScenario::Op::kRecover, 1, -1});
+  local.steps.crash_at(ft.fault_at, 1).recover_at(ft.heal_at, 1);
   const FaultScenario scoped = scope_to_group(local, 1, tc.per_group);
   EXPECT_EQ(scoped.name, "single_node_crash@group1");
-  EXPECT_EQ(scoped.steps[0].a, 4);  // 1 * per_group + 1
+  EXPECT_EQ(scoped.steps.events()[0].a, 4u);  // 1 * per_group + 1
   arm_via_service(make_schedule(scoped, cluster.servers), net,
                   svc.services());
   sim.run_until(ft.fault_at + 1);

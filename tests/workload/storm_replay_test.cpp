@@ -49,7 +49,7 @@ TrialReport replay(const simnet::FaultSchedule& storm, double rate,
                    int sim_threads = 1) {
   TrialConfig tc = replay_config();
   tc.sim_threads = sim_threads;
-  const ChaosIntensity replay_point{"replay", 0, 0, 0, 0, 0};
+  const ChaosIntensity replay_point{"replay", {}};
   Trial t(tc, rate, chaos_trial_seed(tc, replay_point, rate));
   t.faults = storm;
   t.timing = long_downtime_timing();
