@@ -16,6 +16,11 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   x ^= x >> 31;
   return x;
 }
+
+bool has_vnode(const std::vector<proto::Proposal>& acc, VnodeId v) {
+  return std::ranges::any_of(
+      acc, [v](const proto::Proposal& p) { return p.vnode == v; });
+}
 }  // namespace
 
 CanopusNode::CanopusNode(std::shared_ptr<const lot::Lot> lot, Config cfg)
@@ -32,8 +37,8 @@ void CanopusNode::make_broadcast() {
   const int sl = lot_->super_leaf_of(node_id());
   if (cfg_.broadcast == BroadcastKind::kRaft) {
     rbcast::ReliableBroadcast::Callbacks cb;
-    cb.send = [this](NodeId dst, const raft::WireMsg& m) {
-      send(dst, m.wire_bytes(), m);
+    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
+      send(dst, bytes, std::move(p));
     };
     cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
       handle_rb_deliver(origin, payload);
@@ -263,13 +268,29 @@ void CanopusNode::answer_read(const kv::Request& r) {
 // Cycle lifecycle (§4.2, §4.4, §7.1)
 // --------------------------------------------------------------------------
 
+void CanopusNode::CycleState::reset() {
+  // Every field starts from its default, except that the vectors keep
+  // their capacity.
+  CycleState fresh;
+  fresh.acc = std::move(acc);
+  fresh.state = std::move(state);
+  fresh.reads = std::move(reads);
+  for (auto& round_acc : fresh.acc) round_acc.clear();
+  for (auto& s : fresh.state) s.reset();
+  fresh.reads.clear();
+  *this = std::move(fresh);
+}
+
 CanopusNode::CycleState& CanopusNode::cycle(CycleId c) {
-  CycleState& cs = cycles_[c];
-  if (cs.acc.empty()) {
-    const auto h = static_cast<std::size_t>(lot_->height());
-    cs.acc.resize(h + 1);
-    cs.state.resize(h + 1);
+  if (auto it = cycles_.find(c); it != cycles_.end()) return it->second;
+  if (!spare_cycle_.empty()) {
+    spare_cycle_.key() = c;
+    return cycles_.insert(std::move(spare_cycle_)).position->second;
   }
+  CycleState& cs = cycles_[c];
+  const auto h = static_cast<std::size_t>(lot_->height());
+  cs.acc.resize(h + 1);
+  cs.state.resize(h + 1);
   return cs;
 }
 
@@ -326,11 +347,13 @@ void CanopusNode::start_cycle(CycleId c) {
   // next cycle drains a larger backlog, producing larger proposals, which
   // slow the cycle further. With it, overload degrades gracefully into
   // client-visible queueing delay.
+  // The batch is an exact-size copy; pending_writes_ and pending_reads_
+  // keep their capacity for the next cycle.
   std::vector<kv::Request> batch;
   if (pending_writes_.size() <= cfg_.max_batch) {
-    batch = std::move(pending_writes_);
+    batch.assign(pending_writes_.begin(), pending_writes_.end());
     pending_writes_.clear();
-    cs.reads = std::move(pending_reads_);
+    cs.reads.swap(pending_reads_);
     pending_reads_.clear();
   } else {
     batch.assign(pending_writes_.begin(),
@@ -425,7 +448,8 @@ void CanopusNode::handle_rb_deliver(NodeId /*origin*/,
 void CanopusNode::add_proposal(CycleId c, const proto::Proposal& p) {
   CycleState& cs = cycle(c);
   auto& round_acc = cs.acc[p.round];
-  if (!round_acc.emplace(p.vnode, p).second) return;  // duplicate
+  if (has_vnode(round_acc, p.vnode)) return;  // duplicate
+  round_acc.push_back(p);
 
   // A satisfied fetch no longer needs its retry timer.
   if (auto it = cs.fetches.find(p.vnode); it != cs.fetches.end()) {
@@ -455,11 +479,11 @@ void CanopusNode::try_complete_round(CycleId c, RoundId r) {
     // consistent across survivors.
     for (NodeId m : sl_live_) {
       if (active_from(m) > c) continue;
-      if (!got.contains(lot_->leaf_of(m))) return;
+      if (!has_vnode(got, lot_->leaf_of(m))) return;
     }
   } else {
     for (VnodeId child : lot_->children(lot_->ancestor(node_id(), r))) {
-      if (!got.contains(child)) return;
+      if (!has_vnode(got, child)) return;
     }
   }
   complete_round(c, r);
@@ -470,10 +494,11 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
   const auto h = static_cast<RoundId>(lot_->height());
 
   // Sort this round's inputs by (proposal number, tiebreak) — the paper's
-  // randomized total order with deterministic tie-breaks.
-  std::vector<const proto::Proposal*> inputs;
-  inputs.reserve(cs.acc[r].size());
-  for (const auto& [v, p] : cs.acc[r]) inputs.push_back(&p);
+  // randomized total order with deterministic tie-breaks. round_inputs_ is
+  // reused by the recursive add_proposal below: it is not read after it.
+  auto& inputs = round_inputs_;
+  inputs.clear();
+  for (const proto::Proposal& p : cs.acc[r]) inputs.push_back(&p);
   std::sort(inputs.begin(), inputs.end(),
             [](const proto::Proposal* a, const proto::Proposal* b) {
               return *a < *b;
@@ -544,13 +569,9 @@ void CanopusNode::answer_parked(CycleId c, RoundId r) {
 // Representatives and fetching (§4.5, §4.6)
 // --------------------------------------------------------------------------
 
-std::vector<NodeId> CanopusNode::current_reps() const {
+std::span<const NodeId> CanopusNode::current_reps() const {
   const auto k = static_cast<std::size_t>(cfg_.representatives);
-  std::vector<NodeId> reps(sl_live_.begin(),
-                           sl_live_.begin() +
-                               static_cast<std::ptrdiff_t>(
-                                   std::min(k, sl_live_.size())));
-  return reps;
+  return {sl_live_.data(), std::min(k, sl_live_.size())};
 }
 
 int CanopusNode::rep_index() const {
@@ -567,12 +588,11 @@ void CanopusNode::begin_fetches(CycleId c, RoundId r) {
   const int idx = rep_index();
   if (idx < 0) return;
 
-  const auto reps = current_reps();
-  const int k = static_cast<int>(reps.size());
+  const int k = static_cast<int>(current_reps().size());
   const int redundancy = std::min(cfg_.redundant_fetch, k);
 
   for (VnodeId v : lot_->children(lot_->ancestor(node_id(), r))) {
-    if (cs.acc[r].contains(v)) continue;       // already have it
+    if (has_vnode(cs.acc[r], v)) continue;     // already have it
     if (cs.fetches.contains(v)) continue;      // already fetching
     // Modulo assignment with redundancy (§4.5): vnode v is fetched by
     // representatives (v + j) % k for j in [0, redundancy).
@@ -671,7 +691,7 @@ void CanopusNode::handle_fetched_proposal(const proto::Proposal& p) {
   // super-leaf via reliable broadcast (§4.2). Duplicate fetches by
   // redundant representatives dedupe at add_proposal time.
   CycleState& cs = cycle(p.cycle);
-  if (cs.acc[p.round].contains(p.vnode)) return;
+  if (has_vnode(cs.acc[p.round], p.vnode)) return;
   if (auto it = cs.fetches.find(p.vnode); it != cs.fetches.end()) {
     if (it->second.timer != simnet::kInvalidEvent)
       sim().cancel(it->second.timer);
@@ -853,7 +873,8 @@ void CanopusNode::prune_history() {
     // wedged entry would pin every later cycle in memory for the rest of
     // the run.
     drop_fetch_timers(it->second);
-    cycles_.erase(it);
+    spare_cycle_ = cycles_.extract(it);
+    spare_cycle_.mapped().reset();
   }
 }
 

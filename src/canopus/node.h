@@ -100,8 +100,9 @@ class CanopusNode : public kv::ReplicaNode {
     bool complete = false;
     bool committed = false;
     RoundId rounds_done = 0;
-    /// acc[r]: child-vnode states consumed by round r (keyed by vnode).
-    std::vector<std::map<VnodeId, proto::Proposal>> acc;
+    /// acc[r]: child-vnode states consumed by round r, at most one per
+    /// vnode, in arrival order (complete_round sorts them).
+    std::vector<std::vector<proto::Proposal>> acc;
     /// state[r]: merged state of the height-r ancestor; state[0] is the
     /// node's own round-1 (leaf) proposal.
     std::vector<std::optional<proto::Proposal>> state;
@@ -115,6 +116,11 @@ class CanopusNode : public kv::ReplicaNode {
     std::map<VnodeId, FetchState> fetches;
     /// Remote proposal-requests we could not answer yet (§4.7 event 3).
     std::map<VnodeId, std::vector<NodeId>> parked_requests;
+
+    /// Returns every field to its default, keeping the vectors' capacity,
+    /// so that a pruned cycle's state can serve a later cycle (see
+    /// cycle()).
+    void reset();
   };
 
   // --- message handlers ---------------------------------------------------
@@ -158,7 +164,8 @@ class CanopusNode : public kv::ReplicaNode {
   void answer_read(const kv::Request& r);
   bool lease_active(std::uint64_t key) const;
 
-  std::vector<NodeId> current_reps() const;
+  /// The representatives: a prefix of sl_live_.
+  std::span<const NodeId> current_reps() const;
   int rep_index() const;  ///< position among reps, or -1
 
   std::shared_ptr<const lot::Lot> lot_;
@@ -176,6 +183,10 @@ class CanopusNode : public kv::ReplicaNode {
   std::vector<proto::MembershipUpdate> pending_membership_;
 
   std::map<CycleId, CycleState> cycles_;
+  /// The last pruned cycle's map node, reset, reused by the next new cycle.
+  std::map<CycleId, CycleState>::node_type spare_cycle_;
+  /// complete_round's sorted inputs (pointers into acc), reused per round.
+  std::vector<const proto::Proposal*> round_inputs_;
   CycleId last_started_ = 0;
   CycleId last_committed_ = 0;
   /// Outside prompting seen for a not-yet-started cycle (§4.4).

@@ -103,9 +103,11 @@ void EPaxosNode::flush_batch() {
     active_interfering_.push_back(id);
   }
 
-  PreAccept pa{id, inst.batch, inst.deps};
+  // One payload for the whole fan-out.
+  const PreAccept pa{id, inst.batch, inst.deps};
+  const simnet::Payload msg(pa);
   for (NodeId peer : replicas_) {
-    if (peer != node_id()) send(peer, pa.wire_bytes(), pa);
+    if (peer != node_id()) send(peer, pa.wire_bytes(), msg);
   }
   if (replicas_.size() == 1) {
     inst.committed = true;
@@ -148,9 +150,10 @@ void EPaxosNode::handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok) {
   if (inst.ok_from.size() + 1 >= fast_quorum()) {
     inst.committed = true;
     register_commit(ok.id);
-    Commit c{ok.id, inst.deps};
+    const Commit c{ok.id, inst.deps};
+    const simnet::Payload msg(c);
     for (NodeId peer : replicas_) {
-      if (peer != node_id()) send(peer, c.wire_bytes(), c);
+      if (peer != node_id()) send(peer, c.wire_bytes(), msg);
     }
     try_execute(ok.id);
   }
@@ -382,10 +385,11 @@ void EPaxosNode::arm_repair_timer() {
       if (it == instances_.end() || it->second.committed) continue;
       work_left = true;
       if (proposed_at > stale) continue;
-      PreAccept pa{id, it->second.batch, it->second.deps};
+      const PreAccept pa{id, it->second.batch, it->second.deps};
+      const simnet::Payload msg(pa);
       for (NodeId peer : replicas_) {
         if (peer != node_id() && !it->second.ok_from.contains(peer))
-          send(peer, pa.wire_bytes(), pa);
+          send(peer, pa.wire_bytes(), msg);
       }
     }
     if (work_left) arm_repair_timer();

@@ -80,19 +80,24 @@ class ReplicaNode : public simnet::Process {
     flush_replies();
   }
 
-  /// Sends the buffered completions, one ReplyBatch per client.
+  /// Sends the buffered completions, one ReplyBatch per client, each an
+  /// exact-size copy so the buffer keeps its capacity.
   void flush_replies() {
-    for (auto& [client, batch] : reply_buffer_) {
-      // Size before move: argument evaluation order is unspecified, so
-      // wire_bytes() inline could read the moved-from (emptied) batch.
-      const std::size_t bytes = batch.wire_bytes();
-      send(client, bytes, std::move(batch));
-    }
-    reply_buffer_.clear();
+    for (const auto& [client, batch] : reply_buffer_)
+      send(client, batch.wire_bytes(), ReplyBatch(batch));
+    drop_replies();
   }
 
-  /// Crash: unsent replies are volatile and die with the process.
-  void drop_replies() { reply_buffer_.clear(); }
+  /// Empties the buffer. Its map nodes, with their completion vectors,
+  /// are kept for the next clients to reply to. Crash: unsent replies are
+  /// volatile and die with the process.
+  void drop_replies() {
+    while (!reply_buffer_.empty()) {
+      auto node = reply_buffer_.extract(reply_buffer_.begin());
+      node.mapped().done.clear();
+      spare_replies_.push_back(std::move(node));
+    }
+  }
 
   /// The store image and the commit-digest state, so that the receiver's
   /// digest chain continues this node's exactly.
@@ -119,8 +124,22 @@ class ReplicaNode : public simnet::Process {
   /// A request submitted locally (client kInvalidNode) has no one to
   /// answer.
   void reply(const Request& r, const Completion& c) {
-    if (r.id.client != kInvalidNode)
-      reply_buffer_[r.id.client].done.push_back(c);
+    const NodeId client = r.id.client;
+    if (client == kInvalidNode) return;
+    auto it = reply_buffer_.find(client);
+    if (it == reply_buffer_.end()) {
+      if (spare_replies_.empty()) {
+        it = reply_buffer_.try_emplace(client).first;
+      } else {
+        // Reinserting a node lays the map out exactly as a fresh insert
+        // would, so flush_replies keeps its send order.
+        auto node = std::move(spare_replies_.back());
+        spare_replies_.pop_back();
+        node.key() = client;
+        it = reply_buffer_.insert(std::move(node)).position;
+      }
+    }
+    it->second.done.push_back(c);
   }
 
   Store store_;
@@ -128,8 +147,12 @@ class ReplicaNode : public simnet::Process {
   std::uint64_t served_reads_ = 0;
   std::uint64_t snapshots_installed_ = 0;
   /// Completions accumulated during one handler, flushed as one ReplyBatch
-  /// per client.
+  /// per client. The flush order, this map's iteration order, is
+  /// observable: it orders the reply messages on the wire.
   std::unordered_map<NodeId, ReplyBatch> reply_buffer_;
+  /// Emptied nodes of reply_buffer_, reused by reply().
+  std::vector<std::unordered_map<NodeId, ReplyBatch>::node_type>
+      spare_replies_;
 };
 
 }  // namespace canopus::kv

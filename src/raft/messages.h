@@ -30,6 +30,9 @@ enum class MsgType {
   kDissolvedTailRequest,
 };
 
+/// Every field goes on the wire. RaftNode::send_wire compares them all to
+/// tell whether a message repeats the last one sent (raft.cpp's
+/// same_header): a new field must be compared there too.
 struct WireMsg {
   GroupId group = 0;
   MsgType type = MsgType::kAppendEntries;

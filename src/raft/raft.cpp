@@ -5,6 +5,29 @@
 
 namespace canopus::raft {
 
+namespace {
+/// Every wire field of a WireMsg except its entries: send_wire's memo key.
+bool same_header(const WireMsg& a, const WireMsg& b) {
+  return a.group == b.group && a.type == b.type && a.term == b.term &&
+         a.last_log_index == b.last_log_index &&
+         a.last_log_term == b.last_log_term &&
+         a.vote_granted == b.vote_granted &&
+         a.prev_log_index == b.prev_log_index &&
+         a.prev_log_term == b.prev_log_term &&
+         a.leader_commit == b.leader_commit && a.success == b.success &&
+         a.match_index == b.match_index &&
+         a.snapshot.tag() == b.snapshot.tag() &&
+         a.snapshot.raw() == b.snapshot.raw() &&
+         a.snapshot_bytes == b.snapshot_bytes;
+}
+
+bool same_entry(const LogEntry& a, const LogEntry& b) {
+  return a.term == b.term && a.payload.tag() == b.payload.tag() &&
+         a.payload.raw() == b.payload.raw() && a.bytes == b.bytes &&
+         a.is_noop == b.is_noop && a.leader == b.leader;
+}
+}  // namespace
+
 RaftNode::RaftNode(GroupId group, NodeId self, std::vector<NodeId> members,
                    simnet::ClockHandle sim, Callbacks cb, Options opt)
     : group_(group),
@@ -99,7 +122,7 @@ void RaftNode::become_candidate() {
   m.last_log_index = log_.last_index();
   m.last_log_term = log_.last_term();
   for (NodeId peer : members_) {
-    if (peer != self_) cb_.send(peer, m);
+    if (peer != self_) send_wire(peer, m);
   }
 }
 
@@ -161,10 +184,8 @@ void RaftNode::send_append(NodeId peer) {
   m.prev_log_index = next_index_[pos] - 1;
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  for (LogIndex i = next_index_[pos]; i <= log_.last_index(); ++i)
-    m.entries.push_back(log_.at(i));
   sent_up_to_[pos] = log_.last_index();
-  cb_.send(peer, m);
+  send_wire(peer, std::move(m), next_index_[pos], log_.last_index());
 }
 
 void RaftNode::send_new_entries(NodeId peer) {
@@ -184,10 +205,8 @@ void RaftNode::send_new_entries(NodeId peer) {
   m.prev_log_index = start - 1;
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  for (LogIndex i = start; i <= log_.last_index(); ++i)
-    m.entries.push_back(log_.at(i));
   sent_up_to_[pos] = log_.last_index();
-  cb_.send(peer, m);
+  send_wire(peer, std::move(m), start, log_.last_index());
 }
 
 void RaftNode::notify_commit(NodeId peer) {
@@ -213,7 +232,7 @@ void RaftNode::notify_commit(NodeId peer) {
   m.prev_log_index = std::max(m.prev_log_index, log_.base_index());
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  cb_.send(peer, m);
+  send_wire(peer, std::move(m));
 }
 
 std::optional<LogIndex> RaftNode::propose(simnet::Payload payload,
@@ -274,7 +293,7 @@ void RaftNode::handle_request_vote(NodeId src, const WireMsg& m) {
     reply.vote_granted = true;
     reset_election_timer();
   }
-  cb_.send(src, reply);
+  send_wire(src, std::move(reply));
 }
 
 void RaftNode::handle_vote_reply(NodeId src, const WireMsg& m) {
@@ -291,7 +310,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
   reply.success = false;
 
   if (m.term < term_) {
-    cb_.send(src, reply);
+    send_wire(src, std::move(reply));
     return;
   }
   // Valid leader for this term.
@@ -315,7 +334,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
     // difference between O(1) and O(log-length) round trips when a fresh
     // member (empty log) joins a long-lived group.
     reply.match_index = log_.last_index();
-    cb_.send(src, reply);
+    send_wire(src, std::move(reply));
     return;
   }
 
@@ -347,7 +366,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
 
   reply.success = true;
   reply.match_index = m.prev_log_index + m.entries.size();
-  cb_.send(src, reply);
+  send_wire(src, std::move(reply));
 }
 
 void RaftNode::handle_append_reply(NodeId src, const WireMsg& m) {
@@ -388,7 +407,7 @@ void RaftNode::send_install_snapshot(NodeId peer) {
   m.snapshot_bytes = snap_bytes_;
   next_index_[pos] = snap_index_ + 1;
   sent_up_to_[pos] = snap_index_;
-  cb_.send(peer, m);
+  send_wire(peer, std::move(m));
 }
 
 void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
@@ -399,7 +418,7 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
   reply.success = false;
 
   if (m.term < term_) {
-    cb_.send(src, reply);
+    send_wire(src, std::move(reply));
     return;
   }
   if (role_ != Role::kFollower) become_follower(m.term);
@@ -415,7 +434,7 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
     // Duplicate/stale install: we already hold (and applied) this prefix.
     reply.success = true;
     reply.match_index = commit_;
-    cb_.send(src, reply);
+    send_wire(src, std::move(reply));
     return;
   }
   // Adopt the snapshot: it covers everything up to s, including any
@@ -432,7 +451,24 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
 
   reply.success = true;
   reply.match_index = s;
-  cb_.send(src, reply);
+  send_wire(src, std::move(reply));
+}
+
+void RaftNode::send_wire(NodeId dst, WireMsg m, LogIndex first,
+                         LogIndex last) {
+  const std::size_t count = last >= first ? last - first + 1 : 0;
+  const WireMsg* prev = last_sent_.as<WireMsg>();
+  bool same = prev != nullptr && same_header(*prev, m) &&
+              prev->entries.size() == count;
+  for (std::size_t k = 0; same && k < count; ++k)
+    same = same_entry(prev->entries[k], log_.at(first + k));
+  if (!same) {
+    m.entries.reserve(count);
+    for (LogIndex i = first; i <= last; ++i) m.entries.push_back(log_.at(i));
+    last_sent_bytes_ = m.wire_bytes();
+    last_sent_ = simnet::Payload(std::move(m));
+  }
+  cb_.send(dst, last_sent_, last_sent_bytes_);
 }
 
 void RaftNode::maybe_compact() {

@@ -57,9 +57,11 @@ struct Options {
 class RaftNode {
  public:
   struct Callbacks {
-    /// Transport: deliver `msg` to peer `dst` (the owner computes wire bytes
-    /// via msg.wire_bytes() and sends it through its network).
-    std::function<void(NodeId dst, const WireMsg& msg)> send;
+    /// Transport: deliver `payload`, a WireMsg of `bytes` wire bytes, to
+    /// peer `dst`. Consecutive identical messages arrive as one payload
+    /// sent again, so a fan-out shares one allocation.
+    std::function<void(NodeId dst, simnet::Payload payload, std::size_t bytes)>
+        send;
     /// Applied exactly once per committed entry, in log order, on every
     /// live member.
     std::function<void(LogIndex, const LogEntry&)> on_commit;
@@ -179,6 +181,10 @@ class RaftNode {
   void handle_install_snapshot(NodeId src, const WireMsg& m);
   void send_install_snapshot(NodeId peer);
   void maybe_compact();
+  /// Sends `m` carrying the log entries [first, last] (none when
+  /// first > last). Reuses the last payload sent when `m` would equal it
+  /// on every wire field.
+  void send_wire(NodeId dst, WireMsg m, LogIndex first = 1, LogIndex last = 0);
 
   GroupId group_;
   NodeId self_;
@@ -225,6 +231,10 @@ class RaftNode {
   std::vector<LogIndex> sent_up_to_;   // indexed by member position
   std::vector<Time> last_progress_;    // last match-index advance per peer
   std::vector<Time> last_repair_;      // last full retransmit per peer
+
+  /// The last message sent and its wire bytes (see send_wire).
+  simnet::Payload last_sent_;
+  std::size_t last_sent_bytes_ = 0;
 
   simnet::EventId election_timer_ = simnet::kInvalidEvent;
   simnet::EventId heartbeat_timer_ = simnet::kInvalidEvent;

@@ -11,8 +11,8 @@ RaftKvNode::RaftKvNode(std::vector<NodeId> members, KvConfig cfg)
 
 void RaftKvNode::on_start() {
   RaftNode::Callbacks cb;
-  cb.send = [this](NodeId dst, const WireMsg& m) {
-    send(dst, m.wire_bytes(), m);
+  cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
+    send(dst, bytes, std::move(p));
   };
   cb.on_commit = [this](LogIndex idx, const LogEntry& e) {
     if (const auto* b = e.payload.as<KvBatch>(); b != nullptr && b->reqs)

@@ -23,7 +23,7 @@ bool ReliableBroadcast::is_member(NodeId n) const {
 
 void ReliableBroadcast::make_group(NodeId origin) {
   raft::RaftNode::Callbacks cb;
-  cb.send = [this](NodeId dst, const raft::WireMsg& m) { cb_.send(dst, m); };
+  cb.send = cb_.send;
   cb.on_commit = [this, origin](raft::LogIndex, const raft::LogEntry& e) {
     cb_.deliver(origin, e.payload);
   };
@@ -89,7 +89,8 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
       request.group = m.group;
       request.type = raft::MsgType::kDissolvedTailRequest;
       request.prev_log_index = it->second->commit_index();
-      cb_.send(src, request);
+      const std::size_t bytes = request.wire_bytes();
+      cb_.send(src, std::move(request), bytes);
     }
     return;
   }
@@ -101,7 +102,10 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
     // electioneering.
     if (auto r = retired_.find(m.group); r != retired_.end()) {
       raft::WireMsg notice;
-      if (r->second->dissolution_notice(m, notice)) cb_.send(src, notice);
+      if (r->second->dissolution_notice(m, notice)) {
+        const std::size_t bytes = notice.wire_bytes();
+        cb_.send(src, std::move(notice), bytes);
+      }
     }
     return;
   }

@@ -34,8 +34,10 @@ namespace canopus::rbcast {
 class ReliableBroadcast final : public Broadcast {
  public:
   struct Callbacks {
-    /// Transport to a super-leaf peer.
-    std::function<void(NodeId dst, const raft::WireMsg&)> send;
+    /// Transport to a super-leaf peer: `payload` is a raft::WireMsg of
+    /// `bytes` wire bytes (see raft::RaftNode::Callbacks::send).
+    std::function<void(NodeId dst, simnet::Payload payload, std::size_t bytes)>
+        send;
     /// Delivery upcall: `origin` is the broadcasting node. Same-origin
     /// payloads are delivered in broadcast (log) order.
     std::function<void(NodeId origin, const simnet::Payload& payload)> deliver;

@@ -86,7 +86,14 @@ class OpenLoopClient : public simnet::Process {
     if (n > 0) {
       // One batch per target server; requests round-robin across servers
       // with a rotating offset so each server sees the full key/op mix.
-      std::vector<kv::ClientBatch> batches(cfg_.servers.size());
+      // Request i goes to server (rotate_ + i) % S, so each batch's size is
+      // known up front and reserved exactly.
+      const std::size_t S = cfg_.servers.size();
+      if (batches_.empty()) batches_.resize(S);
+      for (std::size_t s = 0; s < S; ++s) {
+        const std::size_t k = (s + S - rotate_) % S;
+        batches_[s].reqs.reserve(n / S + (k < n % S ? 1 : 0));
+      }
       for (std::uint64_t i = 0; i < n; ++i) {
         kv::Request r;
         r.id = {node_id(), seq_++};
@@ -101,24 +108,26 @@ class OpenLoopClient : public simnet::Process {
                                       static_cast<double>(kArrivalTick) *
                                       (static_cast<double>(i) + 0.5) /
                                       static_cast<double>(n));
-        batches[(rotate_ + i) % batches.size()].reqs.push_back(r);
+        batches_[(rotate_ + i) % S].reqs.push_back(r);
       }
-      rotate_ = (rotate_ + n) % batches.size();
-      for (std::size_t s = 0; s < batches.size(); ++s) {
-        if (batches[s].reqs.empty()) continue;
+      rotate_ = (rotate_ + n) % S;
+      for (std::size_t s = 0; s < S; ++s) {
+        if (batches_[s].reqs.empty()) continue;
         if (!net().is_up(cfg_.servers[s])) {
           // The target is crashed: the network would silently drop the
           // batch. Count every request as failed instead of black-holing
           // it, so fault benches can tell "the system was slow" apart from
           // "the client's server was dead".
-          failed_ += batches[s].reqs.size();
-          for (const kv::Request& r : batches[s].reqs) rec_->fail(r.arrival);
+          failed_ += batches_[s].reqs.size();
+          for (const kv::Request& r : batches_[s].reqs) rec_->fail(r.arrival);
+          batches_[s].reqs.clear();
           continue;
         }
-        sent_ += batches[s].reqs.size();
+        sent_ += batches_[s].reqs.size();
         // Size before move: argument evaluation order is unspecified.
-        const std::size_t bytes = batches[s].wire_bytes();
-        send(cfg_.servers[s], bytes, std::move(batches[s]));
+        const std::size_t bytes = batches_[s].wire_bytes();
+        send(cfg_.servers[s], bytes, std::move(batches_[s]));
+        batches_[s].reqs.clear();  // moved-from: valid, now surely empty
       }
     }
     after(kArrivalTick, [this] { tick(); });
@@ -127,6 +136,9 @@ class OpenLoopClient : public simnet::Process {
   ClientConfig cfg_;
   std::shared_ptr<LatencyRecorder> rec_;
   std::shared_ptr<const ZipfTable> zipf_;  ///< null for the uniform draw
+  /// tick()'s per-server batches, kept across ticks (sized at the first
+  /// tick with arrivals, not at construction).
+  std::vector<kv::ClientBatch> batches_;
   Rng rng_;
   std::uint64_t seq_ = 0;
   std::uint64_t sent_ = 0;

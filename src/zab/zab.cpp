@@ -118,11 +118,13 @@ void ZabNode::flush_batch() {
       std::move(pending_));
   pending_.clear();
 
-  Propose p{z, fl.batch};
+  // One payload for the whole fan-out.
+  const Propose p{z, fl.batch};
+  const simnet::Payload msg(p);
   for (int i = 1; i <= cfg_.followers &&
                   i < static_cast<int>(members_.size());
        ++i) {
-    send(members_[static_cast<std::size_t>(i)], p.wire_bytes(), p);
+    send(members_[static_cast<std::size_t>(i)], p.wire_bytes(), msg);
   }
   arm_retransmit_timer();
   if (quorum() <= 1) {  // degenerate single-node ensemble
@@ -142,12 +144,13 @@ void ZabNode::arm_retransmit_timer() {
     // A proposal still unacked after a full retry interval was lost to a
     // crash or partition: resend it to every follower that has not acked.
     for (const auto& [zxid, fl] : in_flight_) {
-      Propose p{zxid, fl.batch};
+      const Propose p{zxid, fl.batch};
+      const simnet::Payload msg(p);
       for (int i = 1; i <= cfg_.followers &&
                       i < static_cast<int>(members_.size());
            ++i) {
         const NodeId peer = members_[static_cast<std::size_t>(i)];
-        if (!fl.acked.contains(peer)) send(peer, p.wire_bytes(), p);
+        if (!fl.acked.contains(peer)) send(peer, p.wire_bytes(), msg);
       }
     }
     arm_retransmit_timer();
@@ -173,13 +176,17 @@ void ZabNode::handle_ack(NodeId src, const Ack& a) {
   fl.committed = true;
 
   // Commit to followers (they hold the batch); Inform observers with data.
-  CommitMsg c{a.zxid};
-  Inform inf{a.zxid, fl.batch};
-  for (std::size_t i = 1; i < members_.size(); ++i) {
-    if (i <= static_cast<std::size_t>(cfg_.followers))
-      send(members_[i], CommitMsg::kWire, c);
-    else
-      send(members_[i], inf.wire_bytes(), inf);
+  // One payload per fan-out. members_[1..followers] are the followers.
+  const std::size_t observers_from =
+      static_cast<std::size_t>(cfg_.followers) + 1;
+  const simnet::Payload commit_msg(CommitMsg{a.zxid});
+  for (std::size_t i = 1; i < observers_from; ++i)
+    send(members_[i], CommitMsg::kWire, commit_msg);
+  if (observers_from < members_.size()) {
+    const Inform inf{a.zxid, fl.batch};
+    const simnet::Payload inform_msg(inf);
+    for (std::size_t i = observers_from; i < members_.size(); ++i)
+      send(members_[i], inf.wire_bytes(), inform_msg);
   }
   // Quorums can complete out of zxid order under retransmission; the
   // leader applies through the same strictly-ordered path as everyone

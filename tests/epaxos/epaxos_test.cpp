@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "simnet/topology.h"
 
@@ -302,6 +304,29 @@ TEST_F(EPaxosTest, InterferingInstancesExecuteInDependencyOrder) {
   sim_->run_until(2 * kSecond);
   // Same leader, sequential dependencies: final value is the last write.
   for (auto& n : nodes_) EXPECT_EQ(n->store().read(1), 3u);
+}
+
+// A fan-out puts one payload on the wire (DESIGN.md §5.2): an instance's
+// PreAccepts, and then its Commits, are one shared value each.
+TEST_F(EPaxosTest, FanOutSharesOnePayload) {
+  build(5);
+  std::vector<simnet::Payload> pre_accepts, commits;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    if (m.as<PreAccept>() != nullptr) pre_accepts.push_back(m.payload());
+    if (m.as<Commit>() != nullptr) commits.push_back(m.payload());
+  });
+  write_at(kMillisecond, 0, 7, 77);
+  sim_->run_until(kSecond);
+  auto distinct = [](const std::vector<simnet::Payload>& v) {
+    std::set<const void*> ids;
+    for (const simnet::Payload& p : v) ids.insert(p.raw());
+    return ids.size();
+  };
+  EXPECT_EQ(pre_accepts.size(), 4u);
+  EXPECT_EQ(distinct(pre_accepts), 1u);
+  EXPECT_EQ(commits.size(), 4u);
+  EXPECT_EQ(distinct(commits), 1u);
+  for (auto& n : nodes_) EXPECT_EQ(n->store().read(7), 77u);
 }
 
 }  // namespace

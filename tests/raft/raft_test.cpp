@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "../testutil/harness.h"
@@ -282,6 +284,50 @@ TEST_F(RaftTest, HeartbeatsMaintainLeaderContact) {
   EXPECT_LE(node(1).time_since_leader_contact(), 3 * opt.heartbeat_interval);
   EXPECT_EQ(leader_count(), 1);
   EXPECT_EQ(node(0).term(), 1u);  // no disruptive elections
+}
+
+// A fan-out puts one payload on the wire (DESIGN.md §5.2): the leader sends
+// its AppendEntries to every follower at the same next index, and then its
+// commit notices, as one shared value each. A follower's reply to the
+// commit notice repeats its reply to the entries, so it is sent again as
+// the same payload.
+TEST_F(RaftTest, FanOutSharesOnePayload) {
+  build(5);
+  start_all(cluster_.servers[0]);
+  sim_->run_until(50 * kMillisecond);  // heartbeats at 45 and 60 ms
+  std::vector<simnet::Payload> appends, notices;
+  std::map<NodeId, std::vector<simnet::Payload>> replies;
+  LogIndex idx = 0;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    const WireMsg* w = m.as<WireMsg>();
+    if (w == nullptr) return;
+    if (w->type == MsgType::kAppendReply) {
+      replies[m.src()].push_back(m.payload());
+    } else if (w->type != MsgType::kAppendEntries) {
+      return;
+    } else if (!w->entries.empty()) {
+      appends.push_back(m.payload());
+    } else if (idx > 0 && w->leader_commit == idx) {
+      notices.push_back(m.payload());
+    }
+  });
+  idx = node(0).propose(std::string("fan-out"), 7).value();
+  sim_->run_until(55 * kMillisecond);
+  auto distinct = [](const std::vector<simnet::Payload>& v) {
+    std::set<const void*> ids;
+    for (const simnet::Payload& p : v) ids.insert(p.raw());
+    return ids.size();
+  };
+  EXPECT_EQ(appends.size(), 4u);
+  EXPECT_EQ(distinct(appends), 1u);
+  EXPECT_EQ(notices.size(), 4u);
+  EXPECT_EQ(distinct(notices), 1u);
+  EXPECT_EQ(replies.size(), 4u);
+  for (const auto& [follower, sent] : replies) {
+    EXPECT_EQ(sent.size(), 2u) << follower;
+    EXPECT_EQ(distinct(sent), 1u) << follower;
+  }
+  for (auto& h : hosts_) EXPECT_EQ(h->commits.size(), 1u);
 }
 
 }  // namespace

@@ -41,8 +41,8 @@ class RaftHost : public simnet::Process {
   raft::RaftNode& make_group(raft::GroupId group, std::vector<NodeId> members,
                              simnet::Simulator& sim, raft::Options opt = {}) {
     raft::RaftNode::Callbacks cb;
-    cb.send = [this](NodeId dst, const raft::WireMsg& m) {
-      send(dst, m.wire_bytes(), m);
+    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
+      send(dst, bytes, std::move(p));
     };
     cb.on_commit = [this, group](raft::LogIndex idx, const raft::LogEntry& e) {
       commits.push_back({group, idx, e});
@@ -90,8 +90,8 @@ class RbcastHost : public simnet::Process {
   void init(std::vector<NodeId> members, simnet::Simulator& sim,
             raft::Options opt = {}) {
     rbcast::ReliableBroadcast::Callbacks cb;
-    cb.send = [this](NodeId dst, const raft::WireMsg& m) {
-      send(dst, m.wire_bytes(), m);
+    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
+      send(dst, bytes, std::move(p));
     };
     cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
       delivered.push_back({origin, payload});

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "simnet/topology.h"
 
@@ -308,6 +310,33 @@ TEST_F(ZabTest, RecoveredLeaderResumesCommitPipeline) {
     EXPECT_EQ(n->store().read(2), 22u);
     EXPECT_TRUE(n->digest() == nodes_[0]->digest());
   }
+}
+
+// A fan-out puts one payload on the wire (DESIGN.md §5.2): the leader's
+// Propose to its followers, its CommitMsg to them and its Inform to the
+// observers are one shared value each.
+TEST_F(ZabTest, FanOutSharesOnePayload) {
+  build(9);  // leader, 5 followers, 3 observers
+  std::vector<simnet::Payload> proposes, commits, informs;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    if (m.as<Propose>() != nullptr) proposes.push_back(m.payload());
+    if (m.as<CommitMsg>() != nullptr) commits.push_back(m.payload());
+    if (m.as<Inform>() != nullptr) informs.push_back(m.payload());
+  });
+  write_at(kMillisecond, 0, 1, 11);
+  sim_->run_until(kSecond);
+  auto distinct = [](const std::vector<simnet::Payload>& v) {
+    std::set<const void*> ids;
+    for (const simnet::Payload& p : v) ids.insert(p.raw());
+    return ids.size();
+  };
+  EXPECT_EQ(proposes.size(), 5u);
+  EXPECT_EQ(distinct(proposes), 1u);
+  EXPECT_EQ(commits.size(), 5u);
+  EXPECT_EQ(distinct(commits), 1u);
+  EXPECT_EQ(informs.size(), 3u);
+  EXPECT_EQ(distinct(informs), 1u);
+  for (auto& n : nodes_) EXPECT_EQ(n->store().read(1), 11u);
 }
 
 }  // namespace
