@@ -47,9 +47,7 @@
 //                         storm. A green point writes its untouched storm
 //                         with "reproduced": false.
 #include <algorithm>
-#include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -65,19 +63,6 @@ double percentile(std::vector<double> v, double p) {
   std::sort(v.begin(), v.end());
   const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
   return v[idx];
-}
-
-std::string flag_value(int argc, char** argv, const char* prefix) {
-  const std::size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
-  return "";
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string_view(argv[i]) == flag) return true;
-  return false;
 }
 
 /// One row of the sweep: a grid point.
@@ -173,17 +158,24 @@ struct Grid {
   std::vector<std::uint64_t> classic_seeds, gray_seeds;
 };
 
-void write_storm_json(const std::string& path,
+/// Writes the canopus-storm-v1 artifact; false (after an error message)
+/// when the file could not be written in full.
+bool write_storm_json(const std::string& path,
                       const simnet::FaultSchedule& storm,
                       const StormJsonMeta& meta) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
+    return false;
   }
   storm_to_json(f, storm, meta);
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "error: failed writing %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 /// --minimize=synthetic: end-to-end minimizer self-test with a cheap
@@ -275,7 +267,7 @@ int minimize_synthetic(const std::string& json_path) {
   meta.original_events = first.original_events;
   meta.probes = first.probes;
   meta.duration_shrinks = first.duration_shrinks;
-  write_storm_json(json_path, first.minimal, meta);
+  if (!write_storm_json(json_path, first.minimal, meta)) return 1;
   return ok ? 0 : 2;
 }
 
@@ -323,8 +315,7 @@ int minimize_auditor(const Grid& grid, const std::vector<Row>& rows,
   meta.original_events = res.original_events;
   meta.probes = res.probes;
   meta.duration_shrinks = res.duration_shrinks;
-  write_storm_json(json_path, res.minimal, meta);
-  return 0;
+  return write_storm_json(json_path, res.minimal, meta) ? 0 : 1;
 }
 
 }  // namespace
@@ -332,17 +323,19 @@ int minimize_auditor(const Grid& grid, const std::vector<Row>& rows,
 int main(int argc, char** argv) {
   using namespace canopus;
   using namespace canopus::workload;
-  const std::string minimize = flag_value(argc, argv, "--minimize=");
-  std::string storm_path = flag_value(argc, argv, "--json=");
-  if (storm_path.empty()) storm_path = "BENCH_storm_min.json";
+  using bench::Harness;
+  const std::string minimize =
+      Harness::arg_value(argc, argv, "--minimize=", "");
+  const std::string storm_path =
+      Harness::arg_value(argc, argv, "--json=", "BENCH_storm_min.json");
   if (minimize == "synthetic") return minimize_synthetic(storm_path);
   if (!minimize.empty() && minimize != "auditor") {
     std::fprintf(stderr, "error: --minimize must be synthetic or auditor\n");
     return 1;
   }
 
-  const bool wan = has_flag(argc, argv, "--wan");
-  bench::Harness h(
+  const bool wan = Harness::has_flag(argc, argv, "--wan");
+  Harness h(
       argc, argv, wan ? "chaos_wan" : "chaos",
       wan ? "Chaos sweep on the Table 1 multi-DC topology, invariant-audited"
           : "Chaos sweep: seeded fault storms x intensity, invariant-audited",
@@ -351,9 +344,9 @@ int main(int argc, char** argv) {
   const Grid grid(h.quick(), wan, h.sim_threads());
   const double rate = grid.rate;
   const std::vector<Row> rows =
-      grid.rows(flag_value(argc, argv, "--only="),
-                flag_value(argc, argv, "--intensity="),
-                flag_value(argc, argv, "--seed="));
+      grid.rows(Harness::arg_value(argc, argv, "--only=", ""),
+                Harness::arg_value(argc, argv, "--intensity=", ""),
+                Harness::arg_value(argc, argv, "--seed=", ""));
   if (rows.empty()) {
     std::fprintf(stderr, "error: --only/--intensity/--seed matched nothing\n");
     return 1;

@@ -30,7 +30,6 @@
 // per-phase availability. A dead DC is a dead super-leaf, so Canopus must
 // stall, by design; quorum systems must fail over.
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -38,18 +37,14 @@
 int main(int argc, char** argv) {
   using namespace canopus;
   using namespace canopus::workload;
-  bool wan = false;
-  std::string only_scenario;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a(argv[i]);
-    if (a == "--wan") wan = true;
-    // Bisection filter: run one scenario across every system (same trial
-    // seeds as the full matrix — filtering changes WHICH trials run,
-    // never their bits). The ctest long_downtime smoke uses this.
-    if (a.rfind("--scenario=", 0) == 0)
-      only_scenario = std::string(a.substr(11));
-  }
-  bench::Harness h(
+  using bench::Harness;
+  const bool wan = Harness::has_flag(argc, argv, "--wan");
+  // Bisection filter: run one scenario across every system (same trial
+  // seeds as the full matrix — filtering changes WHICH trials run, never
+  // their bits). The ctest long_downtime smoke uses this.
+  const std::string only_scenario =
+      Harness::arg_value(argc, argv, "--scenario=", "");
+  Harness h(
       argc, argv, wan ? "failures_wan" : "failures",
       wan ? "Geo-failover: whole-datacenter outage on the Table 1 topology"
           : "Failure scenarios: availability + safety per system",

@@ -154,6 +154,23 @@ class Harness {
     scalars_.emplace_back(std::move(name), value);
   }
 
+  /// Whether `flag` appears verbatim among the arguments.
+  static bool has_flag(int argc, char** argv, const char* flag) {
+    for (int i = 1; i < argc; ++i)
+      if (std::strcmp(argv[i], flag) == 0) return true;
+    return false;
+  }
+
+  /// The text after `prefix` in the first argument starting with it, or
+  /// `fallback` when none does. Benches parse their own flags with this.
+  static std::string arg_value(int argc, char** argv, const char* prefix,
+                               std::string fallback) {
+    const std::size_t len = std::strlen(prefix);
+    for (int i = 1; i < argc; ++i)
+      if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
+    return fallback;
+  }
+
   /// Writes BENCH_<figure>.json and prints the wall clock; returns main()'s
   /// exit code (nonzero when the JSON could not be written).
   int finish() {
@@ -185,20 +202,6 @@ class Harness {
   }
 
  private:
-  static bool has_flag(int argc, char** argv, const char* flag) {
-    for (int i = 1; i < argc; ++i)
-      if (std::strcmp(argv[i], flag) == 0) return true;
-    return false;
-  }
-
-  static std::string arg_value(int argc, char** argv, const char* prefix,
-                               std::string fallback) {
-    const std::size_t len = std::strlen(prefix);
-    for (int i = 1; i < argc; ++i)
-      if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
-    return fallback;
-  }
-
   static unsigned parse_threads(int argc, char** argv) {
     const std::string v = arg_value(argc, argv, "--threads=", "");
     if (v.empty()) return 0;  // TrialPool default: hardware concurrency

@@ -9,7 +9,7 @@
 //    liveness queries. The simulated backend satisfies this with
 //    Simulator+Network (Process::sim()/net() dispatch inline, no virtual
 //    call on the hot path); runtime::ThreadedRuntime implements it with
-//    wall clocks, per-thread timer wheels and lock-free SPSC mailboxes.
+//    wall clocks, per-thread timer queues and lock-free SPSC mailboxes.
 //
 //  * runtime::Host — what a *driver* (deployments, fault scenarios,
 //    benches) needs from outside: attach processes, crash/recover nodes,
@@ -90,7 +90,7 @@ class Host {
   /// becomes round(delay / rate) + offset, clamped to >= 0. rate > 1 is a
   /// fast clock (timers fire early), rate < 1 a slow one; rate 1 with
   /// offset 0 clears the skew. The simulated backend transforms
-  /// Simulator::after, the threaded backend the wheel arming — the same
+  /// Simulator::after, the threaded backend its timer arming — the same
   /// protocol code drifts identically on both (DESIGN.md §13).
   virtual void set_clock_skew(NodeId n, double rate, Time offset) = 0;
 

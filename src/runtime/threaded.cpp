@@ -12,13 +12,12 @@ namespace {
 
 constexpr std::size_t kRingSlots = 256;   // per directed-pair mailbox (pow2)
 constexpr std::size_t kPostSlots = 1024;  // Host::post injection ring (pow2)
-constexpr std::size_t kTimerCells = 256;  // preallocated wheel cells per node
 constexpr int kSpinRounds = 64;           // empty polls before yielding
 constexpr int kYieldRounds = 256;         // yields before parking in a sleep
 constexpr Time kIdleSleep = 50'000;       // park time (ns) when fully idle
 
 /// Which node's execution context this thread is, if any. send/arm/cancel
-/// route through it: a message's source ring and a timer's wheel are both
+/// route through it: a message's source ring and a timer's queue are both
 /// "the calling node's", exactly as the simulator's exec context works.
 struct ExecCtx {
   ThreadedRuntime* rt = nullptr;
@@ -39,7 +38,7 @@ inline void cpu_relax() {
 /// Everything one node thread owns, padded to its own cache line so
 /// neighbouring nodes' counters never false-share.
 struct alignas(64) ThreadedRuntime::NodeCell {
-  NodeCell() : posts(kPostSlots), wheel(0, kTimerCells) {
+  NodeCell() : posts(kPostSlots) {
     overflow.reserve(4 * kRingSlots);
   }
 
@@ -49,7 +48,9 @@ struct alignas(64) ThreadedRuntime::NodeCell {
   /// attached senders only.
   std::vector<std::unique_ptr<simnet::SpscRing<simnet::Message>>> in;
   simnet::SpscRing<simnet::InlineFn> posts;  ///< driver injection lane
-  TimerWheel wheel;
+  /// This node's timers, owner-threaded: only the node thread arms,
+  /// cancels and fires them.
+  simnet::EventQueue timers;
   /// Inbound messages stashed while this node waits out a full outbound
   /// ring (breaks producer cycles; see header). FIFO via head cursor.
   std::vector<simnet::Message> overflow;
@@ -64,7 +65,7 @@ struct alignas(64) ThreadedRuntime::NodeCell {
   std::atomic<std::uint64_t> sent{0};
   std::atomic<std::uint64_t> delivered{0};
   std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint64_t> timers{0};
+  std::atomic<std::uint64_t> timers_fired{0};
   std::atomic<std::uint64_t> posts_run{0};
   std::atomic<std::uint64_t> stalls{0};
 };
@@ -178,19 +179,19 @@ simnet::EventId ThreadedRuntime::arm(Time delay, simnet::InlineFn fn) {
     delay = static_cast<Time>(std::llround(static_cast<double>(delay) / r));
   delay += me.skew_offset.load(std::memory_order_relaxed);
   if (delay < 0) delay = 0;
-  return me.wheel.arm(now() + delay, std::move(fn));
+  return me.timers.schedule(now() + delay, std::move(fn));
 }
 
 void ThreadedRuntime::cancel(simnet::EventId id) {
   if (id == simnet::kInvalidEvent) return;
   if (t_ctx.rt != this) {
     // Teardown: protocol destructors cancel leftover timers from the
-    // driver thread after stop() joined every node — the wheels are dead,
+    // driver thread after stop() joined every node — the queues are dead,
     // so there is nothing to cancel.
     assert(stopped_ && "cancel() outside a node execution context");
     return;
   }
-  cells_[t_ctx.node]->wheel.cancel(id);
+  cells_[t_ctx.node]->timers.cancel(id);
 }
 
 void ThreadedRuntime::send(simnet::Message m) {
@@ -290,8 +291,16 @@ void ThreadedRuntime::node_main(NodeId id) {
     work += run_posts(me);
     work += run_overflow(me);
     work += drain_inbound(me, /*to_overflow=*/false);
-    const std::size_t fired = me.wheel.advance(now());
-    me.timers.fetch_add(fired, std::memory_order_relaxed);
+    // Fire what is due as of one clock reading: a timer a closure arms
+    // with zero delay waits for the next pass, behind the mailboxes.
+    const Time t = now();
+    Time at = 0;  // fire_next's out-parameter; the node's clock is now()
+    std::size_t fired = 0;
+    while (!me.timers.empty() && me.timers.next_time() <= t) {
+      me.timers.fire_next(at);
+      ++fired;
+    }
+    me.timers_fired.fetch_add(fired, std::memory_order_relaxed);
     work += fired;
     if (work != 0) {
       idle = 0;
@@ -302,8 +311,8 @@ void ThreadedRuntime::node_main(NodeId id) {
     } else {
       // Park, but never past the next timer deadline.
       Time ns = kIdleSleep;
-      const Time next = me.wheel.next_deadline();
-      if (next >= 0) ns = std::clamp<Time>(next - now(), 0, ns);
+      if (!me.timers.empty())
+        ns = std::clamp<Time>(me.timers.next_time() - now(), 0, ns);
       if (ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
     }
   }
@@ -316,7 +325,7 @@ ThreadedRuntime::Stats ThreadedRuntime::stats(NodeId n) const {
   s.sent = c.sent.load(std::memory_order_relaxed);
   s.delivered = c.delivered.load(std::memory_order_relaxed);
   s.dropped = c.dropped.load(std::memory_order_relaxed);
-  s.timers = c.timers.load(std::memory_order_relaxed);
+  s.timers = c.timers_fired.load(std::memory_order_relaxed);
   s.posts = c.posts_run.load(std::memory_order_relaxed);
   s.stalls = c.stalls.load(std::memory_order_relaxed);
   return s;

@@ -6,13 +6,14 @@
 // peer pair has a dedicated ring — N^2 fan-in built from SPSC parts, no
 // CAS anywhere), plus one injection ring the driver thread feeds through
 // Host::post (submit, crash, recover closures). The node's drain loop
-// round-robins its inbound rings, runs injected closures, and advances a
-// per-thread hierarchical TimerWheel; `now()` is wall-clock ns since
+// round-robins its inbound rings, runs injected closures, and fires the
+// due timers of its own simnet::EventQueue; `now()` is wall-clock ns since
 // runtime construction, so the protocols' timeouts (ms-scale) behave as on
 // a real deployment.
 //
-// Hot-path allocation discipline matches the simulator (PR 4): ring slots,
-// timer-wheel cells and the overflow stash are preallocated; Messages move
+// Hot-path allocation discipline matches the simulator (PR 4): ring slots
+// and the overflow stash are preallocated, timer slots are recycled by the
+// EventQueue exactly as on the simulated path; Messages move
 // through rings by value (Payload copies are refcount bumps); closures
 // travel as InlineFn. bench_runtime's operator-new hook proves zero
 // steady-state allocations per message.
@@ -32,7 +33,7 @@
 #include <vector>
 
 #include "runtime/api.h"
-#include "runtime/timer_wheel.h"
+#include "simnet/event_queue.h"
 #include "simnet/network.h"  // Process (friend access to rt_/id_/rng_)
 #include "simnet/spsc.h"
 
@@ -52,7 +53,7 @@ class ThreadedRuntime final : public Runtime, public Host {
   void recover(NodeId n) override;
   void sever(NodeId a, NodeId b) override;
   void heal(NodeId a, NodeId b) override;
-  /// Per-node clock skew applied at wheel arming (atomic rate/offset; the
+  /// Per-node clock skew applied at timer arming (atomic rate/offset; the
   /// node thread reads them with relaxed loads on every arm()).
   void set_clock_skew(NodeId n, double rate, Time offset) override;
   void post(NodeId n, simnet::InlineFn fn) override;
@@ -79,7 +80,7 @@ class ThreadedRuntime final : public Runtime, public Host {
     std::uint64_t sent = 0;       ///< messages pushed into peer mailboxes
     std::uint64_t delivered = 0;  ///< messages handed to on_message
     std::uint64_t dropped = 0;    ///< to crashed/severed/unattached nodes
-    std::uint64_t timers = 0;     ///< timer-wheel closures fired
+    std::uint64_t timers = 0;     ///< timer closures fired
     std::uint64_t posts = 0;      ///< injected closures run
     std::uint64_t stalls = 0;     ///< full-ring backpressure waits
   };

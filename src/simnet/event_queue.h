@@ -3,8 +3,9 @@
 // Ordering: events fire in (time, seq) order. The queue imposes no policy
 // on seq beyond uniqueness — callers choose the discipline:
 //
-//  * standalone use (tests, microbenches): the internal monotonic counter
-//    (the schedule(Time, fn) overloads) gives plain schedule-order ties;
+//  * standalone use (tests, microbenches, and each ThreadedRuntime node's
+//    timers): the internal monotonic counter (the schedule(Time, fn)
+//    overloads) gives plain schedule-order ties;
 //  * sharded simulation: the Simulator passes EXTERNAL seqs of the form
 //    (lane << 40) | per-lane-counter, where a lane is one node, one link,
 //    or the control plane, and each lane's counter is only ever advanced by

@@ -112,7 +112,7 @@ class Network : public MessageEventTarget, public runtime::Host {
   void reorder_stop(NodeId a, NodeId b);
   /// Skews node n's timer clock (Simulator::after): nominal delays divide
   /// by `rate` and stretch by `offset`. Host-seam parity with the threaded
-  /// backend's wheel-arming skew (runtime/threaded.h).
+  /// backend's timer-arming skew (runtime/threaded.h).
   void set_clock_skew(NodeId n, double rate, Time offset) override;
 
   /// Host::post — simulated backend: the caller is already the (only)
@@ -337,7 +337,7 @@ class NetHandle {
 /// backend — sim_/net_ set, rt_ null) or to a runtime::ThreadedRuntime
 /// (rt_ set, sim_/net_ null). sim()/net() return the thin value handles
 /// above, which branch on that pointer — the same protocol code
-/// transparently targets the threaded backend's wall clock, timer wheel
+/// transparently targets the threaded backend's wall clock, timer queues
 /// and mailboxes.
 class Process {
  public:

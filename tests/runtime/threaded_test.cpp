@@ -1,5 +1,5 @@
 // ThreadedRuntime smoke tests: message delivery between real node threads,
-// timer-wheel firing against the wall clock, driver-side fault injection
+// timer firing against the wall clock, driver-side fault injection
 // (crash/recover, sever/heal) and closure injection via Host::post.
 #include "runtime/threaded.h"
 
@@ -55,7 +55,8 @@ class Echo : public simnet::Process {
   NodeId first_dst_;
 };
 
-// Re-arms itself `rounds` times with a short delay.
+// Re-arms itself `rounds` times with a short delay, counting any timer
+// that fires before its delay has passed on the node's clock.
 class Beeper : public simnet::Process {
  public:
   explicit Beeper(int rounds) : rounds_(rounds) {}
@@ -63,10 +64,14 @@ class Beeper : public simnet::Process {
   void on_message(const Message&) override {}
 
   std::atomic<int> fired{0};
+  std::atomic<int> early{0};
 
  private:
+  static constexpr Time kDelay = 200 * kMicrosecond;
   void arm() {
-    after(200 * kMicrosecond, [this] {
+    const Time armed_at = sim().now();
+    after(kDelay, [this, armed_at] {
+      if (sim().now() - armed_at < kDelay) early.fetch_add(1);
       if (fired.fetch_add(1, std::memory_order_relaxed) + 1 < rounds_) arm();
     });
   }
@@ -103,7 +108,7 @@ TEST(ThreadedRuntime, PingPongAcrossThreads) {
   EXPECT_EQ(total.dropped, 0u);
 }
 
-TEST(ThreadedRuntime, TimerWheelFiresOnWallClock) {
+TEST(ThreadedRuntime, TimersFireOnWallClockNeverEarly) {
   ThreadedRuntime rt(1, 1);
   Beeper p(10);
   rt.attach(0, p);
@@ -111,6 +116,7 @@ TEST(ThreadedRuntime, TimerWheelFiresOnWallClock) {
   ASSERT_TRUE(wait_for([&] { return p.fired.load() >= 10; }));
   rt.stop();
   EXPECT_GE(rt.stats(0).timers, 10u);
+  EXPECT_EQ(p.early.load(), 0);
 }
 
 TEST(ThreadedRuntime, PostRunsInNodeContext) {
@@ -195,7 +201,7 @@ class OneShot : public simnet::Process {
 TEST(ThreadedRuntime, ClockSkewAcceleratesTimerArming) {
   // Both nodes arm the same nominal 200 ms one-shot; node 1 runs at rate
   // 4.0, so its timer arms at ~50 ms wall while node 0's cannot fire
-  // before 200 ms (the wheel never fires early). The 150 ms cushion
+  // before 200 ms (timers never fire early). The 150 ms cushion
   // dwarfs scheduler jitter even on a loaded CI box — a rate-ratio
   // assertion here would flake under oversubscription, where wakeup
   // latency, not the armed delay, paces short timers.
