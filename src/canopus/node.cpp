@@ -161,7 +161,7 @@ void CanopusNode::handle_join_request(const proto::JoinRequest& jr) {
   // joiner's old group elections and log drains may still be in flight).
   const auto it = excluded_at_.find(j);
   if (it == excluded_at_.end() ||
-      sim().now() - it->second < 3 * cfg_.raft.election_timeout_max)
+      sim().now() - it->second < 3 * raft::kElectionTimeoutMax)
     return;
   if (std::find(pending_joiners_.begin(), pending_joiners_.end(), j) !=
       pending_joiners_.end())

@@ -41,7 +41,6 @@ struct LogEntry {
 class Log {
  public:
   LogIndex base_index() const { return base_index_; }
-  Term base_term() const { return base_term_; }
 
   LogIndex last_index() const { return base_index_ + entries_.size(); }
   Term last_term() const {

@@ -80,12 +80,10 @@ Time RaftNode::time_since_leader_contact() const {
 
 void RaftNode::reset_election_timer() {
   if (election_timer_ != simnet::kInvalidEvent) sim_.cancel(election_timer_);
-  const Time span = opt_.election_timeout_max - opt_.election_timeout_min;
+  constexpr auto kSpan =
+      static_cast<std::uint64_t>(kElectionTimeoutMax - kElectionTimeoutMin);
   const Time timeout =
-      opt_.election_timeout_min +
-      (span > 0 ? static_cast<Time>(rng_.below(
-                      static_cast<std::uint64_t>(span)))
-                : 0);
+      kElectionTimeoutMin + static_cast<Time>(rng_.below(kSpan));
   election_timer_ = sim_.after(timeout, [this] { become_candidate(); });
 }
 
@@ -155,7 +153,7 @@ void RaftNode::broadcast_heartbeats() {
     if (peer == self_) continue;
     if (match_index_[i] < log_.last_index() &&
         sim_.now() - std::max(last_progress_[i], last_repair_[i]) >=
-            opt_.repair_timeout) {
+            kRepairTimeout) {
       // The peer made no replication progress for a while: repair with a
       // full retransmit. Merely-slow peers keep advancing match_index and
       // are never retransmitted to — that would only deepen their backlog.

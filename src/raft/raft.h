@@ -33,15 +33,17 @@ namespace canopus::raft {
 
 enum class Role { kFollower, kCandidate, kLeader };
 
+/// Election timeouts are drawn uniformly from [min, max).
+inline constexpr Time kElectionTimeoutMin = 150 * kMillisecond;
+inline constexpr Time kElectionTimeoutMax = 300 * kMillisecond;
+/// Minimum quiet time (no replication progress and no recent retransmit)
+/// before a heartbeat escalates to a full log retransmit for a lagging
+/// peer. Protects briefly-backlogged peers from a retransmit spiral while
+/// still repairing genuinely lossy/recovered followers.
+inline constexpr Time kRepairTimeout = 75 * kMillisecond;
+
 struct Options {
   Time heartbeat_interval = 15 * kMillisecond;
-  Time election_timeout_min = 150 * kMillisecond;
-  Time election_timeout_max = 300 * kMillisecond;
-  /// Minimum quiet time (no replication progress and no recent retransmit)
-  /// before a heartbeat escalates to a full log retransmit for a lagging
-  /// peer. Protects briefly-backlogged peers from a retransmit spiral
-  /// while still repairing genuinely lossy/recovered followers.
-  Time repair_timeout = 75 * kMillisecond;
   /// Log compaction (Raft §7): once more than `compaction_threshold`
   /// applied entries are retained, the node snapshots its state machine
   /// (via Callbacks::make_snapshot) and discards the applied prefix,

@@ -151,10 +151,6 @@ class Simulator {
   void at_message(Time abs_time, std::uint32_t lane, std::uint32_t shard,
                   MessageEvent&& ev);
 
-  /// Control-lane convenience for tests; protocol code goes through
-  /// Network, which supplies explicit lanes.
-  void at_message(Time abs_time, MessageEvent&& ev);
-
   void cancel(EventId id);
 
   // --- execution --------------------------------------------------------
@@ -381,12 +377,6 @@ inline void Simulator::at_message(Time abs_time, std::uint32_t lane,
   }
   if (abs_time < now_) abs_time = now_;
   shards_[shard]->q.schedule_message(abs_time, lane_seq(lane), std::move(ev));
-}
-
-inline void Simulator::at_message(Time abs_time, MessageEvent&& ev) {
-  assert(tl_ctx_.sim != this);
-  if (abs_time < now_) abs_time = now_;
-  ctl_q_.schedule_message(abs_time, lane_seq(control_lane_), std::move(ev));
 }
 
 inline void Simulator::cancel(EventId id) {

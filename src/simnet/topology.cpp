@@ -147,8 +147,8 @@ Cluster build_multi_rack(const RackConfig& cfg) {
   std::vector<LinkId> agg_up(cfg.racks), agg_down(cfg.racks);
 
   for (int r = 0; r < cfg.racks; ++r) {
-    agg_up[r] = t.add_link(cfg.uplink_latency, gbps(cfg.uplink_gbps), r);
-    agg_down[r] = t.add_link(cfg.uplink_latency, gbps(cfg.uplink_gbps), r);
+    agg_up[r] = t.add_link(cfg.uplink_latency, gbps(kUplinkGbps), r);
+    agg_down[r] = t.add_link(cfg.uplink_latency, gbps(kUplinkGbps), r);
   }
 
   auto add_machine = [&](int rack) {
@@ -205,8 +205,8 @@ Cluster build_multi_dc(const WanConfig& cfg) {
   auto add_machine = [&](int dc) {
     const NodeId id = t.add_node(/*rack=*/dc, dc);
     node_links.push_back(NodeLinks{
-        t.add_link(edge_latency(dc), gbps(cfg.nic_gbps), dc),
-        t.add_link(edge_latency(dc), gbps(cfg.nic_gbps), dc),
+        t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc),
+        t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc),
     });
     return id;
   };
@@ -233,7 +233,7 @@ Cluster build_multi_dc(const WanConfig& cfg) {
       // Owned by the SOURCE datacenter: the wan-link arrival event (which
       // schedules the next hop into the destination shard) executes in the
       // sender's shard, making the wan latency the cross-shard lookahead.
-      wan[i][j] = t.add_link(one_way, gbps(cfg.wan_gbps), i);
+      wan[i][j] = t.add_link(one_way, gbps(kWanLinkGbps), i);
     }
   }
 

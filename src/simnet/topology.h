@@ -112,12 +112,14 @@ struct RackConfig {
   int clients_per_rack = 5;
   double nic_gbps = 10.0;
   Time nic_latency = 1'500;     ///< node <-> ToR one way
-  double uplink_gbps = 20.0;    ///< 2 x 10 Gb ToR <-> aggregation
   Time uplink_latency = 2'000;  ///< ToR <-> aggregation one way
 };
 
+/// ToR <-> aggregation bandwidth of the rack testbed: 2 x 10 Gb.
+inline constexpr double kUplinkGbps = 20.0;
+
 /// Single-datacenter testbed (§8.1). Oversubscription emerges naturally:
-/// servers_per_rack x nic_gbps vs uplink_gbps.
+/// servers_per_rack x nic_gbps vs kUplinkGbps.
 Cluster build_multi_rack(const RackConfig& cfg);
 
 struct WanConfig {
@@ -125,9 +127,11 @@ struct WanConfig {
   std::vector<int> clients_per_dc;
   /// Full RTT matrix in milliseconds; diagonal entries are intra-DC RTTs.
   std::vector<std::vector<double>> rtt_ms;
-  double nic_gbps = 10.0;
-  double wan_gbps = 10.0;
 };
+
+/// Bandwidths of the WAN testbed: each node's NIC, and each inter-DC link.
+inline constexpr double kWanNicGbps = 10.0;
+inline constexpr double kWanLinkGbps = 10.0;
 
 /// Multi-datacenter testbed (§8.2).
 Cluster build_multi_dc(const WanConfig& cfg);

@@ -7,8 +7,8 @@
 //    ConsensusService::on_commit), kept as an append-only log plus a
 //    cumulative hash chain, so "do two nodes agree on a commit prefix?" is
 //    an O(1) compare at any point in time;
-//  * client-side: every completion each OpenLoopClient observes (via
-//    OpenLoopClient::on_reply), split into acknowledged writes and read
+//  * client-side: every completion each client machine observes (via
+//    ClientMachine::on_reply), split into acknowledged writes and read
 //    results tagged with the serving node.
 //
 // Invariants checked (the safety properties a storm must never violate):
@@ -79,14 +79,15 @@ struct AuditConfig {
   /// Prefix-agreement checks apply (every system except EPaxos, whose
   /// commit order is legitimately partial).
   bool ordered = true;
-  /// Period of the continuous prefix probe while attached to a live run.
-  Time check_interval = 50 * kMillisecond;
   /// Cap on violation *details* kept (the count keeps the true total).
   std::size_t max_recorded = 64;
 };
 
 class HistoryAuditor {
  public:
+  /// Period of the continuous prefix probe while attached to a live run.
+  static constexpr Time kCheckInterval = 50 * kMillisecond;
+
   HistoryAuditor(AuditConfig cfg, std::size_t num_nodes)
       : cfg_(cfg), nodes_(num_nodes) {}
 
@@ -171,7 +172,7 @@ class HistoryAuditor {
 
   /// Wires the auditor's server side into a live run: captures every
   /// commit via service.on_commit and — for ordered systems — schedules
-  /// the continuous prefix probe every `check_interval` from `first_probe`
+  /// the continuous prefix probe every kCheckInterval from `first_probe`
   /// until `until`. The caller feeds client completions itself via
   /// note_reply; run_trial (workload/trial.h) attaches one auditor per
   /// consensus group this way and demultiplexes client completions onto
@@ -408,7 +409,7 @@ class HistoryAuditor {
 
   void probe() {
     check_prefixes(sim_->now(), comparable_mask());
-    const Time next = sim_->now() + cfg_.check_interval;
+    const Time next = sim_->now() + kCheckInterval;
     if (next <= probe_until_)
       sim_->at(next, [this] { probe(); });
   }

@@ -3,14 +3,20 @@
 //
 // The deployment pipeline is factored so every driver shares it:
 //   build_cluster(tc)            — topology + server/client placement
+//   group_servers(tc, cluster)   — each rack's/DC's slice of the servers
 //   make_service(tc, cluster, n) — the system behind workload::ConsensusService
-//   attach_clients(...)          — open-loop Poisson client machines
-// workload/trial.h composes the three (plus faults and the auditor) into
-// the one trial pipeline every bench, test and example runs.
+//   attach_clients(...)          — open-loop Poisson client machines, each
+//                                  offering machine_load(...)
+// The sharded shape (workload/sharded.h) deploys one group per slice behind
+// RouterClients instead. workload/trial.h composes either shape (plus
+// faults and the auditor) into the one trial pipeline every bench, test
+// and example runs.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,15 +152,28 @@ inline lot::LotConfig make_lot_config(const std::vector<NodeId>& servers,
   return lc;
 }
 
-inline lot::LotConfig make_lot_config(const TrialConfig&,
-                                      const simnet::Cluster& cluster) {
-  return make_lot_config(cluster.servers, cluster.topo);
+/// Each rack's/DC's servers — a sharded deployment's consensus groups:
+/// slice g is servers [g*per_group, (g+1)*per_group) of the cluster, as
+/// build_cluster lays them out.
+inline std::vector<std::vector<NodeId>> group_servers(
+    const TrialConfig& tc, const simnet::Cluster& cluster) {
+  const auto groups = static_cast<std::size_t>(tc.groups);
+  const auto per = static_cast<std::size_t>(tc.per_group);
+  if (cluster.servers.size() != groups * per)
+    throw std::invalid_argument(
+        "group_servers: cluster/server-count mismatch");
+  std::vector<std::vector<NodeId>> out;
+  out.reserve(groups);
+  for (std::size_t g = 0; g < groups; ++g)
+    out.emplace_back(cluster.servers.begin() + g * per,
+                     cluster.servers.begin() + (g + 1) * per);
+  return out;
 }
 
 /// Deploys the configured system over `servers` — the whole cluster for the
-/// classic single-group deployments, or one shard's server slice for
-/// workload::ShardedService. The service owns the protocol instances; it
-/// must outlive the simulation run.
+/// classic single-group deployments, or one group's slice for a sharded one
+/// (make_group_services). The service owns the protocol instances; it must
+/// outlive the simulation run.
 inline std::unique_ptr<ConsensusService> make_group_service(
     const TrialConfig& tc, std::vector<NodeId> servers,
     const simnet::Topology& topo, runtime::Host& net) {
@@ -181,6 +200,18 @@ inline std::unique_ptr<ConsensusService> make_service(
   return make_group_service(tc, cluster.servers, cluster.topo, net);
 }
 
+/// The load of one client machine when `offered_rate` is spread evenly over
+/// the cluster's client machines: tc's request mix, generating until
+/// `stop_at`.
+inline ClientLoad machine_load(const TrialConfig& tc,
+                               const simnet::Cluster& cluster,
+                               double offered_rate, Time stop_at) {
+  const auto machines = static_cast<double>(cluster.clients.size());
+  return {.rate_per_s = offered_rate / machines, .write_ratio = tc.write_ratio,
+          .num_keys = tc.num_keys, .key_dist = tc.key_dist,
+          .zipf_theta = tc.zipf_theta, .stop_at = stop_at};
+}
+
 /// Attaches one OpenLoopClient per client machine, spreading `offered_rate`
 /// evenly and connecting each machine to every server in its own rack/DC
 /// (the paper's client placement). Generation stops at `stop_at`.
@@ -188,32 +219,21 @@ inline std::vector<std::unique_ptr<OpenLoopClient>> attach_clients(
     const TrialConfig& tc, const simnet::Cluster& cluster,
     runtime::Host& net, std::shared_ptr<LatencyRecorder> recorder,
     double offered_rate, std::uint64_t trial_seed, Time stop_at) {
-  const double per_machine_rate =
-      offered_rate / static_cast<double>(cluster.clients.size());
+  const ClientLoad load = machine_load(tc, cluster, offered_rate, stop_at);
+  const std::vector<std::vector<NodeId>> groups = group_servers(tc, cluster);
   std::vector<std::unique_ptr<OpenLoopClient>> clients;
   clients.reserve(cluster.clients.size());
   Rng seeder(derive_seed(trial_seed, 0xc11e57ULL));
-  for (std::size_t i = 0; i < cluster.clients.size(); ++i) {
-    ClientConfig cc;
+  for (const NodeId machine : cluster.clients) {
     // Paper: each client connects to a uniformly-selected node in the same
     // rack/DC. A machine aggregates many client sessions, spread evenly
     // over every same-group server.
-    const int group = tc.wan ? cluster.topo.dc_of(cluster.clients[i])
-                             : cluster.topo.rack_of(cluster.clients[i]);
-    const std::size_t base =
-        static_cast<std::size_t>(group) * static_cast<std::size_t>(tc.per_group);
-    for (int s = 0; s < tc.per_group; ++s)
-      cc.servers.push_back(
-          cluster.servers[base + static_cast<std::size_t>(s)]);
-    cc.rate_per_s = per_machine_rate;
-    cc.write_ratio = tc.write_ratio;
-    cc.num_keys = tc.num_keys;
-    cc.key_dist = tc.key_dist;
-    cc.zipf_theta = tc.zipf_theta;
-    cc.stop_at = stop_at;
+    const int group = tc.wan ? cluster.topo.dc_of(machine)
+                             : cluster.topo.rack_of(machine);
+    ClientConfig cc{load, groups[static_cast<std::size_t>(group)]};
     clients.push_back(
-        std::make_unique<OpenLoopClient>(cc, recorder, seeder()));
-    net.attach(cluster.clients[i], *clients.back());
+        std::make_unique<OpenLoopClient>(std::move(cc), recorder, seeder()));
+    net.attach(machine, *clients.back());
   }
   return clients;
 }

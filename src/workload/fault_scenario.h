@@ -330,7 +330,7 @@ inline simnet::FaultSchedule make_schedule(const FaultScenario& scenario,
 /// Re-scopes a scenario authored in group-LOCAL server indices (0 ..
 /// per_group-1) onto group `group` of a sharded fleet: every index is
 /// offset by group * per_group. This is how the fault plane targets one
-/// consensus group of a ShardedService instead of the whole fleet.
+/// consensus group of a sharded deployment instead of the whole fleet.
 inline FaultScenario scope_to_group(FaultScenario s, int group,
                                     int per_group) {
   const NodeId offset = group * per_group;

@@ -1,7 +1,7 @@
 // Key-popularity samplers and the keyspace partition function for sharded
 // deployments.
 //
-// Two key distributions drive the workload plane (ClientConfig::key_dist):
+// Two key distributions drive the workload plane (ClientLoad::key_dist):
 //  * kUniform — the paper's §8.1 workload: keys drawn uniformly from
 //    [0, num_keys). This is the historical draw (Rng::below) and its RNG
 //    consumption is left byte-identical so seeded goldens stay pinned.

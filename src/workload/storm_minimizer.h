@@ -22,7 +22,7 @@
 // deterministic: same storm + same oracle => same minimal schedule. The
 // minimal storm serializes as a replayable JSON artifact
 // (canopus-storm-v1) that bench_chaos --minimize emits and
-// tools/validate_bench_json.py checks.
+// scripts/validate_bench_json.py checks.
 #pragma once
 
 #include <algorithm>
@@ -40,10 +40,6 @@
 namespace canopus::workload {
 
 struct MinimizeOptions {
-  /// Probe budget across both passes; each probe is one oracle call (one
-  /// full trial for the real oracle). ddmin on a k-unit storm needs
-  /// O(k log k) probes when most units are noise, worst-case O(k^2).
-  std::size_t max_probes = 400;
   bool shrink_durations = true;
   /// Floor on fault duration during shrinking (also the shrink
   /// granularity: a pass stops once the fault->repair gap reaches it).
@@ -67,6 +63,11 @@ class StormMinimizer {
   /// Returns true when the candidate schedule still reproduces the
   /// failure. Must be deterministic and must not retain the reference.
   using Oracle = std::function<bool(const simnet::FaultSchedule&)>;
+
+  /// Probe budget across both passes; each probe is one oracle call (one
+  /// full trial for the real oracle). ddmin on a k-unit storm needs
+  /// O(k log k) probes when most units are noise, worst-case O(k^2).
+  static constexpr std::size_t kMaxProbes = 400;
 
   explicit StormMinimizer(Oracle oracle, MinimizeOptions opt = {})
       : oracle_(std::move(oracle)), opt_(opt) {}
@@ -187,12 +188,12 @@ class StormMinimizer {
                                  const std::vector<Unit>& units) {
     std::vector<std::size_t> cur = all_of(units.size());
     std::size_t n = 2;
-    while (cur.size() >= 2 && probes_ < opt_.max_probes) {
+    while (cur.size() >= 2 && probes_ < kMaxProbes) {
       const std::size_t len = cur.size();
       bool reduced = false;
       // Subsets: does one n-th of the storm already violate?
       for (std::size_t i = 0; i < n && !reduced; ++i) {
-        if (probes_ >= opt_.max_probes) break;
+        if (probes_ >= kMaxProbes) break;
         std::vector<std::size_t> sub(cur.begin() + (i * len) / n,
                                      cur.begin() + ((i + 1) * len) / n);
         if (sub.empty() || sub.size() == len) continue;
@@ -206,7 +207,7 @@ class StormMinimizer {
       // the other subset, already probed above.)
       if (!reduced && n > 2) {
         for (std::size_t i = 0; i < n && !reduced; ++i) {
-          if (probes_ >= opt_.max_probes) break;
+          if (probes_ >= kMaxProbes) break;
           std::vector<std::size_t> rest(cur.begin(), cur.begin() + (i * len) / n);
           rest.insert(rest.end(), cur.begin() + ((i + 1) * len) / n, cur.end());
           if (rest.empty() || rest.size() == len) continue;
@@ -236,7 +237,7 @@ class StormMinimizer {
       if (units[u].indices.size() != 2) continue;
       std::size_t si = units[u].indices[0], ri = units[u].indices[1];
       if (simnet::is_repair(events[si].kind)) std::swap(si, ri);
-      while (probes_ < opt_.max_probes) {
+      while (probes_ < kMaxProbes) {
         const Time gap = events[ri].at - events[si].at;
         if (gap <= opt_.min_duration) break;
         const Time cand = events[si].at + std::max(opt_.min_duration, gap / 2);

@@ -211,22 +211,23 @@ struct TrialReport {
 
 namespace detail {
 
-/// The deployed groups and client machines of a trial on one backend.
+/// The deployed groups and client machines of a trial on one backend. A
+/// machine's index is its attach order (the auditors' client index).
 struct Deployment {
   Deployment(const Trial& t, const simnet::Cluster& cluster,
              runtime::Host& host, std::shared_ptr<LatencyRecorder> recorder,
              Time stop_at) {
     if (t.sessions_per_machine == 0) {
-      single = make_service(t.tc, cluster, host);
-      groups.push_back(single.get());
-      clients = attach_clients(t.tc, cluster, host, std::move(recorder),
-                               t.rate, t.seed, stop_at);
+      groups.push_back(make_service(t.tc, cluster, host));
+      for (auto& c : attach_clients(t.tc, cluster, host, std::move(recorder),
+                                    t.rate, t.seed, stop_at))
+        machines.push_back(std::move(c));
     } else {
-      sharded = std::make_unique<ShardedService>(t.tc, cluster, host);
-      groups = sharded->services();
-      routers = attach_router_clients(t.tc, t.sessions_per_machine, cluster,
-                                      *sharded, host, std::move(recorder),
-                                      t.rate, t.seed, stop_at);
+      groups = make_group_services(t.tc, cluster, host);
+      for (auto& c : attach_router_clients(t.tc, t.sessions_per_machine,
+                                           cluster, host, std::move(recorder),
+                                           t.rate, t.seed, stop_at))
+        machines.push_back(std::move(c));
     }
     for (std::size_t g = 0; g < groups.size(); ++g)
       for (std::size_t i = 0; i < groups[g]->num_servers(); ++i)
@@ -237,22 +238,18 @@ struct Deployment {
   /// machine's reply hook.
   template <class Fn>
   void on_reply(Fn fn) {
-    const auto hook = [this, fn](std::size_t machine) {
-      return [this, fn, machine](NodeId server, const kv::Completion& c) {
+    for (std::size_t m = 0; m < machines.size(); ++m)
+      machines[m]->on_reply = [this, fn, m](NodeId server,
+                                            const kv::Completion& c) {
         const auto [g, i] = locate.at(server);
-        fn(machine, g, i, c);
+        fn(m, g, i, c);
       };
-    };
-    for (std::size_t m = 0; m < clients.size(); ++m)
-      clients[m]->on_reply = hook(m);
-    for (std::size_t m = 0; m < routers.size(); ++m)
-      routers[m]->on_reply = hook(m);
   }
 
   /// Max progress over live nodes of every group.
   std::uint64_t max_progress() const {
     std::uint64_t p = 0;
-    for (const ConsensusService* g : groups)
+    for (const auto& g : groups)
       for (std::size_t i = 0; i < g->num_servers(); ++i)
         if (g->up(i)) p = std::max(p, g->progress(i));
     return p;
@@ -261,32 +258,27 @@ struct Deployment {
   /// Fills the fleet checks, the per-node digest and the client counters.
   void report(const TrialConfig& tc, TrialReport& r) const {
     const std::uint64_t bound = retained_log_bound(tc);
-    for (const ConsensusService* g : groups) {
+    for (const auto& g : groups) {
       r.groups.push_back(check_group(*g, bound));
       for (std::size_t i = 0; i < g->num_servers(); ++i)
         r.nodes.push_back({g->commit_fingerprint(i), g->committed_writes(i),
                            g->served_reads(i)});
     }
-    for (const auto& c : clients) {
-      r.sent += c->sent();
-      r.client_failed += c->failed();
-    }
-    for (const auto& c : routers) {
-      r.sent += c->sent();
-      r.client_failed += c->failed();
-      r.sessions += c->sessions();
-      r.redirects += c->redirects();
-      r.retries += c->retries();
+    for (const auto& m : machines) {
+      r.sent += m->sent();
+      r.client_failed += m->failed();
+      if (const auto* router = dynamic_cast<const RouterClient*>(m.get())) {
+        r.sessions += router->sessions();
+        r.redirects += router->redirects();
+        r.retries += router->retries();
+      }
     }
     r.progress_at_end = max_progress();
   }
 
-  std::unique_ptr<ConsensusService> single;
-  std::unique_ptr<ShardedService> sharded;
-  std::vector<ConsensusService*> groups;
+  std::vector<std::unique_ptr<ConsensusService>> groups;
   std::unordered_map<NodeId, std::pair<std::size_t, std::size_t>> locate;
-  std::vector<std::unique_ptr<OpenLoopClient>> clients;
-  std::vector<std::unique_ptr<RouterClient>> routers;
+  std::vector<std::unique_ptr<ClientMachine>> machines;
 };
 
 }  // namespace detail
@@ -324,7 +316,7 @@ inline TrialReport run_trial(const Trial& t) {
   if (t.audit) {
     AuditConfig ac;
     ac.ordered = t.tc.system != System::kEPaxos;
-    for (ConsensusService* g : d.groups) {
+    for (const auto& g : d.groups) {
       auditors.push_back(
           std::make_unique<HistoryAuditor>(ac, g->num_servers()));
       auditors.back()->attach_service(*g, sim, warmup, deadline);
@@ -355,7 +347,9 @@ inline TrialReport run_trial(const Trial& t) {
              [&] { r.progress_at_mid = d.max_progress(); });
       sim.at(ft.heal_at, [&] { r.progress_at_heal = d.max_progress(); });
     }
-    arm_via_service(*t.faults, net, d.groups,
+    std::vector<ConsensusService*> services;
+    for (const auto& g : d.groups) services.push_back(g.get());
+    arm_via_service(*t.faults, net, services,
                     RecoverArming::kTolerateUnsupported);
     r.fault_events = t.faults->events().size() / 2;
   }
@@ -443,13 +437,10 @@ inline simnet::FaultSchedule chaos_storm(const Trial& t,
     return gen.generate(cc, cluster.servers);
   }
   simnet::FaultSchedule storm;
-  const auto per = static_cast<std::ptrdiff_t>(t.tc.per_group);
-  for (std::ptrdiff_t g = 0; g < t.tc.groups; ++g) {
-    simnet::ChaosScheduleGenerator gen(
-        derive_seed(storm_seed, static_cast<std::uint64_t>(g)));
-    storm.merge(gen.generate(
-        cc, {cluster.servers.begin() + g * per,
-             cluster.servers.begin() + (g + 1) * per}));
+  const std::vector<std::vector<NodeId>> groups = group_servers(t.tc, cluster);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    simnet::ChaosScheduleGenerator gen(derive_seed(storm_seed, g));
+    storm.merge(gen.generate(cc, groups[g]));
   }
   return storm;
 }

@@ -15,7 +15,7 @@
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -27,29 +27,15 @@
 
 namespace canopus::workload {
 
-/// Fixed-size pool of persistent workers executing indexed task batches.
-/// The calling thread participates as a worker, so TrialPool(1) runs
-/// everything on the caller with no synchronization surprises.
+/// Runs indexed task batches on up to `threads` threads. Each batch spawns
+/// its workers and joins them before returning; thread start-up is
+/// negligible next to a trial. The calling thread participates as a
+/// worker, so TrialPool(1) runs everything on the caller.
 class TrialPool {
  public:
   /// `threads` = 0 picks the hardware concurrency (min 1).
   explicit TrialPool(unsigned threads = 0)
-      : threads_(threads != 0 ? threads : default_threads()) {
-    for (unsigned i = 1; i < threads_; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  ~TrialPool() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  TrialPool(const TrialPool&) = delete;
-  TrialPool& operator=(const TrialPool&) = delete;
+      : threads_(threads != 0 ? threads : default_threads()) {}
 
   static unsigned default_threads() {
     const unsigned hc = std::thread::hardware_concurrency();
@@ -58,83 +44,36 @@ class TrialPool {
 
   unsigned threads() const { return threads_; }
 
-  /// Runs fn(0) ... fn(n-1), each exactly once, spread over the workers and
-  /// the calling thread; returns when all have finished. Not reentrant: fn
-  /// must not call run_indexed on the same pool. If any invocation throws,
-  /// the first exception is rethrown here after the batch drains.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    if (threads_ == 1 || n == 1) {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
+  /// Runs fn(0) ... fn(n-1), each exactly once, spread over min(threads, n)
+  /// threads including the caller; returns when all have finished. If any
+  /// invocation throws, the first exception is rethrown here after the
+  /// batch drains.
+  void run_indexed(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) const {
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mu;
+    std::exception_ptr error;
+    const auto drain = [&] {
+      for (std::size_t i = next++; i < n; i = next++) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(error_mu);
+          if (!error) error = std::current_exception();
+        }
+      }
+    };
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      fn_ = &fn;
-      n_ = n;
-      next_ = 0;
-      pending_ = n;
-      error_ = nullptr;
-      ++batch_;
-    }
-    work_cv_.notify_all();
-    drain();
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return pending_ == 0; });
-    fn_ = nullptr;
-    if (error_) std::rethrow_exception(error_);
+      std::vector<std::jthread> workers;
+      for (std::size_t w = 1; w < std::min<std::size_t>(threads_, n); ++w)
+        workers.emplace_back(drain);
+      drain();
+    }  // joins the workers
+    if (error) std::rethrow_exception(error);
   }
 
  private:
-  /// Claims and runs batch indices until none remain. Runs on workers and
-  /// on the caller inside run_indexed.
-  void drain() {
-    for (;;) {
-      const std::function<void(std::size_t)>* fn;
-      std::size_t i;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (next_ >= n_) return;
-        i = next_++;
-        fn = fn_;
-      }
-      try {
-        (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!error_) error_ = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        work_cv_.wait(lk, [&] { return stop_ || batch_ != seen; });
-        if (stop_) return;
-        seen = batch_;
-      }
-      drain();
-    }
-  }
-
-  const unsigned threads_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t next_ = 0;
-  std::size_t pending_ = 0;
-  std::uint64_t batch_ = 0;
-  std::exception_ptr error_;
-  bool stop_ = false;
+  unsigned threads_;
 };
 
 /// Parallel fixed-rate sweep: same results as the serial sweep_rates, in the

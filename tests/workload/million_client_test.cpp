@@ -47,12 +47,12 @@ AllocProfile run_with_sessions(std::uint32_t sessions_per_machine) {
   simnet::Simulator sim(trial_seed);
   simnet::Cluster cluster = build_cluster(tc);
   simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
+  const auto groups = make_group_services(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
   rec->set_window(tc.warmup, tc.warmup + tc.measure);
   auto routers =
-      attach_router_clients(tc, sessions_per_machine, cluster, svc, net, rec,
-                            rate, trial_seed, tc.warmup + tc.measure);
+      attach_router_clients(tc, sessions_per_machine, cluster, net, rec, rate,
+                            trial_seed, tc.warmup + tc.measure);
 
   AllocProfile p;
   const std::uint64_t at_start = bench::heap_allocations();
@@ -93,7 +93,7 @@ TEST(MillionClients, SteadyStateAllocationsIndependentOfSessionCount) {
       << "steady-state allocations scale with session count";
 
   // Setup differs only by O(1) allocations (the bigger cursor array is ONE
-  // allocation; vector iterator-range attach bookkeeping stays fixed).
+  // allocation; the group lists and per-group batches stay fixed).
   const std::uint64_t setup_delta = million.setup > small.setup
                                         ? million.setup - small.setup
                                         : small.setup - million.setup;

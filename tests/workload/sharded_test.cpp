@@ -1,4 +1,4 @@
-// ShardedService end to end: every system serves a hash-partitioned
+// The sharded deployment end to end: every system serves a hash-partitioned
 // keyspace across independent groups, router clients redirect around
 // crashed servers, group-scoped fault plumbing lands on the right nodes,
 // per-group auditors stay clean under chaos storms, and the whole sharded
@@ -84,42 +84,36 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, ShardedSystemsTest,
                            return std::string(system_name(info.param));
                          });
 
-TEST(ShardedService, FleetIndexingIsGroupMajor) {
+TEST(ShardedDeployment, FleetIndexingIsGroupMajor) {
   const TrialConfig tc = small_sharded(System::kRaft);
   simnet::Simulator sim(1);
   simnet::Cluster cluster = build_cluster(tc);
   simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
-  ASSERT_EQ(svc.num_groups(), 2u);
-  ASSERT_EQ(svc.servers_per_group(), 3u);
-  for (std::size_t g = 0; g < svc.num_groups(); ++g)
-    for (std::size_t s = 0; s < svc.servers_per_group(); ++s) {
-      const NodeId n = svc.group_servers()[g][s];
-      EXPECT_EQ(svc.group(g).server_node(s), n);
-      EXPECT_EQ(cluster.servers[g * 3 + s], n);
-    }
-  // Fleet index 4 = group 1, local 1.
-  svc.crash(4);
-  EXPECT_FALSE(svc.group(1).up(1));
-  EXPECT_TRUE(svc.group(0).up(1));
-  EXPECT_TRUE(svc.recover(4));
-  EXPECT_TRUE(svc.group(1).up(1));
+  const std::vector<NodeId>& c = cluster.servers;
+  const auto servers = group_servers(tc, cluster);
+  ASSERT_EQ(servers, (std::vector<std::vector<NodeId>>{{c[0], c[1], c[2]},
+                                                       {c[3], c[4], c[5]}}));
+  const auto groups = make_group_services(tc, cluster, net);
+  ASSERT_EQ(groups.size(), 2u);
+  for (std::size_t g = 0; g < 2; ++g)
+    for (std::size_t s = 0; s < 3; ++s)
+      EXPECT_EQ(groups[g]->server_node(s), servers[g][s]);
 }
 
-TEST(ShardedService, RoutersRedirectAroundACrashedServer) {
+TEST(ShardedDeployment, RoutersRedirectAroundACrashedServer) {
   const TrialConfig tc = small_sharded(System::kRaft);
   const std::uint64_t seed = 77;
   simnet::Simulator sim(seed);
   simnet::Cluster cluster = build_cluster(tc);
   simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
+  const auto groups = make_group_services(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
   rec->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto routers = attach_router_clients(tc, kSessions, cluster, svc, net, rec,
+  auto routers = attach_router_clients(tc, kSessions, cluster, net, rec,
                                        4'000, seed, tc.warmup + tc.measure);
   // Take group 0's follower down for the whole run: every batch whose
   // round-robin pick lands on it must be redirected to a live sibling.
-  sim.at(1, [&svc] { svc.crash(1); });
+  sim.at(1, [&groups] { groups[0]->crash(1); });
   sim.run_until(tc.warmup + tc.measure + tc.drain);
   std::uint64_t redirects = 0, failed = 0;
   for (const auto& r : routers) {
@@ -130,27 +124,27 @@ TEST(ShardedService, RoutersRedirectAroundACrashedServer) {
   EXPECT_EQ(failed, 0u);  // a 2/3 group is never fully down
   EXPECT_GT(rec->completed(), 0u);
   // Both groups still commit and agree despite the dark node.
-  for (std::size_t g = 0; g < svc.num_groups(); ++g) {
-    const GroupReport check =
-        check_group(svc.group(g), retained_log_bound(tc));
+  for (const auto& g : groups) {
+    const GroupReport check = check_group(*g, retained_log_bound(tc));
     EXPECT_GT(check.max_count, 0u);
     EXPECT_TRUE(check.converged());
   }
 }
 
-TEST(ShardedService, WholeGroupDownRetriesThenFailsHonestly) {
+TEST(ShardedDeployment, WholeGroupDownRetriesThenFailsHonestly) {
   const TrialConfig tc = small_sharded(System::kRaft);
   const std::uint64_t seed = 78;
   simnet::Simulator sim(seed);
   simnet::Cluster cluster = build_cluster(tc);
   simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
+  const auto groups = make_group_services(tc, cluster, net);
   auto rec = std::make_shared<LatencyRecorder>();
   rec->set_window(tc.warmup, tc.warmup + tc.measure);
-  auto routers = attach_router_clients(tc, kSessions, cluster, svc, net, rec,
+  auto routers = attach_router_clients(tc, kSessions, cluster, net, rec,
                                        4'000, seed, tc.warmup + tc.measure);
-  sim.at(1, [&svc] {
-    for (std::size_t s = 0; s < svc.servers_per_group(); ++s) svc.crash(s);
+  sim.at(1, [&groups] {
+    for (std::size_t s = 0; s < groups[0]->num_servers(); ++s)
+      groups[0]->crash(s);
   });
   sim.run_until(tc.warmup + tc.measure + tc.drain);
   std::uint64_t retries = 0, failed = 0;
@@ -165,17 +159,17 @@ TEST(ShardedService, WholeGroupDownRetriesThenFailsHonestly) {
   EXPECT_GT(rec->failed(), 0u);
   EXPECT_LE(rec->failed(), failed);
   // The surviving group keeps serving its share of the keyspace.
-  EXPECT_GT(check_group(svc.group(1), retained_log_bound(tc)).max_count, 0u);
+  EXPECT_GT(check_group(*groups[1], retained_log_bound(tc)).max_count, 0u);
   EXPECT_GT(rec->completed(), 0u);
 }
 
-TEST(ShardedService, GroupScopedScenarioHitsOnlyItsGroup) {
+TEST(ShardedDeployment, GroupScopedScenarioHitsOnlyItsGroup) {
   const TrialConfig tc = small_sharded(System::kRaft);
   const FaultTiming ft = short_timing();
   simnet::Simulator sim(5);
   simnet::Cluster cluster = build_cluster(tc);
   simnet::Network net(sim, cluster.topo, tc.cpu);
-  ShardedService svc(tc, cluster, net);
+  const auto groups = make_group_services(tc, cluster, net);
   // A group-local single-node crash scoped onto group 1.
   FaultScenario local;
   local.name = "single_node_crash";
@@ -184,15 +178,15 @@ TEST(ShardedService, GroupScopedScenarioHitsOnlyItsGroup) {
   EXPECT_EQ(scoped.name, "single_node_crash@group1");
   EXPECT_EQ(scoped.steps.events()[0].a, 4u);  // 1 * per_group + 1
   arm_via_service(make_schedule(scoped, cluster.servers), net,
-                  svc.services());
+                  {groups[0].get(), groups[1].get()});
   sim.run_until(ft.fault_at + 1);
-  EXPECT_FALSE(svc.group(1).up(1));
-  for (std::size_t s = 0; s < 3; ++s) EXPECT_TRUE(svc.group(0).up(s));
+  EXPECT_FALSE(groups[1]->up(1));
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_TRUE(groups[0]->up(s));
   sim.run_until(ft.heal_at + 1);
-  EXPECT_TRUE(svc.group(1).up(1));
+  EXPECT_TRUE(groups[1]->up(1));
 }
 
-TEST(ShardedService, StrictArmingAcceptsRecoversForAllSystems) {
+TEST(ShardedDeployment, StrictArmingAcceptsRecoversForAllSystems) {
   // Every system — Canopus included, via sponsored rejoin — now has a
   // repair path, so strict arming accepts recover events everywhere.
   for (System sys : {System::kCanopus, System::kRaft}) {
@@ -200,13 +194,15 @@ TEST(ShardedService, StrictArmingAcceptsRecoversForAllSystems) {
     simnet::Simulator sim(6);
     simnet::Cluster cluster = build_cluster(tc);
     simnet::Network net(sim, cluster.topo, tc.cpu);
-    ShardedService svc(tc, cluster, net);
-    ASSERT_TRUE(svc.group(0).supports_recover());
+    const auto groups = make_group_services(tc, cluster, net);
+    ASSERT_TRUE(groups[0]->supports_recover());
+    const std::vector<ConsensusService*> services{groups[0].get(),
+                                                  groups[1].get()};
     simnet::FaultSchedule with_recover;
     with_recover.crash_at(10, cluster.servers[0])
         .recover_at(20, cluster.servers[0]);
-    EXPECT_NO_THROW(arm_via_service(with_recover, net, svc.services()));
-    EXPECT_NO_THROW(arm_via_service(with_recover, net, svc.services(),
+    EXPECT_NO_THROW(arm_via_service(with_recover, net, services));
+    EXPECT_NO_THROW(arm_via_service(with_recover, net, services,
                                     RecoverArming::kTolerateUnsupported));
   }
 }
