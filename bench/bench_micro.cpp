@@ -103,7 +103,7 @@ void BM_PayloadBroadcastFanout(benchmark::State& state) {
   // Re-addressing a fetched proposal to 26 peers: must copy pointers, not
   // the 1000-request write set.
   canopus::proto::Proposal p;
-  p.writes = std::make_shared<const std::vector<canopus::kv::Request>>(
+  p.writes = std::make_shared<const canopus::proto::WriteSet>(
       std::vector<canopus::kv::Request>(1000));
   const std::size_t bytes = p.wire_bytes();  // before the move below
   simnet::Message fetched(0, 1, bytes, std::move(p));

@@ -1,6 +1,7 @@
 // Tunables for a Canopus deployment.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -78,6 +79,14 @@ struct Config {
   /// Must exceed (widest RTT) / cycle_interval — 322 ms / 5 ms = 65 for the
   /// Table 1 WAN — or the window throttles the pipeline into stop-and-go.
   std::size_t max_outstanding_cycles = 256;
+
+  /// Committed cycles prune_history keeps, so that straggling super-leaves
+  /// can still fetch this node's vnode states: 64, and under pipelining at
+  /// least twice the pipelining depth, which covers the rejoin catch-up span.
+  CycleId kept_cycles() const {
+    return pipelining ? std::max<CycleId>(64, 2 * max_outstanding_cycles)
+                      : 64;
+  }
 
   // --- write leases (§7.2) ---------------------------------------------
   bool write_leases = false;

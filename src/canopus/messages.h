@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,40 @@ struct MembershipUpdate {
                          const MembershipUpdate&) = default;
 };
 
+/// The ordered write requests a proposal carries, immutable once built. A
+/// leaf set owns its batch; a merged set holds its inputs' sets in merge
+/// order, so a §4.2 merge copies pointers, not requests (a rope: Boehm,
+/// Atkinson & Plass, "Ropes: an Alternative to Strings", 1995). Every node
+/// of a deployment shares the sets it received, and a retained cycle holds
+/// only pointers to them.
+class WriteSet {
+ public:
+  using Ptr = std::shared_ptr<const WriteSet>;
+
+  /// A leaf: owns `batch`.
+  explicit WriteSet(std::vector<kv::Request> batch)
+      : size_(batch.size()), leaf_(std::move(batch)) {}
+  /// A merge: `parts` concatenated in order.
+  explicit WriteSet(std::vector<Ptr> parts) : parts_(std::move(parts)) {
+    for (const Ptr& p : parts_) size_ += p->size();
+  }
+
+  std::size_t size() const { return size_; }
+  /// The inputs of a merged set, in merge order; empty for a leaf.
+  const std::vector<Ptr>& parts() const { return parts_; }
+
+  /// Appends every write, in order, to `out`.
+  void append_to(std::vector<kv::Request>& out) const {
+    out.insert(out.end(), leaf_.begin(), leaf_.end());
+    for (const Ptr& p : parts_) p->append_to(out);
+  }
+
+ private:
+  std::size_t size_ = 0;
+  std::vector<kv::Request> leaf_;
+  std::vector<Ptr> parts_;
+};
+
 struct Proposal {
   CycleId cycle = 0;
   RoundId round = 1;   ///< round in which this proposal is consumed
@@ -40,9 +75,11 @@ struct Proposal {
   /// Deterministic tie-break: the unique id of the node/vnode that
   /// generated `number` ("ties are broken using the unique IDs").
   std::uint64_t tiebreak = 0;
-  /// Ordered write requests. Shared so that re-broadcasting a fetched
-  /// proposal inside a super-leaf does not copy thousands of requests.
-  std::shared_ptr<const std::vector<kv::Request>> writes;
+  /// Ordered write requests; null when there are none. Shared: a
+  /// re-broadcast copies one pointer, a merged state points at the states
+  /// it merged (merge_writes), and the node flattens only its root state,
+  /// once, at commit.
+  WriteSet::Ptr writes;
   std::vector<MembershipUpdate> membership;
 
   std::size_t write_count() const { return writes ? writes->size() : 0; }
@@ -58,6 +95,26 @@ struct Proposal {
                                 : a.tiebreak < b.tiebreak;
   }
 };
+
+/// The write set of a merge of `inputs`, given in merge order: null when
+/// every input is empty, the one non-empty input's own set when there is
+/// exactly one, else a merged set over the non-empty inputs' sets.
+inline WriteSet::Ptr merge_writes(std::span<const Proposal* const> inputs) {
+  std::size_t nonempty = 0;
+  const Proposal* only = nullptr;
+  for (const Proposal* p : inputs) {
+    if (p->write_count() == 0) continue;
+    ++nonempty;
+    only = p;
+  }
+  if (nonempty <= 1) return only != nullptr ? only->writes : nullptr;
+  std::vector<WriteSet::Ptr> parts;
+  parts.reserve(nonempty);
+  for (const Proposal* p : inputs) {
+    if (p->write_count() != 0) parts.push_back(p->writes);
+  }
+  return std::make_shared<const WriteSet>(std::move(parts));
+}
 
 /// Representative -> remote emulator: "send me the state of `vnode` for
 /// `cycle`" (§4.2). Also serves as the cross-super-leaf self-synchronization

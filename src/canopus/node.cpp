@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "raft/messages.h"
 
@@ -269,15 +270,13 @@ void CanopusNode::answer_read(const kv::Request& r) {
 // --------------------------------------------------------------------------
 
 void CanopusNode::CycleState::reset() {
-  // Every field starts from its default, except that the vectors keep
-  // their capacity.
+  // Every field starts from its default, except that `acc` and `state` keep
+  // their capacity. `reads` went back to spare_reads_ at the commit.
   CycleState fresh;
   fresh.acc = std::move(acc);
   fresh.state = std::move(state);
-  fresh.reads = std::move(reads);
   for (auto& round_acc : fresh.acc) round_acc.clear();
   for (auto& s : fresh.state) s.reset();
-  fresh.reads.clear();
   *this = std::move(fresh);
 }
 
@@ -347,14 +346,14 @@ void CanopusNode::start_cycle(CycleId c) {
   // next cycle drains a larger backlog, producing larger proposals, which
   // slow the cycle further. With it, overload degrades gracefully into
   // client-visible queueing delay.
-  // The batch is an exact-size copy; pending_writes_ and pending_reads_
-  // keep their capacity for the next cycle.
+  // The batch is an exact-size copy; pending_writes_ keeps its capacity for
+  // the next cycle. The cycle takes pending_reads_'s buffer, and a spare
+  // one takes its place.
   std::vector<kv::Request> batch;
+  std::vector<PendingRead> later = take_read_buffer();
   if (pending_writes_.size() <= cfg_.max_batch) {
     batch.assign(pending_writes_.begin(), pending_writes_.end());
     pending_writes_.clear();
-    cs.reads.swap(pending_reads_);
-    pending_reads_.clear();
   } else {
     batch.assign(pending_writes_.begin(),
                  pending_writes_.begin() +
@@ -362,19 +361,21 @@ void CanopusNode::start_cycle(CycleId c) {
     pending_writes_.erase(pending_writes_.begin(),
                           pending_writes_.begin() +
                               static_cast<std::ptrdiff_t>(cfg_.max_batch));
-    // Reads positioned within the drained prefix go now; later reads stay
-    // behind, with positions rebased onto the remaining writes.
-    std::vector<PendingRead> later;
+    // Reads positioned within the drained prefix go now, kept in place;
+    // later reads stay behind, with positions rebased onto the remaining
+    // writes.
+    std::size_t now = 0;
     for (PendingRead& r : pending_reads_) {
       if (r.pos <= cfg_.max_batch) {
-        cs.reads.push_back(r);
+        pending_reads_[now++] = r;
       } else {
         r.pos -= cfg_.max_batch;
         later.push_back(r);
       }
     }
-    pending_reads_ = std::move(later);
+    pending_reads_.resize(now);
   }
+  cs.reads = std::exchange(pending_reads_, std::move(later));
   cs.own_writes = batch.size();
   empty_streak_ =
       batch.empty() && cs.reads.empty() ? empty_streak_ + 1 : 0;
@@ -385,8 +386,8 @@ void CanopusNode::start_cycle(CycleId c) {
   p.vnode = lot_->leaf_of(node_id());
   p.number = rng()();
   p.tiebreak = node_id();
-  p.writes =
-      std::make_shared<const std::vector<kv::Request>>(std::move(batch));
+  if (!batch.empty())
+    p.writes = std::make_shared<const proto::WriteSet>(std::move(batch));
   p.membership = std::move(pending_membership_);
   pending_membership_.clear();
 
@@ -504,14 +505,13 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
               return *a < *b;
             });
 
-  // Merge: concatenate request sets in sorted order; membership updates are
-  // unioned; the merged proposal number is the round's max (§4.2).
+  // Merge: concatenate request sets in sorted order (by pointer: see
+  // proto::merge_writes); membership updates are unioned; the merged
+  // proposal number is the round's max (§4.2).
   const VnodeId own_child =
       r == 1 ? lot_->leaf_of(node_id()) : lot_->ancestor(node_id(), r - 1);
-  auto merged_writes = std::make_shared<std::vector<kv::Request>>();
   std::size_t total = 0;
   for (const auto* p : inputs) total += p->write_count();
-  merged_writes->reserve(total);
   // Protocol CPU: merging/sorting this round's request lists.
   net().busy(node_id(),
              static_cast<Time>(total) * cfg_.cpu_per_write / 2);
@@ -522,9 +522,6 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
   for (const auto* p : inputs) {
     if (p->vnode == own_child) before_own = false;
     if (before_own) prefix += p->write_count();
-    if (p->writes)
-      merged_writes->insert(merged_writes->end(), p->writes->begin(),
-                            p->writes->end());
     merged.membership.insert(merged.membership.end(), p->membership.begin(),
                              p->membership.end());
   }
@@ -537,7 +534,7 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
   merged.vnode = lot_->ancestor(node_id(), static_cast<int>(r));
   merged.number = inputs.back()->number;
   merged.tiebreak = inputs.back()->tiebreak;
-  merged.writes = std::move(merged_writes);
+  merged.writes = proto::merge_writes(inputs);
 
   cs.state[r] = std::move(merged);
   cs.rounds_done = r;
@@ -759,7 +756,10 @@ void CanopusNode::commit_cycle(CycleId c) {
   CycleState& cs = cycle(c);
   const auto h = static_cast<std::size_t>(lot_->height());
   const proto::Proposal& root = *cs.state[h];
-  const std::vector<kv::Request>& writes = *root.writes;
+  // Flatten the root state once, into a buffer every commit reuses.
+  committed_writes_.clear();
+  if (root.writes) root.writes->append_to(committed_writes_);
+  const std::vector<kv::Request>& writes = committed_writes_;
   // Protocol CPU: applying this cycle's writes to the state machine.
   net().busy(node_id(),
              static_cast<Time>(writes.size()) * cfg_.cpu_per_write);
@@ -777,6 +777,12 @@ void CanopusNode::commit_cycle(CycleId c) {
     if (i == writes.size()) break;
     apply_write(writes[i]);
     ack_write(writes[i]);
+  }
+  // The answered reads' buffer serves a later cycle's start: a retained
+  // committed cycle holds none.
+  if (cs.reads.capacity() != 0) {
+    cs.reads.clear();
+    spare_reads_.push_back(std::move(cs.reads));
   }
 
   // Membership updates agreed in this cycle take effect now, identically on
@@ -860,13 +866,10 @@ void CanopusNode::prune_history() {
   // pipelining depth): a joiner fetches the merged root state of every
   // cycle between its snapshot and its activation, and those fetches are
   // served from this history.
-  const CycleId kKeep =
-      cfg_.pipelining
-          ? std::max<CycleId>(64, 2 * cfg_.max_outstanding_cycles)
-          : 64;
+  const CycleId keep = cfg_.kept_cycles();
   while (!cycles_.empty()) {
     auto it = cycles_.begin();
-    if (it->first + kKeep >= last_committed_) break;
+    if (it->first + keep >= last_committed_) break;
     // Commits are strictly in cycle order, so everything this far below
     // last_committed_ is retired — including any uncommitted husk a stale
     // fetch timer resurrected. Never block on the committed flag here: one
@@ -876,6 +879,13 @@ void CanopusNode::prune_history() {
     spare_cycle_ = cycles_.extract(it);
     spare_cycle_.mapped().reset();
   }
+}
+
+std::vector<CanopusNode::PendingRead> CanopusNode::take_read_buffer() {
+  if (spare_reads_.empty()) return {};
+  std::vector<PendingRead> buf = std::move(spare_reads_.back());
+  spare_reads_.pop_back();
+  return buf;
 }
 
 void CanopusNode::drop_fetch_timers(CycleState& cs) {

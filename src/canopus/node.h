@@ -106,7 +106,8 @@ class CanopusNode : public kv::ReplicaNode {
     /// state[r]: merged state of the height-r ancestor; state[0] is the
     /// node's own round-1 (leaf) proposal.
     std::vector<std::optional<proto::Proposal>> state;
-    /// Reads snapshotted into this cycle, spliced at commit (§5).
+    /// Reads snapshotted into this cycle, spliced at commit (§5). The
+    /// commit hands the buffer to spare_reads_.
     std::vector<PendingRead> reads;
     std::size_t own_writes = 0;
     /// # writes globally ordered before this node's own request set —
@@ -117,9 +118,9 @@ class CanopusNode : public kv::ReplicaNode {
     /// Remote proposal-requests we could not answer yet (§4.7 event 3).
     std::map<VnodeId, std::vector<NodeId>> parked_requests;
 
-    /// Returns every field to its default, keeping the vectors' capacity,
-    /// so that a pruned cycle's state can serve a later cycle (see
-    /// cycle()).
+    /// Returns every field to its default, keeping the capacity of `acc`
+    /// and `state`, so that a pruned cycle's state can serve a later cycle
+    /// (see cycle()).
     void reset();
   };
 
@@ -158,6 +159,8 @@ class CanopusNode : public kv::ReplicaNode {
   void prune_history();
   void drop_fetch_timers(CycleState& cs);
   void arm_pipeline_timer();
+  /// An empty read buffer: a spare one when there is one.
+  std::vector<PendingRead> take_read_buffer();
 
   // --- reads & leases (§5, §7.2) -------------------------------------------
   void enqueue_read(kv::Request r);
@@ -181,6 +184,10 @@ class CanopusNode : public kv::ReplicaNode {
   std::vector<kv::Request> pending_writes_;
   std::vector<PendingRead> pending_reads_;
   std::vector<proto::MembershipUpdate> pending_membership_;
+  /// Read buffers given back by committed cycles, drawn by start_cycle.
+  std::vector<std::vector<PendingRead>> spare_reads_;
+  /// The committing cycle's writes, flattened from its root state.
+  std::vector<kv::Request> committed_writes_;
 
   std::map<CycleId, CycleState> cycles_;
   /// The last pruned cycle's map node, reset, reused by the next new cycle.

@@ -171,17 +171,12 @@ inline std::uint64_t retained_log_bound(const TrialConfig& tc) {
     case System::kEPaxos:
       return tc.epaxos.repair_window;  // the repair ring, exact
     case System::kCanopus: {
-      // prune_history keeps 64 committed cycles (2x the pipelining window
-      // when pipelined, for rejoin catch-up) plus what is in flight.
+      // prune_history keeps kept_cycles() committed cycles, plus what is in
+      // flight.
       const std::uint64_t window = tc.canopus.pipelining
                                        ? tc.canopus.max_outstanding_cycles
                                        : 1;
-      const std::uint64_t keep =
-          tc.canopus.pipelining
-              ? std::max<std::uint64_t>(
-                    64, 2 * tc.canopus.max_outstanding_cycles)
-              : 64;
-      return keep + window + 2;
+      return tc.canopus.kept_cycles() + window + 2;
     }
   }
   return 0;

@@ -82,7 +82,7 @@ TEST(PayloadTest, TagUniquenessAcrossAllRegisteredPayloads) {
 
 TEST(PayloadTest, CopyingAPayloadSharesOneAllocation) {
   proto::Proposal prop;
-  prop.writes = std::make_shared<const std::vector<kv::Request>>(
+  prop.writes = std::make_shared<const proto::WriteSet>(
       std::vector<kv::Request>(1000));
   Payload a(std::move(prop));
   Payload b = a;          // fan-out copy
@@ -99,7 +99,7 @@ TEST(PayloadTest, ReaddressedBroadcastSharesOnePayloadAllocation) {
   // to each super-leaf peer; all N messages must point at the same value.
   proto::Proposal prop;
   prop.cycle = 3;
-  prop.writes = std::make_shared<const std::vector<kv::Request>>(
+  prop.writes = std::make_shared<const proto::WriteSet>(
       std::vector<kv::Request>(512));
   Message fetched(10, 20, prop.wire_bytes(), prop);
   std::vector<Message> rebroadcast;

@@ -1,0 +1,133 @@
+// Retained-heap budget of pipelined Canopus on the Table 1 WAN
+// (DESIGN.md §14.2).
+//
+// Pipelined Canopus keeps twice the pipelining depth of committed cycles
+// (512 at the default 256, i.e. 2.56 s at one cycle per 5 ms), so on a
+// trial shorter than that nothing it retains is ever freed, and what a
+// retained cycle holds per write decides the peak heap. The test runs the
+// Fig 6 shape (7 sites x 3 servers, pipelined, a cycle every 5 ms or 1000
+// requests) at 200 000 req/s and 20% writes, twice: with a 200 ms and with
+// a 600 ms measure window. The keyspace is 1000 keys, so the replicated
+// kv::Store tables stop growing early; setup, warmup and drain are the same
+// in both runs, so the difference of the two peak live-heap sizes over the
+// difference of the writes committed is the heap one committed write keeps.
+// The budget sits about 15% above the value measured when it was set.
+//
+// This TU carries its own live-bytes allocation hook: every global
+// allocation adds its block's usable size, every free subtracts it, and the
+// peak is tracked. It must be the binary's only definition of the global
+// allocation functions.
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "workload/trial.h"
+
+namespace {
+
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak{0};
+
+void* tracked_alloc(std::size_t n) noexcept {
+  void* p = std::malloc(n != 0 ? n : 1);
+  if (p == nullptr) return nullptr;
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live =
+      g_live.fetch_add(size, std::memory_order_relaxed) + size;
+  std::int64_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void tracked_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                   std::memory_order_relaxed);
+  std::free(p);
+}
+
+void* tracked_alloc_or_throw(std::size_t n) {
+  if (void* p = tracked_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return tracked_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return tracked_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return tracked_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return tracked_alloc(n);
+}
+void operator delete(void* p) noexcept { tracked_free(p); }
+void operator delete[](void* p) noexcept { tracked_free(p); }
+void operator delete(void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
+
+namespace canopus::workload {
+namespace {
+
+/// Measured 350 B per committed write; 2077 before merged states shared
+/// their inputs' write sets and committed cycles gave back their read
+/// buffers.
+constexpr double kBytesPerWrite = 400.0;
+
+struct Sample {
+  std::int64_t peak = 0;  ///< peak live bytes above the live bytes at start
+  std::uint64_t committed = 0;
+};
+
+Sample run(Time measure) {
+  TrialConfig tc;
+  tc.system = System::kCanopus;
+  tc.wan = true;
+  tc.groups = 7;
+  tc.per_group = 3;
+  tc.client_machines = 2;
+  tc.write_ratio = 0.2;
+  tc.num_keys = 1'000;
+  tc.canopus.pipelining = true;
+  tc.canopus.cycle_interval = 5 * kMillisecond;
+  tc.canopus.max_batch = 1'000;
+  tc.warmup = 400 * kMillisecond;
+  tc.measure = measure;
+  tc.drain = 600 * kMillisecond;
+  tc.seed = 42;
+  const std::int64_t before = g_live.load(std::memory_order_relaxed);
+  g_peak.store(before, std::memory_order_relaxed);
+  const TrialReport r =
+      run_trial({tc, 200'000.0, derive_seed(tc.seed, 0xf19aULL)});
+  EXPECT_TRUE(r.converged());
+  return {g_peak.load(std::memory_order_relaxed) - before,
+          r.committed_writes()};
+}
+
+TEST(RetainedHeap, PipelinedCanopusKeepsLittleHeapPerCommittedWrite) {
+  const Sample brief = run(200 * kMillisecond);
+  const Sample longer = run(600 * kMillisecond);
+  ASSERT_GT(longer.committed, brief.committed);
+  const double per_write =
+      static_cast<double>(longer.peak - brief.peak) /
+      static_cast<double>(longer.committed - brief.committed);
+  RecordProperty("bytes_per_write", std::to_string(per_write));
+  EXPECT_LE(per_write, kBytesPerWrite);
+}
+
+}  // namespace
+}  // namespace canopus::workload
