@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
                                                core::BroadcastKind::kSwitch};
   std::vector<Measurement> results(kinds.size());
   h.pool().run_indexed(kinds.size(), [&](std::size_t i) {
-    TrialConfig tc;
-    tc.sim_threads = h.sim_threads();
-    tc.runtime = h.runtime_kind();
+    TrialConfig tc = h.trial_config();
     tc.system = System::kCanopus;
     tc.groups = 3;
     tc.per_group = 9;

@@ -17,9 +17,7 @@ int main(int argc, char** argv) {
   const bool quick = h.quick();
 
   for (bool pipe : {false, true}) {
-    TrialConfig tc;
-    tc.sim_threads = h.sim_threads();
-    tc.runtime = h.runtime_kind();
+    TrialConfig tc = h.trial_config();
     tc.system = System::kCanopus;
     tc.wan = true;
     tc.groups = 3;

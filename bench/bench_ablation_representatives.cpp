@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results(variants.size());
   h.pool().run_indexed(variants.size(), [&](std::size_t i) {
-    TrialConfig tc;
-    tc.sim_threads = h.sim_threads();
-    tc.runtime = h.runtime_kind();
+    TrialConfig tc = h.trial_config();
     tc.system = System::kCanopus;
     tc.groups = 3;
     tc.per_group = 9;

@@ -76,8 +76,8 @@ struct Row {
 /// --minimize=auditor both build their trials through trial(), so a
 /// minimizer run probes exactly the trial of the row it names.
 struct Grid {
-  Grid(bool quick, bool wan, unsigned sim_threads)
-      : rate(wan ? 6'000 : 12'000) {
+  Grid(bool quick, bool wan, TrialConfig tc)
+      : base(std::move(tc)), rate(wan ? 6'000 : 12'000) {
     if (wan) {
       ft = wan_fault_timing();
       base = wan_fault_tuned(base);
@@ -89,11 +89,9 @@ struct Grid {
       ft.drain = 700 * kMillisecond;
       base = fault_tuned(base);
     }
-    base.sim_threads = sim_threads;
     base.groups = 3;
     base.per_group = 3;
     base.client_machines = 2;
-    base.warmup = ft.warmup;
 
     // The intensity axis. LAN: the classic escalation plus the gray palette
     // (one pure storm per gray kind, then the all-kinds mix). WAN: a
@@ -341,7 +339,7 @@ int main(int argc, char** argv) {
           : "Chaos sweep: seeded fault storms x intensity, invariant-audited",
       wan ? "Sec 8.2 topology (Table 1); no paper figure"
           : "Sec 6 (safety under failures); no paper figure");
-  const Grid grid(h.quick(), wan, h.sim_threads());
+  const Grid grid(h.quick(), wan, h.trial_config());
   const double rate = grid.rate;
   const std::vector<Row> rows =
       grid.rows(Harness::arg_value(argc, argv, "--only=", ""),

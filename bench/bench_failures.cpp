@@ -61,12 +61,10 @@ int main(int argc, char** argv) {
     ft.drain = 800 * kMillisecond;
   }
 
-  TrialConfig base;
-  base.sim_threads = h.sim_threads();
+  TrialConfig base = h.trial_config();
   base.groups = groups;
   base.per_group = per_group;
   base.client_machines = 2;
-  base.warmup = ft.warmup;
   base = wan ? wan_fault_tuned(base) : fault_tuned(base);
   const double rate = wan ? 6'000 : 20'000;
 
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
   h.pool().run_indexed(jobs.size(), [&](std::size_t i) {
     TrialConfig tc = base;
     tc.system = jobs[i].system;
-    tc.warmup = timings[jobs[i].scenario].warmup;
     results[i] = run_trial(scenario_trial(tc, scenarios[jobs[i].scenario],
                                           timings[jobs[i].scenario], rate));
   });

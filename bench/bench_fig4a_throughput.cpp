@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
   const double growth = quick ? 1.9 : 1.4;
 
   auto base = [&](int pr) {
-    TrialConfig tc;
-    tc.sim_threads = h.sim_threads();
-    tc.runtime = h.runtime_kind();
+    TrialConfig tc = h.trial_config();
     tc.groups = 3;
     tc.per_group = pr;
     tc.client_machines = 5;

@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
               "median @70% (ms)", "p99 (ms)");
   for (int pr : per_rack) {
     for (const Series& s : series) {
-      TrialConfig tc;
-      tc.sim_threads = h.sim_threads();
-      tc.runtime = h.runtime_kind();
+      TrialConfig tc = h.trial_config();
       tc.groups = 3;
       tc.per_group = pr;
       tc.warmup = 400 * kMillisecond;

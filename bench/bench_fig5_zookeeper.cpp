@@ -49,9 +49,7 @@ int main(int argc, char** argv) {
   for (int pr : {3, 9}) {
     std::printf("\n--- %d nodes ---\n", 3 * pr);
     for (const Entry& e : entries) {
-      TrialConfig tc;
-      tc.sim_threads = h.sim_threads();
-      tc.runtime = h.runtime_kind();
+      TrialConfig tc = h.trial_config();
       tc.system = e.system;
       tc.groups = 3;
       tc.per_group = pr;
@@ -66,18 +64,14 @@ int main(int argc, char** argv) {
       const auto sweep = sweep_rates(h.pool(), make_trial(tc), rates);
 
       std::printf("  %s\n", e.label);
-      double best = 0;
-      for (const auto& m : sweep) {
+      for (const auto& m : sweep)
         std::printf("    offered %8.3f M  ->  %8.3f Mreq/s   median %8.3f ms\n",
                     bench::mreq(m.offered), bench::mreq(m.throughput),
                     bench::ms(m.median));
-        // Healthy = timely AND complete: a coordinator that still answers
-        // reads while its write pipeline starves must not score the reads
-        // (the 20% write share has to finish too).
-        if (m.median <= 10 * kMillisecond &&
-            m.throughput >= 0.95 * m.offered && m.throughput > best)
-          best = m.throughput;
-      }
+      // Healthy = timely AND complete: a coordinator that still answers
+      // reads while its write pipeline starves must not score the reads
+      // (the 20% write share has to finish too).
+      const double best = bench::max_healthy(sweep, 10 * kMillisecond);
       std::printf("    max healthy throughput: %.3f Mreq/s\n",
                   bench::mreq(best));
       const char* series_base = e.system == System::kCanopus

@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
     std::printf("\n--- %d datacenters x 3 nodes (%d nodes) ---\n", dcs,
                 3 * dcs);
     for (bool canopus : {true, false}) {
-      TrialConfig tc;
-      tc.sim_threads = h.sim_threads();
-      tc.runtime = h.runtime_kind();
+      TrialConfig tc = h.trial_config();
       tc.system = canopus ? System::kCanopus : System::kEPaxos;
       tc.wan = true;
       tc.groups = dcs;
@@ -56,18 +54,14 @@ int main(int argc, char** argv) {
 
       std::printf("  %s\n", canopus ? "Canopus (pipelined, 5ms/1000-req cycles)"
                                     : "EPaxos (5ms batches, 0%% interference)");
-      // The paper marks max throughput where latency reaches 1.5x the
-      // unloaded (base) latency.
-      const Time base = sweep.front().median;
-      double best = 0;
-      for (const auto& m : sweep) {
+      for (const auto& m : sweep)
         std::printf("    offered %8.3f M  ->  %8.3f Mreq/s   median %8.2f ms\n",
                     bench::mreq(m.offered), bench::mreq(m.throughput),
                     bench::ms(m.median));
-        if (m.median <= base + base / 2 &&
-            m.throughput >= 0.95 * m.offered && m.throughput > best)
-          best = m.throughput;
-      }
+      // The paper marks max throughput where latency reaches 1.5x the
+      // unloaded (base) latency.
+      const Time base = sweep.front().median;
+      const double best = bench::max_healthy(sweep, base + base / 2);
       std::printf("    max throughput at <=1.5x base latency: %.3f Mreq/s\n",
                   bench::mreq(best));
       (canopus ? canopus_max : epaxos_max).push_back(best);

@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
 
   double canopus50 = 0, epaxos20 = 0;
   for (const Series& s : series) {
-    TrialConfig tc;
-    tc.sim_threads = h.sim_threads();
-    tc.runtime = h.runtime_kind();
+    TrialConfig tc = h.trial_config();
     tc.system = s.system;
     tc.wan = true;
     tc.groups = 3;
@@ -51,15 +49,12 @@ int main(int argc, char** argv) {
     const auto sweep = sweep_rates(h.pool(), make_trial(tc), rates);
 
     std::printf("\n  %s\n", s.name);
-    const Time base = sweep.front().median;
-    double best = 0;
-    for (const auto& m : sweep) {
+    for (const auto& m : sweep)
       std::printf("    offered %8.3f M  ->  %8.3f Mreq/s   median %8.2f ms\n",
                   bench::mreq(m.offered), bench::mreq(m.throughput),
                   bench::ms(m.median));
-      if (m.median <= base + base / 2 && m.throughput > best)
-        best = m.throughput;
-    }
+    const Time base = sweep.front().median;
+    const double best = bench::max_healthy(sweep, base + base / 2);
     std::printf("    max throughput at <=1.5x base latency: %.3f Mreq/s\n",
                 bench::mreq(best));
     if (s.system == System::kCanopus && s.writes == 0.5) canopus50 = best;

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   const std::vector<KeyDist> dists = {KeyDist::kUniform, KeyDist::kZipfian};
   const double r0 = 20'000;  // per-group offered load (weak scaling)
 
-  TrialConfig proto;
-  proto.sim_threads = h.sim_threads();
+  TrialConfig proto = h.trial_config();
   proto.per_group = 3;
   proto.client_machines = 2;  // per rack
   proto.warmup = 400 * kMillisecond;

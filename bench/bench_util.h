@@ -73,6 +73,20 @@ inline void print_measurement_row(const char* label,
               label, mreq(m.throughput), ms(m.median), ms(m.p99));
 }
 
+/// The largest throughput among `sweep`'s healthy points, or 0 when none
+/// is: a healthy point is timely (median <= latency_bound) and complete
+/// (throughput >= 95% of offered). The second clause keeps out a collapsed
+/// point, whose median reads 0 when nothing completed.
+inline double max_healthy(const std::vector<workload::Measurement>& sweep,
+                          Time latency_bound) {
+  double best = 0;
+  for (const workload::Measurement& m : sweep)
+    if (m.median <= latency_bound && m.throughput >= 0.95 * m.offered &&
+        m.throughput > best)
+      best = m.throughput;
+  return best;
+}
+
 /// One named result series of a figure: a sweep of measurements plus
 /// free-form attributes (strings), scalars (numbers) and named extra points.
 struct SeriesResult {
@@ -133,15 +147,19 @@ class Harness {
   workload::TrialPool& pool() { return pool_; }
 
   /// Intra-trial shard workers (--sim-threads=N); 1 = serial event loop.
-  /// Benches forward this into TrialConfig::sim_threads.
   unsigned sim_threads() const { return sim_threads_; }
 
-  /// Execution backend (--runtime=sim|threads); benches forward this into
-  /// TrialConfig::runtime. kThreads runs each trial on real node threads
+  /// A default TrialConfig with the trial flags applied: --sim-threads and
+  /// --runtime=sim|threads. kThreads runs each trial on real node threads
   /// (runtime::ThreadedRuntime, DESIGN.md Sec 12) at wall-clock speed —
   /// results are then hardware-dependent, not deterministic, and trials
-  /// should not run concurrently (--threads=1).
-  workload::RuntimeKind runtime_kind() const { return runtime_; }
+  /// should not run concurrently (--threads=1). A faulted trial rejects it.
+  workload::TrialConfig trial_config() const {
+    workload::TrialConfig tc;
+    tc.sim_threads = sim_threads_;
+    tc.runtime = runtime_;
+    return tc;
+  }
 
   SeriesResult& add_series(std::string name) {
     series_.emplace_back();

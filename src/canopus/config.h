@@ -1,22 +1,22 @@
 // Tunables for a Canopus deployment.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
 
 #include "common/types.h"
-#include "raft/raft.h"
 #include "rbcast/switch_broadcast.h"
 
 namespace canopus::core {
 
-/// Shared per-deployment registry of virtual ToR sequencers (one per
-/// super-leaf) for the hardware-assisted broadcast substrate. All nodes of
-/// a deployment must share one registry — copying a single Config value
-/// around (the normal pattern) is sufficient, since the shared_ptr is
-/// shared by the copies.
+/// Per-deployment registry of virtual ToR sequencers (one per super-leaf)
+/// for the hardware-assisted broadcast substrate. All nodes of a deployment
+/// must share one registry, and no two deployments may: concurrent trials
+/// would stamp frames from one unsynchronized counter, and each super-leaf
+/// would wait forever on sequence numbers another trial consumed.
+/// CanopusService installs a fresh registry per deployment; a harness that
+/// builds its own nodes shares one by copying one Config value to them.
 struct SequencerRegistry {
   std::shared_ptr<rbcast::SequencerState> get(int super_leaf) {
     auto& s = switches_[super_leaf];
@@ -34,10 +34,26 @@ enum class BroadcastKind {
   kSwitch,  ///< hardware-assisted atomic broadcast in the ToR switch
 };
 
+// --- protocol CPU costs (see EXPERIMENTS.md calibration) -----------------
+/// Per-write protocol work (merge/sort/commit bookkeeping) charged to the
+/// node CPU at merge and commit time. Together with the per-byte network
+/// CPU this puts the per-node cost of a globally ordered write at ~1 us,
+/// the value implied by the paper's Figure 4(a) saturation points.
+inline constexpr Time kCpuPerWrite = 150;
+/// Per-read service work charged when a read is answered (the KV service
+/// path: lookup, linearization bookkeeping, reply marshalling). Calibrated
+/// against the paper's 9-to-27-node scaling; see EXPERIMENTS.md.
+inline constexpr Time kCpuPerRead = 5'000;
+
+/// Bound on in-flight cycles under pipelining (§7.1; commit remains
+/// strictly cycle-ordered). Must exceed (widest RTT) / cycle_interval —
+/// 322 ms / 5 ms = 65 for the Table 1 WAN — or the window throttles the
+/// pipeline into stop-and-go.
+inline constexpr std::size_t kMaxOutstandingCycles = 256;
+
 struct Config {
   /// Reliable-broadcast substrate within a super-leaf (§4.3).
   BroadcastKind broadcast = BroadcastKind::kRaft;
-  rbcast::SwitchOptions switch_broadcast;
   std::shared_ptr<SequencerRegistry> sequencers =
       std::make_shared<SequencerRegistry>();
 
@@ -52,17 +68,6 @@ struct Config {
   /// covered by the retry-another-emulator fallback either way.
   int redundant_fetch = 1;
 
-  // --- protocol CPU costs (see EXPERIMENTS.md calibration) ---------------
-  /// Per-write protocol work (merge/sort/commit bookkeeping) charged to the
-  /// node CPU at merge and commit time. Together with the per-byte network
-  /// CPU this puts the per-node cost of a globally ordered write at ~1 us,
-  /// the value implied by the paper's Figure 4(a) saturation points.
-  Time cpu_per_write = 150;
-  /// Per-read service work charged when a read is answered (the KV service
-  /// path: lookup, linearization bookkeeping, reply marshalling). Calibrated
-  /// against the paper's 9-to-27-node scaling; see EXPERIMENTS.md.
-  Time cpu_per_read = 5'000;
-
   /// Retry timeout for a proposal-request before trying another emulator.
   /// Must exceed the widest RTT in the deployment (Table 1 tops out at
   /// 322 ms SY-FF).
@@ -75,27 +80,18 @@ struct Config {
   Time cycle_interval = 5 * kMillisecond;
   /// "...or after 1000 requests have accumulated, whichever happens first."
   std::size_t max_batch = 1'000;
-  /// Bound on in-flight cycles (commit remains strictly cycle-ordered).
-  /// Must exceed (widest RTT) / cycle_interval — 322 ms / 5 ms = 65 for the
-  /// Table 1 WAN — or the window throttles the pipeline into stop-and-go.
-  std::size_t max_outstanding_cycles = 256;
 
   /// Committed cycles prune_history keeps, so that straggling super-leaves
-  /// can still fetch this node's vnode states: 64, and under pipelining at
-  /// least twice the pipelining depth, which covers the rejoin catch-up span.
+  /// can still fetch this node's vnode states: 64, or under pipelining
+  /// twice the pipelining depth, which covers the rejoin catch-up span.
   CycleId kept_cycles() const {
-    return pipelining ? std::max<CycleId>(64, 2 * max_outstanding_cycles)
-                      : 64;
+    return pipelining ? 2 * kMaxOutstandingCycles : 64;
   }
 
   // --- write leases (§7.2) ---------------------------------------------
   bool write_leases = false;
   /// How many cycles a key's write lease stays active after a write commits.
   CycleId lease_cycles = 4;
-
-  /// Super-leaf broadcast-group tuning. The defaults suit simulation-scale
-  /// intra-rack latencies.
-  raft::Options raft;
 };
 
 }  // namespace canopus::core

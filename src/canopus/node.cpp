@@ -35,27 +35,20 @@ void CanopusNode::on_start() {
 }
 
 void CanopusNode::make_broadcast() {
-  const int sl = lot_->super_leaf_of(node_id());
+  rbcast::Broadcast::Callbacks cb;
+  cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
+    handle_rb_deliver(origin, payload);
+  };
+  cb.on_peer_failed = [this](NodeId failed) { handle_peer_failed(failed); };
   if (cfg_.broadcast == BroadcastKind::kRaft) {
-    rbcast::ReliableBroadcast::Callbacks cb;
-    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
-      send(dst, bytes, std::move(p));
-    };
-    cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
-      handle_rb_deliver(origin, payload);
-    };
-    cb.on_peer_failed = [this](NodeId failed) { handle_peer_failed(failed); };
-    rb_ = std::make_unique<rbcast::ReliableBroadcast>(
-        node_id(), sl_live_, sim(), std::move(cb), cfg_.raft);
+    rb_ = std::make_unique<rbcast::ReliableBroadcast>(node_id(), sl_live_,
+                                                      sim(), net(),
+                                                      std::move(cb));
   } else {
-    rbcast::Broadcast::Callbacks cb;
-    cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
-      handle_rb_deliver(origin, payload);
-    };
-    cb.on_peer_failed = [this](NodeId failed) { handle_peer_failed(failed); };
+    const int sl = lot_->super_leaf_of(node_id());
     rb_ = std::make_unique<rbcast::SwitchBroadcast>(
         node_id(), sl_live_, cfg_.sequencers->get(sl), sim(), net(),
-        std::move(cb), cfg_.switch_broadcast);
+        std::move(cb));
   }
 }
 
@@ -261,7 +254,7 @@ bool CanopusNode::lease_active(std::uint64_t key) const {
 }
 
 void CanopusNode::answer_read(const kv::Request& r) {
-  const std::uint64_t value = serve_read(r, cfg_.cpu_per_read);
+  const std::uint64_t value = serve_read(r, kCpuPerRead);
   if (on_read) on_read(r, value);
 }
 
@@ -313,9 +306,9 @@ void CanopusNode::maybe_start_next_cycle(bool timer_fired) {
     // have not started) starts the next cycle immediately — that is the
     // self-synchronization that keeps every super-leaf's cycle numbers
     // aligned in wall-clock time. A node that briefly skipped ticks catches
-    // up in a burst of (empty) cycles; max_outstanding_cycles bounds the
+    // up in a burst of (empty) cycles; kMaxOutstandingCycles bounds the
     // burst.
-    if (last_started_ - last_committed_ >= cfg_.max_outstanding_cycles)
+    if (last_started_ - last_committed_ >= kMaxOutstandingCycles)
       return;
     const bool batch_full =
         pending_writes_.size() + pending_reads_.size() >= cfg_.max_batch;
@@ -327,7 +320,7 @@ void CanopusNode::maybe_start_next_cycle(bool timer_fired) {
     // everyone's fetches. The consecutive-empty guard lets a fully idle
     // system quiesce instead of ticking forever.
     const bool keep_cadence =
-        local_work || (!idle && empty_streak_ < cfg_.max_outstanding_cycles);
+        local_work || (!idle && empty_streak_ < kMaxOutstandingCycles);
     go = prompted_ || batch_full || (timer_fired && keep_cadence) ||
          (idle && local_work);
   }
@@ -514,7 +507,7 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
   for (const auto* p : inputs) total += p->write_count();
   // Protocol CPU: merging/sorting this round's request lists.
   net().busy(node_id(),
-             static_cast<Time>(total) * cfg_.cpu_per_write / 2);
+             static_cast<Time>(total) * kCpuPerWrite / 2);
 
   proto::Proposal merged;
   std::size_t prefix = 0;
@@ -762,7 +755,7 @@ void CanopusNode::commit_cycle(CycleId c) {
   const std::vector<kv::Request>& writes = committed_writes_;
   // Protocol CPU: applying this cycle's writes to the state machine.
   net().busy(node_id(),
-             static_cast<Time>(writes.size()) * cfg_.cpu_per_write);
+             static_cast<Time>(writes.size()) * kCpuPerWrite);
 
   // Reads are spliced at `own_prefix + pos`: after the pos-th own write of
   // this cycle, and before the next one — preserving each client's FIFO
@@ -814,7 +807,7 @@ void CanopusNode::commit_cycle(CycleId c) {
     // pipelining window K) requires last_committed_ >= c' - K > c, i.e.
     // after it, too, applied this kJoin.
     const CycleId act =
-        c + (cfg_.pipelining ? cfg_.max_outstanding_cycles : 0) + 1;
+        c + (cfg_.pipelining ? kMaxOutstandingCycles : 0) + 1;
     emu_.add(u.node);
     excluded_at_.erase(u.node);
     if (u.node != node_id() &&

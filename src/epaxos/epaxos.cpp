@@ -87,8 +87,8 @@ void EPaxosNode::flush_batch() {
   if (pending_.empty()) return;
 
   const InstanceId id{node_id(), next_seq_++};
-  net().busy(node_id(), static_cast<Time>(pending_.size()) *
-                            cfg_.cpu_per_command);
+  net().busy(node_id(),
+             static_cast<Time>(pending_.size()) * kCpuPerCommand);
   Instance& inst = instances_[id];
   inst.batch = std::make_shared<const std::vector<kv::Request>>(
       std::move(pending_));
@@ -134,7 +134,7 @@ void EPaxosNode::handle_pre_accept(NodeId src, const PreAccept& pa) {
   }
   net().busy(node_id(),
              static_cast<Time>(pa.batch ? pa.batch->size() : 0) *
-                 cfg_.cpu_per_command);
+                 kCpuPerCommand);
   // Zero-interference fast path: the acceptor sees no conflicting
   // instances, so it echoes the dependencies unchanged and the leader's
   // fast quorum check succeeds.
@@ -462,7 +462,7 @@ void EPaxosNode::execute(const InstanceId& id) {
     } else if (inst.own && r.origin == node_id()) {
       // Reads travel through the protocol (§8.1.1) and are answered where
       // they entered, when their instance executes. The protocol already
-      // charged cpu_per_command for them.
+      // charged kCpuPerCommand for them.
       serve_read(r, 0);
     }
   }

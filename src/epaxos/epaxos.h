@@ -35,15 +35,16 @@
 
 namespace canopus::epaxos {
 
+/// Protocol CPU per command at every replica (dependency/attribute checks on
+/// PreAccept, instance bookkeeping) — the per-command work EPaxos pays on
+/// reads AND writes at all nodes, unlike Canopus.
+inline constexpr Time kCpuPerCommand = 1'500;
+
 struct Config {
   Time batch_interval = 5 * kMillisecond;  ///< paper default; Fig 4 also 2ms
   /// Fraction [0,1] of writes that interfere (conflict) with concurrent
   /// instances; the paper evaluates at 0.
   double interference = 0.0;
-  /// Protocol CPU per command at every replica (dependency/attribute checks
-  /// on PreAccept, instance bookkeeping) — the per-command work EPaxos pays
-  /// on reads AND writes at all nodes, unlike Canopus.
-  Time cpu_per_command = 1'500;
 
   // --- fault-plane tuning -------------------------------------------------
   /// Executed instances whose batches stay resident for peer repair. A

@@ -4,8 +4,8 @@
 
 namespace canopus::raft {
 
-RaftKvNode::RaftKvNode(std::vector<NodeId> members, KvConfig cfg)
-    : members_(std::move(members)), cfg_(cfg) {
+RaftKvNode::RaftKvNode(std::vector<NodeId> members, Options opt)
+    : members_(std::move(members)), opt_(opt) {
   assert(!members_.empty());
 }
 
@@ -16,7 +16,7 @@ void RaftKvNode::on_start() {
   };
   cb.on_commit = [this](LogIndex idx, const LogEntry& e) {
     if (const auto* b = e.payload.as<KvBatch>(); b != nullptr && b->reqs)
-      commit_batch(idx, *b->reqs, cfg_.cpu_per_write);
+      commit_batch(idx, *b->reqs, kKvCpuPerWrite);
   };
   cb.make_snapshot = [this](std::size_t& bytes) {
     KvSnapshot s{capture_snapshot()};
@@ -27,7 +27,7 @@ void RaftKvNode::on_start() {
     if (const auto* s = p.as<KvSnapshot>()) install_snapshot(s->snap);
   };
   raft_ = std::make_unique<RaftNode>(/*group=*/0, node_id(), members_, sim(),
-                                     std::move(cb), cfg_.raft);
+                                     std::move(cb), opt_);
   raft_->start(/*bootstrap_as_leader=*/node_id() == members_[0]);
 }
 
@@ -84,7 +84,7 @@ void RaftKvNode::on_message(const simnet::Message& m) {
 
 void RaftKvNode::enqueue(kv::Request r) {
   if (!r.is_write) {
-    serve_read(r, cfg_.cpu_per_read);
+    serve_read(r, kKvCpuPerRead);
     return;
   }
   pending_.push_back(std::move(r));
@@ -94,7 +94,7 @@ void RaftKvNode::enqueue(kv::Request r) {
 void RaftKvNode::arm_flush_timer() {
   if (flush_timer_armed_) return;
   flush_timer_armed_ = true;
-  after(cfg_.batch_interval, [this] {
+  after(kKvBatchInterval, [this] {
     flush_timer_armed_ = false;
     if (!crashed_) flush_batch();
   });
@@ -103,8 +103,8 @@ void RaftKvNode::arm_flush_timer() {
 void RaftKvNode::flush_batch() {
   if (pending_.empty() || raft_ == nullptr) return;
   if (raft_->is_leader()) {
-    net().busy(node_id(), static_cast<Time>(pending_.size()) *
-                              cfg_.leader_cpu_per_write);
+    net().busy(node_id(),
+               static_cast<Time>(pending_.size()) * kKvLeaderCpuPerWrite);
     KvBatch b;
     b.reqs = std::make_shared<const std::vector<kv::Request>>(
         std::move(pending_));

@@ -29,19 +29,15 @@
 
 namespace canopus::raft {
 
-struct KvConfig {
-  /// Batching window for writes at every node (leader and forwarders).
-  Time batch_interval = 1 * kMillisecond;
-  /// Leader-side protocol CPU per write (log append, pipeline bookkeeping).
-  /// Cheaper than the ZooKeeper request pipeline — this is bare Raft, not a
-  /// full coordination service — but still a centralized per-write cost.
-  Time leader_cpu_per_write = 5'000;
-  /// Per-write apply cost at every member; per-read cost at the server.
-  Time cpu_per_write = 1'000;
-  Time cpu_per_read = 1'000;
-  /// Election/heartbeat tuning for the cluster-wide group.
-  Options raft;
-};
+/// Batching window for writes at every node (leader and forwarders).
+inline constexpr Time kKvBatchInterval = 1 * kMillisecond;
+/// Leader-side protocol CPU per write (log append, pipeline bookkeeping).
+/// Cheaper than the ZooKeeper request pipeline — this is bare Raft, not a
+/// full coordination service — but still a centralized per-write cost.
+inline constexpr Time kKvLeaderCpuPerWrite = 5'000;
+/// Per-write apply cost at every member; per-read cost at the server.
+inline constexpr Time kKvCpuPerWrite = 1'000;
+inline constexpr Time kKvCpuPerRead = 1'000;
 
 /// Replicated log-entry payload: one batch of writes, shared across the
 /// per-follower fan-out.
@@ -70,8 +66,9 @@ struct KvSnapshot {
 
 class RaftKvNode : public kv::ReplicaNode {
  public:
-  /// `members` lists every server; members[0] bootstraps as leader.
-  RaftKvNode(std::vector<NodeId> members, KvConfig cfg);
+  /// `members` lists every server; members[0] bootstraps as leader. `opt`
+  /// tunes the cluster-wide group.
+  RaftKvNode(std::vector<NodeId> members, Options opt);
 
   void on_start() override;
   void on_message(const simnet::Message& m) override;
@@ -102,7 +99,7 @@ class RaftKvNode : public kv::ReplicaNode {
   void flush_batch();
 
   std::vector<NodeId> members_;
-  KvConfig cfg_;
+  Options opt_;
   std::unique_ptr<RaftNode> raft_;
 
   std::vector<kv::Request> pending_;

@@ -6,15 +6,20 @@
 namespace canopus::rbcast {
 
 ReliableBroadcast::ReliableBroadcast(NodeId self, std::vector<NodeId> members,
-                                     simnet::ClockHandle sim, Callbacks cb,
-                                     raft::Options opt)
+                                     simnet::ClockHandle sim,
+                                     simnet::NetHandle net, Callbacks cb)
     : self_(self),
       members_(std::move(members)),
       sim_(sim),
-      cb_(std::move(cb)),
-      opt_(opt) {
+      net_(net),
+      cb_(std::move(cb)) {
   assert(std::find(members_.begin(), members_.end(), self_) !=
          members_.end());
+}
+
+void ReliableBroadcast::send(NodeId dst, simnet::Payload payload,
+                             std::size_t bytes) {
+  net_.send(simnet::Message(self_, dst, bytes, std::move(payload)));
 }
 
 bool ReliableBroadcast::is_member(NodeId n) const {
@@ -23,7 +28,9 @@ bool ReliableBroadcast::is_member(NodeId n) const {
 
 void ReliableBroadcast::make_group(NodeId origin) {
   raft::RaftNode::Callbacks cb;
-  cb.send = cb_.send;
+  cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
+    send(dst, std::move(p), bytes);
+  };
   cb.on_commit = [this, origin](raft::LogIndex, const raft::LogEntry& e) {
     cb_.deliver(origin, e.payload);
   };
@@ -47,7 +54,7 @@ void ReliableBroadcast::make_group(NodeId origin) {
   groups_.emplace(origin,
                   std::make_unique<raft::RaftNode>(
                       raft::GroupId{origin}, self_, members_, sim_,
-                      std::move(cb), opt_));
+                      std::move(cb)));
 }
 
 void ReliableBroadcast::start() {
@@ -90,7 +97,7 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
       request.type = raft::MsgType::kDissolvedTailRequest;
       request.prev_log_index = it->second->commit_index();
       const std::size_t bytes = request.wire_bytes();
-      cb_.send(src, std::move(request), bytes);
+      send(src, std::move(request), bytes);
     }
     return;
   }
@@ -104,7 +111,7 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
       raft::WireMsg notice;
       if (r->second->dissolution_notice(m, notice)) {
         const std::size_t bytes = notice.wire_bytes();
-        cb_.send(src, std::move(notice), bytes);
+        send(src, std::move(notice), bytes);
       }
     }
     return;

@@ -20,7 +20,6 @@
 // report is what Canopus piggybacks as a membership update (§4.6).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,21 +32,11 @@ namespace canopus::rbcast {
 
 class ReliableBroadcast final : public Broadcast {
  public:
-  struct Callbacks {
-    /// Transport to a super-leaf peer: `payload` is a raft::WireMsg of
-    /// `bytes` wire bytes (see raft::RaftNode::Callbacks::send).
-    std::function<void(NodeId dst, simnet::Payload payload, std::size_t bytes)>
-        send;
-    /// Delivery upcall: `origin` is the broadcasting node. Same-origin
-    /// payloads are delivered in broadcast (log) order.
-    std::function<void(NodeId origin, const simnet::Payload& payload)> deliver;
-    /// A peer was detected failed (its group elected a replacement leader).
-    std::function<void(NodeId failed)> on_peer_failed;
-  };
-
+  /// The owning Process forwards its incoming messages into handle(); the
+  /// groups' Raft wire messages leave through `net` from `self`.
   ReliableBroadcast(NodeId self, std::vector<NodeId> members,
-                    simnet::ClockHandle sim, Callbacks cb,
-                    raft::Options opt = {});
+                    simnet::ClockHandle sim, simnet::NetHandle net,
+                    Callbacks cb);
 
   /// Starts all per-node groups; `self`'s own group bootstraps with self as
   /// leader (no election needed — group ids fix the initial leader).
@@ -84,12 +73,14 @@ class ReliableBroadcast final : public Broadcast {
 
  private:
   void make_group(NodeId origin);
+  /// Sends `payload`, a raft::WireMsg of `bytes` wire bytes, to `dst`.
+  void send(NodeId dst, simnet::Payload payload, std::size_t bytes);
 
   NodeId self_;
   std::vector<NodeId> members_;
   simnet::ClockHandle sim_;
+  simnet::NetHandle net_;
   Callbacks cb_;
-  raft::Options opt_;
   /// One Raft group per member, keyed by the member (== group id).
   std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> groups_;
   std::unordered_set<raft::GroupId> dissolved_;

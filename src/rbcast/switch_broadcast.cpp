@@ -7,14 +7,13 @@ namespace canopus::rbcast {
 SwitchBroadcast::SwitchBroadcast(NodeId self, std::vector<NodeId> members,
                                  std::shared_ptr<SequencerState> sequencer,
                                  simnet::ClockHandle sim, simnet::NetHandle net,
-                                 Callbacks cb, SwitchOptions opt)
+                                 Callbacks cb)
     : self_(self),
       members_(std::move(members)),
       seq_(std::move(sequencer)),
       sim_(sim),
       net_(net),
-      cb_(std::move(cb)),
-      opt_(opt) {}
+      cb_(std::move(cb)) {}
 
 void SwitchBroadcast::start() {
   running_ = true;
@@ -65,8 +64,7 @@ void SwitchBroadcast::heartbeat_tick() {
 
   // Check for silent peers; a failure notice goes through the sequencer so
   // all survivors exclude the peer at the same point in delivery order.
-  const Time deadline =
-      opt_.heartbeat_interval * opt_.miss_limit;
+  const Time deadline = kSwitchHeartbeat * kSwitchMissLimit;
   for (NodeId m : members_) {
     if (m == self_ || declared_failed_.contains(m)) continue;
     if (sim_.now() - last_heard_[m] > deadline) {
@@ -78,7 +76,7 @@ void SwitchBroadcast::heartbeat_tick() {
     }
   }
   heartbeat_timer_ =
-      sim_.after(opt_.heartbeat_interval, [this] { heartbeat_tick(); });
+      sim_.after(kSwitchHeartbeat, [this] { heartbeat_tick(); });
 }
 
 bool SwitchBroadcast::handle(const simnet::Message& m) {

@@ -10,7 +10,7 @@
 // The "switch" is a SequencerState shared by the members of a super-leaf —
 // the simulation stand-in for the ToR ASIC. Receivers deliver strictly in
 // sequence order. Failure detection uses switch-sequenced heartbeats: a
-// member that misses `miss_limit` heartbeat windows is declared failed by
+// member that misses kSwitchMissLimit heartbeat windows is declared failed by
 // a FailNotice that itself travels through the sequencer, so every
 // survivor observes the failure at the same point in the delivery order —
 // the same consistent-exclusion property the Raft variant provides via
@@ -35,10 +35,10 @@ struct SequencerState {
   std::uint64_t next_seq = 0;
 };
 
-struct SwitchOptions {
-  Time heartbeat_interval = 15 * kMillisecond;
-  int miss_limit = 4;  ///< heartbeat windows missed before declaring failure
-};
+/// Interval between a member's switch-sequenced heartbeats.
+inline constexpr Time kSwitchHeartbeat = 15 * kMillisecond;
+/// Heartbeat windows a member may miss before it is declared failed.
+inline constexpr int kSwitchMissLimit = 4;
 
 /// One switch-sequenced frame: payload, heartbeat, or failure notice. The
 /// inner payload rides the bus too, so the per-member fan-out and the
@@ -64,8 +64,7 @@ class SwitchBroadcast final : public Broadcast {
   /// commit notifications and quorum waits.
   SwitchBroadcast(NodeId self, std::vector<NodeId> members,
                   std::shared_ptr<SequencerState> sequencer,
-                  simnet::ClockHandle sim, simnet::NetHandle net, Callbacks cb,
-                  SwitchOptions opt = {});
+                  simnet::ClockHandle sim, simnet::NetHandle net, Callbacks cb);
 
   void start() override;
   void stop() override;
@@ -86,7 +85,6 @@ class SwitchBroadcast final : public Broadcast {
   simnet::ClockHandle sim_;
   simnet::NetHandle net_;
   Callbacks cb_;
-  SwitchOptions opt_;
 
   std::map<std::uint64_t, SwitchFrame> pending_;  // out-of-order buffer
   std::uint64_t next_deliver_ = 0;

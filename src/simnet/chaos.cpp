@@ -61,7 +61,7 @@ FaultSchedule ChaosScheduleGenerator::generate(
 
   // The config's knobs per family, in kFaultFamilies order: the weighted
   // pick walks them front to back. `x`/`d` parameterize the fault event
-  // (skew draws its rate per fault instead).
+  // (skew draws its rate per fault instead, and lags no fixed offset).
   struct Knobs {
     double weight;
     int cap;
@@ -71,11 +71,11 @@ FaultSchedule ChaosScheduleGenerator::generate(
   const Knobs knob[kNumFaultFamilies] = {
       {cfg.crash_weight, cfg.max_down, 0, 0},
       {cfg.sever_weight, cfg.max_severed, 0, 0},
-      {cfg.cpu_weight, cfg.max_slow, cfg.cpu_factor, 0},
-      {cfg.flap_weight, cfg.max_flapping, 0, cfg.flap_period},
-      {cfg.dup_weight, cfg.max_dup, 0, cfg.dup_echo},
-      {cfg.reorder_weight, cfg.max_reorder, 0, cfg.reorder_jitter},
-      {cfg.skew_weight, cfg.max_skewed, 0, cfg.skew_offset},
+      {cfg.cpu_weight, kMaxSlow, cfg.cpu_factor, 0},
+      {cfg.flap_weight, kMaxFlapping, 0, cfg.flap_period},
+      {cfg.dup_weight, kMaxDup, 0, cfg.dup_echo},
+      {cfg.reorder_weight, kMaxReorder, 0, cfg.reorder_jitter},
+      {cfg.skew_weight, kMaxSkewed, 0, 0},
   };
   double all_weight = 0;
   for (const Knobs& k : knob) all_weight += k.weight;

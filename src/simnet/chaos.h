@@ -20,8 +20,8 @@
 //    directed pair), and the repair comes no earlier than `min_heal` after
 //    the fault (faults have a minimum duration);
 //  * replaying the schedule never exceeds any kind's blast-radius cap
-//    (max_down crashed nodes, max_severed severed pairs, max_slow degraded
-//    nodes, max_flapping / max_dup / max_reorder pairs, max_skewed nodes)
+//    (max_down crashed nodes, max_severed severed pairs, kMaxSlow degraded
+//    nodes, kMaxFlapping / kMaxDup / kMaxReorder pairs, kMaxSkewed nodes)
 //    — storms degrade the cluster, they never erase it;
 //  * by `end` every fault is healed, so a post-storm phase exists in which
 //    repair traffic can converge and the audit plane can judge the run.
@@ -34,6 +34,15 @@
 #include "simnet/fault_schedule.h"
 
 namespace canopus::simnet {
+
+/// Per-kind blast radius for the gray kinds: the most degraded nodes,
+/// flapping, duplicating and reordering directed pairs, and skewed nodes a
+/// storm holds at once.
+inline constexpr int kMaxSlow = 1;
+inline constexpr int kMaxFlapping = 2;
+inline constexpr int kMaxDup = 2;
+inline constexpr int kMaxReorder = 2;
+inline constexpr int kMaxSkewed = 1;
 
 /// Intensity knobs of one storm. Rates are mean values of exponential
 /// draws; all times are absolute simulation times.
@@ -69,13 +78,6 @@ struct ChaosConfig {
   double reorder_weight = 0;  ///< bounded delivery reordering on a pair
   double skew_weight = 0;     ///< clock skew on a node's timer arming
 
-  /// Per-kind blast radius for the gray kinds.
-  int max_slow = 1;
-  int max_flapping = 2;
-  int max_dup = 2;
-  int max_reorder = 2;
-  int max_skewed = 1;
-
   /// Gray fault parameters (fixed per storm; the *victims and windows* are
   /// random, the severity is a config knob so sweeps stay interpretable).
   double cpu_factor = 4.0;  ///< compute-cost multiplier while degraded
@@ -84,7 +86,6 @@ struct ChaosConfig {
   Time reorder_jitter = 5 * kMillisecond;  ///< per-message delay in [0, j]
   double skew_rate_lo = 0.8;   ///< clock rate drawn uniformly in [lo, hi]
   double skew_rate_hi = 1.25;
-  Time skew_offset = 0;        ///< constant timer lag while skewed
 
   /// Eager validation: throws std::invalid_argument with a descriptive
   /// message on inconsistent knobs (non-positive min_heal, min_heal not

@@ -35,9 +35,8 @@ struct ClientLoad {
   double write_ratio = 0.2;          ///< paper default workload: 20% writes
   std::uint64_t num_keys = 1'000'000;  ///< key space size (§8.1: 1M keys)
   /// Key popularity: uniform (the paper's workload, the historical RNG
-  /// stream) or Zipfian with exponent `zipf_theta` (key_sampler.h).
+  /// stream) or Zipfian with exponent kZipfTheta (key_sampler.h).
   KeyDist key_dist = KeyDist::kUniform;
-  double zipf_theta = 0.99;          ///< YCSB's default skew
   Time stop_at = 0;                  ///< stop generating at this time
 };
 
@@ -77,7 +76,7 @@ class ClientMachine : public simnet::Process {
                 std::uint64_t seed)
       : rng_(seed), load_(load), rec_(std::move(rec)) {
     if (load_.key_dist == KeyDist::kZipfian)
-      zipf_ = ZipfTable::get(load_.num_keys, load_.zipf_theta);
+      zipf_ = ZipfTable::get(load_.num_keys, kZipfTheta);
   }
 
   /// Routes and dispatches one tick's `n` > 0 arrivals.

@@ -69,9 +69,8 @@ struct TrialConfig {
   double write_ratio = 0.2;
   std::uint64_t num_keys = 1'000'000;
   /// Key popularity (key_sampler.h): the paper's uniform draw by default;
-  /// kZipfian skews per YCSB with exponent `zipf_theta`.
+  /// kZipfian skews per YCSB with exponent kZipfTheta.
   KeyDist key_dist = KeyDist::kUniform;
-  double zipf_theta = 0.99;
 
   // Measurement window.
   Time warmup = 600 * kMillisecond;
@@ -97,14 +96,14 @@ struct TrialConfig {
   /// of broadcast-heavy protocols the bottleneck it was in §8:
   ///   2 us fixed per message + 2.5 ns per payload byte, each direction,
   ///   plus protocol-level per-request costs charged by each system (see
-  ///   canopus/epaxos/zab Config).
+  ///   EXPERIMENTS.md, "Cost-model parameters").
   simnet::CpuModel cpu{2'000, 2'000, 2.5};
 
   // Per-system tuning.
   core::Config canopus;
   epaxos::Config epaxos;
   zab::Config zab;
-  raft::KvConfig raft;
+  raft::Options raft;  ///< the cluster-wide group of the Raft deployment
 };
 
 /// A trial's root seed: every offered rate gets its own RNG stream, so a
@@ -208,8 +207,7 @@ inline ClientLoad machine_load(const TrialConfig& tc,
                                double offered_rate, Time stop_at) {
   const auto machines = static_cast<double>(cluster.clients.size());
   return {.rate_per_s = offered_rate / machines, .write_ratio = tc.write_ratio,
-          .num_keys = tc.num_keys, .key_dist = tc.key_dist,
-          .zipf_theta = tc.zipf_theta, .stop_at = stop_at};
+          .num_keys = tc.num_keys, .key_dist = tc.key_dist, .stop_at = stop_at};
 }
 
 /// Attaches one OpenLoopClient per client machine, spreading `offered_rate`

@@ -164,8 +164,7 @@ inline std::uint64_t retained_log_bound(const TrialConfig& tc) {
       // Retained = last_index - compaction base; compaction fires past the
       // threshold and keeps `compaction_keep`, so steady state sits near
       // threshold + keep with slack for entries committed between checks.
-      return 2 * (tc.raft.raft.compaction_threshold +
-                  tc.raft.raft.compaction_keep);
+      return 2 * (tc.raft.compaction_threshold + tc.raft.compaction_keep);
     case System::kZab:
       return tc.zab.history_depth;  // the leader's catch-up ring, exact
     case System::kEPaxos:
@@ -173,9 +172,8 @@ inline std::uint64_t retained_log_bound(const TrialConfig& tc) {
     case System::kCanopus: {
       // prune_history keeps kept_cycles() committed cycles, plus what is in
       // flight.
-      const std::uint64_t window = tc.canopus.pipelining
-                                       ? tc.canopus.max_outstanding_cycles
-                                       : 1;
+      const std::uint64_t window =
+          tc.canopus.pipelining ? core::kMaxOutstandingCycles : 1;
       return tc.canopus.kept_cycles() + window + 2;
     }
   }

@@ -40,6 +40,9 @@ namespace canopus::workload {
 /// Which popularity distribution a client draws keys from.
 enum class KeyDist { kUniform, kZipfian };
 
+/// The kZipfian exponent: YCSB's default skew.
+inline constexpr double kZipfTheta = 0.99;
+
 inline const char* key_dist_name(KeyDist d) {
   switch (d) {
     case KeyDist::kUniform: return "uniform";

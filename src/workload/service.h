@@ -219,11 +219,14 @@ class NodeService : public ConsensusService {
 
 class CanopusService final : public NodeService<core::CanopusNode> {
  public:
+  /// The deployment's nodes share `cfg`, with a SequencerRegistry of their
+  /// own in place of cfg.sequencers: concurrent trials built from copies of
+  /// one TrialConfig must not stamp frames from one sequence counter.
   CanopusService(runtime::Host& net, std::vector<NodeId> servers,
                  const lot::LotConfig& lc, core::Config cfg)
       : CanopusService(net, std::move(servers),
                        std::make_shared<const lot::Lot>(lot::Lot::build(lc)),
-                       std::move(cfg)) {}
+                       own_sequencers(std::move(cfg))) {}
 
   const char* name() const override { return "Canopus"; }
 
@@ -249,6 +252,11 @@ class CanopusService final : public NodeService<core::CanopusNode> {
                     }),
         lot_(std::move(lot)) {}
 
+  static core::Config own_sequencers(core::Config cfg) {
+    cfg.sequencers = std::make_shared<core::SequencerRegistry>();
+    return cfg;
+  }
+
   std::shared_ptr<const lot::Lot> lot_;
 };
 
@@ -259,9 +267,9 @@ class CanopusService final : public NodeService<core::CanopusNode> {
 class RaftService final : public NodeService<raft::RaftKvNode> {
  public:
   RaftService(runtime::Host& net, std::vector<NodeId> servers,
-              raft::KvConfig cfg)
+              raft::Options opt)
       : NodeService(net, std::move(servers), [&](std::size_t) {
-          return std::make_unique<raft::RaftKvNode>(servers_, cfg);
+          return std::make_unique<raft::RaftKvNode>(servers_, opt);
         }) {}
 
   const char* name() const override { return "Raft"; }

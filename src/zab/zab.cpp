@@ -59,7 +59,7 @@ void ZabNode::intake(std::span<const kv::Request> reqs) {
   for (kv::Request r : reqs) {
     r.origin = node_id();
     if (!r.is_write) {
-      serve_read(r, cfg_.cpu_per_read);
+      serve_read(r, kCpuPerRead);
     } else if (role() == Role::kLeader) {
       pending_.push_back(r);
       arm_batch_timer();
@@ -110,8 +110,8 @@ void ZabNode::arm_batch_timer() {
 void ZabNode::flush_batch() {
   if (pending_.empty()) return;
   // The coordinator's per-write pipeline cost — the centralized bottleneck.
-  net().busy(node_id(), static_cast<Time>(pending_.size()) *
-                            cfg_.leader_cpu_per_write);
+  net().busy(node_id(),
+             static_cast<Time>(pending_.size()) * kLeaderCpuPerWrite);
   const Zxid z = next_zxid_++;
   InFlight& fl = in_flight_[z];
   fl.batch = std::make_shared<const std::vector<kv::Request>>(
@@ -271,7 +271,7 @@ void ZabNode::advance_apply() {
   while (ready_.contains(next_apply_)) {
     if (leader) record_history(next_apply_, ready_[next_apply_]);
     max_committed_seen_ = std::max(max_committed_seen_, next_apply_);
-    commit_batch(next_apply_, *ready_[next_apply_], cfg_.cpu_per_write);
+    commit_batch(next_apply_, *ready_[next_apply_], kCpuPerWrite);
     ready_.erase(next_apply_);
     ++next_apply_;
   }

@@ -32,19 +32,20 @@
 
 namespace canopus::zab {
 
+/// Leader-side protocol CPU per write: the full ZooKeeper request pipeline
+/// (session checks, znode processing, txn serialization) runs on the single
+/// coordinator — the centralized bottleneck of §8.1.2.
+inline constexpr Time kLeaderCpuPerWrite = 20'000;
+/// Per-write apply cost at every member; per-read service cost at the
+/// serving node.
+inline constexpr Time kCpuPerWrite = 1'000;
+inline constexpr Time kCpuPerRead = 1'000;
+
 struct Config {
   /// Number of voting followers (the paper uses 5; the rest observe).
   int followers = 5;
   /// Leader-side batching window for proposals.
   Time batch_interval = 1 * kMillisecond;
-  /// Leader-side protocol CPU per write: the full ZooKeeper request
-  /// pipeline (session checks, znode processing, txn serialization) runs
-  /// on the single coordinator — the centralized bottleneck of §8.1.2.
-  Time leader_cpu_per_write = 20'000;
-  /// Per-write apply cost at every member; per-read service cost at the
-  /// serving node.
-  Time cpu_per_write = 1'000;
-  Time cpu_per_read = 1'000;
   /// Fault-plane tuning: how often the leader retransmits unacked proposals
   /// and a lagging member retries its catch-up request.
   Time sync_retry = 50 * kMillisecond;

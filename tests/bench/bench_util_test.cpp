@@ -88,5 +88,41 @@ TEST(Harness, DefaultsAreQuickModeAndFigureNamedJson) {
   EXPECT_GE(h.pool().threads(), 1u);
 }
 
+workload::Measurement point(double offered, double throughput, Time median) {
+  workload::Measurement m;
+  m.offered = offered;
+  m.throughput = throughput;
+  m.median = median;
+  return m;
+}
+
+TEST(MaxHealthy, LargestTimelyCompletePointWins) {
+  const std::vector<workload::Measurement> sweep{
+      point(1'000, 1'000, 2 * kMillisecond),
+      point(2'000, 1'950, 5 * kMillisecond),  // 97.5% complete, at the bound
+      point(4'000, 3'900, 6 * kMillisecond),  // too slow
+  };
+  EXPECT_EQ(max_healthy(sweep, 5 * kMillisecond), 1'950);
+  EXPECT_EQ(max_healthy(sweep, 5 * kMillisecond - 1), 1'000);
+}
+
+TEST(MaxHealthy, CollapsedPointNeverCounts) {
+  // Nothing completed: the median reads 0 and passes any latency bound.
+  const std::vector<workload::Measurement> sweep{
+      point(1'000, 1'000, 2 * kMillisecond),
+      point(8'000, 0, 0),
+      point(16'000, 12'000, kMillisecond),  // 75% complete
+  };
+  EXPECT_EQ(max_healthy(sweep, 10 * kMillisecond), 1'000);
+}
+
+TEST(MaxHealthy, NothingQualifiesGivesZero) {
+  EXPECT_EQ(max_healthy({}, kSecond), 0);
+  EXPECT_EQ(max_healthy({point(1'000, 1'000, 20 * kMillisecond),
+                         point(2'000, 100, kMillisecond)},
+                        10 * kMillisecond),
+            0);
+}
+
 }  // namespace
 }  // namespace canopus::bench

@@ -14,7 +14,7 @@ namespace {
 
 class RaftKvTest : public ::testing::Test {
  protected:
-  void build(int n, KvConfig cfg = {}) {
+  void build(int n, Options opt = {}) {
     sim_ = std::make_unique<simnet::Simulator>(42);
     simnet::RackConfig rc;
     rc.racks = 1;
@@ -23,7 +23,7 @@ class RaftKvTest : public ::testing::Test {
     cluster_ = simnet::build_multi_rack(rc);
     net_ = std::make_unique<simnet::Network>(*sim_, cluster_.topo);
     for (int i = 0; i < n; ++i) {
-      nodes_.push_back(std::make_unique<RaftKvNode>(cluster_.servers, cfg));
+      nodes_.push_back(std::make_unique<RaftKvNode>(cluster_.servers, opt));
       net_->attach(cluster_.servers[static_cast<size_t>(i)], *nodes_.back());
     }
   }
@@ -139,10 +139,10 @@ TEST_F(RaftKvTest, RecoveredNodeIsRepairedByLog) {
 // snapshot; the in-memory log stays bounded regardless of how much history
 // the cluster retires.
 TEST_F(RaftKvTest, CompactionBoundsTheLogUnderLoad) {
-  KvConfig cfg;
-  cfg.raft.compaction_threshold = 16;
-  cfg.raft.compaction_keep = 4;
-  build(3, cfg);
+  Options opt;
+  opt.compaction_threshold = 16;
+  opt.compaction_keep = 4;
+  build(3, opt);
   for (int i = 0; i < 60; ++i)
     write_at((static_cast<Time>(i) + 1) * 5 * kMillisecond, 0, 100 + i,
              1000 + i);
@@ -158,10 +158,10 @@ TEST_F(RaftKvTest, CompactionBoundsTheLogUnderLoad) {
 // — the entries it needs are gone. The leader must ship InstallSnapshot,
 // then resume normal replication from the snapshot frontier.
 TEST_F(RaftKvTest, FollowerBehindCompactionBaseGetsInstallSnapshot) {
-  KvConfig cfg;
-  cfg.raft.compaction_threshold = 16;
-  cfg.raft.compaction_keep = 4;
-  build(5, cfg);
+  Options opt;
+  opt.compaction_threshold = 16;
+  opt.compaction_keep = 4;
+  build(5, opt);
   write_at(kMillisecond, 0, 1, 11);
   sim_->run_until(200 * kMillisecond);
   crash(4);
@@ -185,9 +185,9 @@ TEST_F(RaftKvTest, FollowerBehindCompactionBaseGetsInstallSnapshot) {
 // Compaction disabled (threshold 0): the log grows without bound and no
 // snapshot ever ships — the pre-compaction baseline stays reachable.
 TEST_F(RaftKvTest, CompactionDisabledKeepsFullLog) {
-  KvConfig cfg;
-  cfg.raft.compaction_threshold = 0;
-  build(3, cfg);
+  Options opt;
+  opt.compaction_threshold = 0;
+  build(3, opt);
   for (int i = 0; i < 40; ++i)
     write_at((static_cast<Time>(i) + 1) * 5 * kMillisecond, 0, 100 + i,
              1000 + i);

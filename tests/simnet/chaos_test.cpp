@@ -308,7 +308,7 @@ TEST(ChaosScheduleGenerator, GrayEventsInsideWindowPairedAndParameterized) {
         case FaultEvent::Kind::kSkewSet:
           EXPECT_GE(ev.x, cfg.skew_rate_lo);
           EXPECT_LE(ev.x, cfg.skew_rate_hi);
-          EXPECT_EQ(ev.d, cfg.skew_offset);
+          EXPECT_EQ(ev.d, 0);
           break;
         default: break;
       }
@@ -325,11 +325,11 @@ TEST(ChaosScheduleGenerator, GrayRespectsPerKindBlastRadius) {
   const std::size_t caps[] = {
       static_cast<std::size_t>(cfg.max_down),
       static_cast<std::size_t>(cfg.max_severed),
-      static_cast<std::size_t>(cfg.max_slow),
-      static_cast<std::size_t>(cfg.max_flapping),
-      static_cast<std::size_t>(cfg.max_dup),
-      static_cast<std::size_t>(cfg.max_reorder),
-      static_cast<std::size_t>(cfg.max_skewed),
+      static_cast<std::size_t>(kMaxSlow),
+      static_cast<std::size_t>(kMaxFlapping),
+      static_cast<std::size_t>(kMaxDup),
+      static_cast<std::size_t>(kMaxReorder),
+      static_cast<std::size_t>(kMaxSkewed),
   };
   std::size_t peak[7] = {};
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {

@@ -87,12 +87,8 @@ class RaftHost : public simnet::Process {
 /// Process hosting a super-leaf ReliableBroadcast endpoint.
 class RbcastHost : public simnet::Process {
  public:
-  void init(std::vector<NodeId> members, simnet::Simulator& sim,
-            raft::Options opt = {}) {
-    rbcast::ReliableBroadcast::Callbacks cb;
-    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
-      send(dst, bytes, std::move(p));
-    };
+  void init(std::vector<NodeId> members, simnet::Simulator& sim) {
+    rbcast::Broadcast::Callbacks cb;
     cb.deliver = [this](NodeId origin, const simnet::Payload& payload) {
       delivered.push_back({origin, payload});
     };
@@ -101,7 +97,7 @@ class RbcastHost : public simnet::Process {
       if (dissolve_on_failure) rb->remove_member(failed);
     };
     rb = std::make_unique<rbcast::ReliableBroadcast>(
-        node_id(), std::move(members), sim, std::move(cb), opt);
+        node_id(), std::move(members), sim, net(), std::move(cb));
   }
 
   void on_start() override { rb->start(); }

@@ -84,8 +84,8 @@ void expect_snapshot_catchup_threads(System sys) {
   SCOPED_TRACE(testing::Message() << system_name(sys));
   TrialConfig tc = five_node_config(sys, 7);
   // Retention windows small enough that the victim's gap overflows them.
-  tc.raft.raft.compaction_threshold = 16;
-  tc.raft.raft.compaction_keep = 4;
+  tc.raft.compaction_threshold = 16;
+  tc.raft.compaction_keep = 4;
   tc.zab.history_depth = 16;
   tc.epaxos.repair_window = 8;
 

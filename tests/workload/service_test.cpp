@@ -229,6 +229,60 @@ TEST_P(ServiceTest, ServerAnswersEachClientRequestExactlyOnce) {
   }
 }
 
+/// A deployment of `tc` under open-loop client load, on a simulator of its
+/// own.
+struct LoadedRun {
+  static constexpr Time kStop = 400 * kMillisecond;
+  static constexpr Time kEnd = 500 * kMillisecond;
+
+  explicit LoadedRun(const TrialConfig& tc) : cluster(build_cluster(tc)) {
+    net = std::make_unique<simnet::Network>(sim, cluster.topo);
+    service = make_service(tc, cluster, *net);
+    clients = attach_clients(tc, cluster, *net,
+                             std::make_shared<LatencyRecorder>(), 20'000,
+                             /*trial_seed=*/7, kStop);
+  }
+
+  std::vector<std::uint64_t> committed() const {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < service->num_servers(); ++i)
+      out.push_back(service->committed_writes(i));
+    return out;
+  }
+
+  simnet::Simulator sim{7};
+  simnet::Cluster cluster;
+  std::unique_ptr<simnet::Network> net;
+  std::unique_ptr<ConsensusService> service;
+  std::vector<std::unique_ptr<OpenLoopClient>> clients;
+};
+
+// Two deployments built from one TrialConfig share no switch sequencer: run
+// side by side in 1 ms lockstep, each commits exactly what one commits
+// alone. Sharing one would let each consume sequence numbers the other's
+// super-leaves wait for.
+TEST(CanopusService, DeploymentsOfOneConfigOwnTheirSequencers) {
+  TrialConfig tc;
+  tc.system = System::kCanopus;
+  tc.canopus.broadcast = core::BroadcastKind::kSwitch;
+  tc.groups = 2;
+  tc.per_group = 3;
+  tc.client_machines = 1;
+
+  LoadedRun solo(tc);
+  solo.sim.run_until(LoadedRun::kEnd);
+  const std::vector<std::uint64_t> alone = solo.committed();
+  EXPECT_GT(alone.front(), 0u);
+
+  LoadedRun a(tc), b(tc);
+  for (Time t = kMillisecond; t <= LoadedRun::kEnd; t += kMillisecond) {
+    a.sim.run_until(t);
+    b.sim.run_until(t);
+  }
+  EXPECT_EQ(a.committed(), alone);
+  EXPECT_EQ(b.committed(), alone);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, ServiceTest,
                          ::testing::Values(System::kCanopus, System::kRaft,
                                            System::kZab, System::kEPaxos),

@@ -70,37 +70,46 @@ TEST(TrialPool, PropagatesFirstException) {
 
 // The determinism guarantee the whole bench harness rests on: a real
 // multi-system sweep run on N worker threads equals the serial sweep
-// bit for bit under the same seed.
+// bit for bit under the same seed, on both broadcast substrates. On the
+// switch substrate this also checks that concurrent trials of one config
+// deploy sequencers of their own.
 TEST(TrialPool, RealSweepIsBitIdenticalAcrossThreadCounts) {
-  TrialConfig tc;
-  tc.system = System::kCanopus;
-  tc.groups = 3;
-  tc.per_group = 1;
-  tc.client_machines = 1;
-  tc.warmup = 50 * kMillisecond;
-  tc.measure = 150 * kMillisecond;
-  tc.drain = 50 * kMillisecond;
-  tc.seed = 99;
-  const TrialFn trial = make_trial(tc);
-  const std::vector<double> rates{2'000, 5'000, 9'000, 14'000};
+  for (const core::BroadcastKind kind :
+       {core::BroadcastKind::kRaft, core::BroadcastKind::kSwitch}) {
+    SCOPED_TRACE(kind == core::BroadcastKind::kRaft ? "raft broadcast"
+                                                    : "switch broadcast");
+    TrialConfig tc;
+    tc.system = System::kCanopus;
+    tc.canopus.broadcast = kind;
+    tc.groups = 3;
+    tc.per_group = 1;
+    tc.client_machines = 1;
+    tc.warmup = 50 * kMillisecond;
+    tc.measure = 150 * kMillisecond;
+    tc.drain = 50 * kMillisecond;
+    tc.seed = 99;
+    const TrialFn trial = make_trial(tc);
+    const std::vector<double> rates{2'000, 5'000, 9'000, 14'000};
 
-  const std::vector<Measurement> serial = sweep_rates(trial, rates);
-  ASSERT_EQ(serial.size(), rates.size());
-  EXPECT_GT(serial[0].completed, 0u);
+    const std::vector<Measurement> serial = sweep_rates(trial, rates);
+    ASSERT_EQ(serial.size(), rates.size());
+    for (const Measurement& m : serial) EXPECT_GT(m.completed, 0u);
 
-  for (unsigned threads : {1u, 2u, 4u}) {
-    TrialPool pool(threads);
-    const std::vector<Measurement> par = sweep_rates(pool, trial, rates);
-    ASSERT_EQ(par.size(), serial.size()) << threads << " threads";
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(par[i].offered, serial[i].offered) << threads << "t #" << i;
-      EXPECT_EQ(par[i].throughput, serial[i].throughput)
-          << threads << "t #" << i;
-      EXPECT_EQ(par[i].median, serial[i].median) << threads << "t #" << i;
-      EXPECT_EQ(par[i].p99, serial[i].p99) << threads << "t #" << i;
-      EXPECT_EQ(par[i].mean, serial[i].mean) << threads << "t #" << i;
-      EXPECT_EQ(par[i].completed, serial[i].completed)
-          << threads << "t #" << i;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      TrialPool pool(threads);
+      const std::vector<Measurement> par = sweep_rates(pool, trial, rates);
+      ASSERT_EQ(par.size(), serial.size()) << threads << " threads";
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(par[i].offered, serial[i].offered) << threads << "t #" << i;
+        EXPECT_EQ(par[i].throughput, serial[i].throughput)
+            << threads << "t #" << i;
+        EXPECT_EQ(par[i].median, serial[i].median) << threads << "t #" << i;
+        EXPECT_EQ(par[i].p99, serial[i].p99) << threads << "t #" << i;
+        EXPECT_EQ(par[i].mean, serial[i].mean) << threads << "t #" << i;
+        EXPECT_EQ(par[i].completed, serial[i].completed)
+            << threads << "t #" << i;
+        EXPECT_EQ(par[i].failed, serial[i].failed) << threads << "t #" << i;
+      }
     }
   }
 }
