@@ -80,11 +80,12 @@ class ReplicaNode : public simnet::Process {
     flush_replies();
   }
 
-  /// Sends the buffered completions, one ReplyBatch per client, each an
-  /// exact-size copy so the buffer keeps its capacity.
+  /// Sends the buffered completions, one ReplyBatch per client, each
+  /// copied into its payload's block so the buffer keeps its capacity.
   void flush_replies() {
-    for (const auto& [client, batch] : reply_buffer_)
-      send(client, batch.wire_bytes(), ReplyBatch(batch));
+    for (const auto& [client, done] : reply_buffer_)
+      send(client, ReplyBatch::wire_bytes(done.size()),
+           simnet::Payload::with_body<ReplyBatch>(done));
     drop_replies();
   }
 
@@ -94,7 +95,7 @@ class ReplicaNode : public simnet::Process {
   void drop_replies() {
     while (!reply_buffer_.empty()) {
       auto node = reply_buffer_.extract(reply_buffer_.begin());
-      node.mapped().done.clear();
+      node.mapped().clear();
       spare_replies_.push_back(std::move(node));
     }
   }
@@ -139,7 +140,7 @@ class ReplicaNode : public simnet::Process {
         it = reply_buffer_.insert(std::move(node)).position;
       }
     }
-    it->second.done.push_back(c);
+    it->second.push_back(c);
   }
 
   Store store_;
@@ -149,9 +150,9 @@ class ReplicaNode : public simnet::Process {
   /// Completions accumulated during one handler, flushed as one ReplyBatch
   /// per client. The flush order, this map's iteration order, is
   /// observable: it orders the reply messages on the wire.
-  std::unordered_map<NodeId, ReplyBatch> reply_buffer_;
+  std::unordered_map<NodeId, std::vector<Completion>> reply_buffer_;
   /// Emptied nodes of reply_buffer_, reused by reply().
-  std::vector<std::unordered_map<NodeId, ReplyBatch>::node_type>
+  std::vector<std::unordered_map<NodeId, std::vector<Completion>>::node_type>
       spare_replies_;
 };
 

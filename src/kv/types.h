@@ -4,8 +4,9 @@
 // apples-to-apples (§8's ZKCanopus methodology).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/types.h"
 #include "simnet/payload.h"
@@ -27,9 +28,14 @@ struct Request {
 inline constexpr std::size_t kRequestWire = 40;
 
 /// Open-loop clients aggregate same-tick arrivals into one batch message.
+/// View-bodied: built only by simnet::Payload::with_body, whose block also
+/// holds the requests.
 struct ClientBatch {
-  std::vector<Request> reqs;
-  std::size_t wire_bytes() const { return 24 + kRequestWire * reqs.size(); }
+  std::span<const Request> reqs;
+  static constexpr std::size_t wire_bytes(std::size_t n) {
+    return 24 + kRequestWire * n;
+  }
+  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
 };
 
 /// A finished request going back to its client.
@@ -42,12 +48,17 @@ struct Completion {
                           ///< monotonic-read checking); not on the wire
 };
 
+/// The completions one server sends one client after a handler.
+/// View-bodied, like ClientBatch.
 struct ReplyBatch {
-  std::vector<Completion> done;
-  std::size_t wire_bytes() const { return 24 + 24 * done.size(); }
+  std::span<const Completion> done;
+  static constexpr std::size_t wire_bytes(std::size_t n) {
+    return 24 + 24 * n;
+  }
+  std::size_t wire_bytes() const { return wire_bytes(done.size()); }
 };
 
 }  // namespace canopus::kv
 
-CANOPUS_REGISTER_PAYLOAD(canopus::kv::ClientBatch, kKvClientBatch);
-CANOPUS_REGISTER_PAYLOAD(canopus::kv::ReplyBatch, kKvReplyBatch);
+CANOPUS_REGISTER_VIEW_PAYLOAD(canopus::kv::ClientBatch, kKvClientBatch, reqs);
+CANOPUS_REGISTER_VIEW_PAYLOAD(canopus::kv::ReplyBatch, kKvReplyBatch, done);

@@ -71,8 +71,8 @@ void RaftKvNode::on_message(const simnet::Message& m) {
       arm_flush_timer();
     } else if (raft_ && raft_->leader_hint() != kInvalidNode &&
                raft_->leader_hint() != node_id()) {
-      // Stale forward (leadership moved): pass it along.
-      send(raft_->leader_hint(), fwd->wire_bytes(), *fwd);
+      // Stale forward (leadership moved): pass the same payload along.
+      send(raft_->leader_hint(), fwd->wire_bytes(), m.payload());
     } else {
       // No known leader: adopt the requests locally and retry via the
       // ordinary flush path once a leader emerges.
@@ -119,9 +119,9 @@ void RaftKvNode::flush_batch() {
     arm_flush_timer();
     return;
   }
-  KvForward f{std::move(pending_)};
+  send(leader, KvForward::wire_bytes(pending_.size()),
+       simnet::Payload::with_body<KvForward>(pending_));
   pending_.clear();
-  send(leader, f.wire_bytes(), f);
 }
 
 }  // namespace canopus::raft

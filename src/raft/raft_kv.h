@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "kv/replica.h"
@@ -48,12 +49,14 @@ struct KvBatch {
   }
 };
 
-/// Member -> leader write forwarding frame.
+/// Member -> leader write forwarding frame; view-bodied
+/// (simnet::Payload::with_body).
 struct KvForward {
-  std::vector<kv::Request> reqs;
-  std::size_t wire_bytes() const {
-    return 24 + kv::kRequestWire * reqs.size();
+  std::span<const kv::Request> reqs;
+  static constexpr std::size_t wire_bytes(std::size_t n) {
+    return 24 + kv::kRequestWire * n;
   }
+  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
 };
 
 /// Compaction snapshot payload (rides inside raft::WireMsg InstallSnapshot):
@@ -110,5 +113,5 @@ class RaftKvNode : public kv::ReplicaNode {
 }  // namespace canopus::raft
 
 CANOPUS_REGISTER_PAYLOAD(canopus::raft::KvBatch, kRaftKvBatch);
-CANOPUS_REGISTER_PAYLOAD(canopus::raft::KvForward, kRaftKvForward);
+CANOPUS_REGISTER_VIEW_PAYLOAD(canopus::raft::KvForward, kRaftKvForward, reqs);
 CANOPUS_REGISTER_PAYLOAD(canopus::raft::KvSnapshot, kRaftKvSnapshot);

@@ -16,10 +16,21 @@
 // Message, or replicating a raft LogEntry copies a pointer, never the
 // value. Payload values are immutable once published — exactly the
 // semantics a real wire gives you.
+//
+// A message with a variable-length body (a client batch, a reply batch, a
+// forwarded write batch) is a *view-bodied* type: a header whose
+// std::span<const E> member, named at registration with
+// CANOPUS_REGISTER_VIEW_PAYLOAD, views a copy of the body stored in the
+// payload's own heap block. Such a type enters the bus only through
+// Payload::with_body, so the message and its body cost one allocation, and
+// its span cannot outlive or dangle from what it views.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -93,6 +104,16 @@ concept RegisteredPayload = requires {
   { PayloadTraits<T>::tag } -> std::convertible_to<PayloadTag>;
 };
 
+/// A registered header whose body lives in its payload's block.
+template <class T>
+concept ViewBodiedPayload =
+    RegisteredPayload<T> && requires { PayloadTraits<T>::body; };
+
+/// The std::span<const E> type of a view-bodied header's body member.
+template <ViewBodiedPayload H>
+using PayloadBody = std::remove_cvref_t<decltype(std::declval<const H&>().*
+                                                 PayloadTraits<H>::body)>;
+
 /// A detached, shareable, typed-but-erased message body. The common
 /// currency of Network, the reliable-broadcast substrates, and the raft
 /// replicated log.
@@ -102,14 +123,49 @@ class Payload {
 
   /// Wraps a registered wire-message value. Implicit on purpose: protocol
   /// code writes `broadcast(proposal, bytes)` / `send(dst, bytes, msg)` and
-  /// the value enters the bus at that boundary.
+  /// the value enters the bus at that boundary. A view-bodied type is
+  /// rejected here: its span would still point at the sender's buffer.
   template <class T>
     requires(!std::is_same_v<std::remove_cvref_t<T>, Payload> &&
-             RegisteredPayload<std::remove_cvref_t<T>>)
+             RegisteredPayload<std::remove_cvref_t<T>> &&
+             !ViewBodiedPayload<std::remove_cvref_t<T>>)
   Payload(T&& value)  // NOLINT(google-explicit-constructor)
       : tag_(PayloadTraits<std::remove_cvref_t<T>>::tag),
         ptr_(std::make_shared<const std::remove_cvref_t<T>>(
             std::forward<T>(value))) {}
+
+  /// Publishes a view-bodied H: copies `body` and a value-initialized H
+  /// into ONE heap block, points H's body span at the copy and shares the
+  /// block through an aliasing shared_ptr. The caller's buffer is free to
+  /// be cleared or refilled as soon as this returns.
+  template <ViewBodiedPayload H>
+  static Payload with_body(PayloadBody<H> body) {
+    using E = typename PayloadBody<H>::value_type;
+    static_assert(std::is_trivially_copyable_v<E>);
+    static_assert(std::is_trivially_destructible_v<H>,
+                  "the block's deleter never runs ~H");
+    // Alignment-sized Units: the block rounds up to the alignment the
+    // header and body need, not to alignof(std::max_align_t).
+    constexpr std::size_t kAlign =
+        alignof(H) > alignof(E) ? alignof(H) : alignof(E);
+    struct alignas(kAlign) Unit {
+      std::byte bytes[kAlign];
+    };
+    constexpr std::size_t kBodyAt =
+        (sizeof(H) + alignof(E) - 1) / alignof(E) * alignof(E);
+    const std::size_t units =
+        (kBodyAt + body.size_bytes() + sizeof(Unit) - 1) / sizeof(Unit);
+    auto block = std::make_shared_for_overwrite<Unit[]>(units);
+    auto* const bytes = reinterpret_cast<std::byte*>(block.get());
+    E* const copy = reinterpret_cast<E*>(bytes + kBodyAt);
+    std::uninitialized_copy(body.begin(), body.end(), copy);
+    H* const header = ::new (static_cast<void*>(bytes)) H{};
+    header->*PayloadTraits<H>::body = PayloadBody<H>(copy, body.size());
+    Payload p;
+    p.tag_ = PayloadTraits<H>::tag;
+    p.ptr_ = std::shared_ptr<const void>(std::move(block), header);
+    return p;
+  }
 
   /// Returns the value if it carries tag T, else nullptr. One integer
   /// compare — the whole point of the bus.
@@ -140,4 +196,15 @@ class Payload {
   struct canopus::simnet::PayloadTraits<TYPE> {             \
     static constexpr canopus::simnet::PayloadTag tag =      \
         canopus::simnet::PayloadTag::TAG;                   \
+  }
+
+/// Registers view-bodied TYPE under PayloadTag::TAG: its std::span<const E>
+/// member BODY views the body Payload::with_body stores in the payload's
+/// block, and the by-value Payload constructor rejects TYPE.
+#define CANOPUS_REGISTER_VIEW_PAYLOAD(TYPE, TAG, BODY)       \
+  template <>                                               \
+  struct canopus::simnet::PayloadTraits<TYPE> {             \
+    static constexpr canopus::simnet::PayloadTag tag =      \
+        canopus::simnet::PayloadTag::TAG;                   \
+    static constexpr auto body = &TYPE::BODY;               \
   }

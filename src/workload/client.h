@@ -101,20 +101,20 @@ class ClientMachine : public simnet::Process {
     return r;
   }
 
-  /// Sends `batch` to `target` and leaves it empty for reuse.
-  void send_batch(NodeId target, kv::ClientBatch& batch) {
-    sent_ += batch.reqs.size();
-    // Size before move: argument evaluation order is unspecified.
-    const std::size_t bytes = batch.wire_bytes();
-    send(target, bytes, std::move(batch));
-    batch.reqs.clear();  // moved-from: valid, now surely empty
+  /// Sends `batch` to `target` as one ClientBatch and leaves it empty,
+  /// its capacity kept for the next tick.
+  void send_batch(NodeId target, std::vector<kv::Request>& batch) {
+    sent_ += batch.size();
+    send(target, kv::ClientBatch::wire_bytes(batch.size()),
+         simnet::Payload::with_body<kv::ClientBatch>(batch));
+    batch.clear();
   }
 
   /// Counts every request of `batch` failed and leaves it empty.
-  void fail_batch(kv::ClientBatch& batch) {
-    failed_ += batch.reqs.size();
-    for (const kv::Request& r : batch.reqs) rec_->fail(r.arrival);
-    batch.reqs.clear();
+  void fail_batch(std::vector<kv::Request>& batch) {
+    failed_ += batch.size();
+    for (const kv::Request& r : batch) rec_->fail(r.arrival);
+    batch.clear();
   }
 
   Rng rng_;  ///< the arrival stream: tick counts and per-request draws
@@ -162,19 +162,13 @@ class OpenLoopClient : public ClientMachine {
   void generate(std::uint64_t n) override {
     // One batch per target server; requests round-robin across servers
     // with a rotating offset so each server sees the full key/op mix.
-    // Request i goes to server (rotate_ + i) % S, so each batch's size is
-    // known up front and reserved exactly.
     const std::size_t S = servers_.size();
     if (batches_.empty()) batches_.resize(S);
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t k = (s + S - rotate_) % S;
-      batches_[s].reqs.reserve(n / S + (k < n % S ? 1 : 0));
-    }
     for (std::uint64_t i = 0; i < n; ++i)
-      batches_[(rotate_ + i) % S].reqs.push_back(draw(seq_++, i, n));
+      batches_[(rotate_ + i) % S].push_back(draw(seq_++, i, n));
     rotate_ = (rotate_ + n) % S;
     for (std::size_t s = 0; s < S; ++s) {
-      if (batches_[s].reqs.empty()) continue;
+      if (batches_[s].empty()) continue;
       // A crashed target would black-hole the batch: count its requests
       // failed instead, so fault benches can tell a slow system from a dead
       // server.
@@ -186,9 +180,9 @@ class OpenLoopClient : public ClientMachine {
   }
 
   std::vector<NodeId> servers_;
-  /// generate()'s per-server batches, kept across ticks (sized at the first
-  /// tick with arrivals, not at construction).
-  std::vector<kv::ClientBatch> batches_;
+  /// generate()'s per-server staging batches, kept across ticks (sized at
+  /// the first tick with arrivals, not at construction).
+  std::vector<std::vector<kv::Request>> batches_;
   std::uint64_t seq_ = 0;
   std::uint64_t rotate_ = 0;
 };

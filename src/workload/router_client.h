@@ -106,16 +106,16 @@ class RouterClient : public ClientMachine {
       const auto session = static_cast<std::uint32_t>(rng_.below(seq_.size()));
       const kv::Request r = draw(
           (std::uint64_t{session} << kSessionShift) | seq_[session]++, i, n);
-      batches_[shard_of_key(r.key, num_groups)].reqs.push_back(r);
+      batches_[shard_of_key(r.key, num_groups)].push_back(r);
     }
     for (std::size_t g = 0; g < batches_.size(); ++g)
-      if (!batches_[g].reqs.empty()) dispatch(g, batches_[g], 1);
+      if (!batches_[g].empty()) dispatch(g, batches_[g], 1);
   }
 
   /// Sends `batch` to a live server of group g, redirecting past crashed
   /// ones; schedules a backoff retry when the whole group is down. Leaves
   /// `batch` empty either way.
-  void dispatch(std::size_t g, kv::ClientBatch& batch, int attempt) {
+  void dispatch(std::size_t g, std::vector<kv::Request>& batch, int attempt) {
     const std::vector<NodeId>& servers = groups_[g];
     const std::uint64_t start = rr_[g];
     rr_[g] = (rr_[g] + 1) % servers.size();
@@ -135,14 +135,15 @@ class RouterClient : public ClientMachine {
     after(backoff, [this, g, attempt, b = std::move(batch)]() mutable {
       dispatch(g, b, attempt + 1);
     });
-    batch.reqs.clear();  // moved-from: valid, now surely empty
+    batch.clear();  // moved-from: valid, now surely empty
   }
 
   std::vector<std::vector<NodeId>> groups_;
   std::vector<std::uint64_t> seq_;  ///< the flat per-session cursor array —
                                     ///< ALL per-session state (8 B each)
   std::vector<std::uint64_t> rr_;   ///< per-group round-robin offset
-  std::vector<kv::ClientBatch> batches_;  ///< generate()'s, one per group
+  /// generate()'s staging batches, one per group.
+  std::vector<std::vector<kv::Request>> batches_;
   std::uint64_t redirects_ = 0;
   std::uint64_t retries_ = 0;
 };

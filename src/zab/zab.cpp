@@ -55,7 +55,6 @@ void ZabNode::resync() {
 void ZabNode::intake(std::span<const kv::Request> reqs) {
   // Reads are served locally from committed state (ZooKeeper semantics);
   // a member forwards its writes to the leader in one message.
-  Forward fwd;
   for (kv::Request r : reqs) {
     r.origin = node_id();
     if (!r.is_write) {
@@ -64,10 +63,14 @@ void ZabNode::intake(std::span<const kv::Request> reqs) {
       pending_.push_back(r);
       arm_batch_timer();
     } else {
-      fwd.reqs.push_back(r);
+      forward_.push_back(r);
     }
   }
-  if (!fwd.reqs.empty()) send(leader_, fwd.wire_bytes(), fwd);
+  if (!forward_.empty()) {
+    send(leader_, Forward::wire_bytes(forward_.size()),
+         simnet::Payload::with_body<Forward>(forward_));
+    forward_.clear();
+  }
   flush_replies();
 }
 

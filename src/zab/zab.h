@@ -58,11 +58,12 @@ struct Config {
 
 using Zxid = std::uint64_t;
 
-struct Forward {  // member -> leader
-  std::vector<kv::Request> reqs;
-  std::size_t wire_bytes() const {
-    return 24 + kv::kRequestWire * reqs.size();
+struct Forward {  // member -> leader; view-bodied (Payload::with_body)
+  std::span<const kv::Request> reqs;
+  static constexpr std::size_t wire_bytes(std::size_t n) {
+    return 24 + kv::kRequestWire * n;
   }
+  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
 };
 
 struct Propose {  // leader -> followers
@@ -173,6 +174,9 @@ class ZabNode : public kv::ReplicaNode {
   Config cfg_;
   NodeId leader_ = kInvalidNode;
 
+  /// intake()'s writes for the leader, kept across calls (member only).
+  std::vector<kv::Request> forward_;
+
   // Leader state.
   std::vector<kv::Request> pending_;
   Zxid next_zxid_ = 1;
@@ -207,7 +211,7 @@ class ZabNode : public kv::ReplicaNode {
 
 }  // namespace canopus::zab
 
-CANOPUS_REGISTER_PAYLOAD(canopus::zab::Forward, kZabForward);
+CANOPUS_REGISTER_VIEW_PAYLOAD(canopus::zab::Forward, kZabForward, reqs);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::Propose, kZabPropose);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::Ack, kZabAck);
 CANOPUS_REGISTER_PAYLOAD(canopus::zab::CommitMsg, kZabCommit);

@@ -208,15 +208,19 @@ TEST(CommitDigest, ContentSensitive) {
 }
 
 TEST(WireSizes, BatchesScaleWithContent) {
-  ClientBatch cb;
-  const auto empty = cb.wire_bytes();
-  cb.reqs.resize(10);
-  EXPECT_EQ(cb.wire_bytes(), empty + 10 * kRequestWire);
+  const std::vector<Request> reqs(10);
+  const simnet::Payload empty = simnet::Payload::with_body<ClientBatch>({});
+  const simnet::Payload ten = simnet::Payload::with_body<ClientBatch>(reqs);
+  EXPECT_EQ(ten.as<ClientBatch>()->wire_bytes(),
+            empty.as<ClientBatch>()->wire_bytes() + 10 * kRequestWire);
+  EXPECT_EQ(ClientBatch::wire_bytes(10), ten.as<ClientBatch>()->wire_bytes());
 
-  ReplyBatch rb;
-  const auto rempty = rb.wire_bytes();
-  rb.done.resize(4);
-  EXPECT_EQ(rb.wire_bytes(), rempty + 4 * 24);
+  const std::vector<Completion> done(4);
+  const simnet::Payload rempty = simnet::Payload::with_body<ReplyBatch>({});
+  const simnet::Payload four = simnet::Payload::with_body<ReplyBatch>(done);
+  EXPECT_EQ(four.as<ReplyBatch>()->wire_bytes(),
+            rempty.as<ReplyBatch>()->wire_bytes() + 4 * 24);
+  EXPECT_EQ(ReplyBatch::wire_bytes(4), four.as<ReplyBatch>()->wire_bytes());
 }
 
 TEST(RequestId, DefaultIsInvalidClient) {

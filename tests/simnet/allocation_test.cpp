@@ -7,11 +7,15 @@
 // exactly one TU per binary — this test IS that TU for this binary).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alloc_count.h"
+#include "kv/types.h"
 #include "simnet/network.h"
 #include "simnet/payload_testing.h"
 #include "simnet/simulator.h"
@@ -114,6 +118,127 @@ TEST_F(SteadyStateFixture, TimerRearmAllocatesNothing) {
   sim_.run();
   EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
   EXPECT_EQ(fired, 1);
+}
+
+// --------------------------------------------------------------------------
+// View-bodied payloads (simnet/payload.h): a message and its variable-length
+// body share one heap block, published by Payload::with_body from a staging
+// buffer the sender keeps.
+// --------------------------------------------------------------------------
+
+// A view-bodied type cannot enter the bus by value: its span would still
+// point at the sender's buffer.
+static_assert(!std::is_constructible_v<Payload, kv::ClientBatch>);
+static_assert(!std::is_constructible_v<Payload, const kv::ReplyBatch&>);
+static_assert(!std::is_convertible_v<kv::ClientBatch, Payload>);
+static_assert(std::is_constructible_v<Payload, std::string>);
+
+std::vector<kv::Request> numbered(std::size_t n) {
+  std::vector<kv::Request> reqs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    reqs[i].id = {static_cast<NodeId>(i % 7), i};
+    reqs[i].is_write = i % 2 == 0;
+    reqs[i].key = i;
+    reqs[i].value = 3 * i + 1;
+  }
+  return reqs;
+}
+
+/// True when `body` holds numbered(body.size())'s requests.
+bool holds_numbered(std::span<const kv::Request> body) {
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const kv::Request& r = body[i];
+    if (r.id.client != static_cast<NodeId>(i % 7) || r.id.seq != i ||
+        r.is_write != (i % 2 == 0) || r.key != i || r.value != 3 * i + 1)
+      return false;
+  }
+  return true;
+}
+
+TEST(ViewBodiedPayload, PublishingCostsExactlyOneAllocation) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1000}}) {
+    const std::vector<kv::Request> staging = numbered(n);
+    const std::uint64_t before = canopus::bench::heap_allocations();
+    const Payload p = Payload::with_body<kv::ClientBatch>(staging);
+    EXPECT_EQ(canopus::bench::heap_allocations() - before, 1u)
+        << n << " requests";
+    const auto* batch = p.as<kv::ClientBatch>();
+    ASSERT_NE(batch, nullptr);
+    EXPECT_EQ(p.tag(), PayloadTag::kKvClientBatch);
+    ASSERT_EQ(batch->reqs.size(), n);
+    EXPECT_TRUE(holds_numbered(batch->reqs));
+    EXPECT_EQ(batch->wire_bytes(), kv::ClientBatch::wire_bytes(n));
+    // The body is a copy stored right behind the header, in its block.
+    const auto* header = static_cast<const std::byte*>(p.raw());
+    const auto* body = reinterpret_cast<const std::byte*>(batch->reqs.data());
+    EXPECT_GE(body, header + sizeof(kv::ClientBatch));
+    EXPECT_LT(body, header + sizeof(kv::ClientBatch) + alignof(kv::Request));
+  }
+}
+
+TEST(ViewBodiedPayload, FanOutAndReaddressingAllocateNothing) {
+  const std::vector<kv::Request> staging = numbered(64);
+  const Payload p = Payload::with_body<kv::ClientBatch>(staging);
+  const Message sent(1, 2, kv::ClientBatch::wire_bytes(64), p);
+  const std::uint64_t before = canopus::bench::heap_allocations();
+  const Payload first = p;
+  const Payload second = first;
+  const Message readdressed = sent.readdressed(2, 3);
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
+  for (const Payload* copy : {&first, &second}) {
+    EXPECT_EQ(copy->raw(), p.raw());
+    EXPECT_EQ(copy->as<kv::ClientBatch>()->reqs.data(),
+              p.as<kv::ClientBatch>()->reqs.data());
+  }
+  EXPECT_EQ(readdressed.payload().raw(), p.raw());
+  EXPECT_EQ(readdressed.as<kv::ClientBatch>(), p.as<kv::ClientBatch>());
+}
+
+/// Publishes from one staging buffer and keeps what it is delivered.
+struct Stager : Process {
+  std::vector<kv::Request> staging;
+  std::vector<Payload> delivered;
+  void on_message(const Message& m) override {
+    delivered.push_back(m.payload());
+  }
+  void publish(NodeId dst) {
+    send(dst, kv::ClientBatch::wire_bytes(staging.size()),
+         Payload::with_body<kv::ClientBatch>(staging));
+  }
+};
+
+TEST(ViewBodiedPayload, DeliveredBodySurvivesItsStagingBuffer) {
+  Simulator sim;
+  RackConfig rc;
+  rc.racks = 1;
+  rc.servers_per_rack = 2;
+  rc.clients_per_rack = 0;
+  const Cluster cluster = build_multi_rack(rc);
+  Network net(sim, cluster.topo);
+  Stager a, b;
+  net.attach(cluster.servers[0], a);
+  net.attach(cluster.servers[1], b);
+  sim.run();
+  // Publish, then clear the buffer and refill it before delivery.
+  a.staging = numbered(100);
+  const std::size_t capacity = a.staging.capacity();
+  a.publish(cluster.servers[1]);
+  a.staging.clear();
+  EXPECT_EQ(a.staging.capacity(), capacity);
+  a.staging.assign(100, kv::Request{});
+  a.publish(cluster.servers[1]);
+  a.staging.assign(100, numbered(1)[0]);
+  sim.run();
+  ASSERT_EQ(b.delivered.size(), 2u);
+  const auto* first = b.delivered[0].as<kv::ClientBatch>();
+  const auto* second = b.delivered[1].as<kv::ClientBatch>();
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  ASSERT_EQ(first->reqs.size(), 100u);
+  EXPECT_TRUE(holds_numbered(first->reqs));
+  ASSERT_EQ(second->reqs.size(), 100u);
+  for (const kv::Request& r : second->reqs) EXPECT_EQ(r.value, 0u);
 }
 
 // --------------------------------------------------------------------------

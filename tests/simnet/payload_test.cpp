@@ -13,6 +13,7 @@
 #include "epaxos/epaxos.h"
 #include "kv/types.h"
 #include "raft/messages.h"
+#include "raft/raft_kv.h"
 #include "rbcast/switch_broadcast.h"
 #include "simnet/message.h"
 #include "simnet/payload_testing.h"
@@ -55,6 +56,9 @@ TEST(PayloadTest, TagUniquenessAcrossAllRegisteredPayloads) {
   // registration without a fresh enum tag must fail this test.
   const std::vector<PayloadTag> tags = {
       PayloadTraits<raft::WireMsg>::tag,
+      PayloadTraits<raft::KvBatch>::tag,
+      PayloadTraits<raft::KvForward>::tag,
+      PayloadTraits<raft::KvSnapshot>::tag,
       PayloadTraits<proto::Proposal>::tag,
       PayloadTraits<proto::ProposalRequest>::tag,
       PayloadTraits<proto::JoinRequest>::tag,
@@ -66,15 +70,26 @@ TEST(PayloadTest, TagUniquenessAcrossAllRegisteredPayloads) {
       PayloadTraits<zab::Ack>::tag,
       PayloadTraits<zab::CommitMsg>::tag,
       PayloadTraits<zab::Inform>::tag,
+      PayloadTraits<zab::SyncReq>::tag,
+      PayloadTraits<zab::Snapshot>::tag,
       PayloadTraits<epaxos::PreAccept>::tag,
       PayloadTraits<epaxos::PreAcceptOk>::tag,
       PayloadTraits<epaxos::Commit>::tag,
+      PayloadTraits<epaxos::Fetch>::tag,
+      PayloadTraits<epaxos::CommitFull>::tag,
+      PayloadTraits<epaxos::SeqProbe>::tag,
+      PayloadTraits<epaxos::SeqInfo>::tag,
+      PayloadTraits<epaxos::SnapRequest>::tag,
+      PayloadTraits<epaxos::SnapshotMsg>::tag,
       PayloadTraits<rbcast::SwitchFrame>::tag,
       PayloadTraits<std::string>::tag,
       PayloadTraits<int>::tag,
       PayloadTraits<char>::tag,
   };
   std::set<PayloadTag> unique(tags.begin(), tags.end());
+  // Tags are dense and kTestChar is the last, so this counts every tag
+  // after kInvalid: a new tag whose type is missing here fails.
+  EXPECT_EQ(tags.size(), static_cast<std::size_t>(PayloadTag::kTestChar));
   EXPECT_EQ(unique.size(), tags.size()) << "two payload types share a tag";
   EXPECT_FALSE(unique.contains(PayloadTag::kInvalid))
       << "a payload type registered under kInvalid";

@@ -22,14 +22,14 @@ namespace {
 
 struct Budget {
   System system;
-  double allocs_per_write;  ///< measured 45.1, 5.43, 6.68 and 4.99
+  double allocs_per_write;  ///< measured 43.15, 2.69, 3.41 and 3.83
 };
 
 constexpr Budget kBudgets[] = {
-    {System::kCanopus, 49.7},
-    {System::kRaft, 6.0},
-    {System::kZab, 7.3},
-    {System::kEPaxos, 5.5},
+    {System::kCanopus, 47.5},
+    {System::kRaft, 3.0},
+    {System::kZab, 3.75},
+    {System::kEPaxos, 4.2},
 };
 
 struct Sample {

@@ -78,8 +78,9 @@ class RecordingClient final : public simnet::Process {
     if (const auto* b = m.as<kv::ReplyBatch>())
       done.insert(done.end(), b->done.begin(), b->done.end());
   }
-  void send_batch(NodeId server, const kv::ClientBatch& b) {
-    send(server, b.wire_bytes(), b);
+  void send_batch(NodeId server, const std::vector<kv::Request>& b) {
+    send(server, kv::ClientBatch::wire_bytes(b.size()),
+         simnet::Payload::with_body<kv::ClientBatch>(b));
   }
   std::vector<kv::Completion> done;
 };
@@ -192,7 +193,7 @@ TEST_P(ServiceTest, ServerAnswersEachClientRequestExactlyOnce) {
   constexpr std::uint64_t kKeys = 4;
   const auto batch_at = [&](Time t, bool writes) {
     d.sim.at(t, [&, writes] {
-      kv::ClientBatch b;
+      std::vector<kv::Request> b;
       for (std::uint64_t k = 0; k < kKeys; ++k) {
         kv::Request r;
         r.id = {client_id, (writes ? 0 : kKeys) + k};
@@ -200,7 +201,7 @@ TEST_P(ServiceTest, ServerAnswersEachClientRequestExactlyOnce) {
         r.key = k;
         r.value = writes ? 100 + k : 0;
         r.arrival = d.sim.now();
-        b.reqs.push_back(r);
+        b.push_back(r);
       }
       client.send_batch(server, b);
     });
