@@ -81,7 +81,8 @@ void BM_NetworkDelivery(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     net.send(simnet::Message(cluster.servers[i % 27],
-                             cluster.servers[(i + 13) % 27], 256, int{1}));
+                             cluster.servers[(i + 13) % 27],
+                             simnet::Payload::sized(1, 256)));
     sim.run();
     ++i;
   }
@@ -91,7 +92,7 @@ BENCHMARK(BM_NetworkDelivery);
 void BM_MessageTypedAccess(benchmark::State& state) {
   // The per-delivery dispatch cost every protocol pays: one tag compare per
   // candidate type (formerly an RTTI dynamic_cast per candidate).
-  simnet::Message m(1, 2, 64, int{7});
+  simnet::Message m(1, 2, simnet::Payload::sized(7, 64));
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.as<char>());  // miss
     benchmark::DoNotOptimize(m.as<int>());   // hit
@@ -105,8 +106,7 @@ void BM_PayloadBroadcastFanout(benchmark::State& state) {
   canopus::proto::Proposal p;
   p.writes = std::make_shared<const canopus::proto::WriteSet>(
       std::vector<canopus::kv::Request>(1000));
-  const std::size_t bytes = p.wire_bytes();  // before the move below
-  simnet::Message fetched(0, 1, bytes, std::move(p));
+  simnet::Message fetched(0, 1, std::move(p));
   for (auto _ : state) {
     for (NodeId peer = 2; peer < 28; ++peer)
       benchmark::DoNotOptimize(fetched.readdressed(1, peer));

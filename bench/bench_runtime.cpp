@@ -52,13 +52,11 @@ class EchoProc : public simnet::Process {
       for (const char c : *s) sum += static_cast<unsigned char>(c);
       sink_ += sum;
     }
-    send(m.src(), m.wire_bytes(), m.payload());
+    send(m.src(), m.payload());
   }
 
   // Seeds the rally from inside the node's execution context (via post()).
-  void kick(NodeId dst, std::size_t bytes, const simnet::Payload& p) {
-    send(dst, bytes, p);
-  }
+  void kick(NodeId dst, const simnet::Payload& p) { send(dst, p); }
 
  private:
   std::uint64_t sink_ = 0;  // keeps the byte loop observable
@@ -83,10 +81,11 @@ EchoRun run_echo_plane(int n, int warmup_ms, int window_ms,
   rt.start();
 
   // One payload allocation total; every hop shares it by refcount.
-  simnet::Payload payload =
-      payload_bytes > 0 ? simnet::Payload(std::string(payload_bytes, 'x'))
-                        : simnet::Payload(int{1});
-  const std::size_t wire = payload_bytes > 0 ? payload_bytes : 16;
+  const simnet::Payload payload =
+      payload_bytes > 0
+          ? simnet::Payload::sized(std::string(payload_bytes, 'x'),
+                                   payload_bytes)
+          : simnet::Payload::sized(1, 16);
   // Seed one in-flight message per directed pair (self-pair when n == 1).
   for (int i = 0; i < n; ++i) {
     EchoProc* p = procs[static_cast<std::size_t>(i)].get();
@@ -94,7 +93,7 @@ EchoRun run_echo_plane(int n, int warmup_ms, int window_ms,
       if (n > 1 && d == i) continue;
       const NodeId dst = static_cast<NodeId>(d);
       rt.post(static_cast<NodeId>(i),
-              [p, dst, wire, payload] { p->kick(dst, wire, payload); });
+              [p, dst, payload] { p->kick(dst, payload); });
     }
   }
 

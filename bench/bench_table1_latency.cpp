@@ -17,7 +17,8 @@ using namespace canopus;
 /// Ping-pong process: replies to every probe.
 struct Ponger : simnet::Process {
   void on_message(const simnet::Message& m) override {
-    if (m.as<int>() != nullptr) send(m.src(), 64, 'p');
+    if (m.as<int>() != nullptr)
+      send(m.src(), simnet::Payload::sized('p', 64));
   }
 };
 
@@ -31,7 +32,7 @@ struct Pinger : simnet::Process {
   }
   void ping() {
     sent_at = sim().now();
-    send(target, 64, 1);
+    send(target, simnet::Payload::sized(1, 64));
   }
 };
 

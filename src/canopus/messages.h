@@ -124,13 +124,13 @@ struct ProposalRequest {
   RoundId round = 1;  ///< round the requester will consume the state in
   VnodeId vnode = 0;
 
-  static constexpr std::size_t kWire = 32;
+  std::size_t wire_bytes() const { return 32; }
 };
 
 /// Joining node -> a live super-leaf member (§3 assumption 6).
 struct JoinRequest {
   NodeId joiner = kInvalidNode;
-  static constexpr std::size_t kWire = 16;
+  std::size_t wire_bytes() const { return 16; }
 };
 
 /// Sponsor -> joiner: the full state transfer that re-admits an excluded

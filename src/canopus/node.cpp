@@ -136,7 +136,7 @@ void CanopusNode::send_join_request() {
     const NodeId target =
         targets[static_cast<std::size_t>(join_attempt_) % targets.size()];
     ++join_attempt_;
-    send(target, proto::JoinRequest::kWire, proto::JoinRequest{node_id()});
+    send(target, proto::JoinRequest{node_id()});
   }
   join_timer_ = after(cfg_.fetch_timeout, [this] {
     join_timer_ = simnet::kInvalidEvent;
@@ -176,7 +176,7 @@ void CanopusNode::send_join_ack(NodeId joiner, CycleId snapshot_cycle,
   for (NodeId p : lot_->descendants(lot_->root())) {
     if (!emu_.is_live(p)) ack.dead.push_back(p);
   }
-  send(joiner, ack.wire_bytes(), ack);
+  send(joiner, ack);
 }
 
 void CanopusNode::handle_join_ack(const proto::JoinAck& ack) {
@@ -384,7 +384,7 @@ void CanopusNode::start_cycle(CycleId c) {
   p.membership = std::move(pending_membership_);
   pending_membership_.clear();
 
-  rb_->broadcast(p, p.wire_bytes());
+  rb_->broadcast(p);
 
   // Re-prompt if traffic for even-later cycles is already buffered, so the
   // next start is not lost (§7.1 starts cycles strictly in sequence).
@@ -551,7 +551,7 @@ void CanopusNode::answer_parked(CycleId c, RoundId r) {
   auto it = cs.parked_requests.find(v);
   if (it == cs.parked_requests.end()) return;
   const proto::Proposal& p = *cs.state[r];
-  for (NodeId dst : it->second) send(dst, p.wire_bytes(), p);
+  for (NodeId dst : it->second) send(dst, p);
   cs.parked_requests.erase(it);
 }
 
@@ -608,7 +608,7 @@ void CanopusNode::issue_fetch(CycleId c, VnodeId v) {
     pr.cycle = c;
     pr.round = static_cast<RoundId>(lot_->level(v)) + 1;
     pr.vnode = v;
-    send(emulators[pick], proto::ProposalRequest::kWire, pr);
+    send(emulators[pick], pr);
   }
   // Whether or not an emulator was available, retry until the state
   // arrives (add_proposal cancels the timer). If every descendant of v is
@@ -649,7 +649,7 @@ void CanopusNode::handle_proposal_request(NodeId src,
   if (cs.rounds_done >= r && cs.state[r].has_value()) {
     const proto::Proposal& p = *cs.state[r];
     assert(p.vnode == pr.vnode);
-    send(src, p.wire_bytes(), p);
+    send(src, p);
   } else {
     // §4.7 event 3: buffer the request, answer when the round completes.
     cs.parked_requests[pr.vnode].push_back(src);
@@ -687,7 +687,7 @@ void CanopusNode::handle_fetched_proposal(const proto::Proposal& p) {
       sim().cancel(it->second.timer);
     cs.fetches.erase(it);
   }
-  rb_->broadcast(p, p.wire_bytes());
+  rb_->broadcast(p);
 }
 
 // --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ void EPaxosNode::recover() {
 void EPaxosNode::resync() {
   if (crashed_) return;
   for (NodeId peer : replicas_) {
-    if (peer != node_id()) send(peer, SeqProbe::kWire, SeqProbe{});
+    if (peer != node_id()) send(peer, SeqProbe{});
   }
   // Own instances that were in flight at crash time (PreAccepts delivered,
   // the acks lost while down) only commit if their retransmit loop runs —
@@ -75,7 +75,7 @@ void EPaxosNode::on_message(const simnet::Message& m) {
   } else if (const auto* sn = m.as<SnapshotMsg>()) {
     handle_snapshot(*sn);
   } else if (m.as<SeqProbe>() != nullptr) {
-    send(m.src(), SeqInfo::kWire, SeqInfo{own_committed_});
+    send(m.src(), SeqInfo{own_committed_});
   } else if (const auto* si = m.as<SeqInfo>()) {
     auto& seen = max_committed_seen_[m.src()];
     seen = std::max(seen, si->committed_seq);
@@ -104,10 +104,9 @@ void EPaxosNode::flush_batch() {
   }
 
   // One payload for the whole fan-out.
-  const PreAccept pa{id, inst.batch, inst.deps};
-  const simnet::Payload msg(pa);
+  const simnet::Payload msg(PreAccept{id, inst.batch, inst.deps});
   for (NodeId peer : replicas_) {
-    if (peer != node_id()) send(peer, pa.wire_bytes(), msg);
+    if (peer != node_id()) send(peer, msg);
   }
   if (replicas_.size() == 1) {
     inst.committed = true;
@@ -123,8 +122,7 @@ void EPaxosNode::handle_pre_accept(NodeId src, const PreAccept& pa) {
   if (pruned(pa.id)) {
     // Stale retransmit for an instance this replica already executed and
     // pruned: ack without resurrecting a record.
-    PreAcceptOk ok{pa.id, pa.deps};
-    send(src, ok.wire_bytes(), ok);
+    send(src, PreAcceptOk{pa.id, pa.deps});
     return;
   }
   Instance& inst = instances_[pa.id];
@@ -138,8 +136,7 @@ void EPaxosNode::handle_pre_accept(NodeId src, const PreAccept& pa) {
   // Zero-interference fast path: the acceptor sees no conflicting
   // instances, so it echoes the dependencies unchanged and the leader's
   // fast quorum check succeeds.
-  PreAcceptOk ok{pa.id, pa.deps};
-  send(src, ok.wire_bytes(), ok);
+  send(src, PreAcceptOk{pa.id, pa.deps});
 }
 
 void EPaxosNode::handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok) {
@@ -150,10 +147,9 @@ void EPaxosNode::handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok) {
   if (inst.ok_from.size() + 1 >= fast_quorum()) {
     inst.committed = true;
     register_commit(ok.id);
-    const Commit c{ok.id, inst.deps};
-    const simnet::Payload msg(c);
+    const simnet::Payload msg(Commit{ok.id, inst.deps});
     for (NodeId peer : replicas_) {
-      if (peer != node_id()) send(peer, c.wire_bytes(), msg);
+      if (peer != node_id()) send(peer, msg);
     }
     try_execute(ok.id);
   }
@@ -193,8 +189,7 @@ void EPaxosNode::handle_fetch(NodeId src, const Fetch& f) {
     auto it = instances_.find(InstanceId{f.replica, s});
     if (it == instances_.end() || !it->second.committed || !it->second.batch)
       continue;
-    CommitFull cf{it->first, it->second.batch, it->second.deps};
-    send(src, cf.wire_bytes(), cf);
+    send(src, CommitFull{it->first, it->second.batch, it->second.deps});
   }
 }
 
@@ -222,7 +217,7 @@ void EPaxosNode::handle_snap_request(NodeId src) {
     const auto ec = exec_contig_.find(r);
     s.covered.emplace_back(r, ec == exec_contig_.end() ? 0 : ec->second);
   }
-  send(src, s.wire_bytes(), s);
+  send(src, s);
 }
 
 void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
@@ -370,11 +365,10 @@ void EPaxosNode::arm_repair_timer() {
       work_left = true;
       const NodeId target = targets[attempt % targets.size()];
       if (too_wide || rotated_dry) {
-        send(target, SnapRequest::kWire, SnapRequest{});
+        send(target, SnapRequest{});
         continue;
       }
-      Fetch f{replica, contig + 1, seen};
-      send(target, Fetch::kWire, f);
+      send(target, Fetch{replica, contig + 1, seen});
     }
     // Own instances stuck pre-quorum for a full interval had their
     // PreAccepts (or the acks) eaten by a fault: retransmit to the
@@ -385,11 +379,11 @@ void EPaxosNode::arm_repair_timer() {
       if (it == instances_.end() || it->second.committed) continue;
       work_left = true;
       if (proposed_at > stale) continue;
-      const PreAccept pa{id, it->second.batch, it->second.deps};
-      const simnet::Payload msg(pa);
+      const simnet::Payload msg(
+          PreAccept{id, it->second.batch, it->second.deps});
       for (NodeId peer : replicas_) {
         if (peer != node_id() && !it->second.ok_from.contains(peer))
-          send(peer, pa.wire_bytes(), msg);
+          send(peer, msg);
       }
     }
     if (work_left) arm_repair_timer();

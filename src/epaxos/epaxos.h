@@ -96,7 +96,7 @@ struct Fetch {
   NodeId replica = kInvalidNode;
   std::uint64_t from = 0;
   std::uint64_t to = 0;
-  static constexpr std::size_t kWire = 40;
+  std::size_t wire_bytes() const { return 40; }
 };
 
 /// Repair reply: a commit that carries its batch (for replicas that never
@@ -113,18 +113,18 @@ struct CommitFull {
 
 /// Recovery probe: "what is the latest instance you committed as leader?"
 struct SeqProbe {
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 struct SeqInfo {
   std::uint64_t committed_seq = 0;  ///< sender's own latest committed seq
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 /// State-transfer request: "send me your full state" — issued when a gap
 /// cannot be covered by CommitFull fetches (evicted everywhere).
 struct SnapRequest {
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 /// State-transfer reply: the donor's KV image + digest states plus the

@@ -84,8 +84,7 @@ class ReplicaNode : public simnet::Process {
   /// copied into its payload's block so the buffer keeps its capacity.
   void flush_replies() {
     for (const auto& [client, done] : reply_buffer_)
-      send(client, ReplyBatch::wire_bytes(done.size()),
-           simnet::Payload::with_body<ReplyBatch>(done));
+      send(client, simnet::Payload::with_body<ReplyBatch>(done));
     drop_replies();
   }
 

@@ -32,10 +32,7 @@ inline constexpr std::size_t kRequestWire = 40;
 /// holds the requests.
 struct ClientBatch {
   std::span<const Request> reqs;
-  static constexpr std::size_t wire_bytes(std::size_t n) {
-    return 24 + kRequestWire * n;
-  }
-  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
+  std::size_t wire_bytes() const { return 24 + kRequestWire * reqs.size(); }
 };
 
 /// A finished request going back to its client.
@@ -52,10 +49,7 @@ struct Completion {
 /// View-bodied, like ClientBatch.
 struct ReplyBatch {
   std::span<const Completion> done;
-  static constexpr std::size_t wire_bytes(std::size_t n) {
-    return 24 + 24 * n;
-  }
-  std::size_t wire_bytes() const { return wire_bytes(done.size()); }
+  std::size_t wire_bytes() const { return 24 + 24 * done.size(); }
 };
 
 }  // namespace canopus::kv

@@ -16,12 +16,11 @@ using GroupId = std::uint64_t;
 /// A single replicated log entry. The payload rides the typed message bus
 /// (simnet::Payload) so that any layer (reliable broadcast, a KV service, a
 /// test) can replicate its own registered record type; replicating an entry
-/// to N followers shares one payload allocation. `bytes` is the payload's
-/// wire size for the network model.
+/// to N followers shares one payload allocation, and the payload carries
+/// its own wire size for the network model.
 struct LogEntry {
   Term term = 0;
   simnet::Payload payload;
-  std::size_t bytes = 0;
   /// Leader-election no-op (the standard fix that lets a new leader commit
   /// entries from prior terms, Raft §5.4.2). Never surfaced via on_commit.
   bool is_noop = false;

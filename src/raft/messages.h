@@ -61,13 +61,12 @@ struct WireMsg {
   // Canopus-level snapshot). prev_log_index/prev_log_term double as the
   // last included index/term.
   simnet::Payload snapshot;
-  std::size_t snapshot_bytes = 0;
 
   /// Wire size estimate: fixed header + payload bytes of carried entries
   /// (or the carried snapshot).
   std::size_t wire_bytes() const {
-    std::size_t b = 64 + snapshot_bytes;
-    for (const LogEntry& e : entries) b += 16 + e.bytes;
+    std::size_t b = 64 + snapshot.wire_bytes();
+    for (const LogEntry& e : entries) b += 16 + e.payload.wire_bytes();
     return b;
   }
 };

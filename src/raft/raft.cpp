@@ -17,23 +17,24 @@ bool same_header(const WireMsg& a, const WireMsg& b) {
          a.leader_commit == b.leader_commit && a.success == b.success &&
          a.match_index == b.match_index &&
          a.snapshot.tag() == b.snapshot.tag() &&
-         a.snapshot.raw() == b.snapshot.raw() &&
-         a.snapshot_bytes == b.snapshot_bytes;
+         a.snapshot.raw() == b.snapshot.raw();
 }
 
 bool same_entry(const LogEntry& a, const LogEntry& b) {
   return a.term == b.term && a.payload.tag() == b.payload.tag() &&
-         a.payload.raw() == b.payload.raw() && a.bytes == b.bytes &&
-         a.is_noop == b.is_noop && a.leader == b.leader;
+         a.payload.raw() == b.payload.raw() && a.is_noop == b.is_noop &&
+         a.leader == b.leader;
 }
 }  // namespace
 
 RaftNode::RaftNode(GroupId group, NodeId self, std::vector<NodeId> members,
-                   simnet::ClockHandle sim, Callbacks cb, Options opt)
+                   simnet::ClockHandle sim, simnet::NetHandle net,
+                   Callbacks cb, Options opt)
     : group_(group),
       self_(self),
       members_(std::move(members)),
       sim_(sim),
+      net_(net),
       cb_(std::move(cb)),
       opt_(opt),
       rng_(derive_seed(derive_seed(sim.seed(), 0x4a47ULL),
@@ -134,7 +135,7 @@ void RaftNode::become_leader(bool append_noop) {
   if (append_noop) {
     // Raft §5.4.2: entries from prior terms are only committed indirectly,
     // by committing an entry of the current term on top of them.
-    log_.append(LogEntry{term_, {}, 0, /*is_noop=*/true, self_});
+    log_.append(LogEntry{term_, {}, /*is_noop=*/true, self_});
   }
   for (std::size_t i = 0; i < members_.size(); ++i) {
     next_index_[i] = log_.last_index() + 1;
@@ -142,7 +143,6 @@ void RaftNode::become_leader(bool append_noop) {
     sent_up_to_[i] = 0;  // nothing sent yet in this term
   }
   advance_commit();  // single-member group: the no-op commits immediately
-  if (cb_.on_leader_change) cb_.on_leader_change(self_, term_);
   broadcast_heartbeats();
 }
 
@@ -233,10 +233,9 @@ void RaftNode::notify_commit(NodeId peer) {
   send_wire(peer, std::move(m));
 }
 
-std::optional<LogIndex> RaftNode::propose(simnet::Payload payload,
-                                          std::size_t bytes) {
+std::optional<LogIndex> RaftNode::propose(simnet::Payload payload) {
   if (stopped_ || role_ != Role::kLeader) return std::nullopt;
-  log_.append(LogEntry{term_, std::move(payload), bytes});
+  log_.append(LogEntry{term_, std::move(payload)});
   const LogIndex idx = log_.last_index();
   const auto self_pos = static_cast<std::size_t>(
       std::find(members_.begin(), members_.end(), self_) - members_.begin());
@@ -313,10 +312,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
   }
   // Valid leader for this term.
   if (role_ != Role::kFollower) become_follower(m.term);
-  if (leader_ != src) {
-    leader_ = src;
-    if (cb_.on_leader_change) cb_.on_leader_change(src, term_);
-  }
+  leader_ = src;
   last_leader_contact_ = sim_.now();
   reset_election_timer();
 
@@ -402,7 +398,6 @@ void RaftNode::send_install_snapshot(NodeId peer) {
   m.prev_log_term = snap_term_;
   m.leader_commit = commit_;
   m.snapshot = snap_payload_;
-  m.snapshot_bytes = snap_bytes_;
   next_index_[pos] = snap_index_ + 1;
   sent_up_to_[pos] = snap_index_;
   send_wire(peer, std::move(m));
@@ -420,10 +415,7 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
     return;
   }
   if (role_ != Role::kFollower) become_follower(m.term);
-  if (leader_ != src) {
-    leader_ = src;
-    if (cb_.on_leader_change) cb_.on_leader_change(src, term_);
-  }
+  leader_ = src;
   last_leader_contact_ = sim_.now();
   reset_election_timer();
 
@@ -443,7 +435,6 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
   snap_index_ = s;
   snap_term_ = m.prev_log_term;
   snap_payload_ = m.snapshot;
-  snap_bytes_ = m.snapshot_bytes;
   ++snapshots_installed_;
   if (cb_.install_snapshot) cb_.install_snapshot(s, m.snapshot);
 
@@ -463,10 +454,9 @@ void RaftNode::send_wire(NodeId dst, WireMsg m, LogIndex first,
   if (!same) {
     m.entries.reserve(count);
     for (LogIndex i = first; i <= last; ++i) m.entries.push_back(log_.at(i));
-    last_sent_bytes_ = m.wire_bytes();
     last_sent_ = simnet::Payload(std::move(m));
   }
-  cb_.send(dst, last_sent_, last_sent_bytes_);
+  net_.send(simnet::Message(self_, dst, last_sent_));
 }
 
 void RaftNode::maybe_compact() {
@@ -482,9 +472,7 @@ void RaftNode::maybe_compact() {
   // trailing entries so slightly-lagging followers avoid a state transfer.
   snap_index_ = applied_;
   snap_term_ = log_.term_at(applied_);
-  snap_bytes_ = 0;
-  snap_payload_ =
-      cb_.make_snapshot ? cb_.make_snapshot(snap_bytes_) : simnet::Payload{};
+  snap_payload_ = cb_.make_snapshot ? cb_.make_snapshot() : simnet::Payload{};
   log_.compact_to(target);
 }
 

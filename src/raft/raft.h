@@ -7,9 +7,9 @@
 //
 // It is deliberately NOT a simnet::Process: a single physical node hosts
 // many protocol components (Canopus runs one Raft group per super-leaf
-// member, §4.3), so the owning Process routes WireMsgs to the right group
-// and supplies a send callback. This also keeps RaftNode reusable outside
-// the simulator behind any transport.
+// member, §4.3), so the owning Process routes incoming WireMsgs to the
+// right group and lends it its NetHandle for outgoing ones, as it does the
+// reliable-broadcast substrates.
 //
 // Canopus-specific usage notes (§4.3, §4.5):
 //  * For reliable broadcast, every super-leaf member creates a group where
@@ -59,28 +59,21 @@ struct Options {
 class RaftNode {
  public:
   struct Callbacks {
-    /// Transport: deliver `payload`, a WireMsg of `bytes` wire bytes, to
-    /// peer `dst`. Consecutive identical messages arrive as one payload
-    /// sent again, so a fan-out shares one allocation.
-    std::function<void(NodeId dst, simnet::Payload payload, std::size_t bytes)>
-        send;
     /// Applied exactly once per committed entry, in log order, on every
     /// live member.
     std::function<void(LogIndex, const LogEntry&)> on_commit;
-    /// Leadership changes (elections, discovered leaders). May be null.
-    std::function<void(NodeId leader, Term term)> on_leader_change;
     /// Fired when an election no-op commits, identifying the leader that
-    /// appended it. Unlike on_leader_change this is log-ordered: every
-    /// member observes it at the same position relative to committed
-    /// entries, which makes it usable as an agreed failure-detection point
-    /// (Canopus §4.3/§4.6 exclusion semantics). May be null.
+    /// appended it. The signal is log-ordered: every member observes it at
+    /// the same position relative to committed entries, which makes it
+    /// usable as an agreed failure-detection point (Canopus §4.3/§4.6
+    /// exclusion semantics). May be null.
     std::function<void(NodeId leader, Term term)> on_noop_commit;
     /// Compaction: captures the owner's state machine at the apply
     /// frontier. Called when the log crosses compaction_threshold; the
     /// returned payload is cached and shipped in InstallSnapshot to
     /// followers that fell behind the compaction base. May be null (an
     /// empty snapshot is installed — the owner's state lives elsewhere).
-    std::function<simnet::Payload(std::size_t& bytes)> make_snapshot;
+    std::function<simnet::Payload()> make_snapshot;
     /// Install: replaces the owner's state machine with `snapshot` (all
     /// entries <= the snapshot index were covered by it and will never be
     /// surfaced via on_commit on this member). May be null.
@@ -88,8 +81,12 @@ class RaftNode {
         install_snapshot;
   };
 
+  /// WireMsgs leave through `net` from `self`. Consecutive identical
+  /// messages go out as one payload sent again, so a fan-out shares one
+  /// allocation.
   RaftNode(GroupId group, NodeId self, std::vector<NodeId> members,
-           simnet::ClockHandle sim, Callbacks cb, Options opt = {});
+           simnet::ClockHandle sim, simnet::NetHandle net, Callbacks cb,
+           Options opt = {});
   ~RaftNode();
 
   RaftNode(const RaftNode&) = delete;
@@ -107,7 +104,7 @@ class RaftNode {
   /// Proposes a payload for replication. Returns the assigned log index if
   /// this node is the leader, std::nullopt otherwise. Replication shares
   /// the payload allocation across all followers.
-  std::optional<LogIndex> propose(simnet::Payload payload, std::size_t bytes);
+  std::optional<LogIndex> propose(simnet::Payload payload);
 
   /// Feeds an incoming wire message (already routed to this group).
   void on_message(NodeId src, const WireMsg& m);
@@ -192,6 +189,7 @@ class RaftNode {
   NodeId self_;
   std::vector<NodeId> members_;
   simnet::ClockHandle sim_;
+  simnet::NetHandle net_;
   Callbacks cb_;
   Options opt_;
   /// Election-jitter stream, seeded from (trial seed, group, self) only:
@@ -216,7 +214,6 @@ class RaftNode {
   LogIndex snap_index_ = 0;
   Term snap_term_ = 0;
   simnet::Payload snap_payload_;
-  std::size_t snap_bytes_ = 0;
   std::uint64_t snapshots_installed_ = 0;
   int apply_depth_ = 0;  // reentrancy guard: compact only at the outer frame
 
@@ -234,9 +231,8 @@ class RaftNode {
   std::vector<Time> last_progress_;    // last match-index advance per peer
   std::vector<Time> last_repair_;      // last full retransmit per peer
 
-  /// The last message sent and its wire bytes (see send_wire).
+  /// The last message sent (see send_wire).
   simnet::Payload last_sent_;
-  std::size_t last_sent_bytes_ = 0;
 
   simnet::EventId election_timer_ = simnet::kInvalidEvent;
   simnet::EventId heartbeat_timer_ = simnet::kInvalidEvent;

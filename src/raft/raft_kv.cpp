@@ -11,23 +11,18 @@ RaftKvNode::RaftKvNode(std::vector<NodeId> members, Options opt)
 
 void RaftKvNode::on_start() {
   RaftNode::Callbacks cb;
-  cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
-    send(dst, bytes, std::move(p));
-  };
   cb.on_commit = [this](LogIndex idx, const LogEntry& e) {
     if (const auto* b = e.payload.as<KvBatch>(); b != nullptr && b->reqs)
       commit_batch(idx, *b->reqs, kKvCpuPerWrite);
   };
-  cb.make_snapshot = [this](std::size_t& bytes) {
-    KvSnapshot s{capture_snapshot()};
-    bytes = s.wire_bytes();
-    return simnet::Payload(std::move(s));
+  cb.make_snapshot = [this] {
+    return simnet::Payload(KvSnapshot{capture_snapshot()});
   };
   cb.install_snapshot = [this](LogIndex, const simnet::Payload& p) {
     if (const auto* s = p.as<KvSnapshot>()) install_snapshot(s->snap);
   };
   raft_ = std::make_unique<RaftNode>(/*group=*/0, node_id(), members_, sim(),
-                                     std::move(cb), opt_);
+                                     net(), std::move(cb), opt_);
   raft_->start(/*bootstrap_as_leader=*/node_id() == members_[0]);
 }
 
@@ -72,7 +67,7 @@ void RaftKvNode::on_message(const simnet::Message& m) {
     } else if (raft_ && raft_->leader_hint() != kInvalidNode &&
                raft_->leader_hint() != node_id()) {
       // Stale forward (leadership moved): pass the same payload along.
-      send(raft_->leader_hint(), fwd->wire_bytes(), m.payload());
+      send(raft_->leader_hint(), m.payload());
     } else {
       // No known leader: adopt the requests locally and retry via the
       // ordinary flush path once a leader emerges.
@@ -109,8 +104,7 @@ void RaftKvNode::flush_batch() {
     b.reqs = std::make_shared<const std::vector<kv::Request>>(
         std::move(pending_));
     pending_.clear();
-    const std::size_t bytes = b.wire_bytes();
-    raft_->propose(simnet::Payload(std::move(b)), bytes);
+    raft_->propose(std::move(b));
     return;
   }
   const NodeId leader = raft_->leader_hint();
@@ -119,8 +113,7 @@ void RaftKvNode::flush_batch() {
     arm_flush_timer();
     return;
   }
-  send(leader, KvForward::wire_bytes(pending_.size()),
-       simnet::Payload::with_body<KvForward>(pending_));
+  send(leader, simnet::Payload::with_body<KvForward>(pending_));
   pending_.clear();
 }
 

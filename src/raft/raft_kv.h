@@ -53,10 +53,7 @@ struct KvBatch {
 /// (simnet::Payload::with_body).
 struct KvForward {
   std::span<const kv::Request> reqs;
-  static constexpr std::size_t wire_bytes(std::size_t n) {
-    return 24 + kv::kRequestWire * n;
-  }
-  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
+  std::size_t wire_bytes() const { return 24 + kv::kRequestWire * reqs.size(); }
 };
 
 /// Compaction snapshot payload (rides inside raft::WireMsg InstallSnapshot):

@@ -9,8 +9,8 @@
 //
 // Canopus is written against this interface, so the substrate is a
 // deployment choice (core::Config::broadcast). Payloads travel on the typed
-// message bus (simnet::Payload); a broadcast shares one payload allocation
-// across every receiver.
+// message bus (simnet::Payload), which also carries each payload's wire
+// size; a broadcast shares one payload allocation across every receiver.
 #pragma once
 
 #include <functional>
@@ -36,7 +36,7 @@ class Broadcast {
 
   virtual void start() = 0;
   virtual void stop() = 0;
-  virtual void broadcast(simnet::Payload payload, std::size_t bytes) = 0;
+  virtual void broadcast(simnet::Payload payload) = 0;
 
   /// Feeds a network message; returns true if it belonged to this layer.
   virtual bool handle(const simnet::Message& m) = 0;

@@ -17,20 +17,12 @@ ReliableBroadcast::ReliableBroadcast(NodeId self, std::vector<NodeId> members,
          members_.end());
 }
 
-void ReliableBroadcast::send(NodeId dst, simnet::Payload payload,
-                             std::size_t bytes) {
-  net_.send(simnet::Message(self_, dst, bytes, std::move(payload)));
-}
-
 bool ReliableBroadcast::is_member(NodeId n) const {
   return std::find(members_.begin(), members_.end(), n) != members_.end();
 }
 
 void ReliableBroadcast::make_group(NodeId origin) {
   raft::RaftNode::Callbacks cb;
-  cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
-    send(dst, std::move(p), bytes);
-  };
   cb.on_commit = [this, origin](raft::LogIndex, const raft::LogEntry& e) {
     cb_.deliver(origin, e.payload);
   };
@@ -53,7 +45,7 @@ void ReliableBroadcast::make_group(NodeId origin) {
   };
   groups_.emplace(origin,
                   std::make_unique<raft::RaftNode>(
-                      raft::GroupId{origin}, self_, members_, sim_,
+                      raft::GroupId{origin}, self_, members_, sim_, net_,
                       std::move(cb)));
 }
 
@@ -69,14 +61,14 @@ void ReliableBroadcast::stop() {
   started_ = false;
 }
 
-void ReliableBroadcast::broadcast(simnet::Payload payload, std::size_t bytes) {
+void ReliableBroadcast::broadcast(simnet::Payload payload) {
   auto it = groups_.find(self_);
   // A missing own group means this node was suspected failed by its peers
   // and its group dissolved (possible under severe overload). The layer
   // above self-fences on that signal; any broadcast racing with it is
   // dropped, which is indistinguishable from crashing a moment earlier.
   if (it == groups_.end()) return;
-  it->second->propose(std::move(payload), bytes);
+  it->second->propose(std::move(payload));
 }
 
 void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
@@ -96,8 +88,7 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
       request.group = m.group;
       request.type = raft::MsgType::kDissolvedTailRequest;
       request.prev_log_index = it->second->commit_index();
-      const std::size_t bytes = request.wire_bytes();
-      send(src, std::move(request), bytes);
+      net_.send(simnet::Message(self_, src, std::move(request)));
     }
     return;
   }
@@ -109,10 +100,8 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
     // electioneering.
     if (auto r = retired_.find(m.group); r != retired_.end()) {
       raft::WireMsg notice;
-      if (r->second->dissolution_notice(m, notice)) {
-        const std::size_t bytes = notice.wire_bytes();
-        send(src, std::move(notice), bytes);
-      }
+      if (r->second->dissolution_notice(m, notice))
+        net_.send(simnet::Message(self_, src, std::move(notice)));
     }
     return;
   }

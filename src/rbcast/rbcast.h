@@ -47,7 +47,7 @@ class ReliableBroadcast final : public Broadcast {
 
   /// Reliably broadcasts `payload` to all live super-leaf members,
   /// including the local node (self-delivery happens at local commit).
-  void broadcast(simnet::Payload payload, std::size_t bytes) override;
+  void broadcast(simnet::Payload payload) override;
 
   /// Routes an incoming Raft wire message to the right group.
   void on_message(NodeId src, const raft::WireMsg& m);
@@ -73,8 +73,6 @@ class ReliableBroadcast final : public Broadcast {
 
  private:
   void make_group(NodeId origin);
-  /// Sends `payload`, a raft::WireMsg of `bytes` wire bytes, to `dst`.
-  void send(NodeId dst, simnet::Payload payload, std::size_t bytes);
 
   NodeId self_;
   std::vector<NodeId> members_;

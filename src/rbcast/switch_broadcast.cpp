@@ -34,25 +34,24 @@ bool SwitchBroadcast::is_member(NodeId peer) const {
   return std::find(members_.begin(), members_.end(), peer) != members_.end();
 }
 
-void SwitchBroadcast::emit(SwitchFrame f, std::size_t bytes) {
+void SwitchBroadcast::emit(SwitchFrame f) {
   // The switch stamps the frame on ingress: one rack-global sequence.
   f.seq = seq_->next_seq++;
   // One Payload for the whole fan-out: every member port shares the same
   // frame allocation (and, transitively, the same inner payload).
   const simnet::Payload frame(std::move(f));
   for (NodeId m : members_) {
-    net_.send(simnet::Message(self_, m, bytes, frame));
+    net_.send(simnet::Message(self_, m, frame));
   }
 }
 
-void SwitchBroadcast::broadcast(simnet::Payload payload, std::size_t bytes) {
+void SwitchBroadcast::broadcast(simnet::Payload payload) {
   if (!running_) return;
   SwitchFrame f;
   f.origin = self_;
   f.kind = SwitchFrame::Kind::kPayload;
   f.payload = std::move(payload);
-  f.bytes = bytes;
-  emit(std::move(f), bytes + 32);
+  emit(std::move(f));
 }
 
 void SwitchBroadcast::heartbeat_tick() {
@@ -60,7 +59,7 @@ void SwitchBroadcast::heartbeat_tick() {
   SwitchFrame hb;
   hb.origin = self_;
   hb.kind = SwitchFrame::Kind::kHeartbeat;
-  emit(std::move(hb), 48);
+  emit(std::move(hb));
 
   // Check for silent peers; a failure notice goes through the sequencer so
   // all survivors exclude the peer at the same point in delivery order.
@@ -72,7 +71,7 @@ void SwitchBroadcast::heartbeat_tick() {
       fail.origin = self_;
       fail.kind = SwitchFrame::Kind::kFail;
       fail.failed = m;
-      emit(std::move(fail), 48);
+      emit(std::move(fail));
     }
   }
   heartbeat_timer_ =

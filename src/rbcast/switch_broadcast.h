@@ -50,7 +50,12 @@ struct SwitchFrame {
       Kind::kPayload;
   NodeId failed = kInvalidNode;  // for kFail
   simnet::Payload payload;
-  std::size_t bytes = 0;
+
+  /// A 32-byte sequencing header on the inner payload; heartbeats and
+  /// failure notices are 48 bytes.
+  std::size_t wire_bytes() const {
+    return kind == Kind::kPayload ? payload.wire_bytes() + 32 : 48;
+  }
 };
 
 class SwitchBroadcast final : public Broadcast {
@@ -68,14 +73,14 @@ class SwitchBroadcast final : public Broadcast {
 
   void start() override;
   void stop() override;
-  void broadcast(simnet::Payload payload, std::size_t bytes) override;
+  void broadcast(simnet::Payload payload) override;
   bool handle(const simnet::Message& m) override;
   void remove_member(NodeId peer) override;
   void add_member(NodeId peer) override;
   bool is_member(NodeId peer) const override;
 
  private:
-  void emit(SwitchFrame f, std::size_t bytes);
+  void emit(SwitchFrame f);
   void deliver_ready();
   void heartbeat_tick();
 

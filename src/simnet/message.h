@@ -3,9 +3,10 @@
 // The payload is a simnet::Payload (see payload.h): a shared immutable
 // value, so a broadcast of a large proposal (Canopus proposals can carry
 // thousands of requests) shares one allocation across all receivers.
-// `wire_bytes` is what the network charges for; it is computed by the
-// protocol from its own serialization rules (see DESIGN.md §Messages), so
-// the simulator never needs to actually serialize anything.
+// `wire_bytes` is what the network charges for: the size the payload's
+// type states from its own serialization rules (see DESIGN.md §5.3),
+// recorded when the payload was published, so the simulator never needs
+// to actually serialize anything.
 #pragma once
 
 #include <cstddef>
@@ -20,15 +21,12 @@ class Message {
  public:
   Message() = default;
 
-  Message(NodeId src, NodeId dst, std::size_t wire_bytes, Payload payload)
-      : src_(src),
-        dst_(dst),
-        wire_bytes_(wire_bytes),
-        payload_(std::move(payload)) {}
+  Message(NodeId src, NodeId dst, Payload payload)
+      : src_(src), dst_(dst), payload_(std::move(payload)) {}
 
   NodeId src() const { return src_; }
   NodeId dst() const { return dst_; }
-  std::size_t wire_bytes() const { return wire_bytes_; }
+  std::size_t wire_bytes() const { return payload_.wire_bytes(); }
 
   /// Returns the payload if it carries tag T, else nullptr.
   template <class T>
@@ -51,7 +49,6 @@ class Message {
  private:
   NodeId src_ = kInvalidNode;
   NodeId dst_ = kInvalidNode;
-  std::size_t wire_bytes_ = 0;
   Payload payload_;
 };
 

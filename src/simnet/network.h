@@ -24,6 +24,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "runtime/api.h"
 #include "simnet/message.h"
 #include "simnet/simulator.h"
@@ -357,15 +358,16 @@ class Process {
 
   /// Per-process deterministic RNG, seeded at attach() from the trial seed
   /// and the node id. Protocol code must draw from THIS stream, never from
-  /// Simulator::rng(): a per-node stream's draw order depends only on the
-  /// node's own event history, so it is identical under serial and sharded
-  /// execution — a shared stream's would depend on the global interleaving.
+  /// a stream shared across nodes: a per-node stream's draw order depends
+  /// only on the node's own event history, so it is identical under serial
+  /// and sharded execution — a shared stream's would depend on the global
+  /// interleaving.
   Rng& rng() { return rng_; }
 
-  /// Sends a typed payload to `dst`, charging `wire_bytes` on the wire.
+  /// Sends a typed payload to `dst`, charging its wire_bytes() on the wire.
   /// Any registered wire-message type converts to Payload at this boundary.
-  void send(NodeId dst, std::size_t wire_bytes, Payload payload) {
-    Message m(id_, dst, wire_bytes, std::move(payload));
+  void send(NodeId dst, Payload payload) {
+    Message m(id_, dst, std::move(payload));
     if (net_ != nullptr)
       net_->send(std::move(m));
     else

@@ -24,8 +24,16 @@
 // payload's own heap block. Such a type enters the bus only through
 // Payload::with_body, so the message and its body cost one allocation, and
 // its span cannot outlive or dangle from what it views.
+//
+// Every protocol message states its own wire size through a wire_bytes()
+// member (a SizedPayload). The payload records that size once, when the
+// value is published, and every layer that carries it (Message, the
+// reliable-broadcast substrates, the raft log) reads it from there. The
+// test probes of payload_testing.h state no size; their sender names one
+// with Payload::sized.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -104,10 +112,16 @@ concept RegisteredPayload = requires {
   { PayloadTraits<T>::tag } -> std::convertible_to<PayloadTag>;
 };
 
+/// A registered type that states its own wire size: every protocol message.
+template <class T>
+concept SizedPayload = RegisteredPayload<T> && requires(const T& v) {
+  { v.wire_bytes() } -> std::convertible_to<std::size_t>;
+};
+
 /// A registered header whose body lives in its payload's block.
 template <class T>
 concept ViewBodiedPayload =
-    RegisteredPayload<T> && requires { PayloadTraits<T>::body; };
+    SizedPayload<T> && requires { PayloadTraits<T>::body; };
 
 /// The std::span<const E> type of a view-bodied header's body member.
 template <ViewBodiedPayload H>
@@ -121,18 +135,28 @@ class Payload {
  public:
   Payload() = default;
 
-  /// Wraps a registered wire-message value. Implicit on purpose: protocol
-  /// code writes `broadcast(proposal, bytes)` / `send(dst, bytes, msg)` and
-  /// the value enters the bus at that boundary. A view-bodied type is
-  /// rejected here: its span would still point at the sender's buffer.
-  template <class T>
-    requires(!std::is_same_v<std::remove_cvref_t<T>, Payload> &&
-             RegisteredPayload<std::remove_cvref_t<T>> &&
-             !ViewBodiedPayload<std::remove_cvref_t<T>>)
+  /// Wraps a registered wire-message value and records its wire_bytes().
+  /// Implicit on purpose: protocol code writes `broadcast(proposal)` /
+  /// `send(dst, msg)` and the value enters the bus at that boundary. A
+  /// view-bodied type is rejected here: its span would still point at the
+  /// sender's buffer.
+  template <class T, class V = std::remove_cvref_t<T>>
+    requires(SizedPayload<V> && !ViewBodiedPayload<V>)
   Payload(T&& value)  // NOLINT(google-explicit-constructor)
-      : tag_(PayloadTraits<std::remove_cvref_t<T>>::tag),
-        ptr_(std::make_shared<const std::remove_cvref_t<T>>(
-            std::forward<T>(value))) {}
+      : Payload(std::make_shared<const V>(std::forward<T>(value))) {}
+
+  /// Publishes a value that states no wire size of its own (the test
+  /// probes of payload_testing.h), charged `bytes` on the wire. A protocol
+  /// message is always charged its own wire_bytes(), so this refuses one.
+  template <class T, class V = std::remove_cvref_t<T>>
+    requires(RegisteredPayload<V> && !SizedPayload<V>)
+  static Payload sized(T&& value, std::size_t bytes) {
+    Payload p;
+    p.tag_ = PayloadTraits<V>::tag;
+    p.bytes_ = narrow(bytes);
+    p.ptr_ = std::make_shared<const V>(std::forward<T>(value));
+    return p;
+  }
 
   /// Publishes a view-bodied H: copies `body` and a value-initialized H
   /// into ONE heap block, points H's body span at the copy and shares the
@@ -161,10 +185,7 @@ class Payload {
     std::uninitialized_copy(body.begin(), body.end(), copy);
     H* const header = ::new (static_cast<void*>(bytes)) H{};
     header->*PayloadTraits<H>::body = PayloadBody<H>(copy, body.size());
-    Payload p;
-    p.tag_ = PayloadTraits<H>::tag;
-    p.ptr_ = std::shared_ptr<const void>(std::move(block), header);
-    return p;
+    return Payload(std::shared_ptr<const H>(std::move(block), header));
   }
 
   /// Returns the value if it carries tag T, else nullptr. One integer
@@ -177,13 +198,28 @@ class Payload {
 
   PayloadTag tag() const { return tag_; }
   bool empty() const { return ptr_ == nullptr; }
+  /// What the network charges for this payload: the value's wire_bytes()
+  /// at publication (0 for an empty payload).
+  std::size_t wire_bytes() const { return bytes_; }
 
   /// Identity of the shared allocation — lets tests assert that broadcast
   /// fan-out and Message::readdressed share one value instead of copying.
   const void* raw() const { return ptr_.get(); }
 
  private:
+  template <SizedPayload T>
+  explicit Payload(std::shared_ptr<const T> value)
+      : tag_(PayloadTraits<T>::tag),
+        bytes_(narrow(value->wire_bytes())),
+        ptr_(std::move(value)) {}
+
+  static std::uint32_t narrow(std::size_t bytes) {
+    assert(bytes <= UINT32_MAX);
+    return static_cast<std::uint32_t>(bytes);
+  }
+
   PayloadTag tag_ = PayloadTag::kInvalid;
+  std::uint32_t bytes_ = 0;  ///< in the padding after tag_
   std::shared_ptr<const void> ptr_;
 };
 

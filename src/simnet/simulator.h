@@ -52,7 +52,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "simnet/event_queue.h"
 #include "simnet/spsc.h"
@@ -62,7 +61,7 @@ namespace canopus::simnet {
 
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 0x5eed) : seed_(seed), rng_(seed) {
+  explicit Simulator(std::uint64_t seed = 0x5eed) : seed_(seed) {
     install_default();
   }
 
@@ -78,11 +77,6 @@ class Simulator {
   /// process RNGs are seeded as derive_seed(derive_seed(seed(), salt), id)
   /// so their draws are independent of execution interleaving).
   std::uint64_t seed() const { return seed_; }
-
-  /// Setup/control-plane RNG. NOT for protocol code running inside node
-  /// events — under sharded execution the draw order would depend on the
-  /// schedule; use the per-process RNG (Process::rng()) instead.
-  Rng& rng() { return rng_; }
 
   // --- shard configuration ---------------------------------------------
 
@@ -262,7 +256,6 @@ class Simulator {
   Time now_ = 0;
   std::uint32_t cur_lane_ = 0;  ///< lane of the serially-executing event
   std::uint64_t seed_;
-  Rng rng_;
   std::uint64_t events_ = 0;
 
   /// The lane whose execution context is scheduling right now: the firing

@@ -105,8 +105,7 @@ class ClientMachine : public simnet::Process {
   /// its capacity kept for the next tick.
   void send_batch(NodeId target, std::vector<kv::Request>& batch) {
     sent_ += batch.size();
-    send(target, kv::ClientBatch::wire_bytes(batch.size()),
-         simnet::Payload::with_body<kv::ClientBatch>(batch));
+    send(target, simnet::Payload::with_body<kv::ClientBatch>(batch));
     batch.clear();
   }
 

@@ -47,8 +47,7 @@ void ZabNode::recover() {
 
 void ZabNode::resync() {
   if (crashed_ || role() == Role::kLeader) return;
-  SyncReq sr{next_apply_};
-  send(leader_, SyncReq::kWire, sr);
+  send(leader_, SyncReq{next_apply_});
   arm_sync_timer();
 }
 
@@ -67,8 +66,7 @@ void ZabNode::intake(std::span<const kv::Request> reqs) {
     }
   }
   if (!forward_.empty()) {
-    send(leader_, Forward::wire_bytes(forward_.size()),
-         simnet::Payload::with_body<Forward>(forward_));
+    send(leader_, simnet::Payload::with_body<Forward>(forward_));
     forward_.clear();
   }
   flush_replies();
@@ -122,12 +120,11 @@ void ZabNode::flush_batch() {
   pending_.clear();
 
   // One payload for the whole fan-out.
-  const Propose p{z, fl.batch};
-  const simnet::Payload msg(p);
+  const simnet::Payload msg(Propose{z, fl.batch});
   for (int i = 1; i <= cfg_.followers &&
                   i < static_cast<int>(members_.size());
        ++i) {
-    send(members_[static_cast<std::size_t>(i)], p.wire_bytes(), msg);
+    send(members_[static_cast<std::size_t>(i)], msg);
   }
   arm_retransmit_timer();
   if (quorum() <= 1) {  // degenerate single-node ensemble
@@ -147,13 +144,12 @@ void ZabNode::arm_retransmit_timer() {
     // A proposal still unacked after a full retry interval was lost to a
     // crash or partition: resend it to every follower that has not acked.
     for (const auto& [zxid, fl] : in_flight_) {
-      const Propose p{zxid, fl.batch};
-      const simnet::Payload msg(p);
+      const simnet::Payload msg(Propose{zxid, fl.batch});
       for (int i = 1; i <= cfg_.followers &&
                       i < static_cast<int>(members_.size());
            ++i) {
         const NodeId peer = members_[static_cast<std::size_t>(i)];
-        if (!fl.acked.contains(peer)) send(peer, p.wire_bytes(), msg);
+        if (!fl.acked.contains(peer)) send(peer, msg);
       }
     }
     arm_retransmit_timer();
@@ -166,8 +162,7 @@ void ZabNode::handle_propose(NodeId src, const Propose& p) {
   // (no further Commit will come). The ack is still sent — idempotent at
   // the leader.
   if (p.zxid >= next_apply_) uncommitted_[p.zxid] = p.batch;
-  Ack a{p.zxid};
-  send(src, Ack::kWire, a);
+  send(src, Ack{p.zxid});
 }
 
 void ZabNode::handle_ack(NodeId src, const Ack& a) {
@@ -184,12 +179,11 @@ void ZabNode::handle_ack(NodeId src, const Ack& a) {
       static_cast<std::size_t>(cfg_.followers) + 1;
   const simnet::Payload commit_msg(CommitMsg{a.zxid});
   for (std::size_t i = 1; i < observers_from; ++i)
-    send(members_[i], CommitMsg::kWire, commit_msg);
+    send(members_[i], commit_msg);
   if (observers_from < members_.size()) {
-    const Inform inf{a.zxid, fl.batch};
-    const simnet::Payload inform_msg(inf);
+    const simnet::Payload inform_msg(Inform{a.zxid, fl.batch});
     for (std::size_t i = observers_from; i < members_.size(); ++i)
-      send(members_[i], inf.wire_bytes(), inform_msg);
+      send(members_[i], inform_msg);
   }
   // Quorums can complete out of zxid order under retransmission; the
   // leader applies through the same strictly-ordered path as everyone
@@ -225,7 +219,7 @@ void ZabNode::handle_sync_req(NodeId src, const SyncReq& sr) {
     }
     Snapshot s{upto, snap_cache_};
     ++snapshots_served_;
-    send(src, s.wire_bytes(), s);
+    send(src, s);
     return;
   }
   // Resend every committed batch the requester is missing, oldest first.
@@ -233,7 +227,7 @@ void ZabNode::handle_sync_req(NodeId src, const SyncReq& sr) {
   const Zxid last = history_base_ + history_.size();  // one past the end
   for (Zxid z = first; z < last; ++z) {
     Inform inf{z, history_[static_cast<std::size_t>(z - history_base_)]};
-    send(src, inf.wire_bytes(), inf);
+    send(src, inf);
   }
 }
 
@@ -290,8 +284,7 @@ void ZabNode::arm_sync_timer() {
     sync_timer_armed_ = false;
     if (crashed_) return;
     if (next_apply_ <= max_committed_seen_) {
-      SyncReq sr{next_apply_};
-      send(leader_, SyncReq::kWire, sr);
+      send(leader_, SyncReq{next_apply_});
       arm_sync_timer();
     }
   });

@@ -60,10 +60,7 @@ using Zxid = std::uint64_t;
 
 struct Forward {  // member -> leader; view-bodied (Payload::with_body)
   std::span<const kv::Request> reqs;
-  static constexpr std::size_t wire_bytes(std::size_t n) {
-    return 24 + kv::kRequestWire * n;
-  }
-  std::size_t wire_bytes() const { return wire_bytes(reqs.size()); }
+  std::size_t wire_bytes() const { return 24 + kv::kRequestWire * reqs.size(); }
 };
 
 struct Propose {  // leader -> followers
@@ -77,12 +74,12 @@ struct Propose {  // leader -> followers
 
 struct Ack {  // follower -> leader
   Zxid zxid = 0;
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 struct CommitMsg {  // leader -> followers (they already hold the batch)
   Zxid zxid = 0;
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 struct Inform {  // leader -> observers (carries the data)
@@ -95,7 +92,7 @@ struct Inform {  // leader -> observers (carries the data)
 
 struct SyncReq {  // lagging member -> leader: resend commits from `from` on
   Zxid from = 0;
-  static constexpr std::size_t kWire = 24;
+  std::size_t wire_bytes() const { return 24; }
 };
 
 struct Snapshot {  // leader -> member whose gap predates retained history

@@ -213,14 +213,14 @@ TEST(WireSizes, BatchesScaleWithContent) {
   const simnet::Payload ten = simnet::Payload::with_body<ClientBatch>(reqs);
   EXPECT_EQ(ten.as<ClientBatch>()->wire_bytes(),
             empty.as<ClientBatch>()->wire_bytes() + 10 * kRequestWire);
-  EXPECT_EQ(ClientBatch::wire_bytes(10), ten.as<ClientBatch>()->wire_bytes());
+  EXPECT_EQ(ten.wire_bytes(), ten.as<ClientBatch>()->wire_bytes());
 
   const std::vector<Completion> done(4);
   const simnet::Payload rempty = simnet::Payload::with_body<ReplyBatch>({});
   const simnet::Payload four = simnet::Payload::with_body<ReplyBatch>(done);
   EXPECT_EQ(four.as<ReplyBatch>()->wire_bytes(),
             rempty.as<ReplyBatch>()->wire_bytes() + 4 * 24);
-  EXPECT_EQ(ReplyBatch::wire_bytes(4), four.as<ReplyBatch>()->wire_bytes());
+  EXPECT_EQ(four.wire_bytes(), four.as<ReplyBatch>()->wire_bytes());
 }
 
 TEST(RequestId, DefaultIsInvalidClient) {

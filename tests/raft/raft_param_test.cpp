@@ -11,6 +11,7 @@ namespace {
 
 using simnet::Network;
 using simnet::Simulator;
+using testutil::probe;
 using testutil::RaftHost;
 using testutil::small_cluster;
 
@@ -50,7 +51,7 @@ TEST_P(RaftSizeTest, AllMembersCommitSameSequence) {
     h->groups[0]->start(h->groups[0]->self() == cluster_.servers[0]);
   sim_->run_until(50 * kMillisecond);
   for (int i = 0; i < 15; ++i)
-    hosts_[0]->groups[0]->propose(std::to_string(i), 2);
+    hosts_[0]->groups[0]->propose(probe(std::to_string(i), 2));
   sim_->run_until(2 * kSecond);
   for (auto& h : hosts_) {
     ASSERT_EQ(h->commits.size(), 15u);
@@ -73,7 +74,7 @@ TEST_P(RaftSizeTest, ToleratesMinorityFailures) {
     net_->crash(cluster_.servers[static_cast<size_t>(n - 1 - i)]);
     hosts_[static_cast<size_t>(n - 1 - i)]->groups[0]->stop();
   }
-  hosts_[0]->groups[0]->propose(std::string("survives"), 8);
+  hosts_[0]->groups[0]->propose(probe("survives", 8));
   sim_->run_until(2 * kSecond);
   EXPECT_GE(hosts_[0]->commits.size(), 1u);
   EXPECT_GE(hosts_[1]->commits.size(), 1u);
@@ -97,7 +98,7 @@ TEST_P(RbcastSizeTest, EveryMemberDeliversEveryBroadcast) {
   }
   sim.run_until(10 * kMillisecond);
   for (int round = 0; round < 3; ++round)
-    for (auto& h : hosts) h->rb->broadcast(std::string("m"), 1);
+    for (auto& h : hosts) h->rb->broadcast(probe("m", 1));
   sim.run_until(2 * kSecond);
   for (auto& h : hosts)
     EXPECT_EQ(h->delivered.size(), static_cast<size_t>(3 * n));

@@ -15,6 +15,7 @@ namespace {
 using simnet::Cluster;
 using simnet::Network;
 using simnet::Simulator;
+using testutil::probe;
 using testutil::RaftHost;
 using testutil::small_cluster;
 
@@ -88,7 +89,7 @@ TEST_F(RaftTest, ReplicatesAndCommitsOnAllMembers) {
   build(3);
   start_all(cluster_.servers[0]);
   sim_->run_until(50 * kMillisecond);
-  auto idx = node(0).propose(std::string("hello"), 5);
+  auto idx = node(0).propose(probe("hello", 5));
   ASSERT_TRUE(idx.has_value());
   EXPECT_EQ(*idx, 1u);
   sim_->run_until(100 * kMillisecond);
@@ -103,7 +104,7 @@ TEST_F(RaftTest, FollowerRejectsProposal) {
   build(3);
   start_all(cluster_.servers[0]);
   sim_->run_until(50 * kMillisecond);
-  EXPECT_FALSE(node(1).propose(std::string("nope"), 4).has_value());
+  EXPECT_FALSE(node(1).propose(probe("nope", 4)).has_value());
 }
 
 TEST_F(RaftTest, CommitOrderIsIdentical) {
@@ -111,7 +112,7 @@ TEST_F(RaftTest, CommitOrderIsIdentical) {
   start_all(cluster_.servers[0]);
   sim_->run_until(50 * kMillisecond);
   for (int i = 0; i < 20; ++i)
-    node(0).propose(std::string(1, static_cast<char>('a' + i)), 1);
+    node(0).propose(probe(std::string(1, static_cast<char>('a' + i)), 1));
   sim_->run_until(500 * kMillisecond);
   for (auto& h : hosts_) {
     ASSERT_EQ(h->commits.size(), 20u);
@@ -126,7 +127,7 @@ TEST_F(RaftTest, LeaderFailureTriggersReelection) {
   build(3);
   start_all(cluster_.servers[0]);
   sim_->run_until(50 * kMillisecond);
-  node(0).propose(std::string("committed"), 9);
+  node(0).propose(probe("committed", 9));
   sim_->run_until(100 * kMillisecond);
 
   net_->crash(cluster_.servers[0]);
@@ -150,7 +151,7 @@ TEST_F(RaftTest, NewLeaderCompletesIncompleteReplication) {
   // Propose, let replication start, then crash the leader before its next
   // heartbeat; with live followers the entry reaches them and the new
   // leader must preserve and commit it (§4.3's drain behaviour).
-  node(0).propose(std::string("draft"), 5);
+  node(0).propose(probe("draft", 5));
   sim_->run_until(sim_->now() + 5 * kMillisecond);
   net_->crash(cluster_.servers[0]);
   node(0).stop();
@@ -169,7 +170,7 @@ TEST_F(RaftTest, CrashedFollowerCatchesUpAfterRecovery) {
   sim_->run_until(50 * kMillisecond);
 
   net_->crash(cluster_.servers[2]);
-  for (int i = 0; i < 5; ++i) node(0).propose(std::string("e"), 1);
+  for (int i = 0; i < 5; ++i) node(0).propose(probe("e", 1));
   sim_->run_until(200 * kMillisecond);
   EXPECT_EQ(hosts_[2]->commits.size(), 0u);
 
@@ -189,7 +190,7 @@ TEST_F(RaftTest, MinorityCannotCommit) {
   net_->crash(cluster_.servers[2]);
   node(1).stop();
   node(2).stop();
-  node(0).propose(std::string("lost"), 4);
+  node(0).propose(probe("lost", 4));
   sim_->run_until(2 * kSecond);
   EXPECT_TRUE(hosts_[0]->commits.empty());
 }
@@ -198,7 +199,7 @@ TEST_F(RaftTest, SingleMemberGroupCommitsImmediately) {
   build(1);
   start_all(cluster_.servers[0]);
   sim_->run_until(kMillisecond);
-  node(0).propose(std::string("solo"), 4);
+  node(0).propose(probe("solo", 4));
   EXPECT_EQ(node(0).commit_index(), 1u);
   ASSERT_EQ(hosts_[0]->commits.size(), 1u);
 }
@@ -215,7 +216,7 @@ TEST_F(RaftTest, RemoveMemberShrinksQuorum) {
   // Now remove it; group of 2 has quorum 2, still fine with remaining pair.
   node(0).remove_member(cluster_.servers[2]);
   node(1).remove_member(cluster_.servers[2]);
-  node(0).propose(std::string("after"), 5);
+  node(0).propose(probe("after", 5));
   sim_->run_until(500 * kMillisecond);
   ASSERT_EQ(hosts_[0]->commits.size(), 1u);
   ASSERT_EQ(hosts_[1]->commits.size(), 1u);
@@ -234,7 +235,7 @@ TEST_F(RaftTest, AddMemberReplicatesHistory) {
   node(0).start(true);
   node(1).start(false);
   sim_->run_until(50 * kMillisecond);
-  node(0).propose(std::string("old"), 3);
+  node(0).propose(probe("old", 3));
   sim_->run_until(100 * kMillisecond);
 
   // Node 2 joins; the leader backfills its log.
@@ -311,7 +312,7 @@ TEST_F(RaftTest, FanOutSharesOnePayload) {
       notices.push_back(m.payload());
     }
   });
-  idx = node(0).propose(std::string("fan-out"), 7).value();
+  idx = node(0).propose(probe("fan-out", 7)).value();
   sim_->run_until(55 * kMillisecond);
   auto distinct = [](const std::vector<simnet::Payload>& v) {
     std::set<const void*> ids;

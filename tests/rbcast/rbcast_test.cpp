@@ -14,6 +14,7 @@ namespace {
 using simnet::Cluster;
 using simnet::Network;
 using simnet::Simulator;
+using testutil::probe;
 using testutil::RbcastHost;
 using testutil::small_cluster;
 
@@ -49,7 +50,7 @@ class RbcastTest : public ::testing::Test {
 TEST_F(RbcastTest, BroadcastReachesAllIncludingSelf) {
   build(3);
   sim_->run_until(10 * kMillisecond);
-  hosts_[0]->rb->broadcast(std::string("m1"), 2);
+  hosts_[0]->rb->broadcast(probe("m1", 2));
   sim_->run_until(100 * kMillisecond);
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(hosts_[static_cast<size_t>(i)]->delivered.size(), 1u) << i;
@@ -63,7 +64,7 @@ TEST_F(RbcastTest, SameOriginDeliveredInOrderEverywhere) {
   build(3);
   sim_->run_until(10 * kMillisecond);
   for (int i = 0; i < 10; ++i)
-    hosts_[1]->rb->broadcast(std::to_string(i), 2);
+    hosts_[1]->rb->broadcast(probe(std::to_string(i), 2));
   sim_->run_until(500 * kMillisecond);
   for (int h = 0; h < 3; ++h) {
     auto t = texts(h);
@@ -77,12 +78,11 @@ TEST_F(RbcastTest, ConcurrentBroadcastsAllDelivered) {
   build(5);
   sim_->run_until(10 * kMillisecond);
   for (auto& h : hosts_)
-    h->rb->broadcast(std::string("from") +
-                         std::to_string(h->rb->members()[0]),
-                     8);
+    h->rb->broadcast(
+        probe("from" + std::to_string(h->rb->members()[0]), 8));
   // Every node broadcast one message; all five must deliver all five.
   for (size_t i = 0; i < hosts_.size(); ++i)
-    hosts_[i]->rb->broadcast("x" + std::to_string(i), 8);
+    hosts_[i]->rb->broadcast(probe("x" + std::to_string(i), 8));
   sim_->run_until(kSecond);
   for (auto& h : hosts_) EXPECT_EQ(h->delivered.size(), 10u);
 }
@@ -91,8 +91,8 @@ TEST_F(RbcastTest, AgreementOnSameOriginPrefix) {
   build(3);
   sim_->run_until(10 * kMillisecond);
   for (int i = 0; i < 5; ++i) {
-    hosts_[0]->rb->broadcast("a" + std::to_string(i), 2);
-    hosts_[2]->rb->broadcast("c" + std::to_string(i), 2);
+    hosts_[0]->rb->broadcast(probe("a" + std::to_string(i), 2));
+    hosts_[2]->rb->broadcast(probe("c" + std::to_string(i), 2));
   }
   sim_->run_until(kSecond);
   // Per-origin sequences are identical on every host.
@@ -130,7 +130,7 @@ TEST_F(RbcastTest, InFlightBroadcastSurvivesOriginCrash) {
   sim_->run_until(10 * kMillisecond);
   // Broadcast then crash the origin 3 ms later: replication has reached the
   // followers; the replacement leader must complete delivery (§4.3).
-  hosts_[0]->rb->broadcast(std::string("will-survive"), 12);
+  hosts_[0]->rb->broadcast(probe("will-survive", 12));
   sim_->run_until(sim_->now() + 3 * kMillisecond);
   net_->crash(cluster_.servers[0]);
   hosts_[0]->rb->stop();
@@ -157,7 +157,7 @@ TEST_F(RbcastTest, StragglerThatMissedTheNoopCatchesUpFromDissolvers) {
     for (auto& h : hosts_) h->dissolve_on_failure = true;
     sim_->run_until(crash_at - 5 * kMillisecond);
     for (std::size_t i = 0; i < hosts_.size(); ++i)
-      hosts_[i]->rb->broadcast(std::to_string(i), 1);
+      hosts_[i]->rb->broadcast(probe(std::to_string(i), 1));
     sim_->run_until(crash_at);
     net_->crash(cluster_.servers[kOrigin]);
     hosts_[kOrigin]->rb->stop();
@@ -229,7 +229,7 @@ TEST_F(RbcastTest, RemoveMemberKeepsBroadcastWorking) {
   hosts_[1]->rb->remove_member(cluster_.servers[2]);
   const auto before0 = hosts_[0]->delivered.size();
   const auto before1 = hosts_[1]->delivered.size();
-  hosts_[0]->rb->broadcast(std::string("post-removal"), 12);
+  hosts_[0]->rb->broadcast(probe("post-removal", 12));
   sim_->run_until(sim_->now() + kSecond);
   EXPECT_EQ(hosts_[0]->delivered.size(), before0 + 1);
   EXPECT_EQ(hosts_[1]->delivered.size(), before1 + 1);
@@ -242,7 +242,7 @@ TEST_F(RbcastTest, MajorityFailureHaltsBroadcast) {
   net_->crash(cluster_.servers[2]);
   hosts_[1]->rb->stop();
   hosts_[2]->rb->stop();
-  hosts_[0]->rb->broadcast(std::string("stuck"), 5);
+  hosts_[0]->rb->broadcast(probe("stuck", 5));
   sim_->run_until(5 * kSecond);
   // 2F+1 = 3 supports F = 1; two failures halt delivery (no commit).
   EXPECT_TRUE(hosts_[0]->delivered.empty());

@@ -33,20 +33,25 @@ bool wait_for(const std::function<bool()>& done, int ms = 5000) {
 // Echoes every int payload back to its sender until `limit` hops ran.
 class Echo : public simnet::Process {
  public:
+  /// The 16-byte int probe every Echo sends.
+  static simnet::Payload probe(int v) {
+    return simnet::Payload::sized(v, 16);
+  }
+
   explicit Echo(int limit = 0, NodeId first_dst = kInvalidNode)
       : limit_(limit), first_dst_(first_dst) {}
 
   void on_start() override {
-    if (first_dst_ != kInvalidNode) send(first_dst_, 16, int{0});
+    if (first_dst_ != kInvalidNode) send(first_dst_, probe(0));
   }
   void on_message(const Message& m) override {
     received.fetch_add(1, std::memory_order_relaxed);
     const int v = *m.as<int>();
-    if (v < limit_) send(m.src(), 16, int{v + 1});
+    if (v < limit_) send(m.src(), probe(v + 1));
   }
 
   // Exposed for Host::post-driven sends from the test driver.
-  void do_send(NodeId dst, int v) { send(dst, 16, int{v}); }
+  void do_send(NodeId dst, int v) { send(dst, probe(v)); }
 
   std::atomic<int> received{0};
 

@@ -16,10 +16,12 @@
 
 #include "alloc_count.h"
 #include "kv/types.h"
+#include "raft/raft_kv.h"
 #include "simnet/network.h"
 #include "simnet/payload_testing.h"
 #include "simnet/simulator.h"
 #include "simnet/topology.h"
+#include "zab/zab.h"
 
 namespace canopus::simnet {
 namespace {
@@ -39,8 +41,8 @@ class SteadyStateFixture : public ::testing::Test {
     sim_.run();  // drain on_start events
     // The shared payload is created ONCE; every steady-state send reuses it
     // (broadcast/readdress semantics — a payload copy is a pointer copy).
-    template_msg_ = Message(cluster_.servers[0], cluster_.servers[13], 256,
-                            std::string("steady"));
+    template_msg_ = Message(cluster_.servers[0], cluster_.servers[13],
+                            Payload::sized(std::string("steady"), 256));
   }
 
   static simnet::RackConfig rack_config() {
@@ -127,11 +129,12 @@ TEST_F(SteadyStateFixture, TimerRearmAllocatesNothing) {
 // --------------------------------------------------------------------------
 
 // A view-bodied type cannot enter the bus by value: its span would still
-// point at the sender's buffer.
+// point at the sender's buffer. Nor can a probe, which states no wire size
+// of its own: only Payload::sized publishes one.
 static_assert(!std::is_constructible_v<Payload, kv::ClientBatch>);
 static_assert(!std::is_constructible_v<Payload, const kv::ReplyBatch&>);
 static_assert(!std::is_convertible_v<kv::ClientBatch, Payload>);
-static_assert(std::is_constructible_v<Payload, std::string>);
+static_assert(!std::is_constructible_v<Payload, std::string>);
 
 std::vector<kv::Request> numbered(std::size_t n) {
   std::vector<kv::Request> reqs(n);
@@ -168,19 +171,27 @@ TEST(ViewBodiedPayload, PublishingCostsExactlyOneAllocation) {
     EXPECT_EQ(p.tag(), PayloadTag::kKvClientBatch);
     ASSERT_EQ(batch->reqs.size(), n);
     EXPECT_TRUE(holds_numbered(batch->reqs));
-    EXPECT_EQ(batch->wire_bytes(), kv::ClientBatch::wire_bytes(n));
+    EXPECT_EQ(p.wire_bytes(), 24 + kv::kRequestWire * n);
     // The body is a copy stored right behind the header, in its block.
     const auto* header = static_cast<const std::byte*>(p.raw());
     const auto* body = reinterpret_cast<const std::byte*>(batch->reqs.data());
     EXPECT_GE(body, header + sizeof(kv::ClientBatch));
     EXPECT_LT(body, header + sizeof(kv::ClientBatch) + alignof(kv::Request));
+    // The other view-bodied types record their own sizes the same way.
+    EXPECT_EQ(Payload::with_body<zab::Forward>(staging).wire_bytes(),
+              24 + kv::kRequestWire * n);
+    EXPECT_EQ(Payload::with_body<raft::KvForward>(staging).wire_bytes(),
+              24 + kv::kRequestWire * n);
+    const std::vector<kv::Completion> done(n);
+    EXPECT_EQ(Payload::with_body<kv::ReplyBatch>(done).wire_bytes(),
+              24 + 24 * n);
   }
 }
 
 TEST(ViewBodiedPayload, FanOutAndReaddressingAllocateNothing) {
   const std::vector<kv::Request> staging = numbered(64);
   const Payload p = Payload::with_body<kv::ClientBatch>(staging);
-  const Message sent(1, 2, kv::ClientBatch::wire_bytes(64), p);
+  const Message sent(1, 2, p);
   const std::uint64_t before = canopus::bench::heap_allocations();
   const Payload first = p;
   const Payload second = first;
@@ -203,8 +214,7 @@ struct Stager : Process {
     delivered.push_back(m.payload());
   }
   void publish(NodeId dst) {
-    send(dst, kv::ClientBatch::wire_bytes(staging.size()),
-         Payload::with_body<kv::ClientBatch>(staging));
+    send(dst, Payload::with_body<kv::ClientBatch>(staging));
   }
 };
 
@@ -263,8 +273,8 @@ struct PdesWorld {
     sinks_.resize(cluster_.servers.size());
     for (std::size_t i = 0; i < sinks_.size(); ++i)
       net_->attach(cluster_.servers[i], sinks_[i]);
-    template_msg_ = Message(cluster_.servers[0], cluster_.servers[3], 256,
-                            std::string("steady"));
+    template_msg_ = Message(cluster_.servers[0], cluster_.servers[3],
+                            Payload::sized(std::string("steady"), 256));
   }
 
   static simnet::RackConfig rack_config() {

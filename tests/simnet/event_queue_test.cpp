@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "simnet/payload_testing.h"
+
 namespace canopus::simnet {
 namespace {
 
@@ -195,7 +197,7 @@ TEST(EventQueue, MessageEventCarriesItsFields) {
   EventQueue q;
   RecordingTarget target;
   q.schedule_message(
-      5, MessageEvent{&target, Message(3, 9, 128, Payload{}),
+      5, MessageEvent{&target, Message(3, 9, Payload::sized(1, 128)),
                       MessageEvent::Kind::kDispatch, 0});
   auto ev = q.pop();
   ASSERT_TRUE(ev.is_message);

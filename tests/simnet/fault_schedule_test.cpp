@@ -19,7 +19,9 @@ struct Recorder : Process {
     received.push_back({sim().now(), s ? *s : std::string{}});
   }
   using Process::send;
-  void say(NodeId dst, std::string text) { send(dst, 10, std::move(text)); }
+  void say(NodeId dst, std::string text) {
+    send(dst, Payload::sized(std::move(text), 10));
+  }
 };
 
 class FaultScheduleTest : public ::testing::Test {

@@ -23,7 +23,9 @@ struct Recorder : Process {
   void on_message(const Message& m) override {
     rx.push_back({sim().now(), m.src()});
   }
-  void say(NodeId dst, std::size_t bytes) { send(dst, bytes, int{1}); }
+  void say(NodeId dst, std::size_t bytes) {
+    send(dst, Payload::sized(1, bytes));
+  }
 };
 
 TEST(HopOrdering, WanMessageDoesNotBlockEarlierLocalOne) {

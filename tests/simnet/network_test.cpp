@@ -26,7 +26,7 @@ struct Recorder : Process {
 
   using Process::send;  // expose for tests
   void say(NodeId dst, std::size_t bytes, std::string text) {
-    send(dst, bytes, std::move(text));
+    send(dst, Payload::sized(std::move(text), bytes));
   }
 };
 
@@ -287,7 +287,7 @@ TEST_F(NetworkTest, FifoOrderPreservedBetweenPair) {
 }
 
 TEST(MessageTest, TypedAccess) {
-  Message m(1, 2, 64, std::string("payload"));
+  Message m(1, 2, Payload::sized(std::string("payload"), 64));
   EXPECT_NE(m.as<std::string>(), nullptr);
   EXPECT_EQ(m.as<int>(), nullptr);
   EXPECT_EQ(*m.as<std::string>(), "payload");
@@ -295,7 +295,7 @@ TEST(MessageTest, TypedAccess) {
 }
 
 TEST(MessageTest, ReaddressSharesPayload) {
-  Message m(1, 2, 64, std::string("payload"));
+  Message m(1, 2, Payload::sized(std::string("payload"), 64));
   Message n = m.readdressed(3, 4);
   EXPECT_EQ(n.src(), 3u);
   EXPECT_EQ(n.dst(), 4u);

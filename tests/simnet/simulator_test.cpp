@@ -64,13 +64,6 @@ TEST(Simulator, CancelledEventDoesNotRun) {
   EXPECT_FALSE(fired);
 }
 
-TEST(Simulator, DeterministicRngAcrossRuns) {
-  Simulator a(123), b(123), c(456);
-  std::uint64_t va = a.rng()(), vb = b.rng()(), vc = c.rng()();
-  EXPECT_EQ(va, vb);
-  EXPECT_NE(va, vc);
-}
-
 TEST(Simulator, EventsProcessedAccumulates) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.at(i, [] {});

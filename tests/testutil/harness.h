@@ -25,6 +25,11 @@ inline std::string text(const simnet::Payload& p) {
   return s ? *s : std::string("<non-string payload>");
 }
 
+/// A std::string probe payload, charged `bytes` on the wire.
+inline simnet::Payload probe(std::string s, std::size_t bytes) {
+  return simnet::Payload::sized(std::move(s), bytes);
+}
+
 /// A single-rack cluster of `n` server machines (no clients).
 inline simnet::Cluster small_cluster(int n) {
   simnet::RackConfig cfg;
@@ -41,19 +46,13 @@ class RaftHost : public simnet::Process {
   raft::RaftNode& make_group(raft::GroupId group, std::vector<NodeId> members,
                              simnet::Simulator& sim, raft::Options opt = {}) {
     raft::RaftNode::Callbacks cb;
-    cb.send = [this](NodeId dst, simnet::Payload p, std::size_t bytes) {
-      send(dst, bytes, std::move(p));
-    };
     cb.on_commit = [this, group](raft::LogIndex idx, const raft::LogEntry& e) {
       commits.push_back({group, idx, e});
       if (on_commit) on_commit(group, idx, e);
     };
-    cb.on_leader_change = [this, group](NodeId leader, raft::Term term) {
-      leader_changes.push_back({group, leader, term});
-    };
     auto node = std::make_unique<raft::RaftNode>(group, node_id(),
                                                  std::move(members), sim,
-                                                 std::move(cb), opt);
+                                                 net(), std::move(cb), opt);
     raft::RaftNode& ref = *node;
     groups[group] = std::move(node);
     return ref;
@@ -71,15 +70,8 @@ class RaftHost : public simnet::Process {
     raft::LogIndex index;
     raft::LogEntry entry;
   };
-  struct LeaderChange {
-    raft::GroupId group;
-    NodeId leader;
-    raft::Term term;
-  };
-
   std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> groups;
   std::vector<Commit> commits;
-  std::vector<LeaderChange> leader_changes;
   std::function<void(raft::GroupId, raft::LogIndex, const raft::LogEntry&)>
       on_commit;
 };

@@ -79,8 +79,7 @@ class RecordingClient final : public simnet::Process {
       done.insert(done.end(), b->done.begin(), b->done.end());
   }
   void send_batch(NodeId server, const std::vector<kv::Request>& b) {
-    send(server, kv::ClientBatch::wire_bytes(b.size()),
-         simnet::Payload::with_body<kv::ClientBatch>(b));
+    send(server, simnet::Payload::with_body<kv::ClientBatch>(b));
   }
   std::vector<kv::Completion> done;
 };

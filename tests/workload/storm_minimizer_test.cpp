@@ -150,7 +150,7 @@ TEST(StormMinimizer, ShrinksDurationsTowardFloor) {
 struct Sender : simnet::Process {
   void on_message(const simnet::Message&) override {}
   void emit(NodeId dst, std::uint64_t seq) {
-    send(dst, kv::kRequestWire, std::to_string(seq));
+    send(dst, simnet::Payload::sized(std::to_string(seq), kv::kRequestWire));
   }
 };
 
