@@ -29,7 +29,8 @@ using StoreImage = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 /// 3/4 load. A new key costs no allocation except at a doubling, so
 /// inserting n keys allocates O(log n) times. Keys are never erased.
 /// kEmptyKey marks a free slot; a write to that key itself lives in a
-/// side slot.
+/// side slot. A table of kMappedFrom bytes or more is a memory mapping of
+/// its own (see TableAllocator).
 class Store {
  public:
   void apply(const Request& w) {
@@ -72,6 +73,33 @@ class Store {
 
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   static constexpr std::size_t kMinCapacity = 16;
+  /// glibc's initial mmap threshold, which it raises as it frees mapped
+  /// blocks.
+  static constexpr std::size_t kMappedFrom = 128 * 1024;
+
+  /// The slot table's allocator. A table of kMappedFrom bytes or more is
+  /// an anonymous memory mapping of its own, unmapped when it is freed; a
+  /// smaller one comes from operator new. Every replica applies the same
+  /// writes, so a deployment's tables all double at one commit and free
+  /// their old arrays together. Left in the malloc heap, those arrays were
+  /// reused piecemeal by smaller objects, and the process's resident peak
+  /// followed the heap's layout instead of its live size (DESIGN.md §8.3).
+  template <class T>
+  struct TableAllocator {
+    using value_type = T;
+    TableAllocator() = default;
+    template <class U>
+    TableAllocator(const TableAllocator<U>&) noexcept {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(allocate_table(n * sizeof(T)));
+    }
+    void deallocate(T* table, std::size_t n) noexcept {
+      free_table(table, n * sizeof(T));
+    }
+    friend bool operator==(TableAllocator, TableAllocator) { return true; }
+  };
+  static void* allocate_table(std::size_t bytes);
+  static void free_table(void* table, std::size_t bytes) noexcept;
 
   static bool within_load(std::size_t n, std::size_t cap) {
     return 4 * n <= 3 * cap;
@@ -107,14 +135,14 @@ class Store {
   }
 
   void rehash(std::size_t cap) {
-    std::vector<Slot> old(cap, Slot{kEmptyKey, 0});
+    std::vector<Slot, TableAllocator<Slot>> old(cap, Slot{kEmptyKey, 0});
     old.swap(slots_);
     shift_ = std::countl_zero(static_cast<std::uint64_t>(cap)) + 1;
     for (const Slot& s : old)
       if (s.key != kEmptyKey) slots_[probe(s.key)] = s;
   }
 
-  std::vector<Slot> slots_;
+  std::vector<Slot, TableAllocator<Slot>> slots_;
   std::size_t used_ = 0;  ///< occupied slots (the side slot not counted)
   int shift_ = 64;        ///< 64 - log2(capacity)
   std::optional<std::uint64_t> empty_key_value_;  ///< the side slot

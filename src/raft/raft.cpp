@@ -452,9 +452,24 @@ void RaftNode::send_wire(NodeId dst, WireMsg m, LogIndex first,
   for (std::size_t k = 0; same && k < count; ++k)
     same = same_entry(prev->entries[k], log_.at(first + k));
   if (!same) {
-    m.entries.reserve(count);
-    for (LogIndex i = first; i <= last; ++i) m.entries.push_back(log_.at(i));
-    last_sent_ = simnet::Payload(std::move(m));
+    assert(m.entries.empty());
+    const auto fill = [&](std::vector<LogEntry>& entries) {
+      entries.reserve(count);
+      for (LogIndex i = first; i <= last; ++i) entries.push_back(log_.at(i));
+    };
+    // Nothing else holds the memo (every receiver has dropped its copy):
+    // write the new message over it, keeping its entries' capacity.
+    const bool rewritten = last_sent_.rewrite<WireMsg>([&](WireMsg& w) {
+      std::vector<LogEntry> entries = std::move(w.entries);
+      entries.clear();
+      fill(entries);
+      w = std::move(m);
+      w.entries = std::move(entries);
+    });
+    if (!rewritten) {
+      fill(m.entries);
+      last_sent_ = simnet::Payload(std::move(m));
+    }
   }
   net_.send(simnet::Message(self_, dst, last_sent_));
 }

@@ -83,7 +83,8 @@ class RaftNode {
 
   /// WireMsgs leave through `net` from `self`. Consecutive identical
   /// messages go out as one payload sent again, so a fan-out shares one
-  /// allocation.
+  /// allocation, and a different message reuses that allocation when no
+  /// receiver still holds it.
   RaftNode(GroupId group, NodeId self, std::vector<NodeId> members,
            simnet::ClockHandle sim, simnet::NetHandle net, Callbacks cb,
            Options opt = {});
@@ -182,7 +183,8 @@ class RaftNode {
   void maybe_compact();
   /// Sends `m` carrying the log entries [first, last] (none when
   /// first > last). Reuses the last payload sent when `m` would equal it
-  /// on every wire field.
+  /// on every wire field, and otherwise rewrites that payload in place
+  /// when nothing else holds it.
   void send_wire(NodeId dst, WireMsg m, LogIndex first = 1, LogIndex last = 0);
 
   GroupId group_;
@@ -231,7 +233,8 @@ class RaftNode {
   std::vector<Time> last_progress_;    // last match-index advance per peer
   std::vector<Time> last_repair_;      // last full retransmit per peer
 
-  /// The last message sent (see send_wire).
+  /// The last message sent (see send_wire). Its sole holder once every
+  /// receiver has dropped its copy, and then rewritten for the next one.
   simnet::Payload last_sent_;
 
   simnet::EventId election_timer_ = simnet::kInvalidEvent;

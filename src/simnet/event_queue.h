@@ -275,7 +275,7 @@ inline void EventQueue::schedule_message(Time t, std::uint64_t seq,
                                          MessageEvent&& ev) {
   // Hand-rolled sift-up: the standard push_heap routes the new entry
   // through a temporary even when it already sits in heap position — and a
-  // MsgEntry move is 64 bytes. Events are mostly scheduled in near-time
+  // MsgEntry move is 56 bytes. Events are mostly scheduled in near-time
   // order, so the early-out is the common path.
   msg_heap_.push_back(MsgEntry{t, seq, std::move(ev)});
   std::size_t i = msg_heap_.size() - 1;
@@ -324,7 +324,7 @@ inline void EventQueue::fire_closure(Time& now) {
 
 inline void EventQueue::fire_message(Time& now) {
   // Hand-rolled root removal (extract root, sift the tail down) — one
-  // 64-byte move when the heap is small, where the standard
+  // 56-byte move when the heap is small, where the standard
   // pop_heap+pop_back pair costs three.
   MsgEntry entry = std::move(msg_heap_.front());
   const std::size_t n = msg_heap_.size() - 1;

@@ -1,8 +1,9 @@
 // A network message: routing header + typed payload from the message bus.
 //
-// The payload is a simnet::Payload (see payload.h): a shared immutable
-// value, so a broadcast of a large proposal (Canopus proposals can carry
-// thousands of requests) shares one allocation across all receivers.
+// The payload is a simnet::Payload (see payload.h): a shared value,
+// immutable while shared, so a broadcast of a large proposal (Canopus
+// proposals can carry thousands of requests) shares one allocation across
+// all receivers.
 // `wire_bytes` is what the network charges for: the size the payload's
 // type states from its own serialization rules (see DESIGN.md §5.3),
 // recorded when the payload was published, so the simulator never needs

@@ -1,21 +1,33 @@
 // The typed message bus: one payload representation for every wire message
 // in the repository.
 //
-// A Payload is a (tag, shared immutable value) pair. The tag space is the
-// closed enum below — one entry per wire-message struct that travels
-// through the simulated network (canopus proposals, raft RPCs, zab/epaxos
-// frames, kv client traffic, switch broadcast frames). Each protocol
-// registers its structs with CANOPUS_REGISTER_PAYLOAD, which specializes
-// PayloadTraits<T> with the struct's tag; Payload::as<T>() is then a single
-// integer compare plus a static_cast — no RTTI and no type-erasure casts
-// on the per-message hot path.
+// A Payload is a (tag, shared value) pair. The tag space is the closed enum
+// below — one entry per wire-message struct that travels through the
+// simulated network (canopus proposals, raft RPCs, zab/epaxos frames, kv
+// client traffic, switch broadcast frames). Each protocol registers its
+// structs with CANOPUS_REGISTER_PAYLOAD, which specializes PayloadTraits<T>
+// with the struct's tag; Payload::as<T>() is then a single integer compare
+// plus a static_cast — no RTTI and no type-erasure casts on the
+// per-message hot path.
 //
-// Values are held behind shared_ptr<const void> so that a broadcast of a
-// large proposal (Canopus proposals can carry thousands of requests) shares
-// ONE allocation across all receivers: copying a Payload, re-addressing a
-// Message, or replicating a raft LogEntry copies a pointer, never the
-// value. Payload values are immutable once published — exactly the
-// semantics a real wire gives you.
+// Values live in a reference-counted heap block of the payload's own: an
+// atomic holder count and a destroy hook in front of the value, one
+// allocation in all. A broadcast of a large proposal (Canopus proposals can
+// carry thousands of requests) shares that ONE block across all receivers:
+// copying a Payload, re-addressing a Message, or replicating a raft
+// LogEntry copies a pointer, never the value. A published value is
+// immutable while it is shared — exactly the semantics a real wire gives
+// you. Only its sole holder may change it, through Payload::rewrite, and
+// only RaftNode's last-sent memo does (raft.cpp, send_wire).
+//
+// The count belongs to the payload, not to a std::shared_ptr, because of
+// that rewrite. The last other holder may drop its copy on another thread
+// (the threaded backend, or a PDES shard), after reading the value there.
+// In a process with more than one thread every drop is a release
+// decrement, and rewrite reads the count with an acquire load, so those
+// reads happen before the rewrite's writes, and ThreadSanitizer sees the
+// edge. shared_ptr::use_count() is only a relaxed load, and
+// make_shared<const T> makes any write through it undefined.
 //
 // A message with a variable-length body (a client batch, a reply batch, a
 // forwarded write batch) is a *view-bodied* type: a header whose
@@ -27,13 +39,15 @@
 //
 // Every protocol message states its own wire size through a wire_bytes()
 // member (a SizedPayload). The payload records that size once, when the
-// value is published, and every layer that carries it (Message, the
-// reliable-broadcast substrates, the raft log) reads it from there. The
-// test probes of payload_testing.h state no size; their sender names one
-// with Payload::sized.
+// value is published (and again when its sole holder rewrites it), and
+// every layer that carries it (Message, the reliable-broadcast substrates,
+// the raft log) reads it from there. The test probes of payload_testing.h
+// state no size; their sender names one with Payload::sized.
 #pragma once
 
+#include <atomic>
 #include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,6 +55,9 @@
 #include <span>
 #include <type_traits>
 #include <utility>
+#if __has_include(<sys/single_threaded.h>)
+#include <sys/single_threaded.h>
+#endif
 
 namespace canopus::simnet {
 
@@ -143,7 +160,9 @@ class Payload {
   template <class T, class V = std::remove_cvref_t<T>>
     requires(SizedPayload<V> && !ViewBodiedPayload<V>)
   Payload(T&& value)  // NOLINT(google-explicit-constructor)
-      : Payload(std::make_shared<const V>(std::forward<T>(value))) {}
+      : tag_(PayloadTraits<V>::tag), value_(make<V>(std::forward<T>(value))) {
+    bytes_ = narrow(value_of<V>()->wire_bytes());
+  }
 
   /// Publishes a value that states no wire size of its own (the test
   /// probes of payload_testing.h), charged `bytes` on the wire. A protocol
@@ -154,64 +173,172 @@ class Payload {
     Payload p;
     p.tag_ = PayloadTraits<V>::tag;
     p.bytes_ = narrow(bytes);
-    p.ptr_ = std::make_shared<const V>(std::forward<T>(value));
+    p.value_ = make<V>(std::forward<T>(value));
     return p;
   }
 
   /// Publishes a view-bodied H: copies `body` and a value-initialized H
-  /// into ONE heap block, points H's body span at the copy and shares the
-  /// block through an aliasing shared_ptr. The caller's buffer is free to
-  /// be cleared or refilled as soon as this returns.
+  /// into ONE heap block and points H's body span at the copy. The
+  /// caller's buffer is free to be cleared or refilled as soon as this
+  /// returns.
   template <ViewBodiedPayload H>
   static Payload with_body(PayloadBody<H> body) {
     using E = typename PayloadBody<H>::value_type;
     static_assert(std::is_trivially_copyable_v<E>);
     static_assert(std::is_trivially_destructible_v<H>,
-                  "the block's deleter never runs ~H");
-    // Alignment-sized Units: the block rounds up to the alignment the
-    // header and body need, not to alignof(std::max_align_t).
-    constexpr std::size_t kAlign =
-        alignof(H) > alignof(E) ? alignof(H) : alignof(E);
-    struct alignas(kAlign) Unit {
-      std::byte bytes[kAlign];
-    };
+                  "the block's destroy hook never runs ~H");
+    static_assert(alignof(H) <= alignof(Block) && alignof(E) <= alignof(Block));
     constexpr std::size_t kBodyAt =
         (sizeof(H) + alignof(E) - 1) / alignof(E) * alignof(E);
-    const std::size_t units =
-        (kBodyAt + body.size_bytes() + sizeof(Unit) - 1) / sizeof(Unit);
-    auto block = std::make_shared_for_overwrite<Unit[]>(units);
-    auto* const bytes = reinterpret_cast<std::byte*>(block.get());
+    Payload p;
+    p.value_ = allocate(kBodyAt + body.size_bytes(), &free_block)->value();
+    auto* const bytes = static_cast<std::byte*>(p.value_);
     E* const copy = reinterpret_cast<E*>(bytes + kBodyAt);
     std::uninitialized_copy(body.begin(), body.end(), copy);
     H* const header = ::new (static_cast<void*>(bytes)) H{};
     header->*PayloadTraits<H>::body = PayloadBody<H>(copy, body.size());
-    return Payload(std::shared_ptr<const H>(std::move(block), header));
+    p.tag_ = PayloadTraits<H>::tag;
+    p.bytes_ = narrow(header->wire_bytes());
+    return p;
+  }
+
+  Payload(const Payload& other) noexcept
+      : tag_(other.tag_), bytes_(other.bytes_), value_(other.value_) {
+    if (value_ != nullptr) block()->add_holder();
+  }
+  Payload(Payload&& other) noexcept
+      : tag_(std::exchange(other.tag_, PayloadTag::kInvalid)),
+        bytes_(std::exchange(other.bytes_, 0)),
+        value_(std::exchange(other.value_, nullptr)) {}
+  /// Copy and move assignment in one: `other` is this payload's new value,
+  /// and the old one is dropped with it.
+  Payload& operator=(Payload other) noexcept {
+    std::swap(tag_, other.tag_);
+    std::swap(bytes_, other.bytes_);
+    std::swap(value_, other.value_);
+    return *this;
+  }
+  ~Payload() {
+    if (value_ != nullptr && block()->drop_holder()) block()->destroy(block());
   }
 
   /// Returns the value if it carries tag T, else nullptr. One integer
   /// compare — the whole point of the bus.
   template <class T>
   const T* as() const {
-    return tag_ == PayloadTraits<T>::tag ? static_cast<const T*>(ptr_.get())
-                                         : nullptr;
+    return tag_ == PayloadTraits<T>::tag ? value_of<T>() : nullptr;
+  }
+
+  /// The sole holder's rewrite: when this payload carries a T and no other
+  /// copy of it exists (no in-flight Message, log entry, trace or
+  /// duplicate), calls `edit` on the value in place, re-records its
+  /// wire_bytes() and returns true. Otherwise changes nothing and returns
+  /// false. The block, and so raw(), stays the same. View-bodied types and
+  /// the probes are refused at compile time: a body cannot grow in its
+  /// block, and a probe's size is its sender's.
+  template <class T, std::invocable<T&> F>
+    requires(SizedPayload<T> && !ViewBodiedPayload<T>)
+  bool rewrite(F&& edit) {
+    // Acquire: every other holder's reads of the value happened before
+    // its release decrement, so they happen before this rewrite.
+    if (tag_ != PayloadTraits<T>::tag ||
+        block()->holders.load(std::memory_order_acquire) != 1)
+      return false;
+    T* const value = value_of<T>();
+    std::forward<F>(edit)(*value);
+    bytes_ = narrow(value->wire_bytes());
+    return true;
   }
 
   PayloadTag tag() const { return tag_; }
-  bool empty() const { return ptr_ == nullptr; }
+  bool empty() const { return value_ == nullptr; }
   /// What the network charges for this payload: the value's wire_bytes()
   /// at publication (0 for an empty payload).
   std::size_t wire_bytes() const { return bytes_; }
 
   /// Identity of the shared allocation — lets tests assert that broadcast
   /// fan-out and Message::readdressed share one value instead of copying.
-  const void* raw() const { return ptr_.get(); }
+  const void* raw() const { return value_; }
 
  private:
-  template <SizedPayload T>
-  explicit Payload(std::shared_ptr<const T> value)
-      : tag_(PayloadTraits<T>::tag),
-        bytes_(narrow(value->wire_bytes())),
-        ptr_(std::move(value)) {}
+  /// The head of a payload's heap block; the value follows it. Aligned
+  /// like std::max_align_t, so the value right behind it is too.
+  struct alignas(std::max_align_t) Block {
+    using Destroy = void (*)(Block*) noexcept;
+    explicit Block(Destroy d) : destroy(d) {}
+    void* value() { return this + 1; }
+
+    // While the process has one thread, no other thread can hold a copy,
+    // so the count takes a plain read-modify-write, as libstdc++'s
+    // shared_ptr does; the serial simulator never pays for a locked one.
+    void add_holder() {
+      if (one_thread())
+        holders.store(holders.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+      else
+        holders.fetch_add(1, std::memory_order_relaxed);
+    }
+    /// True when the dropped holder was the last. acq_rel: a release for
+    /// the holder that rewrites after this drop (see rewrite), and an
+    /// acquire for the one that destroys the value.
+    bool drop_holder() {
+      if (one_thread()) {
+        const std::uint32_t left = holders.load(std::memory_order_relaxed) - 1;
+        holders.store(left, std::memory_order_relaxed);
+        return left == 0;
+      }
+      return holders.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    }
+    static bool one_thread() {
+#if __has_include(<sys/single_threaded.h>)
+      return ::__libc_single_threaded != 0;
+#else
+      return false;
+#endif
+    }
+
+    std::atomic<std::uint32_t> holders{1};
+    const Destroy destroy;  ///< ends the value and frees the block
+  };
+  static_assert(alignof(Block) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  /// One allocation: the block head and `value_bytes` behind it.
+  static Block* allocate(std::size_t value_bytes, Block::Destroy destroy) {
+    return ::new (::operator new(sizeof(Block) + value_bytes)) Block(destroy);
+  }
+
+  /// Publishes a V built from `args` into a new block; returns the value.
+  template <class V, class... A>
+  static void* make(A&&... args) {
+    static_assert(alignof(V) <= alignof(Block));
+    Block* const block = allocate(sizeof(V), &destroy_value<V>);
+    try {
+      return ::new (block->value()) V(std::forward<A>(args)...);
+    } catch (...) {
+      free_block(block);
+      throw;
+    }
+  }
+
+  template <class V>
+  static void destroy_value(Block* block) noexcept {
+    std::launder(static_cast<V*>(block->value()))->~V();
+    free_block(block);
+  }
+
+  static void free_block(Block* block) noexcept {
+    block->~Block();
+    ::operator delete(block);
+  }
+
+  /// Precondition: this payload carries a T.
+  template <class T>
+  T* value_of() const {
+    return std::launder(static_cast<T*>(value_));
+  }
+
+  /// Precondition: !empty().
+  Block* block() const { return static_cast<Block*>(value_) - 1; }
 
   static std::uint32_t narrow(std::size_t bytes) {
     assert(bytes <= UINT32_MAX);
@@ -220,7 +347,9 @@ class Payload {
 
   PayloadTag tag_ = PayloadTag::kInvalid;
   std::uint32_t bytes_ = 0;  ///< in the padding after tag_
-  std::shared_ptr<const void> ptr_;
+  /// The value, right behind its block's head: typed access reads it
+  /// without an offset, and only holder counting steps back to the head.
+  void* value_ = nullptr;
 };
 
 }  // namespace canopus::simnet

@@ -168,6 +168,22 @@ TEST(Store, AllocatesOnlyWhenTheTableDoubles) {
   EXPECT_EQ(sum, kKeys * (kKeys + 1) / 2);
 }
 
+TEST(Store, TablesOf128KiBOrMoreAreMappedOutsideTheHeap) {
+  using canopus::bench::heap_allocations;
+  Store s;
+  const std::uint64_t t0 = heap_allocations();
+  for (std::uint64_t k = 0; k < 3'072; ++k) s.apply(write(k, k));
+  EXPECT_EQ(heap_allocations() - t0, 9u)
+      << "tables of 16 to 4096 slots (64 KiB) come from operator new";
+
+  const std::uint64_t t1 = heap_allocations();
+  for (std::uint64_t k = 3'072; k < 65'536; ++k) s.apply(write(k, k));
+  EXPECT_EQ(heap_allocations() - t1, 0u)
+      << "tables of 8192 to 131072 slots are mappings of their own";
+  ASSERT_EQ(s.size(), 65'536u);
+  for (std::uint64_t k = 0; k < 65'536; k += 4'099) EXPECT_EQ(s.read(k), k);
+}
+
 TEST(CommitDigest, EqualForEqualSequences) {
   CommitDigest a, b;
   for (std::uint64_t i = 0; i < 10; ++i) {

@@ -1,13 +1,17 @@
+// This TU carries the counting allocation hook (bench/alloc_count.h), which
+// must be the binary's only definition of the global allocation functions.
 #include "raft/raft.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "../testutil/harness.h"
+#include "alloc_count.h"
 
 namespace canopus::raft {
 namespace {
@@ -329,6 +333,53 @@ TEST_F(RaftTest, FanOutSharesOnePayload) {
     EXPECT_EQ(distinct(sent), 1u) << follower;
   }
   for (auto& h : hosts_) EXPECT_EQ(h->commits.size(), 1u);
+}
+
+// A follower's AppendReply differs from its previous one whenever its match
+// index moves, so the memo cannot send it again. Once the leader has
+// dropped the previous reply, the follower rewrites that same block in
+// place: its distinct steady-state replies reuse one block and allocate
+// nothing. The trace keeps only block identities, not the payloads. The
+// warm-up is a second of heartbeats: each one re-arms the followers'
+// election timers, and the timer queue keeps the cancelled records until
+// it compacts them, so its capacity settles only after a few dozen.
+TEST_F(RaftTest, SoleHolderRewritesDistinctRepliesInPlace) {
+  build(3);
+  start_all(cluster_.servers[0]);
+  for (int i = 0; i < 3; ++i) node(0).propose(probe("warm-up", 7));
+  sim_->run_until(kSecond);
+  ASSERT_EQ(node(1).commit_index(), 3u);
+
+  const NodeId leader = cluster_.servers[0];
+  const NodeId follower = cluster_.servers[1];
+  std::set<const void*> blocks;
+  std::set<LogIndex> matches;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    const WireMsg* w = m.as<WireMsg>();
+    if (w == nullptr || m.src() != follower ||
+        w->type != MsgType::kAppendReply)
+      return;
+    blocks.insert(m.payload().raw());
+    matches.insert(w->match_index);
+  });
+  // Commit-index notices anchored at each verified prefix in turn: every
+  // reply acknowledges a different match index.
+  std::uint64_t allocs = 0;
+  for (LogIndex anchor = 1; anchor <= 3; ++anchor) {
+    WireMsg notice;
+    notice.type = MsgType::kAppendEntries;
+    notice.term = node(0).term();
+    notice.prev_log_index = anchor;
+    notice.prev_log_term = node(0).term();
+    notice.leader_commit = node(1).commit_index();
+    const std::uint64_t before = canopus::bench::heap_allocations();
+    node(1).on_message(leader, notice);
+    allocs += canopus::bench::heap_allocations() - before;
+    sim_->run_until(sim_->now() + kMillisecond);  // the leader drops it
+  }
+  EXPECT_EQ(matches, (std::set<LogIndex>{1, 2, 3}));
+  EXPECT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

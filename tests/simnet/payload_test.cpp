@@ -1,16 +1,23 @@
 // The typed message bus (simnet/payload.h): tag dispatch, the closed tag
-// registry, the wire size each payload records at publication, and the
-// shared-allocation broadcast semantics that Canopus proposals rely on.
+// registry, the wire size each payload records at publication, the
+// shared-allocation broadcast semantics that Canopus proposals rely on, and
+// the sole holder's in-place rewrite.
+//
+// This TU carries the counting allocation hook (bench/alloc_count.h), which
+// must be the binary's only definition of the global allocation functions.
 #include "simnet/payload.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_count.h"
 #include "canopus/messages.h"
 #include "epaxos/epaxos.h"
 #include "kv/types.h"
@@ -61,6 +68,20 @@ constexpr bool all_sized_by_sender(TypeList<T...>) {
            !std::is_constructible_v<Payload, T>) &&
           ...);
 }
+
+/// Whether Payload::rewrite accepts a T.
+template <class T>
+concept Rewritable = requires(Payload p) { p.rewrite<T>([](T&) {}); };
+
+template <class... T>
+constexpr bool none_rewritable(TypeList<T...>) {
+  return (!Rewritable<T> && ...);
+}
+
+// A payload is a tag, the recorded size and one pointer; a Message adds
+// its two node ids.
+static_assert(sizeof(Payload) == 16);
+static_assert(sizeof(Message) == 24);
 
 TEST(PayloadTest, WrongTypeAccessReturnsNull) {
   Payload p = Payload::sized(std::string("hello"), 5);
@@ -190,6 +211,108 @@ TEST(PayloadTest, WireBytesIsTheValuesOwnSize) {
   frame.kind = rbcast::SwitchFrame::Kind::kFail;
   frame.failed = 3;
   EXPECT_EQ(Payload(frame).wire_bytes(), 48u);
+}
+
+TEST(PayloadRewrite, RefusesWhileAnotherCopyHoldsIt) {
+  Payload p(zab::Ack{1});
+  const auto bump = [](zab::Ack& ack) { ++ack.zxid; };
+  {
+    const Payload copy = p;
+    EXPECT_FALSE(p.rewrite<zab::Ack>(bump));
+  }
+  {
+    const Message in_flight(1, 2, p);
+    EXPECT_FALSE(p.rewrite<zab::Ack>(bump));
+  }
+  {
+    const raft::LogEntry entry{1, p};
+    EXPECT_FALSE(p.rewrite<zab::Ack>(bump));
+  }
+  EXPECT_EQ(p.as<zab::Ack>()->zxid, 1u);
+  // Every copy is gone: the payload is its value's sole holder again.
+  EXPECT_TRUE(p.rewrite<zab::Ack>(bump));
+  EXPECT_EQ(p.as<zab::Ack>()->zxid, 2u);
+}
+
+TEST(PayloadRewrite, RefusesAWrongTagAndTheEmptyPayload) {
+  const auto untouched = [](auto&) { ADD_FAILURE() << "edit ran"; };
+  Payload ack(zab::Ack{1});
+  EXPECT_FALSE(ack.rewrite<zab::CommitMsg>(untouched));
+  EXPECT_EQ(ack.tag(), PayloadTag::kZabAck);
+  EXPECT_EQ(ack.as<zab::Ack>()->zxid, 1u);
+  Payload empty;
+  EXPECT_FALSE(empty.rewrite<zab::Ack>(untouched));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.wire_bytes(), 0u);
+
+  // A view-bodied body cannot grow inside its block, and a probe's size is
+  // its sender's: neither compiles.
+  static_assert(Rewritable<raft::WireMsg> && Rewritable<zab::Ack>);
+  static_assert(none_rewritable(
+      TypeList<kv::ClientBatch, kv::ReplyBatch, zab::Forward,
+               raft::KvForward>{}));
+  static_assert(none_rewritable(ProbePayloads{}));
+}
+
+TEST(PayloadRewrite, SoleHolderRewritesInPlaceWithoutAllocating) {
+  raft::WireMsg w;
+  w.type = raft::MsgType::kAppendEntries;
+  w.entries.push_back({1, Payload(zab::Ack{1})});
+  w.entries.push_back({1, Payload::sized(std::string("probe"), 100)});
+  Payload p(std::move(w));
+  const void* const block = p.raw();
+  EXPECT_EQ(p.wire_bytes(), 64u + (16 + 24) + (16 + 100));
+
+  const std::uint64_t before = canopus::bench::heap_allocations();
+  EXPECT_TRUE(p.rewrite<raft::WireMsg>([](raft::WireMsg& m) {
+    m.type = raft::MsgType::kAppendReply;
+    m.entries.clear();
+    m.success = true;
+    m.match_index = 2;
+  }));
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
+
+  EXPECT_EQ(p.raw(), block);
+  EXPECT_EQ(p.tag(), PayloadTag::kRaftWire);
+  EXPECT_EQ(p.wire_bytes(), 64u);
+  EXPECT_EQ(Message(1, 2, p).wire_bytes(), 64u);
+  const raft::WireMsg* reply = p.as<raft::WireMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->type, raft::MsgType::kAppendReply);
+  EXPECT_TRUE(reply->success);
+  EXPECT_EQ(reply->match_index, 2u);
+  EXPECT_TRUE(reply->entries.empty());
+  EXPECT_GE(reply->entries.capacity(), 2u);
+}
+
+// The last other holder reads the value on another thread and drops its
+// copy there; the owner rewrites as soon as it sees itself the sole holder,
+// without joining first. The read must happen before the rewrite's writes:
+// under ThreadSanitizer, a count read without acquire ordering shows up
+// here as a data race on the message.
+TEST(PayloadRewrite, RewritesAfterAnotherThreadDropsItsCopy) {
+  raft::WireMsg w;
+  w.term = 3;
+  w.entries.push_back({3, Payload(zab::Ack{9})});
+  Payload owner(std::move(w));
+  raft::Term seen_term = 0;
+  std::uint64_t seen_zxid = 0;
+  std::thread receiver([copy = owner, &seen_term, &seen_zxid]() mutable {
+    const raft::WireMsg& m = *copy.as<raft::WireMsg>();
+    seen_term = m.term;
+    seen_zxid = m.entries.front().payload.as<zab::Ack>()->zxid;
+    copy = Payload();
+  });
+  while (!owner.rewrite<raft::WireMsg>([](raft::WireMsg& m) {
+    m.term = 4;
+    m.entries.clear();
+  }))
+    std::this_thread::yield();
+  receiver.join();
+  EXPECT_EQ(seen_term, 3u);
+  EXPECT_EQ(seen_zxid, 9u);
+  EXPECT_EQ(owner.as<raft::WireMsg>()->term, 4u);
+  EXPECT_EQ(owner.wire_bytes(), 64u);
 }
 
 }  // namespace
