@@ -54,7 +54,7 @@ Measurement run_shape(int sls, int per_sl, int arity, double rate,
   Rng seeder(13);
   for (std::size_t i = 0; i < cluster.clients.size(); ++i) {
     ClientConfig cc;
-    const int group = cluster.topo.rack_of(cluster.clients[i]);
+    const int group = cluster.topo.site_of(cluster.clients[i]);
     for (int s = 0; s < per_sl; ++s)
       cc.servers.push_back(
           cluster.servers[static_cast<std::size_t>(group * per_sl + s)]);

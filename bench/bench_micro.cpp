@@ -13,6 +13,7 @@
 #include "simnet/network.h"
 #include "simnet/payload_testing.h"
 #include "simnet/topology.h"
+#include "workload/deployments.h"
 #include "workload/stats.h"
 
 namespace {
@@ -22,11 +23,12 @@ using namespace canopus;
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   simnet::EventQueue q;
   Time t = 0;
+  Time now = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) q.schedule(t + (i * 37) % 1000, [] {});
     while (!q.empty()) {
-      auto ev = q.pop();
-      benchmark::DoNotOptimize(ev);
+      q.fire_next(now);
+      benchmark::DoNotOptimize(now);
     }
     t += 1000;
   }
@@ -39,14 +41,15 @@ void BM_EventQueueArmCancelChurn(benchmark::State& state) {
   // firing. Stresses how the queue handles cancelled entries.
   simnet::EventQueue q;
   Time t = 0;
+  Time now = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
       const auto id = q.schedule(t + kSecond, [] {});
       q.cancel(id);
     }
     q.schedule(t, [] {});
-    auto ev = q.pop();
-    benchmark::DoNotOptimize(ev);
+    q.fire_next(now);
+    benchmark::DoNotOptimize(now);
     t += 10;
   }
 }
@@ -89,11 +92,36 @@ void BM_NetworkDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkDelivery);
 
+/// Trial set-up's topology cost: build_cluster plus the Network over it.
+/// Args: {wan, groups, servers per group, client machines per group}.
+void BM_BuildCluster(benchmark::State& state) {
+  workload::TrialConfig tc;
+  tc.wan = state.range(0) != 0;
+  tc.groups = static_cast<int>(state.range(1));
+  tc.per_group = static_cast<int>(state.range(2));
+  tc.client_machines = static_cast<int>(state.range(3));
+  simnet::Simulator sim;
+  for (auto _ : state) {
+    const simnet::Cluster cluster = workload::build_cluster(tc);
+    simnet::Network net(sim, cluster.topo);
+    benchmark::DoNotOptimize(net.topo().num_nodes());
+  }
+}
+BENCHMARK(BM_BuildCluster)
+    ->ArgNames({"wan", "groups", "servers", "clients"})
+    ->Args({0, 3, 9, 5})     // bench/e2e's LAN: 3 racks x (9 + 5)
+    ->Args({1, 7, 3, 5})     // bench/e2e's WAN: 7 DCs x (3 + 5)
+    ->Args({0, 20, 40, 10})  // bench_pdes' 1000-machine stress fabric
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_MessageTypedAccess(benchmark::State& state) {
   // The per-delivery dispatch cost every protocol pays: one tag compare per
-  // candidate type (formerly an RTTI dynamic_cast per candidate).
+  // candidate type (formerly an RTTI dynamic_cast per candidate). Passing
+  // the message through DoNotOptimize each iteration makes the compiler
+  // reload its payload, so both compares stay inside the loop.
   simnet::Message m(1, 2, simnet::Payload::sized(7, 64));
   for (auto _ : state) {
+    benchmark::DoNotOptimize(m);
     benchmark::DoNotOptimize(m.as<char>());  // miss
     benchmark::DoNotOptimize(m.as<int>());   // hit
   }

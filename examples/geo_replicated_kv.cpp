@@ -61,7 +61,7 @@ int main() {
     recs.push_back(rec);
   }
   for (std::size_t i = 0; i < cluster.clients.size(); ++i) {
-    const int d = cluster.topo.dc_of(cluster.clients[i]);
+    const int d = cluster.topo.site_of(cluster.clients[i]);
     workload::ClientConfig cc;
     for (int s = 0; s < kPerDc; ++s)
       cc.servers.push_back(

@@ -2,8 +2,6 @@
 // inline in event_queue.h.
 #include "simnet/event_queue.h"
 
-#include <utility>
-
 namespace canopus::simnet {
 
 void EventQueue::cancel(EventId id) {
@@ -27,32 +25,6 @@ void EventQueue::cancel(EventId id) {
 void EventQueue::compact() {
   std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-EventQueue::Fired EventQueue::pop() {
-  skip_cancelled();
-  assert(!empty());
-  Fired result;
-  const bool from_closure_heap =
-      !heap_.empty() &&
-      (msg_heap_.empty() || closure_first(heap_.front(), msg_heap_.front()));
-  if (from_closure_heap) {
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    result.time = top.time;
-    result.is_message = false;
-    result.fn = std::move(slots_[top.slot].fn);
-    disarm(top.slot);
-  } else {
-    std::pop_heap(msg_heap_.begin(), msg_heap_.end(), MsgLater{});
-    MsgEntry entry = std::move(msg_heap_.back());
-    msg_heap_.pop_back();
-    result.time = entry.time;
-    result.is_message = true;
-    result.msg = std::move(entry.ev);
-  }
-  return result;
 }
 
 }  // namespace canopus::simnet

@@ -139,31 +139,10 @@ class EventQueue {
   };
   Key next_key();
 
-  /// The popped earliest pending event: exactly one of `fn` / `msg` is
-  /// engaged, per `is_message`.
-  struct Fired {
-    Time time = 0;
-    bool is_message = false;
-    InlineFn fn;
-    MessageEvent msg;
-
-    /// Executes the event: the closure, or the message step on its target.
-    void fire() {
-      if (is_message)
-        msg.target->on_message_event(std::move(msg));
-      else
-        fn();
-    }
-  };
-
-  /// Pops and returns the earliest pending event. Precondition: !empty().
-  /// Diagnostic/test path; the simulator's run loop uses fire_next().
-  Fired pop();
-
   /// Pops the earliest pending event, stores its time into `now` (before
   /// the handler runs, so handlers observe the advanced clock), and
   /// executes it in place — one move out of storage, no intermediate
-  /// record. This is the per-event hot path. Precondition: !empty().
+  /// record. The only way an event fires. Precondition: !empty().
   void fire_next(Time& now);
 
   /// Diagnostics: closure-heap records currently held, including
@@ -195,18 +174,12 @@ class EventQueue {
     std::uint64_t seq;
     MessageEvent ev;
   };
-  struct MsgLater {
-    bool operator()(const MsgEntry& a, const MsgEntry& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
   static bool msg_before(const MsgEntry& a, const MsgEntry& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
   /// THE cross-heap tie-break: whether the closure at the top of `heap_`
   /// fires before the message at the top of `msg_heap_`. Every consumer
-  /// (fire_next, next_time, pop) must use this one definition — the
+  /// (fire_next, next_time, next_key) must use this one definition — the
   /// deterministic total order depends on them agreeing exactly.
   static bool closure_first(const Entry& c, const MsgEntry& m) {
     return c.time != m.time ? c.time < m.time : c.seq < m.seq;
@@ -220,7 +193,7 @@ class EventQueue {
   void fire_message(Time& now);
 
   std::vector<Entry> heap_;          ///< closure events (min-heap, Later)
-  std::vector<MsgEntry> msg_heap_;   ///< message events (min-heap, MsgLater)
+  std::vector<MsgEntry> msg_heap_;   ///< message events (min-heap, msg_before)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  ///< disarmed slots ready for reuse
   std::uint64_t next_seq_ = 1;

@@ -147,7 +147,7 @@ void Network::send(Message m) {
 }
 
 void Network::hop_arrival(Message&& m, std::size_t hop) {
-  const auto& path = topo_.path(m.src(), m.dst());
+  const Path path = topo_.path(m.src(), m.dst());
   if (hop >= path.size()) {
     deliver(std::move(m), sim_.now());
     return;

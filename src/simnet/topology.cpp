@@ -7,37 +7,59 @@
 
 namespace canopus::simnet {
 
-NodeId Topology::add_node(int rack, int dc) {
-  const NodeId id = static_cast<NodeId>(rack_.size());
-  rack_.push_back(rack);
-  dc_.push_back(dc);
-  path_stride_ = 0;  // invalidate path table layout
+NodeId Topology::add_node(int site, LinkId up, LinkId down) {
+  assert(up < num_links() && down < num_links());
+  note_site(site);
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  nodes_.push_back(NodeRoute{site, up, down});
   return id;
 }
 
 LinkId Topology::add_link(Time latency, double bytes_per_ns, int site) {
   assert(latency >= 0 && bytes_per_ns > 0);
+  note_site(site);
   const LinkId id = static_cast<LinkId>(links_.size());
   links_.push_back(LinkSpec{latency, bytes_per_ns});
   link_site_.push_back(site);
   return id;
 }
 
-void Topology::ensure_path_table() {
-  if (path_stride_ == num_nodes() && path_stride_ != 0) return;
-  path_stride_ = num_nodes();
-  paths_.assign(path_stride_ * path_stride_, {});
+void Topology::set_core(int from, int to,
+                        std::initializer_list<LinkId> links) {
+  if (from == to || links.size() > Path::kMaxCore)
+    throw std::invalid_argument("set_core: same site or too many links");
+  note_site(from);
+  note_site(to);
+  Core& c = core_[static_cast<std::size_t>(from) * sites_ +
+                  static_cast<std::size_t>(to)];
+  c.size = 0;
+  for (LinkId l : links) c.links[c.size++] = l;
 }
 
-void Topology::set_path(NodeId a, NodeId b, std::vector<LinkId> links) {
-  ensure_path_table();
-  paths_[a * path_stride_ + b] = std::move(links);
+void Topology::note_site(int site) {
+  assert(site >= 0);
+  const auto n = static_cast<std::size_t>(site) + 1;
+  if (n <= sites_) return;
+  std::vector<Core> wider(n * n);
+  for (std::size_t a = 0; a < sites_; ++a)
+    for (std::size_t b = 0; b < sites_; ++b)
+      wider[a * n + b] = core_[a * sites_ + b];
+  core_ = std::move(wider);
+  sites_ = n;
 }
 
-const std::vector<LinkId>& Topology::path(NodeId a, NodeId b) const {
-  assert(path_stride_ == num_nodes());
-  return paths_[a * path_stride_ + b];
+namespace {
+
+/// Calls fn(src, dst, path) for every ordered pair of distinct nodes.
+template <typename Fn>
+void for_each_path(const Topology& t, Fn&& fn) {
+  const std::size_t n = t.num_nodes();
+  for (NodeId s = 0; s < n; ++s)
+    for (NodeId d = 0; d < n; ++d)
+      if (s != d) fn(s, d, t.path(s, d));
 }
+
+}  // namespace
 
 Time Topology::base_latency(NodeId a, NodeId b, std::size_t bytes) const {
   Time t = 0;
@@ -53,60 +75,42 @@ Time Topology::base_latency(NodeId a, NodeId b, std::size_t bytes) const {
 Time Topology::min_cut_latency(const ShardMap& map, std::uint32_t a,
                                std::uint32_t b) const {
   Time best = kTimeInf;
-  const std::size_t n = num_nodes();
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::vector<LinkId>& p = path(s, d);
-      for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-        // Only true crossings: consecutive links in the SAME shard (always
-        // when a == b, and under folded maps even across sites) are plain
-        // local scheduling, not a hand-off.
-        if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
-            map.link_shard[p[h]] == a && map.link_shard[p[h + 1]] == b)
-          best = std::min(best, links_[p[h]].latency);
-      }
+  for_each_path(*this, [&](NodeId, NodeId, const Path& p) {
+    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
+      // Only true crossings: consecutive links in the SAME shard (always
+      // when a == b, and under folded maps even across sites) are plain
+      // local scheduling, not a hand-off.
+      if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
+          map.link_shard[p[h]] == a && map.link_shard[p[h + 1]] == b)
+        best = std::min(best, links_[p[h]].latency);
     }
-  }
+  });
   return best;
 }
 
 std::vector<Time> min_cut_matrix(const Topology& topo, const ShardMap& map) {
   const std::size_t k = map.num_shards;
   std::vector<Time> m(k * k, kTimeInf);
-  const std::size_t n = topo.num_nodes();
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::vector<LinkId>& p = topo.path(s, d);
-      for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-        const std::uint32_t a = map.link_shard[p[h]];
-        const std::uint32_t b = map.link_shard[p[h + 1]];
-        if (a != b)
-          m[a * k + b] = std::min(m[a * k + b], topo.link(p[h]).latency);
-      }
+  for_each_path(topo, [&](NodeId, NodeId, const Path& p) {
+    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
+      const std::uint32_t a = map.link_shard[p[h]];
+      const std::uint32_t b = map.link_shard[p[h + 1]];
+      if (a != b)
+        m[a * k + b] = std::min(m[a * k + b], topo.link(p[h]).latency);
     }
-  }
+  });
   return m;
 }
 
 ShardMap make_shard_map(const Topology& topo, unsigned requested) {
-  // Sites are the builders' locality groups: rack_of covers both builders
-  // (build_multi_dc assigns rack == dc).
-  int max_site = 0;
-  for (NodeId i = 0; i < topo.num_nodes(); ++i)
-    max_site = std::max(max_site, topo.rack_of(i));
-  for (LinkId l = 0; l < topo.num_links(); ++l)
-    max_site = std::max(max_site, topo.site_of_link(l));
-  const unsigned sites = static_cast<unsigned>(max_site) + 1;
-
+  const auto sites = static_cast<unsigned>(topo.num_sites());
   ShardMap map;
   map.num_shards = std::max(1u, std::min(requested, sites));
   map.node_shard.resize(topo.num_nodes());
   map.link_shard.resize(topo.num_links());
   for (NodeId i = 0; i < topo.num_nodes(); ++i)
     map.node_shard[i] =
-        static_cast<std::uint32_t>(topo.rack_of(i)) % map.num_shards;
+        static_cast<std::uint32_t>(topo.site_of(i)) % map.num_shards;
   for (LinkId l = 0; l < topo.num_links(); ++l)
     map.link_shard[l] =
         static_cast<std::uint32_t>(topo.site_of_link(l)) % map.num_shards;
@@ -115,49 +119,43 @@ ShardMap make_shard_map(const Topology& topo, unsigned requested) {
   // first hop, the delivery event (destination node) the last hop, and any
   // crossing in between carries the crossed link's latency as lookahead —
   // which therefore must be positive.
-  const std::size_t n = topo.num_nodes();
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::vector<LinkId>& p = topo.path(s, d);
-      if (p.empty()) continue;
-      if (map.link_shard[p.front()] != map.node_shard[s] ||
-          map.link_shard[p.back()] != map.node_shard[d])
+  for_each_path(topo, [&](NodeId s, NodeId d, const Path& p) {
+    if (map.link_shard[p.front()] != map.node_shard[s] ||
+        map.link_shard[p.back()] != map.node_shard[d])
+      throw std::invalid_argument(
+          "shard map: path endpoints not owned by their node's shard");
+    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
+      if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
+          topo.link(p[h]).latency <= 0)
         throw std::invalid_argument(
-            "shard map: path endpoints not owned by their node's shard");
-      for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-        if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
-            topo.link(p[h]).latency <= 0)
-          throw std::invalid_argument(
-              "shard map: zero-latency shard crossing (no lookahead)");
-      }
+            "shard map: zero-latency shard crossing (no lookahead)");
     }
-  }
+  });
   return map;
 }
+
+// Link and node ids are PDES lanes (DESIGN.md §10.2), so the builders'
+// creation order is part of every golden: aggregation links first, then
+// each machine's uplink before its downlink, then the WAN links in
+// source-major order.
 
 Cluster build_multi_rack(const RackConfig& cfg) {
   Cluster c;
   Topology& t = c.topo;
 
-  struct NodeLinks {
-    LinkId up, down;
-  };
-  std::vector<NodeLinks> node_links;
   std::vector<LinkId> agg_up(cfg.racks), agg_down(cfg.racks);
-
   for (int r = 0; r < cfg.racks; ++r) {
     agg_up[r] = t.add_link(cfg.uplink_latency, gbps(kUplinkGbps), r);
     agg_down[r] = t.add_link(cfg.uplink_latency, gbps(kUplinkGbps), r);
   }
+  for (int a = 0; a < cfg.racks; ++a)
+    for (int b = 0; b < cfg.racks; ++b)
+      if (a != b) t.set_core(a, b, {agg_up[a], agg_down[b]});
 
   auto add_machine = [&](int rack) {
-    const NodeId id = t.add_node(rack, /*dc=*/0);
-    node_links.push_back(NodeLinks{
-        t.add_link(cfg.nic_latency, gbps(cfg.nic_gbps), rack),
-        t.add_link(cfg.nic_latency, gbps(cfg.nic_gbps), rack),
-    });
-    return id;
+    const LinkId up = t.add_link(cfg.nic_latency, gbps(cfg.nic_gbps), rack);
+    const LinkId down = t.add_link(cfg.nic_latency, gbps(cfg.nic_gbps), rack);
+    return t.add_node(rack, up, down);
   };
 
   for (int r = 0; r < cfg.racks; ++r) {
@@ -165,20 +163,6 @@ Cluster build_multi_rack(const RackConfig& cfg) {
       c.servers.push_back(add_machine(r));
     for (int k = 0; k < cfg.clients_per_rack; ++k)
       c.clients.push_back(add_machine(r));
-  }
-
-  const std::size_t n = t.num_nodes();
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (a == b) continue;
-      std::vector<LinkId> path{node_links[a].up};
-      if (t.rack_of(a) != t.rack_of(b)) {
-        path.push_back(agg_up[t.rack_of(a)]);
-        path.push_back(agg_down[t.rack_of(b)]);
-      }
-      path.push_back(node_links[b].down);
-      t.set_path(a, b, std::move(path));
-    }
   }
   return c;
 }
@@ -191,11 +175,6 @@ Cluster build_multi_dc(const WanConfig& cfg) {
   Topology& t = c.topo;
   const int dcs = static_cast<int>(cfg.servers_per_dc.size());
 
-  struct NodeLinks {
-    LinkId up, down;
-  };
-  std::vector<NodeLinks> node_links;
-
   // Node <-> DC-edge latency: a quarter of the intra-DC RTT so that a
   // same-DC round trip (4 hops) matches the Table 1 diagonal.
   auto edge_latency = [&](int dc) {
@@ -203,12 +182,9 @@ Cluster build_multi_dc(const WanConfig& cfg) {
   };
 
   auto add_machine = [&](int dc) {
-    const NodeId id = t.add_node(/*rack=*/dc, dc);
-    node_links.push_back(NodeLinks{
-        t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc),
-        t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc),
-    });
-    return id;
+    const LinkId up = t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc);
+    const LinkId down = t.add_link(edge_latency(dc), gbps(kWanNicGbps), dc);
+    return t.add_node(dc, up, down);
   };
 
   for (int d = 0; d < dcs; ++d) {
@@ -221,7 +197,6 @@ Cluster build_multi_dc(const WanConfig& cfg) {
 
   // One WAN link per ordered DC pair. One-way latency is half the RTT minus
   // the edge hops so that end-to-end node RTT matches the matrix entry.
-  std::vector<std::vector<LinkId>> wan(dcs, std::vector<LinkId>(dcs));
   for (int i = 0; i < dcs; ++i) {
     for (int j = 0; j < dcs; ++j) {
       if (i == j) continue;
@@ -233,18 +208,7 @@ Cluster build_multi_dc(const WanConfig& cfg) {
       // Owned by the SOURCE datacenter: the wan-link arrival event (which
       // schedules the next hop into the destination shard) executes in the
       // sender's shard, making the wan latency the cross-shard lookahead.
-      wan[i][j] = t.add_link(one_way, gbps(kWanLinkGbps), i);
-    }
-  }
-
-  const std::size_t n = t.num_nodes();
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (a == b) continue;
-      std::vector<LinkId> path{node_links[a].up};
-      if (t.dc_of(a) != t.dc_of(b)) path.push_back(wan[t.dc_of(a)][t.dc_of(b)]);
-      path.push_back(node_links[b].down);
-      t.set_path(a, b, std::move(path));
+      t.set_core(i, j, {t.add_link(one_way, gbps(kWanLinkGbps), i)});
     }
   }
   return c;

@@ -1,4 +1,4 @@
-// Static network topology: nodes, links and routed paths.
+// Static network topology: nodes, links and the routes between them.
 //
 // The builders mirror the two testbeds in the paper's evaluation (§8):
 //
@@ -8,11 +8,18 @@
 //  * build_multi_dc  — the EC2 deployment: datacenters joined by WAN links
 //    parameterized by the paper's Table 1 RTT matrix.
 //
+// Both are hierarchies of SITES (a rack, or a datacenter on the WAN), so a
+// route is never stored: it is the sender's NIC uplink, the CORE links
+// between the two endpoints' sites, and the receiver's NIC downlink
+// (DESIGN.md §4.1). Route state is O(nodes + sites^2).
+//
 // A Topology is immutable once built; all mutable link/node state lives in
 // Network.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "common/types.h"
@@ -29,29 +36,53 @@ struct LinkSpec {
 /// Converts gigabits per second to bytes per nanosecond.
 constexpr double gbps(double g) { return g / 8.0; }
 
+/// A routed path a -> b as a small value: a's NIC uplink, the core links
+/// from a's site to b's (none within a site), b's NIC downlink.
+class Path {
+ public:
+  /// Core links per site pair: a rack pair crosses the source rack's
+  /// aggregation uplink and the destination rack's downlink.
+  static constexpr std::size_t kMaxCore = 2;
+
+  std::size_t size() const { return size_; }
+  LinkId operator[](std::size_t i) const { return links_[i]; }
+  LinkId front() const { return links_[0]; }
+  LinkId back() const { return links_[size_ - 1]; }
+  const LinkId* begin() const { return links_.data(); }
+  const LinkId* end() const { return links_.data() + size_; }
+
+ private:
+  friend class Topology;
+  std::array<LinkId, kMaxCore + 2> links_{};
+  std::uint32_t size_ = 0;
+};
+
 struct ShardMap;
 
 class Topology {
  public:
-  NodeId add_node(int rack, int dc);
-  /// `site` tags the link with the locality group (rack or datacenter) that
-  /// OWNS it for sharded simulation: the builders tag NIC links with their
-  /// node's site, aggregation links with their rack, and each WAN link with
-  /// its SOURCE datacenter, so a message crosses shards only along a
-  /// positive-latency link (see make_shard_map / DESIGN.md §10).
+  /// A node in `site` with its NIC `up` (node -> switch) and `down` links.
+  NodeId add_node(int site, LinkId up, LinkId down);
+  /// `site` tags the link with the site that OWNS it for sharded
+  /// simulation: the builders tag NIC links with their node's site,
+  /// aggregation links with their rack, and each WAN link with its SOURCE
+  /// datacenter, so a message crosses shards only along a positive-latency
+  /// link (see make_shard_map / DESIGN.md §10).
   LinkId add_link(Time latency, double bytes_per_ns, int site = 0);
+  /// Sets the links a message crosses from site `from` to site `to` (at
+  /// most Path::kMaxCore, `from` != `to`). Unset pairs have none.
+  void set_core(int from, int to, std::initializer_list<LinkId> links);
 
-  /// Sets the directed path a -> b as an ordered list of links.
-  void set_path(NodeId a, NodeId b, std::vector<LinkId> links);
+  /// The route a -> b (a != b), computed from the node and core tables.
+  Path path(NodeId a, NodeId b) const;
 
-  const std::vector<LinkId>& path(NodeId a, NodeId b) const;
-
-  std::size_t num_nodes() const { return rack_.size(); }
+  std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_links() const { return links_.size(); }
+  /// One more than the largest site of any node, link or core pair.
+  std::size_t num_sites() const { return sites_; }
   const LinkSpec& link(LinkId id) const { return links_[id]; }
 
-  int rack_of(NodeId n) const { return rack_[n]; }
-  int dc_of(NodeId n) const { return dc_[n]; }
+  int site_of(NodeId n) const { return nodes_[n].site; }
   int site_of_link(LinkId l) const { return link_site_[l]; }
 
   /// Minimum end-to-end latency a -> b for an empty network and a message of
@@ -61,20 +92,47 @@ class Topology {
   /// The PDES lookahead source: the minimum one-way latency over every link
   /// at which a routed message hands over from shard `a` to shard `b` (the
   /// link whose arrival event schedules the next hop into the other shard).
-  /// kTimeInf when no path crosses a -> b. O(paths * hops); compute once.
+  /// kTimeInf when no path crosses a -> b. O(nodes^2 * hops); compute once.
   Time min_cut_latency(const ShardMap& map, std::uint32_t a,
                        std::uint32_t b) const;
 
  private:
-  std::vector<LinkSpec> links_;
-  std::vector<int> rack_;
-  std::vector<int> dc_;
-  std::vector<int> link_site_;
-  std::vector<std::vector<LinkId>> paths_;  // dense n*n once finalized
-  std::size_t path_stride_ = 0;
+  struct NodeRoute {
+    int site;
+    LinkId up, down;
+  };
+  struct Core {
+    std::array<LinkId, Path::kMaxCore> links{};
+    std::uint32_t size = 0;
+  };
 
-  void ensure_path_table();
+  /// Widens the core table to cover `site`.
+  void note_site(int site);
+
+  std::vector<LinkSpec> links_;
+  std::vector<int> link_site_;
+  std::vector<NodeRoute> nodes_;
+  std::vector<Core> core_;  ///< [from * sites_ + to]
+  std::size_t sites_ = 0;
 };
+
+inline Path Topology::path(NodeId a, NodeId b) const {
+  static_assert(Path::kMaxCore == 2, "path() copies both core slots");
+  const NodeRoute& src = nodes_[a];
+  const NodeRoute& dst = nodes_[b];
+  Path p;
+  p.links_[0] = src.up;
+  p.size_ = 1;
+  if (src.site != dst.site) {
+    const Core& c = core_[static_cast<std::size_t>(src.site) * sites_ +
+                          static_cast<std::size_t>(dst.site)];
+    p.links_[1] = c.links[0];
+    p.links_[2] = c.links[1];
+    p.size_ += c.size;
+  }
+  p.links_[p.size_++] = dst.down;
+  return p;
+}
 
 /// Node/link -> shard assignment for the sharded (PDES) simulation kernel.
 /// Shards partition SITES (racks in build_multi_rack, datacenters in

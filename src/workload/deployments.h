@@ -132,8 +132,8 @@ inline simnet::Cluster build_cluster(const TrialConfig& tc) {
   return simnet::build_multi_rack(rc);
 }
 
-/// Canopus LOT for an arbitrary server set: one super-leaf per rack/DC,
-/// super-leaves in rack order of first appearance. For the classic
+/// Canopus LOT for an arbitrary server set: one super-leaf per site (rack
+/// or DC), super-leaves in site order of first appearance. For the classic
 /// whole-cluster deployment (servers laid out rack-major by build_cluster)
 /// this reproduces the historical `groups x per_group` grouping exactly;
 /// for a sharded group confined to one rack it yields a single super-leaf
@@ -144,7 +144,7 @@ inline lot::LotConfig make_lot_config(const std::vector<NodeId>& servers,
   std::unordered_map<int, std::size_t> slot;
   for (const NodeId n : servers) {
     const auto [it, fresh] =
-        slot.try_emplace(topo.rack_of(n), lc.super_leaves.size());
+        slot.try_emplace(topo.site_of(n), lc.super_leaves.size());
     if (fresh) lc.super_leaves.emplace_back();
     lc.super_leaves[it->second].push_back(n);
   }
@@ -226,8 +226,7 @@ inline std::vector<std::unique_ptr<OpenLoopClient>> attach_clients(
     // Paper: each client connects to a uniformly-selected node in the same
     // rack/DC. A machine aggregates many client sessions, spread evenly
     // over every same-group server.
-    const int group = tc.wan ? cluster.topo.dc_of(machine)
-                             : cluster.topo.rack_of(machine);
+    const int group = cluster.topo.site_of(machine);
     ClientConfig cc{load, groups[static_cast<std::size_t>(group)]};
     clients.push_back(
         std::make_unique<OpenLoopClient>(std::move(cc), recorder, seeder()));

@@ -122,6 +122,26 @@ TEST_F(SteadyStateFixture, TimerRearmAllocatesNothing) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(RouteState, ThousandMachineFabricAndNetworkTakeFewAllocations) {
+  // bench_pdes' stress fabric: 20 racks of 40 servers and 10 client
+  // machines. Routes are computed from each node's NIC pair and each rack
+  // pair's core links, so building the fabric and a Network over it costs a
+  // few dozen vector growths. A stored n x n route table costs a heap block
+  // or more per ordered node pair and its copy: about four million here.
+  simnet::RackConfig rc;
+  rc.racks = 20;
+  rc.servers_per_rack = 40;
+  rc.clients_per_rack = 10;
+  Simulator sim(1);
+  const std::uint64_t before = canopus::bench::heap_allocations();
+  {
+    const Cluster cluster = build_multi_rack(rc);
+    const Network net(sim, cluster.topo);
+    EXPECT_EQ(net.topo().num_nodes(), 1000u);
+  }
+  EXPECT_LT(canopus::bench::heap_allocations() - before, 1000u);
+}
+
 // --------------------------------------------------------------------------
 // View-bodied payloads (simnet/payload.h): a message and its variable-length
 // body share one heap block, published by Payload::with_body from a staging

@@ -13,13 +13,19 @@
 namespace canopus::simnet {
 namespace {
 
+/// Fires every pending event through fire_next, the simulator's own path.
+void drain(EventQueue& q) {
+  Time now = 0;
+  while (!q.empty()) q.fire_next(now);
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -27,7 +33,7 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) q.schedule(5, [&order, i] { order.push_back(i); });
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
@@ -38,7 +44,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   q.schedule(20, [] {});
   q.cancel(id);
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   EXPECT_FALSE(fired);
 }
 
@@ -58,12 +64,14 @@ TEST(EventQueue, CancelledHeadIsSkippedByNextTime) {
   EXPECT_EQ(q.next_time(), 20);
 }
 
-TEST(EventQueue, PopReturnsTime) {
+TEST(EventQueue, FireNextAdvancesTheClockBeforeTheHandler) {
   EventQueue q;
-  q.schedule(42, [] {});
-  auto ev = q.pop();
-  EXPECT_EQ(ev.time, 42);
-  EXPECT_FALSE(ev.is_message);
+  Time now = 0;
+  Time seen = -1;
+  q.schedule(42, [&] { seen = now; });
+  q.fire_next(now);
+  EXPECT_EQ(now, 42);
+  EXPECT_EQ(seen, 42);  // the handler observes the advanced clock
   EXPECT_TRUE(q.empty());
 }
 
@@ -104,19 +112,20 @@ TEST(EventQueue, CancelledIdDoesNotAffectSlotReuse) {
   q.schedule(20, [&] { fired = true; });  // reuses the slot
   q.cancel(old_id);                       // stale id: must be a no-op
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, PoppedIdCannotCancelSlotSuccessor) {
   EventQueue q;
+  Time now = 0;
   EventId first = q.schedule(10, [] {});
-  q.pop().fire();
+  q.fire_next(now);
   bool fired = false;
   q.schedule(20, [&] { fired = true; });
   q.cancel(first);  // already fired; its slot now belongs to the new event
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fire();
+  q.fire_next(now);
   EXPECT_TRUE(fired);
 }
 
@@ -141,13 +150,12 @@ TEST(EventQueue, ChurnPreservesDeterministicOrder) {
     }
   }
   for (EventId id : cancelled) q.cancel(id);
-  Time prev_time = -1;
-  std::vector<int> seen;
+  Time now = -1;
   while (!q.empty()) {
-    const Time t = q.next_time();
-    EXPECT_GE(t, prev_time);
-    prev_time = t;
-    q.pop().fire();
+    const Time prev = now;
+    EXPECT_EQ(q.next_time(), q.next_key().time);
+    q.fire_next(now);
+    EXPECT_GE(now, prev);
   }
   // Survivors at equal times must have fired in ascending schedule order.
   // Replay: group labels by time and check each group is sorted.
@@ -165,9 +173,14 @@ TEST(EventQueue, ChurnPreservesDeterministicOrder) {
 
 /// Records the message steps executed through it.
 struct RecordingTarget : MessageEventTarget {
-  std::vector<std::pair<MessageEvent::Kind, std::uint32_t>> fired;
+  struct Step {
+    MessageEvent::Kind kind;
+    std::uint32_t hop;
+    Message msg;
+  };
+  std::vector<Step> fired;
   void on_message_event(MessageEvent&& ev) override {
-    fired.emplace_back(ev.kind, ev.hop);
+    fired.push_back(Step{ev.kind, ev.hop, std::move(ev.msg)});
   }
 };
 
@@ -175,54 +188,61 @@ TEST(EventQueue, MessageEventsInterleaveWithClosuresDeterministically) {
   EventQueue q;
   RecordingTarget target;
   std::vector<int> order;
+  Time now = 0;
   q.schedule(10, [&] { order.push_back(0); });
   q.schedule_message(
       10, MessageEvent{&target, Message(), MessageEvent::Kind::kHop, 7});
   q.schedule(10, [&] { order.push_back(1); });
   // Equal times: schedule order wins regardless of event kind.
-  auto first = q.pop();
-  EXPECT_FALSE(first.is_message);
-  first.fire();
-  auto second = q.pop();
-  ASSERT_TRUE(second.is_message);
-  EXPECT_EQ(second.msg.kind, MessageEvent::Kind::kHop);
-  second.fire();
-  q.pop().fire();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  q.fire_next(now);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_TRUE(target.fired.empty());
+  q.fire_next(now);
+  EXPECT_EQ(order, (std::vector<int>{0}));
   ASSERT_EQ(target.fired.size(), 1u);
-  EXPECT_EQ(target.fired[0], std::make_pair(MessageEvent::Kind::kHop, 7u));
+  EXPECT_EQ(target.fired[0].kind, MessageEvent::Kind::kHop);
+  EXPECT_EQ(target.fired[0].hop, 7u);
+  q.fire_next(now);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, MessageEventCarriesItsFields) {
   EventQueue q;
   RecordingTarget target;
+  Time now = 0;
   q.schedule_message(
       5, MessageEvent{&target, Message(3, 9, Payload::sized(1, 128)),
                       MessageEvent::Kind::kDispatch, 0});
-  auto ev = q.pop();
-  ASSERT_TRUE(ev.is_message);
-  EXPECT_EQ(ev.time, 5);
-  EXPECT_EQ(ev.msg.msg.src(), 3u);
-  EXPECT_EQ(ev.msg.msg.dst(), 9u);
-  EXPECT_EQ(ev.msg.msg.wire_bytes(), 128u);
-  ev.fire();
+  q.fire_next(now);
+  EXPECT_EQ(now, 5);
   ASSERT_EQ(target.fired.size(), 1u);
-  EXPECT_EQ(target.fired[0].first, MessageEvent::Kind::kDispatch);
+  const RecordingTarget::Step& step = target.fired[0];
+  EXPECT_EQ(step.kind, MessageEvent::Kind::kDispatch);
+  EXPECT_EQ(step.msg.src(), 3u);
+  EXPECT_EQ(step.msg.dst(), 9u);
+  EXPECT_EQ(step.msg.wire_bytes(), 128u);
 }
 
 TEST(EventQueue, SizeAndNextTimeSpanBothEventKinds) {
   EventQueue q;
   RecordingTarget target;
-  q.schedule(20, [] {});
+  bool closure_fired = false;
+  Time now = 0;
+  q.schedule(20, [&] { closure_fired = true; });
   q.schedule_message(
       10, MessageEvent{&target, Message(), MessageEvent::Kind::kDeliver, 0});
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.next_time(), 10);  // the message event is earliest
-  q.pop().fire();
-  EXPECT_EQ(q.next_time(), 20);
-  q.pop().fire();
-  EXPECT_TRUE(q.empty());
+  q.fire_next(now);
   ASSERT_EQ(target.fired.size(), 1u);
+  EXPECT_EQ(target.fired[0].kind, MessageEvent::Kind::kDeliver);
+  EXPECT_FALSE(closure_fired);
+  EXPECT_EQ(q.next_time(), 20);
+  q.fire_next(now);
+  EXPECT_TRUE(closure_fired);
+  EXPECT_EQ(now, 20);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, CancellingClosuresDoesNotDisturbMessageEvents) {
@@ -238,9 +258,9 @@ TEST(EventQueue, CancellingClosuresDoesNotDisturbMessageEvents) {
         6, MessageEvent{&target, Message(), MessageEvent::Kind::kHop, i});
   for (EventId id : cancelled) q.cancel(id);
   EXPECT_EQ(q.size(), 4u);
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   ASSERT_EQ(target.fired.size(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(target.fired[i].second, i);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(target.fired[i].hop, i);
 }
 
 // --------------------------------------------------------------------------
@@ -271,7 +291,7 @@ TEST(EventQueue, LaneSeqTieBreakIsInsertionOrderIndependent) {
   q.schedule(5, lane_seq(0, 1), ev(1));
   q.schedule(5, lane_seq(2, 2), ev(22));
   q.schedule(5, lane_seq(1, 2), ev(12));
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 11, 12, 21, 22}));
 }
 
@@ -286,7 +306,7 @@ TEST(EventQueue, ControlLaneLosesAllTimeTies) {
   q.schedule(7, lane_seq(control, 1), [&] { order.push_back(99); });
   q.schedule(7, lane_seq(3, 7), [&] { order.push_back(3); });
   q.schedule(7, lane_seq(control - 1, 1), [&] { order.push_back(98); });
-  while (!q.empty()) q.pop().fire();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{3, 98, 99}));
 }
 
@@ -313,7 +333,7 @@ TEST(EventQueue, MergingQueuesByKeyReproducesSingleQueueOrder) {
   for (const Step& s : steps)
     all.schedule(s.t, lane_seq(s.lane, s.ctr),
                  [&serial, label = s.label] { serial.push_back(label); });
-  while (!all.empty()) all.pop().fire();
+  drain(all);
 
   // Shard split: lane 0 -> shard A, lanes 1 and 2 -> shard B.
   EventQueue a, b;
@@ -322,6 +342,7 @@ TEST(EventQueue, MergingQueuesByKeyReproducesSingleQueueOrder) {
     (s.lane == 0 ? a : b).schedule(
         s.t, lane_seq(s.lane, s.ctr),
         [&merged, label = s.label] { merged.push_back(label); });
+  Time now = 0;
   while (!a.empty() || !b.empty()) {
     EventQueue* next;
     if (a.empty())
@@ -330,7 +351,7 @@ TEST(EventQueue, MergingQueuesByKeyReproducesSingleQueueOrder) {
       next = &a;
     else
       next = a.next_key() < b.next_key() ? &a : &b;
-    next->pop().fire();
+    next->fire_next(now);
   }
 
   // serial == sorted-by-(time, lane, ctr) == the cross-queue merge.
@@ -345,7 +366,7 @@ TEST(EventQueue, MoveOnlyCaptureIsAccepted) {
   auto owned = std::make_unique<int>(7);
   int got = 0;
   q.schedule(1, [p = std::move(owned), &got] { got = *p; });
-  q.pop().fire();
+  drain(q);
   EXPECT_EQ(got, 7);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 namespace canopus::simnet {
 namespace {
 
@@ -22,25 +26,79 @@ TEST(Topology, RackAssignment) {
   cfg.servers_per_rack = 3;
   cfg.clients_per_rack = 1;
   Cluster c = build_multi_rack(cfg);
-  EXPECT_EQ(c.topo.rack_of(c.servers[0]), 0);
-  EXPECT_EQ(c.topo.rack_of(c.servers[2]), 0);
-  EXPECT_EQ(c.topo.rack_of(c.servers[3]), 1);
-  EXPECT_EQ(c.topo.rack_of(c.clients[1]), 1);
+  EXPECT_EQ(c.topo.site_of(c.servers[0]), 0);
+  EXPECT_EQ(c.topo.site_of(c.servers[2]), 0);
+  EXPECT_EQ(c.topo.site_of(c.servers[3]), 1);
+  EXPECT_EQ(c.topo.site_of(c.clients[1]), 1);
 }
 
-TEST(Topology, SameRackPathIsTwoHops) {
-  Cluster c = build_multi_rack({});
-  const auto& p = c.topo.path(c.servers[0], c.servers[1]);
-  EXPECT_EQ(p.size(), 2u);  // NIC up, NIC down
-}
-
-TEST(Topology, CrossRackPathTraversesAggregation) {
-  RackConfig cfg;
+// Every ordered pair of a 3-rack and a 3-DC cluster: a route is the
+// sender's NIC uplink, the core links between the two sites, and the
+// receiver's NIC downlink, and each end link belongs to its node's site.
+TEST(Topology, EveryRackPairRoutesThroughItsAggregationLinks) {
+  RackConfig cfg;  // 3 racks x (3 servers + 5 clients)
   Cluster c = build_multi_rack(cfg);
-  NodeId a = c.servers[0];                              // rack 0
-  NodeId b = c.servers[static_cast<size_t>(cfg.servers_per_rack)];  // rack 1
-  const auto& p = c.topo.path(a, b);
-  EXPECT_EQ(p.size(), 4u);  // up, agg up, agg down, down
+  const Topology& t = c.topo;
+  ASSERT_EQ(t.num_sites(), 3u);
+  std::map<int, LinkId> agg_up, agg_down;  // by rack
+  for (NodeId a = 0; a < t.num_nodes(); ++a)
+    for (NodeId b = 0; b < t.num_nodes(); ++b) {
+      if (a == b) continue;
+      const Path p = t.path(a, b);
+      EXPECT_EQ(t.site_of_link(p.front()), t.site_of(a));
+      EXPECT_EQ(t.site_of_link(p.back()), t.site_of(b));
+      EXPECT_EQ(t.link(p.front()).latency, cfg.nic_latency);
+      EXPECT_EQ(t.link(p.back()).latency, cfg.nic_latency);
+      if (t.site_of(a) == t.site_of(b)) {
+        EXPECT_EQ(p.size(), 2u) << a << "->" << b;
+        continue;
+      }
+      ASSERT_EQ(p.size(), 4u) << a << "->" << b;
+      // The sender rack's aggregation uplink, then the receiver rack's
+      // downlink: one uplink per source rack, one downlink per destination.
+      EXPECT_EQ(t.site_of_link(p[1]), t.site_of(a));
+      EXPECT_EQ(t.site_of_link(p[2]), t.site_of(b));
+      EXPECT_EQ(t.link(p[1]).latency, cfg.uplink_latency);
+      EXPECT_EQ(t.link(p[2]).latency, cfg.uplink_latency);
+      EXPECT_EQ(agg_up.try_emplace(t.site_of(a), p[1]).first->second, p[1]);
+      EXPECT_EQ(agg_down.try_emplace(t.site_of(b), p[2]).first->second, p[2]);
+    }
+  ASSERT_EQ(agg_up.size(), 3u);
+  ASSERT_EQ(agg_down.size(), 3u);
+  for (const auto& [rack, up] : agg_up)
+    for (const auto& [other, down] : agg_down) EXPECT_NE(up, down);
+}
+
+TEST(Topology, EveryDcPairRoutesThroughTheSourceWanLink) {
+  WanConfig cfg;
+  cfg.servers_per_dc = {2, 2, 2};
+  cfg.clients_per_dc = {1, 1, 1};
+  cfg.rtt_ms = table1_rtt_ms();
+  Cluster c = build_multi_dc(cfg);
+  const Topology& t = c.topo;
+  ASSERT_EQ(t.num_sites(), 3u);
+  std::map<std::pair<int, int>, LinkId> wan;  // by (source, destination)
+  for (NodeId a = 0; a < t.num_nodes(); ++a)
+    for (NodeId b = 0; b < t.num_nodes(); ++b) {
+      if (a == b) continue;
+      const Path p = t.path(a, b);
+      EXPECT_EQ(t.site_of_link(p.front()), t.site_of(a));
+      EXPECT_EQ(t.site_of_link(p.back()), t.site_of(b));
+      if (t.site_of(a) == t.site_of(b)) {
+        EXPECT_EQ(p.size(), 2u) << a << "->" << b;
+        continue;
+      }
+      ASSERT_EQ(p.size(), 3u) << a << "->" << b;
+      EXPECT_EQ(t.site_of_link(p[1]), t.site_of(a));  // the source DC's
+      EXPECT_GT(t.link(p[1]).latency, 10 * kMillisecond);
+      const std::pair<int, int> dcs{t.site_of(a), t.site_of(b)};
+      EXPECT_EQ(wan.try_emplace(dcs, p[1]).first->second, p[1]);
+    }
+  // One distinct WAN link per ordered DC pair.
+  ASSERT_EQ(wan.size(), 6u);
+  std::set<LinkId> distinct;
+  for (const auto& [dcs, l] : wan) distinct.insert(l);
+  EXPECT_EQ(distinct.size(), 6u);
 }
 
 TEST(Topology, BaseLatencyAddsSerialization) {
@@ -106,10 +164,10 @@ TEST(Topology, DcAssignment) {
   cfg.clients_per_dc = {1, 1};
   cfg.rtt_ms = table1_rtt_ms();
   Cluster c = build_multi_dc(cfg);
-  EXPECT_EQ(c.topo.dc_of(c.servers[0]), 0);
-  EXPECT_EQ(c.topo.dc_of(c.servers[3]), 1);
-  EXPECT_EQ(c.topo.dc_of(c.clients[0]), 0);
-  EXPECT_EQ(c.topo.dc_of(c.clients[1]), 1);
+  EXPECT_EQ(c.topo.site_of(c.servers[0]), 0);
+  EXPECT_EQ(c.topo.site_of(c.servers[3]), 1);
+  EXPECT_EQ(c.topo.site_of(c.clients[0]), 0);
+  EXPECT_EQ(c.topo.site_of(c.clients[1]), 1);
 }
 
 // --------------------------------------------------------------------------
@@ -122,7 +180,7 @@ TEST(ShardMap, MultiRackClampsToSiteCount) {
   ShardMap m = make_shard_map(c.topo, 8);
   EXPECT_EQ(m.num_shards, 3u);
   for (NodeId n = 0; n < c.topo.num_nodes(); ++n)
-    EXPECT_EQ(m.node_shard[n], static_cast<std::uint32_t>(c.topo.rack_of(n)));
+    EXPECT_EQ(m.node_shard[n], static_cast<std::uint32_t>(c.topo.site_of(n)));
 }
 
 TEST(ShardMap, MultiRackFoldsSitesRoundRobin) {
@@ -131,7 +189,7 @@ TEST(ShardMap, MultiRackFoldsSitesRoundRobin) {
   EXPECT_EQ(m.num_shards, 2u);
   for (NodeId n = 0; n < c.topo.num_nodes(); ++n)
     EXPECT_EQ(m.node_shard[n],
-              static_cast<std::uint32_t>(c.topo.rack_of(n)) % 2u);
+              static_cast<std::uint32_t>(c.topo.site_of(n)) % 2u);
   for (LinkId l = 0; l < c.topo.num_links(); ++l)
     EXPECT_EQ(m.link_shard[l],
               static_cast<std::uint32_t>(c.topo.site_of_link(l)) % 2u);
@@ -222,19 +280,21 @@ TEST(ShardMap, ZeroLatencyCrossingIsRejected) {
   // conservative kernel could deadlock-or-block forever, so make_shard_map
   // must refuse the partition outright.
   Topology t;
-  const NodeId a = t.add_node(/*rack=*/0, 0);
-  const NodeId b = t.add_node(/*rack=*/1, 0);
   const LinkId l0 = t.add_link(/*latency=*/0, gbps(10.0), /*site=*/0);
+  const LinkId a_down = t.add_link(1'000, gbps(10.0), 0);
+  const LinkId b_up = t.add_link(1'000, gbps(10.0), 1);
   const LinkId l1 = t.add_link(/*latency=*/1'000, gbps(10.0), /*site=*/1);
-  t.set_path(a, b, {l0, l1});
+  t.add_node(/*site=*/0, l0, a_down);
+  t.add_node(/*site=*/1, b_up, l1);  // path a -> b is {l0, l1}
   EXPECT_THROW(make_shard_map(t, 2), std::invalid_argument);
   // The same wiring with a positive crossing latency is accepted.
   Topology ok;
-  const NodeId oa = ok.add_node(0, 0);
-  const NodeId ob = ok.add_node(1, 0);
   const LinkId k0 = ok.add_link(500, gbps(10.0), 0);
+  const LinkId oa_down = ok.add_link(1'000, gbps(10.0), 0);
+  const LinkId ob_up = ok.add_link(1'000, gbps(10.0), 1);
   const LinkId k1 = ok.add_link(1'000, gbps(10.0), 1);
-  ok.set_path(oa, ob, {k0, k1});
+  ok.add_node(0, k0, oa_down);
+  ok.add_node(1, ob_up, k1);
   ShardMap m = make_shard_map(ok, 2);
   EXPECT_EQ(ok.min_cut_latency(m, 0, 1), 500);
 }
@@ -244,10 +304,12 @@ TEST(ShardMap, ForeignPathEndpointIsRejected) {
   // node would make the send event emit into a queue the sender's worker
   // does not own.
   Topology t;
-  const NodeId a = t.add_node(0, 0);
-  const NodeId b = t.add_node(1, 0);
   const LinkId wrong = t.add_link(1'000, gbps(10.0), /*site=*/1);
-  t.set_path(a, b, {wrong});
+  const LinkId a_down = t.add_link(1'000, gbps(10.0), 0);
+  const LinkId b_up = t.add_link(1'000, gbps(10.0), 1);
+  const LinkId b_down = t.add_link(1'000, gbps(10.0), 1);
+  t.add_node(0, wrong, a_down);
+  t.add_node(1, b_up, b_down);
   EXPECT_THROW(make_shard_map(t, 2), std::invalid_argument);
 }
 

@@ -110,8 +110,7 @@ class CanopusCluster {
     lc.arity = arity;
     int current_group = -1;
     for (NodeId s : cluster_.servers) {
-      const int g = cluster_.topo.dc_of(s) * 1'000'000 +
-                    cluster_.topo.rack_of(s);
+      const int g = cluster_.topo.site_of(s);
       if (g != current_group) {
         lc.super_leaves.emplace_back();
         current_group = g;
