@@ -81,10 +81,17 @@ class ReplicaNode : public simnet::Process {
   }
 
   /// Sends the buffered completions, one ReplyBatch per client, each
-  /// copied into its payload's block so the buffer keeps its capacity.
+  /// copied into its payload's block so the buffer keeps its capacity. A
+  /// batch refills the block last sent to its client once the client has
+  /// dropped it (DESIGN.md §5.2).
   void flush_replies() {
-    for (const auto& [client, done] : reply_buffer_)
-      send(client, simnet::Payload::with_body<ReplyBatch>(done));
+    for (const auto& [client, done] : reply_buffer_) {
+      if (client >= reply_memos_.size()) reply_memos_.resize(client + 1);
+      simnet::Payload& memo = reply_memos_[client];
+      if (!memo.rewrite_body<ReplyBatch>(done))
+        memo = simnet::Payload::with_body<ReplyBatch>(done);
+      send(client, memo);
+    }
     drop_replies();
   }
 
@@ -153,6 +160,10 @@ class ReplicaNode : public simnet::Process {
   /// Emptied nodes of reply_buffer_, reused by reply().
   std::vector<std::unordered_map<NodeId, std::vector<Completion>>::node_type>
       spare_replies_;
+  /// flush_replies' last payload per client, indexed by the client's node
+  /// id. Kept apart from reply_buffer_, whose spare nodes pass from client
+  /// to client.
+  std::vector<simnet::Payload> reply_memos_;
 };
 
 }  // namespace canopus::kv

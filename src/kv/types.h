@@ -2,6 +2,11 @@
 // this repository (Canopus, EPaxos, Zab/ZKCanopus). Keeping the client
 // protocol identical across systems is what makes the paper's comparisons
 // apples-to-apples (§8's ZKCanopus methodology).
+//
+// Both batch types are view-bodied (simnet/payload.h): each sender keeps
+// its last batch per destination and refills that block in place, so a
+// batch costs no allocation once its receiver has dropped the previous
+// one and the new body fits (DESIGN.md §5.2).
 #pragma once
 
 #include <cstddef>
@@ -29,7 +34,8 @@ inline constexpr std::size_t kRequestWire = 40;
 
 /// Open-loop clients aggregate same-tick arrivals into one batch message.
 /// View-bodied: built only by simnet::Payload::with_body, whose block also
-/// holds the requests.
+/// holds the requests, and refilled in that block by its sender's
+/// Payload::rewrite_body once the receiver has dropped it.
 struct ClientBatch {
   std::span<const Request> reqs;
   std::size_t wire_bytes() const { return 24 + kRequestWire * reqs.size(); }

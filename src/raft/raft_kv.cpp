@@ -113,7 +113,9 @@ void RaftKvNode::flush_batch() {
     arm_flush_timer();
     return;
   }
-  send(leader, simnet::Payload::with_body<KvForward>(pending_));
+  if (!forward_memo_.rewrite_body<KvForward>(pending_))
+    forward_memo_ = simnet::Payload::with_body<KvForward>(pending_);
+  send(leader, forward_memo_);
   pending_.clear();
 }
 

@@ -103,6 +103,8 @@ class RaftKvNode : public kv::ReplicaNode {
   std::unique_ptr<RaftNode> raft_;
 
   std::vector<kv::Request> pending_;
+  /// The last KvForward sent, refilled once its leader has dropped it.
+  simnet::Payload forward_memo_;
   bool flush_timer_armed_ = false;
   bool crashed_ = false;
 };

@@ -17,16 +17,17 @@
 // copying a Payload, re-addressing a Message, or replicating a raft
 // LogEntry copies a pointer, never the value. A published value is
 // immutable while it is shared — exactly the semantics a real wire gives
-// you. Only its sole holder may change it, through Payload::rewrite, and
-// only RaftNode's last-sent memo does (raft.cpp, send_wire).
+// you. Only its sole holder may change it, through Payload::rewrite or
+// Payload::rewrite_body, and only a sender's last-sent memo does: RaftNode's
+// (raft.cpp, send_wire) and the four view-bodied senders' (below).
 //
 // The count belongs to the payload, not to a std::shared_ptr, because of
 // that rewrite. The last other holder may drop its copy on another thread
 // (the threaded backend, or a PDES shard), after reading the value there.
 // In a process with more than one thread every drop is a release
-// decrement, and rewrite reads the count with an acquire load, so those
-// reads happen before the rewrite's writes, and ThreadSanitizer sees the
-// edge. shared_ptr::use_count() is only a relaxed load, and
+// decrement, and both rewrites read the count with an acquire load, so
+// those reads happen before the rewrite's writes, and ThreadSanitizer sees
+// the edge. shared_ptr::use_count() is only a relaxed load, and
 // make_shared<const T> makes any write through it undefined.
 //
 // A message with a variable-length body (a client batch, a reply batch, a
@@ -35,7 +36,11 @@
 // CANOPUS_REGISTER_VIEW_PAYLOAD, views a copy of the body stored in the
 // payload's own heap block. Such a type enters the bus only through
 // Payload::with_body, so the message and its body cost one allocation, and
-// its span cannot outlive or dangle from what it views.
+// its span cannot outlive or dangle from what it views. The block records
+// its capacity, so its sole holder can refill it with Payload::rewrite_body
+// whenever the next body fits: the client machines, the replicas' reply
+// flush and the Zab and Raft KV forwards each keep their last payload sent
+// as a memo and refill it once every receiver has dropped its copy.
 //
 // Every protocol message states its own wire size through a wire_bytes()
 // member (a SizedPayload). The payload records that size once, when the
@@ -178,27 +183,16 @@ class Payload {
   }
 
   /// Publishes a view-bodied H: copies `body` and a value-initialized H
-  /// into ONE heap block and points H's body span at the copy. The
-  /// caller's buffer is free to be cleared or refilled as soon as this
+  /// into ONE heap block and points H's body span at the copy. The block
+  /// records its capacity, the header plus this body, for rewrite_body.
+  /// The caller's buffer is free to be cleared or refilled as soon as this
   /// returns.
   template <ViewBodiedPayload H>
   static Payload with_body(PayloadBody<H> body) {
-    using E = typename PayloadBody<H>::value_type;
-    static_assert(std::is_trivially_copyable_v<E>);
-    static_assert(std::is_trivially_destructible_v<H>,
-                  "the block's destroy hook never runs ~H");
-    static_assert(alignof(H) <= alignof(Block) && alignof(E) <= alignof(Block));
-    constexpr std::size_t kBodyAt =
-        (sizeof(H) + alignof(E) - 1) / alignof(E) * alignof(E);
     Payload p;
-    p.value_ = allocate(kBodyAt + body.size_bytes(), &free_block)->value();
-    auto* const bytes = static_cast<std::byte*>(p.value_);
-    E* const copy = reinterpret_cast<E*>(bytes + kBodyAt);
-    std::uninitialized_copy(body.begin(), body.end(), copy);
-    H* const header = ::new (static_cast<void*>(bytes)) H{};
-    header->*PayloadTraits<H>::body = PayloadBody<H>(copy, body.size());
-    p.tag_ = PayloadTraits<H>::tag;
-    p.bytes_ = narrow(header->wire_bytes());
+    p.value_ =
+        allocate(body_at<H>() + body.size_bytes(), &free_block)->value();
+    p.fill<H>(body);
     return p;
   }
 
@@ -234,8 +228,9 @@ class Payload {
   /// duplicate), calls `edit` on the value in place, re-records its
   /// wire_bytes() and returns true. Otherwise changes nothing and returns
   /// false. The block, and so raw(), stays the same. View-bodied types and
-  /// the probes are refused at compile time: a body cannot grow in its
-  /// block, and a probe's size is its sender's.
+  /// the probes are refused at compile time: an edit could grow a body
+  /// past its block (rewrite_body checks the capacity instead), and a
+  /// probe's size is its sender's.
   template <class T, std::invocable<T&> F>
     requires(SizedPayload<T> && !ViewBodiedPayload<T>)
   bool rewrite(F&& edit) {
@@ -247,6 +242,23 @@ class Payload {
     T* const value = value_of<T>();
     std::forward<F>(edit)(*value);
     bytes_ = narrow(value->wire_bytes());
+    return true;
+  }
+
+  /// The sole holder's refill of a view-bodied H: when this payload
+  /// carries an H, no other copy of it exists, and the header and `body`
+  /// fit the block's recorded capacity, writes a fresh H and a copy of
+  /// `body` over the value, re-records its wire_bytes() and returns true.
+  /// Otherwise changes nothing and returns false. The block, and so raw(),
+  /// stays the same. `body` must not view this payload's own block.
+  template <ViewBodiedPayload H>
+  bool rewrite_body(PayloadBody<H> body) {
+    // Acquire, as in rewrite.
+    if (tag_ != PayloadTraits<H>::tag ||
+        block()->holders.load(std::memory_order_acquire) != 1 ||
+        body_at<H>() + body.size_bytes() > block()->capacity)
+      return false;
+    fill<H>(body);
     return true;
   }
 
@@ -265,7 +277,8 @@ class Payload {
   /// like std::max_align_t, so the value right behind it is too.
   struct alignas(std::max_align_t) Block {
     using Destroy = void (*)(Block*) noexcept;
-    explicit Block(Destroy d) : destroy(d) {}
+    Block(Destroy d, std::uint32_t value_bytes)
+        : capacity(value_bytes), destroy(d) {}
     void* value() { return this + 1; }
 
     // While the process has one thread, no other thread can hold a copy,
@@ -298,13 +311,44 @@ class Payload {
     }
 
     std::atomic<std::uint32_t> holders{1};
+    /// Bytes behind the head, in the padding after holders: what
+    /// rewrite_body may refill.
+    const std::uint32_t capacity;
     const Destroy destroy;  ///< ends the value and frees the block
   };
   static_assert(alignof(Block) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  static_assert(sizeof(Block) == 16);
 
   /// One allocation: the block head and `value_bytes` behind it.
   static Block* allocate(std::size_t value_bytes, Block::Destroy destroy) {
-    return ::new (::operator new(sizeof(Block) + value_bytes)) Block(destroy);
+    return ::new (::operator new(sizeof(Block) + value_bytes))
+        Block(destroy, narrow(value_bytes));
+  }
+
+  /// Where a view-bodied H's body starts in its value bytes.
+  template <ViewBodiedPayload H>
+  static constexpr std::size_t body_at() {
+    using E = typename PayloadBody<H>::value_type;
+    static_assert(alignof(H) <= alignof(Block) && alignof(E) <= alignof(Block));
+    return (sizeof(H) + alignof(E) - 1) / alignof(E) * alignof(E);
+  }
+
+  /// with_body's and rewrite_body's fill of a block with room for `body`:
+  /// a value-initialized H whose span views a copy of `body` right behind
+  /// it. Records the tag and H's wire_bytes().
+  template <ViewBodiedPayload H>
+  void fill(PayloadBody<H> body) {
+    using E = typename PayloadBody<H>::value_type;
+    static_assert(std::is_trivially_copyable_v<E>);
+    static_assert(std::is_trivially_destructible_v<H>,
+                  "the block's destroy hook never runs ~H");
+    auto* const bytes = static_cast<std::byte*>(value_);
+    E* const copy = reinterpret_cast<E*>(bytes + body_at<H>());
+    std::uninitialized_copy(body.begin(), body.end(), copy);
+    H* const header = ::new (static_cast<void*>(bytes)) H{};
+    header->*PayloadTraits<H>::body = PayloadBody<H>(copy, body.size());
+    tag_ = PayloadTraits<H>::tag;
+    bytes_ = narrow(header->wire_bytes());
   }
 
   /// Publishes a V built from `args` into a new block; returns the value.
@@ -351,6 +395,7 @@ class Payload {
   /// without an offset, and only holder counting steps back to the head.
   void* value_ = nullptr;
 };
+static_assert(sizeof(Payload) == 16);
 
 }  // namespace canopus::simnet
 

@@ -50,13 +50,46 @@ void Topology::note_site(int site) {
 
 namespace {
 
-/// Calls fn(src, dst, path) for every ordered pair of distinct nodes.
+/// Calls fn(from, to, latency) for every shard crossing of every route: a
+/// hop whose link lies in shard `from` and the next hop's in `to` != from.
+/// Throws std::invalid_argument unless each node's NIC links lie in its
+/// own shard and a site's nodes share one shard. Then a route within a
+/// site never crosses, and a route a -> b between sites crosses as the
+/// route between the two sites' first nodes does, save that its first hop
+/// is a's uplink. So one route per ordered pair of sites that hold nodes
+/// stands for all of them, its first hop at the sending site's least
+/// uplink latency, and a crossing repeated across routes may be reported
+/// once. O(nodes + sites^2).
 template <typename Fn>
-void for_each_path(const Topology& t, Fn&& fn) {
-  const std::size_t n = t.num_nodes();
-  for (NodeId s = 0; s < n; ++s)
-    for (NodeId d = 0; d < n; ++d)
-      if (s != d) fn(s, d, t.path(s, d));
+void for_each_crossing(const Topology& t, const ShardMap& map, Fn&& fn) {
+  if (t.num_nodes() < 2) return;  // no routes
+  std::vector<NodeId> first(t.num_sites(), kInvalidNode);
+  std::vector<Time> least_up(t.num_sites(), kTimeInf);
+  for (NodeId i = 0; i < t.num_nodes(); ++i) {
+    const std::uint32_t shard = map.node_shard[i];
+    if (map.link_shard[t.uplink(i)] != shard ||
+        map.link_shard[t.downlink(i)] != shard)
+      throw std::invalid_argument(
+          "shard map: path endpoints not owned by their node's shard");
+    const auto site = static_cast<std::size_t>(t.site_of(i));
+    if (first[site] == kInvalidNode) first[site] = i;
+    if (map.node_shard[first[site]] != shard)
+      throw std::invalid_argument("shard map: a site's nodes span shards");
+    least_up[site] = std::min(least_up[site], t.link(t.uplink(i)).latency);
+  }
+  for (std::size_t a = 0; a < first.size(); ++a) {
+    if (first[a] == kInvalidNode) continue;
+    for (std::size_t b = 0; b < first.size(); ++b) {
+      if (b == a || first[b] == kInvalidNode) continue;
+      const Path p = t.path(first[a], first[b]);
+      for (std::size_t h = 0; h + 1 < p.size(); ++h) {
+        const std::uint32_t from = map.link_shard[p[h]];
+        const std::uint32_t to = map.link_shard[p[h + 1]];
+        if (from != to)
+          fn(from, to, h == 0 ? least_up[a] : t.link(p[h]).latency);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -72,33 +105,13 @@ Time Topology::base_latency(NodeId a, NodeId b, std::size_t bytes) const {
   return t;
 }
 
-Time Topology::min_cut_latency(const ShardMap& map, std::uint32_t a,
-                               std::uint32_t b) const {
-  Time best = kTimeInf;
-  for_each_path(*this, [&](NodeId, NodeId, const Path& p) {
-    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-      // Only true crossings: consecutive links in the SAME shard (always
-      // when a == b, and under folded maps even across sites) are plain
-      // local scheduling, not a hand-off.
-      if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
-          map.link_shard[p[h]] == a && map.link_shard[p[h + 1]] == b)
-        best = std::min(best, links_[p[h]].latency);
-    }
-  });
-  return best;
-}
-
 std::vector<Time> min_cut_matrix(const Topology& topo, const ShardMap& map) {
   const std::size_t k = map.num_shards;
   std::vector<Time> m(k * k, kTimeInf);
-  for_each_path(topo, [&](NodeId, NodeId, const Path& p) {
-    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-      const std::uint32_t a = map.link_shard[p[h]];
-      const std::uint32_t b = map.link_shard[p[h + 1]];
-      if (a != b)
-        m[a * k + b] = std::min(m[a * k + b], topo.link(p[h]).latency);
-    }
-  });
+  for_each_crossing(topo, map,
+                    [&](std::uint32_t a, std::uint32_t b, Time latency) {
+                      m[a * k + b] = std::min(m[a * k + b], latency);
+                    });
   return m;
 }
 
@@ -119,17 +132,10 @@ ShardMap make_shard_map(const Topology& topo, unsigned requested) {
   // first hop, the delivery event (destination node) the last hop, and any
   // crossing in between carries the crossed link's latency as lookahead —
   // which therefore must be positive.
-  for_each_path(topo, [&](NodeId s, NodeId d, const Path& p) {
-    if (map.link_shard[p.front()] != map.node_shard[s] ||
-        map.link_shard[p.back()] != map.node_shard[d])
+  for_each_crossing(topo, map, [](std::uint32_t, std::uint32_t, Time latency) {
+    if (latency <= 0)
       throw std::invalid_argument(
-          "shard map: path endpoints not owned by their node's shard");
-    for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-      if (map.link_shard[p[h]] != map.link_shard[p[h + 1]] &&
-          topo.link(p[h]).latency <= 0)
-        throw std::invalid_argument(
-            "shard map: zero-latency shard crossing (no lookahead)");
-    }
+          "shard map: zero-latency shard crossing (no lookahead)");
   });
   return map;
 }

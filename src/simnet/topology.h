@@ -57,8 +57,6 @@ class Path {
   std::uint32_t size_ = 0;
 };
 
-struct ShardMap;
-
 class Topology {
  public:
   /// A node in `site` with its NIC `up` (node -> switch) and `down` links.
@@ -84,17 +82,14 @@ class Topology {
 
   int site_of(NodeId n) const { return nodes_[n].site; }
   int site_of_link(LinkId l) const { return link_site_[l]; }
+  /// Node n's NIC uplink, the first hop of every route from n, and its
+  /// downlink, the last hop of every route to n.
+  LinkId uplink(NodeId n) const { return nodes_[n].up; }
+  LinkId downlink(NodeId n) const { return nodes_[n].down; }
 
   /// Minimum end-to-end latency a -> b for an empty network and a message of
   /// `bytes` bytes (propagation + serialization, no queueing, no CPU).
   Time base_latency(NodeId a, NodeId b, std::size_t bytes) const;
-
-  /// The PDES lookahead source: the minimum one-way latency over every link
-  /// at which a routed message hands over from shard `a` to shard `b` (the
-  /// link whose arrival event schedules the next hop into the other shard).
-  /// kTimeInf when no path crosses a -> b. O(nodes^2 * hops); compute once.
-  Time min_cut_latency(const ShardMap& map, std::uint32_t a,
-                       std::uint32_t b) const;
 
  private:
   struct NodeRoute {
@@ -149,11 +144,17 @@ struct ShardMap {
 /// for conservative PDES: each routed path must start and end in its
 /// endpoint's shard, and every shard-crossing link must have latency > 0
 /// (the crossing latency IS the lookahead). Throws std::invalid_argument
-/// on a zero-lookahead crossing.
+/// when a path endpoint lies in a foreign shard or a crossing has zero
+/// latency. O(nodes + sites^2).
 ShardMap make_shard_map(const Topology& topo, unsigned requested);
 
-/// Dense num_shards^2 matrix of min_cut_latency values (row-major,
-/// [from * num_shards + to]); one path scan for all pairs.
+/// The PDES lookahead: a dense num_shards^2 matrix (row-major,
+/// [from * num_shards + to]) of the minimum one-way latency over every link
+/// at which a routed message hands over from shard `from` to shard `to`
+/// (the link whose arrival event schedules the next hop into the other
+/// shard); kTimeInf where no route crosses. Throws std::invalid_argument
+/// unless `map` keeps each site's nodes, and their NIC links, in one shard,
+/// as make_shard_map's maps do. O(nodes + sites^2).
 std::vector<Time> min_cut_matrix(const Topology& topo, const ShardMap& map);
 
 /// A built cluster: the topology plus which nodes are consensus servers and

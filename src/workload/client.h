@@ -102,10 +102,15 @@ class ClientMachine : public simnet::Process {
   }
 
   /// Sends `batch` to `target` as one ClientBatch and leaves it empty,
-  /// its capacity kept for the next tick.
-  void send_batch(NodeId target, std::vector<kv::Request>& batch) {
+  /// its capacity kept for the next tick. `memo` is the payload last sent
+  /// from this batch: the batch refills its block once its server has
+  /// dropped it (DESIGN.md §5.2).
+  void send_batch(NodeId target, std::vector<kv::Request>& batch,
+                  simnet::Payload& memo) {
     sent_ += batch.size();
-    send(target, simnet::Payload::with_body<kv::ClientBatch>(batch));
+    if (!memo.rewrite_body<kv::ClientBatch>(batch))
+      memo = simnet::Payload::with_body<kv::ClientBatch>(batch);
+    send(target, memo);
     batch.clear();
   }
 
@@ -162,7 +167,10 @@ class OpenLoopClient : public ClientMachine {
     // One batch per target server; requests round-robin across servers
     // with a rotating offset so each server sees the full key/op mix.
     const std::size_t S = servers_.size();
-    if (batches_.empty()) batches_.resize(S);
+    if (batches_.empty()) {
+      batches_.resize(S);
+      memos_.resize(S);
+    }
     for (std::uint64_t i = 0; i < n; ++i)
       batches_[(rotate_ + i) % S].push_back(draw(seq_++, i, n));
     rotate_ = (rotate_ + n) % S;
@@ -172,7 +180,7 @@ class OpenLoopClient : public ClientMachine {
       // failed instead, so fault benches can tell a slow system from a dead
       // server.
       if (net().is_up(servers_[s]))
-        send_batch(servers_[s], batches_[s]);
+        send_batch(servers_[s], batches_[s], memos_[s]);
       else
         fail_batch(batches_[s]);
     }
@@ -180,8 +188,10 @@ class OpenLoopClient : public ClientMachine {
 
   std::vector<NodeId> servers_;
   /// generate()'s per-server staging batches, kept across ticks (sized at
-  /// the first tick with arrivals, not at construction).
+  /// the first tick with arrivals, not at construction), and the payload
+  /// last sent from each.
   std::vector<std::vector<kv::Request>> batches_;
+  std::vector<simnet::Payload> memos_;
   std::uint64_t seq_ = 0;
   std::uint64_t rotate_ = 0;
 };

@@ -101,6 +101,7 @@ class RouterClient : public ClientMachine {
     // path allocates is independent of the session count — the O(1)-per-
     // client invariant tests/workload/million_client_test.cpp pins.
     const auto num_groups = static_cast<std::uint32_t>(groups_.size());
+    if (memos_.empty()) memos_.resize(num_groups);
     for (std::uint64_t i = 0; i < n; ++i) {
       // The session pick precedes the request's own draws.
       const auto session = static_cast<std::uint32_t>(rng_.below(seq_.size()));
@@ -123,7 +124,7 @@ class RouterClient : public ClientMachine {
       const NodeId target = servers[(start + k) % servers.size()];
       if (!net().is_up(target)) continue;
       redirects_ += k;
-      send_batch(target, batch);
+      send_batch(target, batch, memos_[g]);
       return;
     }
     if (attempt >= kMaxAttempts) {
@@ -142,8 +143,10 @@ class RouterClient : public ClientMachine {
   std::vector<std::uint64_t> seq_;  ///< the flat per-session cursor array —
                                     ///< ALL per-session state (8 B each)
   std::vector<std::uint64_t> rr_;   ///< per-group round-robin offset
-  /// generate()'s staging batches, one per group.
+  /// generate()'s staging batches, one per group, and the payload last
+  /// sent for each group (sized at the first tick with arrivals).
   std::vector<std::vector<kv::Request>> batches_;
+  std::vector<simnet::Payload> memos_;
   std::uint64_t redirects_ = 0;
   std::uint64_t retries_ = 0;
 };

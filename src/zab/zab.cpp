@@ -66,7 +66,9 @@ void ZabNode::intake(std::span<const kv::Request> reqs) {
     }
   }
   if (!forward_.empty()) {
-    send(leader_, simnet::Payload::with_body<Forward>(forward_));
+    if (!forward_memo_.rewrite_body<Forward>(forward_))
+      forward_memo_ = simnet::Payload::with_body<Forward>(forward_);
+    send(leader_, forward_memo_);
     forward_.clear();
   }
   flush_replies();

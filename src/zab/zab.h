@@ -173,6 +173,8 @@ class ZabNode : public kv::ReplicaNode {
 
   /// intake()'s writes for the leader, kept across calls (member only).
   std::vector<kv::Request> forward_;
+  /// The last Forward sent, refilled once the leader has dropped it.
+  simnet::Payload forward_memo_;
 
   // Leader state.
   std::vector<kv::Request> pending_;

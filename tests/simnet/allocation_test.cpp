@@ -226,41 +226,94 @@ TEST(ViewBodiedPayload, FanOutAndReaddressingAllocateNothing) {
   EXPECT_EQ(readdressed.as<kv::ClientBatch>(), p.as<kv::ClientBatch>());
 }
 
-/// Publishes from one staging buffer and keeps what it is delivered.
+/// Publishes from one staging buffer through a memo of its last payload,
+/// as the view-bodied senders do, and keeps what it is delivered unless
+/// told to drop it.
 struct Stager : Process {
   std::vector<kv::Request> staging;
+  Payload memo;
+  bool keep = true;
   std::vector<Payload> delivered;
+  std::size_t received = 0;
+  bool received_numbered = true;
   void on_message(const Message& m) override {
-    delivered.push_back(m.payload());
+    ++received;
+    received_numbered &= holds_numbered(m.as<kv::ClientBatch>()->reqs);
+    if (keep) delivered.push_back(m.payload());
   }
   void publish(NodeId dst) {
-    send(dst, Payload::with_body<kv::ClientBatch>(staging));
+    if (!memo.rewrite_body<kv::ClientBatch>(staging))
+      memo = Payload::with_body<kv::ClientBatch>(staging);
+    send(dst, memo);
   }
 };
 
-TEST(ViewBodiedPayload, DeliveredBodySurvivesItsStagingBuffer) {
+/// Two Stagers on one rack, with the message plane warmed up for two
+/// batches in flight at once.
+struct StagerPair {
+  StagerPair() : cluster(build_multi_rack(rack())), net(sim, cluster.topo) {
+    net.attach(cluster.servers[0], a);
+    net.attach(cluster.servers[1], b);
+    sim.run();
+    a.staging = numbered(100);
+    a.publish(dst());
+    a.publish(dst());
+    sim.run();
+    b.delivered.clear();
+    b.received = 0;
+  }
+  static RackConfig rack() {
+    RackConfig rc;
+    rc.racks = 1;
+    rc.servers_per_rack = 2;
+    rc.clients_per_rack = 0;
+    return rc;
+  }
+  NodeId dst() const { return cluster.servers[1]; }
+
   Simulator sim;
-  RackConfig rc;
-  rc.racks = 1;
-  rc.servers_per_rack = 2;
-  rc.clients_per_rack = 0;
-  const Cluster cluster = build_multi_rack(rc);
-  Network net(sim, cluster.topo);
+  const Cluster cluster;
+  Network net;
   Stager a, b;
-  net.attach(cluster.servers[0], a);
-  net.attach(cluster.servers[1], b);
-  sim.run();
-  // Publish, then clear the buffer and refill it before delivery.
+};
+
+TEST(ViewBodiedPayload, MemoRefillsOnceItsBatchIsDelivered) {
+  StagerPair w;
+  w.b.keep = false;
+  const void* const block = w.a.memo.raw();
+  for (const std::size_t n : {std::size_t{100}, std::size_t{40}}) {
+    w.a.staging = numbered(n);
+    const std::uint64_t before = canopus::bench::heap_allocations();
+    w.a.publish(w.dst());
+    EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u)
+        << n << " requests";
+    EXPECT_EQ(w.a.memo.raw(), block);
+    EXPECT_EQ(w.a.memo.wire_bytes(), 24 + kv::kRequestWire * n);
+    w.sim.run();
+  }
+  EXPECT_EQ(w.b.received, 2u);
+  EXPECT_TRUE(w.b.received_numbered);
+}
+
+TEST(ViewBodiedPayload, DeliveredBodySurvivesItsStagingBuffer) {
+  StagerPair w;
+  Stager& a = w.a;
+  Stager& b = w.b;
+  // Publish, then clear the buffer and refill it before delivery: the
+  // first batch is still in flight, so the second takes a new block.
   a.staging = numbered(100);
   const std::size_t capacity = a.staging.capacity();
-  a.publish(cluster.servers[1]);
+  a.publish(w.dst());
   a.staging.clear();
   EXPECT_EQ(a.staging.capacity(), capacity);
   a.staging.assign(100, kv::Request{});
-  a.publish(cluster.servers[1]);
+  const std::uint64_t before = canopus::bench::heap_allocations();
+  a.publish(w.dst());
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 1u);
   a.staging.assign(100, numbered(1)[0]);
-  sim.run();
+  w.sim.run();
   ASSERT_EQ(b.delivered.size(), 2u);
+  EXPECT_NE(b.delivered[0].raw(), b.delivered[1].raw());
   const auto* first = b.delivered[0].as<kv::ClientBatch>();
   const auto* second = b.delivered[1].as<kv::ClientBatch>();
   ASSERT_NE(first, nullptr);

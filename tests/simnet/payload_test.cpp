@@ -1,7 +1,7 @@
 // The typed message bus (simnet/payload.h): tag dispatch, the closed tag
 // registry, the wire size each payload records at publication, the
 // shared-allocation broadcast semantics that Canopus proposals rely on, and
-// the sole holder's in-place rewrite.
+// the sole holder's in-place rewrite and body refill.
 //
 // This TU carries the counting allocation hook (bench/alloc_count.h), which
 // must be the binary's only definition of the global allocation functions.
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -245,8 +246,8 @@ TEST(PayloadRewrite, RefusesAWrongTagAndTheEmptyPayload) {
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.wire_bytes(), 0u);
 
-  // A view-bodied body cannot grow inside its block, and a probe's size is
-  // its sender's: neither compiles.
+  // A view-bodied body refills through rewrite_body, which checks its
+  // block's capacity, and a probe's size is its sender's: neither compiles.
   static_assert(Rewritable<raft::WireMsg> && Rewritable<zab::Ack>);
   static_assert(none_rewritable(
       TypeList<kv::ClientBatch, kv::ReplyBatch, zab::Forward,
@@ -313,6 +314,118 @@ TEST(PayloadRewrite, RewritesAfterAnotherThreadDropsItsCopy) {
   EXPECT_EQ(seen_zxid, 9u);
   EXPECT_EQ(owner.as<raft::WireMsg>()->term, 4u);
   EXPECT_EQ(owner.wire_bytes(), 64u);
+}
+
+/// `n` requests whose keys are `first`, first + 1, ...
+std::vector<kv::Request> requests(std::size_t n, std::uint64_t first) {
+  std::vector<kv::Request> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i].key = first + i;
+  return v;
+}
+
+/// The keys of the requests a ClientBatch payload carries.
+std::vector<std::uint64_t> keys_of(const Payload& p) {
+  std::vector<std::uint64_t> keys;
+  for (const kv::Request& r : p.as<kv::ClientBatch>()->reqs)
+    keys.push_back(r.key);
+  return keys;
+}
+
+TEST(PayloadRewriteBody, RefusesAndLeavesThePayloadUntouched) {
+  const std::vector<kv::Request> sent = requests(3, 10);
+  Payload p = Payload::with_body<kv::ClientBatch>(sent);
+  const void* const block = p.raw();
+  const std::vector<std::uint64_t> keys{10, 11, 12};
+  const auto untouched = [&] {
+    EXPECT_EQ(p.raw(), block);
+    EXPECT_EQ(p.tag(), PayloadTag::kKvClientBatch);
+    EXPECT_EQ(p.wire_bytes(), 24u + 40 * 3);
+    EXPECT_EQ(keys_of(p), keys);
+  };
+  const std::vector<kv::Request> shorter = requests(1, 20);
+  {
+    const Message in_flight(1, 2, p);
+    EXPECT_FALSE(p.rewrite_body<kv::ClientBatch>(shorter));
+    untouched();
+  }
+  // One element past the block's capacity.
+  EXPECT_FALSE(p.rewrite_body<kv::ClientBatch>(requests(4, 20)));
+  untouched();
+  // Same element type, another tag.
+  EXPECT_FALSE(p.rewrite_body<zab::Forward>(shorter));
+  EXPECT_FALSE(p.rewrite_body<kv::ReplyBatch>({}));
+  untouched();
+
+  Payload empty;
+  EXPECT_FALSE(empty.rewrite_body<kv::ClientBatch>(shorter));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.raw(), nullptr);
+  EXPECT_EQ(empty.wire_bytes(), 0u);
+
+  // The in-flight copy is gone: the same body now refills the block.
+  EXPECT_TRUE(p.rewrite_body<kv::ClientBatch>(shorter));
+  EXPECT_EQ(p.raw(), block);
+  EXPECT_EQ(keys_of(p), std::vector<std::uint64_t>{20});
+}
+
+TEST(PayloadRewriteBody, RefillsAShorterThenALongerBodyInItsBlock) {
+  Payload p = Payload::with_body<kv::ClientBatch>(requests(4, 0));
+  const void* const block = p.raw();
+  const std::vector<kv::Request> one = requests(1, 100);
+  const std::vector<kv::Request> four = requests(4, 200);
+
+  std::uint64_t before = canopus::bench::heap_allocations();
+  ASSERT_TRUE(p.rewrite_body<kv::ClientBatch>(one));
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
+  EXPECT_EQ(p.raw(), block);
+  EXPECT_EQ(p.wire_bytes(), 24u + 40 * 1);
+  EXPECT_EQ(keys_of(p), std::vector<std::uint64_t>{100});
+  // Longer again, up to the capacity with_body gave the block.
+  before = canopus::bench::heap_allocations();
+  ASSERT_TRUE(p.rewrite_body<kv::ClientBatch>(four));
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
+  EXPECT_EQ(p.raw(), block);
+  EXPECT_EQ(p.wire_bytes(), 24u + 40 * 4);
+  EXPECT_EQ(keys_of(p), (std::vector<std::uint64_t>{200, 201, 202, 203}));
+  EXPECT_EQ(Message(1, 2, p).wire_bytes(), 24u + 40 * 4);
+  // The span views the block, not the caller's buffer.
+  EXPECT_NE(p.as<kv::ClientBatch>()->reqs.data(), four.data());
+
+  std::vector<kv::Completion> done(3);
+  done[2].value = 7;
+  Payload r = Payload::with_body<kv::ReplyBatch>(done);
+  const void* const reply_block = r.raw();
+  ASSERT_TRUE(r.rewrite_body<kv::ReplyBatch>(std::span(done).first(1)));
+  EXPECT_EQ(r.raw(), reply_block);
+  EXPECT_EQ(r.wire_bytes(), 24u + 24 * 1);
+  ASSERT_TRUE(r.rewrite_body<kv::ReplyBatch>(done));
+  EXPECT_EQ(r.raw(), reply_block);
+  EXPECT_EQ(r.wire_bytes(), 24u + 24 * 3);
+  EXPECT_EQ(r.as<kv::ReplyBatch>()->done[2].value, 7u);
+}
+
+// RewritesAfterAnotherThreadDropsItsCopy for a body refill: the receiver's
+// reads of the body happen before the owner's copy over it.
+TEST(PayloadRewriteBody, RefillsAfterAnotherThreadDropsItsCopy) {
+  Payload owner = Payload::with_body<kv::ClientBatch>(requests(2, 5));
+  std::uint64_t seen_first = 0;
+  std::uint64_t seen_last = 0;
+  std::thread receiver(
+      [copy = owner, &seen_first, &seen_last]() mutable {
+        const std::span<const kv::Request> reqs =
+            copy.as<kv::ClientBatch>()->reqs;
+        seen_first = reqs.front().key;
+        seen_last = reqs.back().key;
+        copy = Payload();
+      });
+  const std::vector<kv::Request> next = requests(1, 9);
+  while (!owner.rewrite_body<kv::ClientBatch>(next))
+    std::this_thread::yield();
+  receiver.join();
+  EXPECT_EQ(seen_first, 5u);
+  EXPECT_EQ(seen_last, 6u);
+  EXPECT_EQ(keys_of(owner), std::vector<std::uint64_t>{9});
+  EXPECT_EQ(owner.wire_bytes(), 24u + 40);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
+#include <vector>
 
 namespace canopus::simnet {
 namespace {
@@ -171,9 +174,90 @@ TEST(Topology, DcAssignment) {
 }
 
 // --------------------------------------------------------------------------
-// Shard maps + PDES lookahead (ISSUE 6): make_shard_map partitions sites,
-// min_cut_latency is the conservative lookahead between shard pairs.
+// Shard maps + PDES lookahead: make_shard_map partitions sites, and
+// min_cut_matrix is the conservative lookahead between shard pairs.
 // --------------------------------------------------------------------------
+
+/// The reference both scan one route per site pair against: every one of
+/// the n(n-1) routes, hop by hop. Returns the lookahead matrix for `map`,
+/// or nothing when a route breaks make_shard_map's checks (an endpoint in
+/// a foreign shard, or a zero-latency crossing).
+std::optional<std::vector<Time>> all_routes_min_cut(const Topology& t,
+                                                    const ShardMap& map) {
+  const std::size_t k = map.num_shards;
+  std::vector<Time> m(k * k, kTimeInf);
+  for (NodeId s = 0; s < t.num_nodes(); ++s)
+    for (NodeId d = 0; d < t.num_nodes(); ++d) {
+      if (s == d) continue;
+      const Path p = t.path(s, d);
+      if (map.link_shard[p.front()] != map.node_shard[s] ||
+          map.link_shard[p.back()] != map.node_shard[d])
+        return std::nullopt;
+      for (std::size_t h = 0; h + 1 < p.size(); ++h) {
+        const std::uint32_t a = map.link_shard[p[h]];
+        const std::uint32_t b = map.link_shard[p[h + 1]];
+        if (a == b) continue;
+        const Time latency = t.link(p[h]).latency;
+        if (latency <= 0) return std::nullopt;
+        m[a * k + b] = std::min(m[a * k + b], latency);
+      }
+    }
+  return m;
+}
+
+/// make_shard_map(t, requested) and min_cut_matrix over it agree with the
+/// all-routes reference: both reject, or both give the same lookahead.
+void expect_matches_all_routes(const Topology& t, unsigned requested) {
+  ShardMap folded;  // sites round-robin onto shards, by hand
+  folded.num_shards = std::max(
+      1u, std::min(requested, static_cast<unsigned>(t.num_sites())));
+  for (NodeId n = 0; n < t.num_nodes(); ++n)
+    folded.node_shard.push_back(static_cast<std::uint32_t>(t.site_of(n)) %
+                                folded.num_shards);
+  for (LinkId l = 0; l < t.num_links(); ++l)
+    folded.link_shard.push_back(
+        static_cast<std::uint32_t>(t.site_of_link(l)) % folded.num_shards);
+  const std::optional<std::vector<Time>> want = all_routes_min_cut(t, folded);
+  if (!want) {
+    EXPECT_THROW(make_shard_map(t, requested), std::invalid_argument);
+    return;
+  }
+  const ShardMap m = make_shard_map(t, requested);
+  EXPECT_EQ(m.num_shards, folded.num_shards);
+  EXPECT_EQ(m.node_shard, folded.node_shard);
+  EXPECT_EQ(m.link_shard, folded.link_shard);
+  EXPECT_EQ(min_cut_matrix(t, m), *want);
+}
+
+TEST(ShardMap, SitePairScanMatchesTheAllRoutesWalk) {
+  // The 3-rack LAN, unfolded and folded onto 2 shards.
+  const Cluster lan = build_multi_rack({});
+  expect_matches_all_routes(lan.topo, 3);
+  expect_matches_all_routes(lan.topo, 2);
+  // The Table 1 WAN, one shard per site, and its 7 sites on 2 shards.
+  WanConfig wan;
+  wan.servers_per_dc.assign(7, 3);
+  wan.clients_per_dc.assign(7, 5);
+  wan.rtt_ms = table1_rtt_ms();
+  const Cluster geo = build_multi_dc(wan);
+  expect_matches_all_routes(geo.topo, 7);
+  expect_matches_all_routes(geo.topo, 2);
+  // bench_pdes' stress fabric: 20 racks of 40 servers and 10 clients.
+  RackConfig fabric;
+  fabric.racks = 20;
+  fabric.servers_per_rack = 40;
+  fabric.clients_per_rack = 10;
+  const Cluster big = build_multi_rack(fabric);
+  ASSERT_EQ(big.topo.num_nodes(), 1000u);
+  expect_matches_all_routes(big.topo, 4);
+  expect_matches_all_routes(big.topo, 20);
+}
+
+/// min_cut_matrix's entry for shards a -> b.
+Time min_cut(const Topology& t, const ShardMap& m, std::uint32_t a,
+             std::uint32_t b) {
+  return min_cut_matrix(t, m)[a * m.num_shards + b];
+}
 
 TEST(ShardMap, MultiRackClampsToSiteCount) {
   Cluster c = build_multi_rack({});  // 3 racks
@@ -211,9 +295,9 @@ TEST(ShardMap, MultiRackMinCutIsUplinkLatency) {
   for (std::uint32_t a = 0; a < 3; ++a)
     for (std::uint32_t b = 0; b < 3; ++b) {
       if (a == b)
-        EXPECT_EQ(c.topo.min_cut_latency(m, a, b), kTimeInf);  // no crossing
+        EXPECT_EQ(min_cut(c.topo, m, a, b), kTimeInf);  // no crossing
       else
-        EXPECT_EQ(c.topo.min_cut_latency(m, a, b), cfg.uplink_latency);
+        EXPECT_EQ(min_cut(c.topo, m, a, b), cfg.uplink_latency);
     }
 }
 
@@ -239,25 +323,11 @@ TEST(ShardMap, MultiDcMinCutIsWanOneWay) {
            edge(i) - edge(j);
   };
   // IR -> CA: 133/2 ms minus the 0.05 ms edges on both sides.
-  EXPECT_EQ(c.topo.min_cut_latency(m, 0, 1), wan_one_way(0, 1));
-  EXPECT_EQ(c.topo.min_cut_latency(m, 1, 0), wan_one_way(1, 0));
-  EXPECT_EQ(c.topo.min_cut_latency(m, 1, 2), wan_one_way(1, 2));
+  EXPECT_EQ(min_cut(c.topo, m, 0, 1), wan_one_way(0, 1));
+  EXPECT_EQ(min_cut(c.topo, m, 1, 0), wan_one_way(1, 0));
+  EXPECT_EQ(min_cut(c.topo, m, 1, 2), wan_one_way(1, 2));
   // WAN lookahead dwarfs the rack fabric's: tens of milliseconds.
-  EXPECT_GT(c.topo.min_cut_latency(m, 0, 1), 60 * kMillisecond);
-}
-
-TEST(ShardMap, MinCutMatrixMatchesPairwiseScan) {
-  WanConfig cfg;
-  cfg.servers_per_dc = {2, 2, 2, 2};
-  cfg.rtt_ms = table1_rtt_ms();
-  Cluster c = build_multi_dc(cfg);
-  ShardMap m = make_shard_map(c.topo, 4);
-  const std::vector<Time> mat = min_cut_matrix(c.topo, m);
-  ASSERT_EQ(mat.size(), 16u);
-  for (std::uint32_t a = 0; a < 4; ++a)
-    for (std::uint32_t b = 0; b < 4; ++b)
-      EXPECT_EQ(mat[a * 4 + b], c.topo.min_cut_latency(m, a, b))
-          << a << "->" << b;
+  EXPECT_GT(min_cut(c.topo, m, 0, 1), 60 * kMillisecond);
 }
 
 TEST(ShardMap, FoldedMapKeepsPositiveLookaheadBetweenDistinctShards) {
@@ -287,6 +357,7 @@ TEST(ShardMap, ZeroLatencyCrossingIsRejected) {
   t.add_node(/*site=*/0, l0, a_down);
   t.add_node(/*site=*/1, b_up, l1);  // path a -> b is {l0, l1}
   EXPECT_THROW(make_shard_map(t, 2), std::invalid_argument);
+  expect_matches_all_routes(t, 2);
   // The same wiring with a positive crossing latency is accepted.
   Topology ok;
   const LinkId k0 = ok.add_link(500, gbps(10.0), 0);
@@ -296,7 +367,8 @@ TEST(ShardMap, ZeroLatencyCrossingIsRejected) {
   ok.add_node(0, k0, oa_down);
   ok.add_node(1, ob_up, k1);
   ShardMap m = make_shard_map(ok, 2);
-  EXPECT_EQ(ok.min_cut_latency(m, 0, 1), 500);
+  EXPECT_EQ(min_cut(ok, m, 0, 1), 500);
+  expect_matches_all_routes(ok, 2);
 }
 
 TEST(ShardMap, ForeignPathEndpointIsRejected) {
@@ -311,6 +383,20 @@ TEST(ShardMap, ForeignPathEndpointIsRejected) {
   t.add_node(0, wrong, a_down);
   t.add_node(1, b_up, b_down);
   EXPECT_THROW(make_shard_map(t, 2), std::invalid_argument);
+  expect_matches_all_routes(t, 2);
+}
+
+TEST(ShardMap, SiteSplitAcrossShardsIsRejected) {
+  // Two nodes of one rack in different shards, each with its NIC links in
+  // its own shard: the route between them crosses, which one route per
+  // site pair cannot see, so the lookahead scan refuses the map.
+  Cluster c = build_multi_rack({});
+  ShardMap m = make_shard_map(c.topo, 3);
+  const NodeId moved = c.servers[0];
+  m.node_shard[moved] = 1;
+  m.link_shard[c.topo.uplink(moved)] = 1;
+  m.link_shard[c.topo.downlink(moved)] = 1;
+  EXPECT_THROW(min_cut_matrix(c.topo, m), std::invalid_argument);
 }
 
 }  // namespace

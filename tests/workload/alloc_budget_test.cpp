@@ -22,14 +22,14 @@ namespace {
 
 struct Budget {
   System system;
-  double allocs_per_write;  ///< measured 22.83, 2.30, 3.40 and 3.83
+  double allocs_per_write;  ///< measured 20.84, 0.38, 1.26 and 2.67
 };
 
 constexpr Budget kBudgets[] = {
-    {System::kCanopus, 25.0},
-    {System::kRaft, 2.55},
-    {System::kZab, 3.75},
-    {System::kEPaxos, 4.2},
+    {System::kCanopus, 23.0},
+    {System::kRaft, 0.42},
+    {System::kZab, 1.4},
+    {System::kEPaxos, 2.95},
 };
 
 struct Sample {
