@@ -132,7 +132,7 @@ void BM_PayloadBroadcastFanout(benchmark::State& state) {
   // Re-addressing a fetched proposal to 26 peers: must copy pointers, not
   // the 1000-request write set.
   canopus::proto::Proposal p;
-  p.writes = std::make_shared<const canopus::proto::WriteSet>(
+  p.writes = canopus::proto::WriteSet::leaf(
       std::vector<canopus::kv::Request>(1000));
   simnet::Message fetched(0, 1, std::move(p));
   for (auto _ : state) {

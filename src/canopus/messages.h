@@ -10,8 +10,13 @@
 // (§5); only write requests ride in proposals.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,39 +36,119 @@ struct MembershipUpdate {
                          const MembershipUpdate&) = default;
 };
 
+struct Proposal;
+
 /// The ordered write requests a proposal carries, immutable once built. A
-/// leaf set owns its batch; a merged set holds its inputs' sets in merge
-/// order, so a §4.2 merge copies pointers, not requests (a rope: Boehm,
-/// Atkinson & Plass, "Ropes: an Alternative to Strings", 1995). Every node
-/// of a deployment shares the sets it received, and a retained cycle holds
-/// only pointers to them.
+/// leaf set holds one node's round-1 batch; a merged set holds its inputs'
+/// sets in merge order, so a §4.2 merge copies handles, not requests (a
+/// rope: Boehm, Atkinson & Plass, "Ropes: an Alternative to Strings",
+/// 1995). Every node of a deployment shares the sets it received, and a
+/// retained cycle holds only handles to them.
+///
+/// A set is ONE heap block: this 16-byte header (holder count, part count,
+/// write count), then the leaf's requests or the merged set's part
+/// handles. Sets cross threads inside proposals (PDES shards, the threaded
+/// backend), so the last holder may drop on another thread than the
+/// builder; the count is simnet::HolderCount, the one Payload's block uses.
+/// Nothing rewrites a set once built.
 class WriteSet {
  public:
-  using Ptr = std::shared_ptr<const WriteSet>;
+  /// An 8-byte counted handle; null or one holder of a set.
+  class Ptr {
+   public:
+    Ptr() = default;
+    Ptr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+    Ptr(const Ptr& other) noexcept : set_(other.set_) {
+      if (set_ != nullptr) set_->holders_.add();
+    }
+    Ptr(Ptr&& other) noexcept : set_(std::exchange(other.set_, nullptr)) {}
+    /// Copy and move assignment in one, as Payload's.
+    Ptr& operator=(Ptr other) noexcept {
+      std::swap(set_, other.set_);
+      return *this;
+    }
+    ~Ptr() {
+      if (set_ != nullptr && set_->holders_.drop()) destroy(set_);
+    }
 
-  /// A leaf: owns `batch`.
-  explicit WriteSet(std::vector<kv::Request> batch)
-      : size_(batch.size()), leaf_(std::move(batch)) {}
-  /// A merge: `parts` concatenated in order.
-  explicit WriteSet(std::vector<Ptr> parts) : parts_(std::move(parts)) {
-    for (const Ptr& p : parts_) size_ += p->size();
+    const WriteSet* get() const { return set_; }
+    const WriteSet* operator->() const { return set_; }
+    const WriteSet& operator*() const { return *set_; }
+    explicit operator bool() const { return set_ != nullptr; }
+    friend bool operator==(const Ptr& p, std::nullptr_t) {
+      return p.set_ == nullptr;
+    }
+
+   private:
+    friend class WriteSet;
+    friend Ptr merge_writes(std::span<const Proposal* const> inputs);
+    /// Adopts a new set's first holder.
+    explicit Ptr(WriteSet* set) : set_(set) {}
+
+    WriteSet* set_ = nullptr;
+  };
+
+  /// A leaf: a copy of `writes`.
+  static Ptr leaf(std::span<const kv::Request> writes) {
+    static_assert(std::is_trivially_copyable_v<kv::Request>);
+    WriteSet* const set = allocate<kv::Request>(writes.size(), writes.size());
+    std::uninitialized_copy(writes.begin(), writes.end(),
+                            static_cast<kv::Request*>(set->tail()));
+    return Ptr(set);
   }
 
   std::size_t size() const { return size_; }
   /// The inputs of a merged set, in merge order; empty for a leaf.
-  const std::vector<Ptr>& parts() const { return parts_; }
+  std::span<const Ptr> parts() const { return tail_as<const Ptr>(parts_); }
 
   /// Appends every write, in order, to `out`.
   void append_to(std::vector<kv::Request>& out) const {
-    out.insert(out.end(), leaf_.begin(), leaf_.end());
-    for (const Ptr& p : parts_) p->append_to(out);
+    const auto own = tail_as<const kv::Request>(parts_ == 0 ? size_ : 0);
+    out.insert(out.end(), own.begin(), own.end());
+    for (const Ptr& p : parts()) p->append_to(out);
   }
 
  private:
-  std::size_t size_ = 0;
-  std::vector<kv::Request> leaf_;
-  std::vector<Ptr> parts_;
+  friend Ptr merge_writes(std::span<const Proposal* const> inputs);
+
+  WriteSet(std::size_t size, std::uint32_t parts)
+      : parts_(parts), size_(size) {}
+
+  /// A set of `size` writes, in one block with room behind the header
+  /// for `n` E: a leaf's requests, or a merged set's parts. The caller
+  /// constructs them.
+  template <class E>
+  static WriteSet* allocate(std::size_t n, std::size_t size) {
+    static_assert(alignof(E) <= alignof(WriteSet));
+    constexpr bool merged = std::is_same_v<E, Ptr>;
+    assert(!merged || n <= UINT32_MAX);
+    return ::new (::operator new(sizeof(WriteSet) + n * sizeof(E)))
+        WriteSet(size, merged ? static_cast<std::uint32_t>(n) : 0);
+  }
+
+  /// Where the block's tail starts: the leaf's requests or the merged
+  /// set's parts.
+  void* tail() const { return const_cast<WriteSet*>(this) + 1; }
+  /// The `n` E built in the tail (none for n == 0).
+  template <class E>
+  std::span<E> tail_as(std::size_t n) const {
+    if (n == 0) return {};
+    return {std::launder(static_cast<E*>(tail())), n};
+  }
+
+  /// Ends each part's handle, then frees the block.
+  static void destroy(WriteSet* set) noexcept {
+    std::ranges::destroy(set->tail_as<Ptr>(set->parts_));
+    set->~WriteSet();
+    ::operator delete(set);
+  }
+
+  simnet::HolderCount holders_;
+  std::uint32_t parts_;  ///< in the padding after holders_
+  std::size_t size_;
 };
+static_assert(sizeof(WriteSet) == 16);
+static_assert(sizeof(WriteSet::Ptr) == 8);
 
 struct Proposal {
   CycleId cycle = 0;
@@ -98,22 +183,25 @@ struct Proposal {
 
 /// The write set of a merge of `inputs`, given in merge order: null when
 /// every input is empty, the one non-empty input's own set when there is
-/// exactly one, else a merged set over the non-empty inputs' sets.
+/// exactly one (neither allocates), else a merged set whose block holds
+/// the non-empty inputs' handles.
 inline WriteSet::Ptr merge_writes(std::span<const Proposal* const> inputs) {
   std::size_t nonempty = 0;
+  std::size_t total = 0;
   const Proposal* only = nullptr;
   for (const Proposal* p : inputs) {
     if (p->write_count() == 0) continue;
     ++nonempty;
+    total += p->write_count();
     only = p;
   }
   if (nonempty <= 1) return only != nullptr ? only->writes : nullptr;
-  std::vector<WriteSet::Ptr> parts;
-  parts.reserve(nonempty);
+  WriteSet* const set = WriteSet::allocate<WriteSet::Ptr>(nonempty, total);
+  auto* part = static_cast<WriteSet::Ptr*>(set->tail());
   for (const Proposal* p : inputs) {
-    if (p->write_count() != 0) parts.push_back(p->writes);
+    if (p->write_count() != 0) ::new (part++) WriteSet::Ptr(p->writes);
   }
-  return std::make_shared<const WriteSet>(std::move(parts));
+  return WriteSet::Ptr(set);
 }
 
 /// Representative -> remote emulator: "send me the state of `vnode` for

@@ -280,9 +280,14 @@ CanopusNode::CycleState& CanopusNode::cycle(CycleId c) {
     return cycles_.insert(std::move(spare_cycle_)).position->second;
   }
   CycleState& cs = cycles_[c];
-  const auto h = static_cast<std::size_t>(lot_->height());
-  cs.acc.resize(h + 1);
-  cs.state.resize(h + 1);
+  const int h = lot_->height();
+  cs.acc.resize(static_cast<std::size_t>(h) + 1);
+  cs.state.resize(static_cast<std::size_t>(h) + 1);
+  // add_proposal keeps at most one proposal per child vnode, so no round's
+  // list outgrows its fan-in.
+  for (int r = 1; r <= h; ++r)
+    cs.acc[static_cast<std::size_t>(r)].reserve(
+        lot_->children(lot_->ancestor(node_id(), r)).size());
   return cs;
 }
 
@@ -339,18 +344,16 @@ void CanopusNode::start_cycle(CycleId c) {
   // next cycle drains a larger backlog, producing larger proposals, which
   // slow the cycle further. With it, overload degrades gracefully into
   // client-visible queueing delay.
-  // The batch is an exact-size copy; pending_writes_ keeps its capacity for
-  // the next cycle. The cycle takes pending_reads_'s buffer, and a spare
-  // one takes its place.
-  std::vector<kv::Request> batch;
+  // The leaf write set copies the batch out of pending_writes_, which keeps
+  // its capacity for the next cycle. The cycle takes pending_reads_'s
+  // buffer, and a spare one takes its place.
+  const std::size_t n = std::min(pending_writes_.size(), cfg_.max_batch);
   std::vector<PendingRead> later = take_read_buffer();
-  if (pending_writes_.size() <= cfg_.max_batch) {
-    batch.assign(pending_writes_.begin(), pending_writes_.end());
+  proto::WriteSet::Ptr batch;
+  if (n != 0) batch = proto::WriteSet::leaf({pending_writes_.data(), n});
+  if (n == pending_writes_.size()) {
     pending_writes_.clear();
   } else {
-    batch.assign(pending_writes_.begin(),
-                 pending_writes_.begin() +
-                     static_cast<std::ptrdiff_t>(cfg_.max_batch));
     pending_writes_.erase(pending_writes_.begin(),
                           pending_writes_.begin() +
                               static_cast<std::ptrdiff_t>(cfg_.max_batch));
@@ -369,9 +372,8 @@ void CanopusNode::start_cycle(CycleId c) {
     pending_reads_.resize(now);
   }
   cs.reads = std::exchange(pending_reads_, std::move(later));
-  cs.own_writes = batch.size();
-  empty_streak_ =
-      batch.empty() && cs.reads.empty() ? empty_streak_ + 1 : 0;
+  cs.own_writes = n;
+  empty_streak_ = n == 0 && cs.reads.empty() ? empty_streak_ + 1 : 0;
 
   proto::Proposal p;
   p.cycle = c;
@@ -379,8 +381,7 @@ void CanopusNode::start_cycle(CycleId c) {
   p.vnode = lot_->leaf_of(node_id());
   p.number = rng()();
   p.tiebreak = node_id();
-  if (!batch.empty())
-    p.writes = std::make_shared<const proto::WriteSet>(std::move(batch));
+  p.writes = std::move(batch);
   p.membership = std::move(pending_membership_);
   pending_membership_.clear();
 

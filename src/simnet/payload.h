@@ -28,7 +28,9 @@
 // decrement, and both rewrites read the count with an acquire load, so
 // those reads happen before the rewrite's writes, and ThreadSanitizer sees
 // the edge. shared_ptr::use_count() is only a relaxed load, and
-// make_shared<const T> makes any write through it undefined.
+// make_shared<const T> makes any write through it undefined. The count is
+// a HolderCount, the one type Canopus write sets (canopus/messages.h)
+// embed too: they cross threads inside proposals the same way.
 //
 // A message with a variable-length body (a client batch, a reply batch, a
 // forwarded write batch) is a *view-bodied* type: a header whose
@@ -150,6 +152,55 @@ template <ViewBodiedPayload H>
 using PayloadBody = std::remove_cvref_t<decltype(std::declval<const H&>().*
                                                  PayloadTraits<H>::body)>;
 
+/// The holder count of a heap block that is shared across threads and
+/// immutable while shared: a Payload's block, and a Canopus write set
+/// (canopus/messages.h). It starts at one holder, the block's builder.
+/// The last holder to drop may be on another thread than the one that
+/// built the block (the threaded backend, or a PDES shard), after reading
+/// the value there.
+class HolderCount {
+ public:
+  // While the process has one thread, no other thread can hold a copy,
+  // so the count takes a plain read-modify-write, as libstdc++'s
+  // shared_ptr does; the serial simulator never pays for a locked one.
+  void add() noexcept {
+    if (one_thread())
+      n_.store(n_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+    else
+      n_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// True when the dropped holder was the last. acq_rel: a release for
+  /// the holder that rewrites after this drop (see sole), and an acquire
+  /// for the one that destroys the value.
+  bool drop() noexcept {
+    if (one_thread()) {
+      const std::uint32_t left = n_.load(std::memory_order_relaxed) - 1;
+      n_.store(left, std::memory_order_relaxed);
+      return left == 0;
+    }
+    return n_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+  /// True when the caller is the only holder. Acquire: every other
+  /// holder's reads of the value happened before its release decrement,
+  /// so they happen before whatever the sole holder writes next.
+  bool sole() const noexcept {
+    return n_.load(std::memory_order_acquire) == 1;
+  }
+
+ private:
+  static bool one_thread() noexcept {
+#if __has_include(<sys/single_threaded.h>)
+    return ::__libc_single_threaded != 0;
+#else
+    return false;
+#endif
+  }
+
+  std::atomic<std::uint32_t> n_{1};
+};
+static_assert(sizeof(HolderCount) == 4);
+
 /// A detached, shareable, typed-but-erased message body. The common
 /// currency of Network, the reliable-broadcast substrates, and the raft
 /// replicated log.
@@ -198,7 +249,7 @@ class Payload {
 
   Payload(const Payload& other) noexcept
       : tag_(other.tag_), bytes_(other.bytes_), value_(other.value_) {
-    if (value_ != nullptr) block()->add_holder();
+    if (value_ != nullptr) block()->holders.add();
   }
   Payload(Payload&& other) noexcept
       : tag_(std::exchange(other.tag_, PayloadTag::kInvalid)),
@@ -213,7 +264,7 @@ class Payload {
     return *this;
   }
   ~Payload() {
-    if (value_ != nullptr && block()->drop_holder()) block()->destroy(block());
+    if (value_ != nullptr && block()->holders.drop()) block()->destroy(block());
   }
 
   /// Returns the value if it carries tag T, else nullptr. One integer
@@ -234,10 +285,7 @@ class Payload {
   template <class T, std::invocable<T&> F>
     requires(SizedPayload<T> && !ViewBodiedPayload<T>)
   bool rewrite(F&& edit) {
-    // Acquire: every other holder's reads of the value happened before
-    // its release decrement, so they happen before this rewrite.
-    if (tag_ != PayloadTraits<T>::tag ||
-        block()->holders.load(std::memory_order_acquire) != 1)
+    if (tag_ != PayloadTraits<T>::tag || !block()->holders.sole())
       return false;
     T* const value = value_of<T>();
     std::forward<F>(edit)(*value);
@@ -253,9 +301,7 @@ class Payload {
   /// stays the same. `body` must not view this payload's own block.
   template <ViewBodiedPayload H>
   bool rewrite_body(PayloadBody<H> body) {
-    // Acquire, as in rewrite.
-    if (tag_ != PayloadTraits<H>::tag ||
-        block()->holders.load(std::memory_order_acquire) != 1 ||
+    if (tag_ != PayloadTraits<H>::tag || !block()->holders.sole() ||
         body_at<H>() + body.size_bytes() > block()->capacity)
       return false;
     fill<H>(body);
@@ -281,36 +327,7 @@ class Payload {
         : capacity(value_bytes), destroy(d) {}
     void* value() { return this + 1; }
 
-    // While the process has one thread, no other thread can hold a copy,
-    // so the count takes a plain read-modify-write, as libstdc++'s
-    // shared_ptr does; the serial simulator never pays for a locked one.
-    void add_holder() {
-      if (one_thread())
-        holders.store(holders.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-      else
-        holders.fetch_add(1, std::memory_order_relaxed);
-    }
-    /// True when the dropped holder was the last. acq_rel: a release for
-    /// the holder that rewrites after this drop (see rewrite), and an
-    /// acquire for the one that destroys the value.
-    bool drop_holder() {
-      if (one_thread()) {
-        const std::uint32_t left = holders.load(std::memory_order_relaxed) - 1;
-        holders.store(left, std::memory_order_relaxed);
-        return left == 0;
-      }
-      return holders.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    }
-    static bool one_thread() {
-#if __has_include(<sys/single_threaded.h>)
-      return ::__libc_single_threaded != 0;
-#else
-      return false;
-#endif
-    }
-
-    std::atomic<std::uint32_t> holders{1};
+    HolderCount holders;
     /// Bytes behind the head, in the padding after holders: what
     /// rewrite_body may refill.
     const std::uint32_t capacity;

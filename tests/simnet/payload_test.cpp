@@ -135,8 +135,7 @@ TEST(PayloadTest, TagUniquenessAcrossAllRegisteredPayloads) {
 
 TEST(PayloadTest, CopyingAPayloadSharesOneAllocation) {
   proto::Proposal prop;
-  prop.writes = std::make_shared<const proto::WriteSet>(
-      std::vector<kv::Request>(1000));
+  prop.writes = proto::WriteSet::leaf(std::vector<kv::Request>(1000));
   Payload a(std::move(prop));
   Payload b = a;          // fan-out copy
   Payload c = b;          // second hop
@@ -152,8 +151,7 @@ TEST(PayloadTest, ReaddressedBroadcastSharesOnePayloadAllocation) {
   // to each super-leaf peer; all N messages must point at the same value.
   proto::Proposal prop;
   prop.cycle = 3;
-  prop.writes = std::make_shared<const proto::WriteSet>(
-      std::vector<kv::Request>(512));
+  prop.writes = proto::WriteSet::leaf(std::vector<kv::Request>(512));
   Message fetched(10, 20, prop);
   std::vector<Message> rebroadcast;
   for (NodeId peer = 21; peer <= 23; ++peer)
