@@ -165,30 +165,21 @@ EmulationTable::EmulationTable(const Lot& lot)
     : lot_(&lot),
       live_(lot.num_pnodes(), true),
       live_count_(lot.num_pnodes()),
-      // Everyone starts live, so the caches are simply the static columns.
-      emulators_valid_(lot.num_vnodes(), true),
-      members_valid_(lot.num_super_leaves(), true) {
+      // Everyone starts live, so the cache is simply the static columns.
+      emulators_valid_(lot.num_vnodes(), true) {
   emulators_cache_.reserve(lot.num_vnodes());
   for (VnodeId v = 0; v < lot.num_vnodes(); ++v)
     emulators_cache_.push_back(lot.descendants(v));
-  members_cache_.reserve(lot.num_super_leaves());
-  for (std::size_t sl = 0; sl < lot.num_super_leaves(); ++sl)
-    members_cache_.push_back(lot.super_leaf_members(static_cast<int>(sl)));
 }
 
 bool EmulationTable::is_live(NodeId pnode) const { return live_[slot(pnode)]; }
-
-void EmulationTable::invalidate_caches() {
-  emulators_valid_.assign(emulators_valid_.size(), false);
-  members_valid_.assign(members_valid_.size(), false);
-}
 
 void EmulationTable::remove(NodeId pnode) {
   const std::size_t s = slot(pnode);
   if (live_[s]) {
     live_[s] = false;
     --live_count_;
-    invalidate_caches();
+    emulators_valid_.assign(emulators_valid_.size(), false);
   }
 }
 
@@ -197,7 +188,7 @@ void EmulationTable::add(NodeId pnode) {
   if (!live_[s]) {
     live_[s] = true;
     ++live_count_;
-    invalidate_caches();
+    emulators_valid_.assign(emulators_valid_.size(), false);
   }
 }
 
@@ -208,18 +199,6 @@ const std::vector<NodeId>& EmulationTable::emulators(VnodeId v) const {
     for (NodeId p : lot_->descendants(v))
       if (live_[slot(p)]) out.push_back(p);
     emulators_valid_[v] = true;
-  }
-  return out;
-}
-
-const std::vector<NodeId>& EmulationTable::live_members(int sl) const {
-  const auto i = static_cast<std::size_t>(sl);
-  std::vector<NodeId>& out = members_cache_[i];
-  if (!members_valid_[i]) {
-    out.clear();
-    for (NodeId p : lot_->super_leaf_members(sl))
-      if (live_[slot(p)]) out.push_back(p);
-    members_valid_[i] = true;
   }
   return out;
 }

@@ -118,23 +118,17 @@ class EmulationTable {
   void remove(NodeId pnode);
   void add(NodeId pnode);
 
-  /// Live members of a super-leaf, in pnode order. Cached like emulators().
-  const std::vector<NodeId>& live_members(int sl) const;
-
   std::size_t live_count() const { return live_count_; }
 
  private:
   std::size_t slot(NodeId pnode) const { return lot_->pnode_slot(pnode); }
-  void invalidate_caches();
 
   const Lot* lot_;
   std::vector<bool> live_;  // dense by pnode slot
   std::size_t live_count_ = 0;
-  // Lazily rebuilt caches; a liveness change (rare) flips the valid bits.
-  mutable std::vector<std::vector<NodeId>> emulators_cache_;   // by vnode
+  // Lazily rebuilt cache; a liveness change (rare) clears the valid bits.
+  mutable std::vector<std::vector<NodeId>> emulators_cache_;  // by vnode
   mutable std::vector<bool> emulators_valid_;
-  mutable std::vector<std::vector<NodeId>> members_cache_;     // by super-leaf
-  mutable std::vector<bool> members_valid_;
 };
 
 }  // namespace canopus::lot

@@ -56,14 +56,8 @@ void CanopusNode::crash() {
   crashed_ = true;
   joining_ = false;
   if (rb_) rb_->stop();
-  if (pipeline_timer_ != simnet::kInvalidEvent) {
-    sim().cancel(pipeline_timer_);
-    pipeline_timer_ = simnet::kInvalidEvent;
-  }
-  if (join_timer_ != simnet::kInvalidEvent) {
-    sim().cancel(join_timer_);
-    join_timer_ = simnet::kInvalidEvent;
-  }
+  sim().cancel(std::exchange(pipeline_timer_, simnet::kInvalidEvent));
+  sim().cancel(std::exchange(join_timer_, simnet::kInvalidEvent));
 }
 
 void CanopusNode::recover() {
@@ -88,10 +82,7 @@ void CanopusNode::enter_joining() {
   cycles_.clear();
   prompted_ = false;
   empty_streak_ = 0;
-  if (pipeline_timer_ != simnet::kInvalidEvent) {
-    sim().cancel(pipeline_timer_);
-    pipeline_timer_ = simnet::kInvalidEvent;
-  }
+  sim().cancel(std::exchange(pipeline_timer_, simnet::kInvalidEvent));
   send_join_request();
 }
 
@@ -181,10 +172,7 @@ void CanopusNode::send_join_ack(NodeId joiner, CycleId snapshot_cycle,
 
 void CanopusNode::handle_join_ack(const proto::JoinAck& ack) {
   if (!joining_) return;
-  if (join_timer_ != simnet::kInvalidEvent) {
-    sim().cancel(join_timer_);
-    join_timer_ = simnet::kInvalidEvent;
-  }
+  sim().cancel(std::exchange(join_timer_, simnet::kInvalidEvent));
   joining_ = false;
   // Install the sponsor's committed state (through snapshot_cycle); our
   // digest chain continues the sponsor's exactly.
@@ -263,13 +251,17 @@ void CanopusNode::answer_read(const kv::Request& r) {
 // --------------------------------------------------------------------------
 
 void CanopusNode::CycleState::reset() {
-  // Every field starts from its default, except that `acc` and `state` keep
-  // their capacity. `reads` went back to spare_reads_ at the commit.
+  // Every field starts from its default, except that the lists keep their
+  // capacity. `reads` went back to spare_reads_ at the commit.
   CycleState fresh;
   fresh.acc = std::move(acc);
   fresh.state = std::move(state);
+  fresh.fetches = std::move(fetches);
+  fresh.parked_requests = std::move(parked_requests);
   for (auto& round_acc : fresh.acc) round_acc.clear();
   for (auto& s : fresh.state) s.reset();
+  fresh.fetches.clear();
+  fresh.parked_requests.clear();
   *this = std::move(fresh);
 }
 
@@ -407,7 +399,7 @@ void CanopusNode::start_cycle(CycleId c) {
 }
 
 void CanopusNode::arm_pipeline_timer() {
-  if (pipeline_timer_ != simnet::kInvalidEvent) sim().cancel(pipeline_timer_);
+  sim().cancel(pipeline_timer_);
   pipeline_timer_ = after(cfg_.cycle_interval, [this] {
     pipeline_timer_ = simnet::kInvalidEvent;
     maybe_start_next_cycle(/*timer_fired=*/true);
@@ -445,13 +437,7 @@ void CanopusNode::add_proposal(CycleId c, const proto::Proposal& p) {
   auto& round_acc = cs.acc[p.round];
   if (has_vnode(round_acc, p.vnode)) return;  // duplicate
   round_acc.push_back(p);
-
-  // A satisfied fetch no longer needs its retry timer.
-  if (auto it = cs.fetches.find(p.vnode); it != cs.fetches.end()) {
-    if (it->second.timer != simnet::kInvalidEvent)
-      sim().cancel(it->second.timer);
-    cs.fetches.erase(it);
-  }
+  end_fetch(cs, p.vnode);  // a satisfied fetch needs no retry timer
   try_complete_round(c, p.round);
 }
 
@@ -462,7 +448,7 @@ void CanopusNode::try_complete_round(CycleId c, RoundId r) {
   // rejoined, so a local merge could disagree with the survivors'.
   if (c < own_active_from_) return;
   CycleState& cs = cycle(c);
-  if (cs.complete || cs.rounds_done != r - 1) return;
+  if (cs.rounds_done != r - 1) return;
   const auto& got = cs.acc[r];
 
   if (r == 1) {
@@ -537,7 +523,6 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
   answer_parked(c, r);
 
   if (r == h) {
-    cs.complete = true;
     try_commit();
     return;
   }
@@ -549,11 +534,11 @@ void CanopusNode::complete_round(CycleId c, RoundId r) {
 void CanopusNode::answer_parked(CycleId c, RoundId r) {
   CycleState& cs = cycle(c);
   const VnodeId v = lot_->ancestor(node_id(), static_cast<int>(r));
-  auto it = cs.parked_requests.find(v);
-  if (it == cs.parked_requests.end()) return;
   const proto::Proposal& p = *cs.state[r];
-  for (NodeId dst : it->second) send(dst, p);
-  cs.parked_requests.erase(it);
+  for (const auto& [vnode, dst] : cs.parked_requests)
+    if (vnode == v) send(dst, p);
+  std::erase_if(cs.parked_requests,
+                [v](const auto& parked) { return parked.first == v; });
 }
 
 // --------------------------------------------------------------------------
@@ -575,7 +560,7 @@ bool CanopusNode::is_representative() const { return rep_index() >= 0; }
 
 void CanopusNode::begin_fetches(CycleId c, RoundId r) {
   CycleState& cs = cycle(c);
-  if (cs.rounds_done != r - 1 || cs.complete) return;
+  if (cs.rounds_done != r - 1) return;
   const int idx = rep_index();
   if (idx < 0) return;
 
@@ -583,8 +568,9 @@ void CanopusNode::begin_fetches(CycleId c, RoundId r) {
   const int redundancy = std::min(cfg_.redundant_fetch, k);
 
   for (VnodeId v : lot_->children(lot_->ancestor(node_id(), r))) {
-    if (has_vnode(cs.acc[r], v)) continue;     // already have it
-    if (cs.fetches.contains(v)) continue;      // already fetching
+    if (has_vnode(cs.acc[r], v)) continue;  // already have it
+    if (std::ranges::find(cs.fetches, v, &Fetch::vnode) != cs.fetches.end())
+      continue;  // already fetching
     // Modulo assignment with redundancy (§4.5): vnode v is fetched by
     // representatives (v + j) % k for j in [0, redundancy).
     bool mine = false;
@@ -597,13 +583,14 @@ void CanopusNode::begin_fetches(CycleId c, RoundId r) {
 
 void CanopusNode::issue_fetch(CycleId c, VnodeId v) {
   CycleState& cs = cycle(c);
-  FetchState& fs = cs.fetches[v];
+  auto it = std::ranges::find(cs.fetches, v, &Fetch::vnode);
+  Fetch& f = it != cs.fetches.end() ? *it : cs.fetches.emplace_back(v);
 
   const auto& emulators = emu_.emulators(v);
   if (!emulators.empty()) {
     // Spread across emulators deterministically; retries walk the list.
     const std::size_t pick =
-        (mix(node_id(), v, c) + static_cast<std::size_t>(fs.attempt)) %
+        (mix(node_id(), v, c) + static_cast<std::size_t>(f.attempt)) %
         emulators.size();
     proto::ProposalRequest pr;
     pr.cycle = c;
@@ -614,8 +601,8 @@ void CanopusNode::issue_fetch(CycleId c, VnodeId v) {
   // Whether or not an emulator was available, retry until the state
   // arrives (add_proposal cancels the timer). If every descendant of v is
   // gone, this retries forever: the protocol stalls, as specified (§6).
-  ++fs.attempt;
-  fs.timer = after(cfg_.fetch_timeout, [this, c, v] {
+  ++f.attempt;
+  f.timer = after(cfg_.fetch_timeout, [this, c, v] {
     // The cycle may be gone by now: committed and pruned (a root-state
     // install completes the cycle without touching sibling fetches), or
     // dropped wholesale by enter_joining. Looking it up with cycle() would
@@ -626,13 +613,20 @@ void CanopusNode::issue_fetch(CycleId c, VnodeId v) {
     auto mit = cycles_.find(c);
     if (mit == cycles_.end()) return;  // pruned: stale timer
     CycleState& s = mit->second;
-    auto it = s.fetches.find(v);
-    if (it == s.fetches.end() || s.complete) return;
-    // Keep the FetchState (and its attempt counter) so the retry walks to
-    // the next emulator instead of re-picking the same possibly-dead one.
-    it->second.timer = simnet::kInvalidEvent;
+    auto it = std::ranges::find(s.fetches, v, &Fetch::vnode);
+    if (it == s.fetches.end() || complete(s)) return;
+    // Keep the Fetch (and its attempt counter) so the retry walks to the
+    // next emulator instead of re-picking the same possibly-dead one.
+    it->timer = simnet::kInvalidEvent;
     issue_fetch(c, v);
   });
+}
+
+void CanopusNode::end_fetch(CycleState& cs, VnodeId v) {
+  auto it = std::ranges::find(cs.fetches, v, &Fetch::vnode);
+  if (it == cs.fetches.end()) return;
+  sim().cancel(it->timer);
+  cs.fetches.erase(it);
 }
 
 void CanopusNode::handle_proposal_request(NodeId src,
@@ -653,7 +647,7 @@ void CanopusNode::handle_proposal_request(NodeId src,
     send(src, p);
   } else {
     // §4.7 event 3: buffer the request, answer when the round completes.
-    cs.parked_requests[pr.vnode].push_back(src);
+    cs.parked_requests.emplace_back(pr.vnode, src);
   }
 }
 
@@ -666,15 +660,10 @@ void CanopusNode::handle_fetched_proposal(const proto::Proposal& p) {
   if (p.round > h) {
     if (p.cycle <= last_committed_) return;
     CycleState& rcs = cycle(p.cycle);
-    if (rcs.complete) return;
-    if (auto it = rcs.fetches.find(p.vnode); it != rcs.fetches.end()) {
-      if (it->second.timer != simnet::kInvalidEvent)
-        sim().cancel(it->second.timer);
-      rcs.fetches.erase(it);
-    }
+    if (complete(rcs)) return;
+    end_fetch(rcs, p.vnode);
     rcs.state[h] = p;
     rcs.rounds_done = h;
-    rcs.complete = true;
     try_commit();
     return;
   }
@@ -683,11 +672,7 @@ void CanopusNode::handle_fetched_proposal(const proto::Proposal& p) {
   // redundant representatives dedupe at add_proposal time.
   CycleState& cs = cycle(p.cycle);
   if (has_vnode(cs.acc[p.round], p.vnode)) return;
-  if (auto it = cs.fetches.find(p.vnode); it != cs.fetches.end()) {
-    if (it->second.timer != simnet::kInvalidEvent)
-      sim().cancel(it->second.timer);
-    cs.fetches.erase(it);
-  }
+  end_fetch(cs, p.vnode);
   rb_->broadcast(p);
 }
 
@@ -714,9 +699,9 @@ void CanopusNode::handle_peer_failed(NodeId peer) {
   // The exclusion may unblock round 1 of in-flight cycles, and may promote
   // this node to representative (re-evaluate fetch assignments).
   for (auto& [c, cs] : cycles_) {
-    if (!cs.started || cs.complete || cs.committed) continue;
+    if (!cs.started || complete(cs)) continue;
     try_complete_round(c, cs.rounds_done + 1);
-    if (!cs.complete) begin_fetches(c, cs.rounds_done + 1);
+    if (!complete(cs)) begin_fetches(c, cs.rounds_done + 1);
   }
 }
 
@@ -726,11 +711,10 @@ void CanopusNode::handle_peer_failed(NodeId peer) {
 
 void CanopusNode::try_commit() {
   // §7.1: commits happen strictly in cycle order, regardless of which
-  // cycles completed first.
+  // cycles completed first, so cycle last_committed_ + 1 is never committed.
   while (true) {
     auto it = cycles_.find(last_committed_ + 1);
-    if (it == cycles_.end() || !it->second.complete || it->second.committed)
-      break;
+    if (it == cycles_.end() || !complete(it->second)) break;
     commit_cycle(last_committed_ + 1);
   }
   if (pending_rejoin_) {
@@ -846,7 +830,6 @@ void CanopusNode::commit_cycle(CycleId c) {
       leases_[w.key] = c + cfg_.lease_cycles;
   }
 
-  cs.committed = true;
   last_committed_ = c;
   if (on_commit) on_commit(c, writes);
   prune_history();
@@ -866,9 +849,8 @@ void CanopusNode::prune_history() {
     if (it->first + keep >= last_committed_) break;
     // Commits are strictly in cycle order, so everything this far below
     // last_committed_ is retired — including any uncommitted husk a stale
-    // fetch timer resurrected. Never block on the committed flag here: one
-    // wedged entry would pin every later cycle in memory for the rest of
-    // the run.
+    // fetch timer resurrected. Never block on completeness here: one wedged
+    // entry would pin every later cycle in memory for the rest of the run.
     drop_fetch_timers(it->second);
     spare_cycle_ = cycles_.extract(it);
     spare_cycle_.mapped().reset();
@@ -883,12 +865,8 @@ std::vector<CanopusNode::PendingRead> CanopusNode::take_read_buffer() {
 }
 
 void CanopusNode::drop_fetch_timers(CycleState& cs) {
-  for (auto& [v, fs] : cs.fetches) {
-    if (fs.timer != simnet::kInvalidEvent) {
-      sim().cancel(fs.timer);
-      fs.timer = simnet::kInvalidEvent;
-    }
-  }
+  for (Fetch& f : cs.fetches)
+    sim().cancel(std::exchange(f.timer, simnet::kInvalidEvent));
 }
 
 }  // namespace canopus::core

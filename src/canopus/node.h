@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "canopus/config.h"
@@ -90,15 +91,16 @@ class CanopusNode : public kv::ReplicaNode {
     std::size_t pos = 0;  ///< # own writes buffered before this read
   };
 
-  struct FetchState {
+  /// An outstanding representative fetch of one vnode's state.
+  struct Fetch {
+    VnodeId vnode = 0;
     int attempt = 0;
     simnet::EventId timer = simnet::kInvalidEvent;
   };
 
   struct CycleState {
     bool started = false;
-    bool complete = false;
-    bool committed = false;
+    /// The cycle is complete when rounds_done reaches the LOT height.
     RoundId rounds_done = 0;
     /// acc[r]: child-vnode states consumed by round r, at most one per
     /// vnode, in arrival order (complete_round sorts them).
@@ -113,14 +115,15 @@ class CanopusNode : public kv::ReplicaNode {
     /// # writes globally ordered before this node's own request set —
     /// accumulated during merges, used to position reads.
     std::size_t own_prefix = 0;
-    /// Outstanding representative fetches, keyed by vnode.
-    std::map<VnodeId, FetchState> fetches;
-    /// Remote proposal-requests we could not answer yet (§4.7 event 3).
-    std::map<VnodeId, std::vector<NodeId>> parked_requests;
+    /// Outstanding representative fetches, at most one per vnode.
+    std::vector<Fetch> fetches;
+    /// Remote proposal-requests we could not answer yet (§4.7 event 3), as
+    /// (vnode, requester) in arrival order.
+    std::vector<std::pair<VnodeId, NodeId>> parked_requests;
 
-    /// Returns every field to its default, keeping the capacity of `acc`
-    /// and `state`, so that a pruned cycle's state can serve a later cycle
-    /// (see cycle()).
+    /// Returns every field to its default, keeping the capacity of `acc`,
+    /// `state`, `fetches` and `parked_requests`, so that a pruned cycle's
+    /// state can serve a later cycle (see cycle()).
     void reset();
   };
 
@@ -151,8 +154,13 @@ class CanopusNode : public kv::ReplicaNode {
   void add_proposal(CycleId c, const proto::Proposal& p);
   void try_complete_round(CycleId c, RoundId r);
   void complete_round(CycleId c, RoundId r);
+  bool complete(const CycleState& cs) const {
+    return cs.rounds_done == static_cast<RoundId>(lot_->height());
+  }
   void begin_fetches(CycleId c, RoundId r);
   void issue_fetch(CycleId c, VnodeId v);
+  /// Cancels the retry timer of the fetch of v, if any, and forgets it.
+  void end_fetch(CycleState& cs, VnodeId v);
   void answer_parked(CycleId c, RoundId r);
   void try_commit();
   void commit_cycle(CycleId c);

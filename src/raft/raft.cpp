@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace canopus::raft {
 
@@ -32,19 +33,15 @@ RaftNode::RaftNode(GroupId group, NodeId self, std::vector<NodeId> members,
                    Callbacks cb, Options opt)
     : group_(group),
       self_(self),
-      members_(std::move(members)),
       sim_(sim),
       net_(net),
       cb_(std::move(cb)),
       opt_(opt),
       rng_(derive_seed(derive_seed(sim.seed(), 0x4a47ULL),
                        (std::uint64_t{group} << 32) ^ self)) {
-  assert(std::find(members_.begin(), members_.end(), self_) != members_.end());
-  next_index_.assign(members_.size(), 1);
-  match_index_.assign(members_.size(), 0);
-  sent_up_to_.assign(members_.size(), 0);
-  last_progress_.assign(members_.size(), 0);
-  last_repair_.assign(members_.size(), 0);
+  peers_.reserve(members.size());
+  for (NodeId m : members) peers_.push_back({m});
+  assert(find_peer(self_) != nullptr);
 }
 
 RaftNode::~RaftNode() { stop_timers(); }
@@ -65,14 +62,8 @@ void RaftNode::stop() {
 }
 
 void RaftNode::stop_timers() {
-  if (election_timer_ != simnet::kInvalidEvent) {
-    sim_.cancel(election_timer_);
-    election_timer_ = simnet::kInvalidEvent;
-  }
-  if (heartbeat_timer_ != simnet::kInvalidEvent) {
-    sim_.cancel(heartbeat_timer_);
-    heartbeat_timer_ = simnet::kInvalidEvent;
-  }
+  sim_.cancel(std::exchange(election_timer_, simnet::kInvalidEvent));
+  sim_.cancel(std::exchange(heartbeat_timer_, simnet::kInvalidEvent));
 }
 
 Time RaftNode::time_since_leader_contact() const {
@@ -80,7 +71,7 @@ Time RaftNode::time_since_leader_contact() const {
 }
 
 void RaftNode::reset_election_timer() {
-  if (election_timer_ != simnet::kInvalidEvent) sim_.cancel(election_timer_);
+  sim_.cancel(election_timer_);
   constexpr auto kSpan =
       static_cast<std::uint64_t>(kElectionTimeoutMax - kElectionTimeoutMin);
   const Time timeout =
@@ -94,10 +85,7 @@ void RaftNode::become_follower(Term term) {
     voted_for_ = kInvalidNode;
   }
   role_ = Role::kFollower;
-  if (heartbeat_timer_ != simnet::kInvalidEvent) {
-    sim_.cancel(heartbeat_timer_);
-    heartbeat_timer_ = simnet::kInvalidEvent;
-  }
+  sim_.cancel(std::exchange(heartbeat_timer_, simnet::kInvalidEvent));
   reset_election_timer();
 }
 
@@ -120,27 +108,24 @@ void RaftNode::become_candidate() {
   m.term = term_;
   m.last_log_index = log_.last_index();
   m.last_log_term = log_.last_term();
-  for (NodeId peer : members_) {
-    if (peer != self_) send_wire(peer, m);
+  for (const Peer& p : peers_) {
+    if (p.id != self_) send_wire(p.id, m);
   }
 }
 
 void RaftNode::become_leader(bool append_noop) {
   role_ = Role::kLeader;
   leader_ = self_;
-  if (election_timer_ != simnet::kInvalidEvent) {
-    sim_.cancel(election_timer_);
-    election_timer_ = simnet::kInvalidEvent;
-  }
+  sim_.cancel(std::exchange(election_timer_, simnet::kInvalidEvent));
   if (append_noop) {
     // Raft §5.4.2: entries from prior terms are only committed indirectly,
     // by committing an entry of the current term on top of them.
     log_.append(LogEntry{term_, {}, /*is_noop=*/true, self_});
   }
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    next_index_[i] = log_.last_index() + 1;
-    match_index_[i] = members_[i] == self_ ? log_.last_index() : 0;
-    sent_up_to_[i] = 0;  // nothing sent yet in this term
+  for (Peer& p : peers_) {
+    p.next_index = log_.last_index() + 1;
+    p.match_index = p.id == self_ ? log_.last_index() : 0;
+    p.sent_up_to = 0;  // nothing sent yet in this term
   }
   advance_commit();  // single-member group: the no-op commits immediately
   broadcast_heartbeats();
@@ -148,29 +133,26 @@ void RaftNode::become_leader(bool append_noop) {
 
 void RaftNode::broadcast_heartbeats() {
   if (stopped_ || role_ != Role::kLeader) return;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const NodeId peer = members_[i];
-    if (peer == self_) continue;
-    if (match_index_[i] < log_.last_index() &&
-        sim_.now() - std::max(last_progress_[i], last_repair_[i]) >=
+  for (Peer& p : peers_) {
+    if (p.id == self_) continue;
+    if (p.match_index < log_.last_index() &&
+        sim_.now() - std::max(p.last_progress, p.last_repair) >=
             kRepairTimeout) {
       // The peer made no replication progress for a while: repair with a
       // full retransmit. Merely-slow peers keep advancing match_index and
       // are never retransmitted to — that would only deepen their backlog.
-      last_repair_[i] = sim_.now();
-      send_append(peer);
+      p.last_repair = sim_.now();
+      send_append(p);
     } else {
-      notify_commit(peer);  // pure liveness + commit index
+      notify_commit(p);  // pure liveness + commit index
     }
   }
   heartbeat_timer_ =
       sim_.after(opt_.heartbeat_interval, [this] { broadcast_heartbeats(); });
 }
 
-void RaftNode::send_append(NodeId peer) {
-  const auto pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), peer) - members_.begin());
-  if (next_index_[pos] <= log_.base_index()) {
+void RaftNode::send_append(Peer& peer) {
+  if (peer.next_index <= log_.base_index()) {
     // The entries this peer needs were compacted away: state transfer.
     send_install_snapshot(peer);
     return;
@@ -179,18 +161,15 @@ void RaftNode::send_append(NodeId peer) {
   m.group = group_;
   m.type = MsgType::kAppendEntries;
   m.term = term_;
-  m.prev_log_index = next_index_[pos] - 1;
+  m.prev_log_index = peer.next_index - 1;
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  sent_up_to_[pos] = log_.last_index();
-  send_wire(peer, std::move(m), next_index_[pos], log_.last_index());
+  peer.sent_up_to = log_.last_index();
+  send_wire(peer.id, std::move(m), peer.next_index, log_.last_index());
 }
 
-void RaftNode::send_new_entries(NodeId peer) {
-  const auto pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), peer) - members_.begin());
-  const LogIndex start =
-      std::max(next_index_[pos], sent_up_to_[pos] + 1);
+void RaftNode::send_new_entries(Peer& peer) {
+  const LogIndex start = std::max(peer.next_index, peer.sent_up_to + 1);
   if (start > log_.last_index()) return;  // nothing new on the wire
   if (start <= log_.base_index()) {
     send_install_snapshot(peer);
@@ -203,13 +182,11 @@ void RaftNode::send_new_entries(NodeId peer) {
   m.prev_log_index = start - 1;
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  sent_up_to_[pos] = log_.last_index();
-  send_wire(peer, std::move(m), start, log_.last_index());
+  peer.sent_up_to = log_.last_index();
+  send_wire(peer.id, std::move(m), start, log_.last_index());
 }
 
-void RaftNode::notify_commit(NodeId peer) {
-  const auto pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), peer) - members_.begin());
+void RaftNode::notify_commit(const Peer& peer) {
   WireMsg m;
   m.group = group_;
   m.type = MsgType::kAppendEntries;
@@ -222,27 +199,26 @@ void RaftNode::notify_commit(NodeId peer) {
   // (it missed the entries), the consistency check fails and the ordinary
   // nack/repair path takes over; if it agrees, the Log Matching property
   // makes committing up to the anchor safe. No payload travels.
-  m.prev_log_index = std::min(
-      commit_, std::max(match_index_[pos], sent_up_to_[pos]));
+  m.prev_log_index =
+      std::min(commit_, std::max(peer.match_index, peer.sent_up_to));
   // Never anchor inside the compacted prefix — the term there is unknown.
   // A peer that genuinely lags behind the base fails the consistency check
   // and is repaired (ultimately by InstallSnapshot) via the nack path.
   m.prev_log_index = std::max(m.prev_log_index, log_.base_index());
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
-  send_wire(peer, std::move(m));
+  send_wire(peer.id, std::move(m));
 }
 
 std::optional<LogIndex> RaftNode::propose(simnet::Payload payload) {
   if (stopped_ || role_ != Role::kLeader) return std::nullopt;
   log_.append(LogEntry{term_, std::move(payload)});
   const LogIndex idx = log_.last_index();
-  const auto self_pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), self_) - members_.begin());
-  match_index_[self_pos] = idx;
-  next_index_[self_pos] = idx + 1;
-  for (NodeId peer : members_) {
-    if (peer != self_) send_new_entries(peer);
+  Peer& own = *find_peer(self_);
+  own.match_index = idx;
+  own.next_index = idx + 1;
+  for (Peer& p : peers_) {
+    if (p.id != self_) send_new_entries(p);
   }
   advance_commit();  // single-member groups commit immediately
   return idx;
@@ -365,31 +341,28 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
 
 void RaftNode::handle_append_reply(NodeId src, const WireMsg& m) {
   if (role_ != Role::kLeader || m.term != term_) return;
-  const auto pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), src) - members_.begin());
-  if (pos >= members_.size()) return;
+  Peer* peer = find_peer(src);
+  if (peer == nullptr) return;
   if (m.success) {
-    if (m.match_index > match_index_[pos]) {
-      match_index_[pos] = m.match_index;
-      last_progress_[pos] = sim_.now();
+    if (m.match_index > peer->match_index) {
+      peer->match_index = m.match_index;
+      peer->last_progress = sim_.now();
     }
-    next_index_[pos] = std::max(next_index_[pos], match_index_[pos] + 1);
-    advance_commit();
+    peer->next_index = std::max(peer->next_index, peer->match_index + 1);
+    advance_commit();  // may remove members: `peer` is not used after it
   } else {
     // Back off and retry the consistency check one entry earlier — or jump
     // straight past the follower's last index when its nack hints at one
     // (a follower can never match beyond its own log).
-    LogIndex next = next_index_[pos] > 1 ? next_index_[pos] - 1 : 1;
+    LogIndex next = peer->next_index > 1 ? peer->next_index - 1 : 1;
     next = std::max<LogIndex>(1, std::min(next, m.match_index + 1));
-    next_index_[pos] = next;
-    sent_up_to_[pos] = next - 1;
-    send_append(src);  // redirects to InstallSnapshot below the base
+    peer->next_index = next;
+    peer->sent_up_to = next - 1;
+    send_append(*peer);  // redirects to InstallSnapshot below the base
   }
 }
 
-void RaftNode::send_install_snapshot(NodeId peer) {
-  const auto pos = static_cast<std::size_t>(
-      std::find(members_.begin(), members_.end(), peer) - members_.begin());
+void RaftNode::send_install_snapshot(Peer& peer) {
   WireMsg m;
   m.group = group_;
   m.type = MsgType::kInstallSnapshot;
@@ -398,9 +371,9 @@ void RaftNode::send_install_snapshot(NodeId peer) {
   m.prev_log_term = snap_term_;
   m.leader_commit = commit_;
   m.snapshot = snap_payload_;
-  next_index_[pos] = snap_index_ + 1;
-  sent_up_to_[pos] = snap_index_;
-  send_wire(peer, std::move(m));
+  peer.next_index = snap_index_ + 1;
+  peer.sent_up_to = snap_index_;
+  send_wire(peer.id, std::move(m));
 }
 
 void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
@@ -492,16 +465,9 @@ void RaftNode::maybe_compact() {
 }
 
 void RaftNode::remove_member(NodeId peer) {
-  const auto it = std::find(members_.begin(), members_.end(), peer);
-  if (it == members_.end()) return;
-  const auto pos = static_cast<std::size_t>(it - members_.begin());
-  members_.erase(it);
-  next_index_.erase(next_index_.begin() + static_cast<std::ptrdiff_t>(pos));
-  match_index_.erase(match_index_.begin() + static_cast<std::ptrdiff_t>(pos));
-  sent_up_to_.erase(sent_up_to_.begin() + static_cast<std::ptrdiff_t>(pos));
-  last_progress_.erase(last_progress_.begin() +
-                       static_cast<std::ptrdiff_t>(pos));
-  last_repair_.erase(last_repair_.begin() + static_cast<std::ptrdiff_t>(pos));
+  Peer* p = find_peer(peer);
+  if (p == nullptr) return;
+  peers_.erase(peers_.begin() + (p - peers_.data()));
   votes_.erase(peer);
   if (peer == self_) {
     stop();
@@ -512,14 +478,15 @@ void RaftNode::remove_member(NodeId peer) {
 }
 
 void RaftNode::add_member(NodeId peer) {
-  if (std::find(members_.begin(), members_.end(), peer) != members_.end())
-    return;
-  members_.push_back(peer);
-  next_index_.push_back(log_.last_index() + 1);
-  match_index_.push_back(0);
-  sent_up_to_.push_back(0);
-  last_progress_.push_back(sim_.now());
-  last_repair_.push_back(0);
+  if (find_peer(peer) != nullptr) return;
+  peers_.push_back({.id = peer,
+                    .next_index = log_.last_index() + 1,
+                    .last_progress = sim_.now()});
+}
+
+RaftNode::Peer* RaftNode::find_peer(NodeId id) {
+  const auto it = std::ranges::find(peers_, id, &Peer::id);
+  return it == peers_.end() ? nullptr : &*it;
 }
 
 bool RaftNode::finish_dissolution(const WireMsg& m) {
@@ -570,8 +537,8 @@ void RaftNode::advance_commit() {
   for (LogIndex n = log_.last_index(); n > commit_; --n) {
     if (log_.term_at(n) != term_) break;
     std::size_t count = 0;
-    for (LogIndex mi : match_index_) {
-      if (mi >= n) ++count;
+    for (const Peer& p : peers_) {
+      if (p.match_index >= n) ++count;
     }
     if (count >= quorum()) {
       commit_ = n;
@@ -579,10 +546,10 @@ void RaftNode::advance_commit() {
       // Propagate the new commit index immediately instead of waiting for
       // the next heartbeat — followers deliver with one extra half-RTT
       // rather than up to a full heartbeat interval. Entries already on
-      // the wire are NOT retransmitted (see sent_up_to_).
+      // the wire are NOT retransmitted (see Peer::sent_up_to).
       if (role_ == Role::kLeader) {
-        for (NodeId peer : members_) {
-          if (peer != self_) notify_commit(peer);
+        for (const Peer& p : peers_) {
+          if (p.id != self_) notify_commit(p);
         }
       }
       break;

@@ -146,7 +146,6 @@ class RaftNode {
   LogIndex last_index() const { return log_.last_index(); }
   GroupId group() const { return group_; }
   NodeId self() const { return self_; }
-  const std::vector<NodeId>& members() const { return members_; }
 
   /// Time since the last message from the current leader (failure-detector
   /// input for the layers above).
@@ -157,6 +156,24 @@ class RaftNode {
   std::uint64_t snapshots_installed() const { return snapshots_installed_; }
 
  private:
+  /// A group member and the leader's replication state for it.
+  struct Peer {
+    NodeId id = kInvalidNode;
+    LogIndex next_index = 1;
+    LogIndex match_index = 0;
+    /// Highest index already put on the wire. Prevents the resend
+    /// amplification spiral: without it, every propose/commit retransmits
+    /// all unacked (possibly huge) entries, melting a briefly-backlogged
+    /// peer's CPU further.
+    LogIndex sent_up_to = 0;
+    Time last_progress = 0;  ///< last match-index advance
+    Time last_repair = 0;    ///< last full retransmit
+  };
+
+  /// The member `id`, or null. A commit can re-enter remove_member, so no
+  /// Peer reference is held across advance_commit or apply_committed.
+  Peer* find_peer(NodeId id);
+
   void become_follower(Term term);
   void become_candidate();
   void become_leader(bool append_noop);
@@ -165,21 +182,21 @@ class RaftNode {
   void broadcast_heartbeats();
   /// Full repair send: (re)transmits everything from next_index. Used on
   /// nack, on heartbeat for lagging peers, and on leader election.
-  void send_append(NodeId peer);
+  void send_append(Peer& peer);
   /// Steady-state send: only entries not yet put on the wire for this peer.
-  void send_new_entries(NodeId peer);
+  void send_new_entries(Peer& peer);
   /// Cheap commit-index notification (no entries, prev = match index).
-  void notify_commit(NodeId peer);
+  void notify_commit(const Peer& peer);
   void advance_commit();
   void apply_committed();
-  std::size_t quorum() const { return members_.size() / 2 + 1; }
+  std::size_t quorum() const { return peers_.size() / 2 + 1; }
 
   void handle_request_vote(NodeId src, const WireMsg& m);
   void handle_vote_reply(NodeId src, const WireMsg& m);
   void handle_append_entries(NodeId src, const WireMsg& m);
   void handle_append_reply(NodeId src, const WireMsg& m);
   void handle_install_snapshot(NodeId src, const WireMsg& m);
-  void send_install_snapshot(NodeId peer);
+  void send_install_snapshot(Peer& peer);
   void maybe_compact();
   /// Sends `m` carrying the log entries [first, last] (none when
   /// first > last). Reuses the last payload sent when `m` would equal it
@@ -189,7 +206,8 @@ class RaftNode {
 
   GroupId group_;
   NodeId self_;
-  std::vector<NodeId> members_;
+  /// The members, self included, in membership order.
+  std::vector<Peer> peers_;
   simnet::ClockHandle sim_;
   simnet::NetHandle net_;
   Callbacks cb_;
@@ -221,17 +239,6 @@ class RaftNode {
 
   // Candidate state.
   std::unordered_set<NodeId> votes_;
-
-  // Leader state.
-  std::vector<LogIndex> next_index_;   // indexed by member position
-  std::vector<LogIndex> match_index_;  // indexed by member position
-  /// Highest index already put on the wire per peer. Prevents the resend
-  /// amplification spiral: without it, every propose/commit retransmits
-  /// all unacked (possibly huge) entries, melting a briefly-backlogged
-  /// peer's CPU further.
-  std::vector<LogIndex> sent_up_to_;   // indexed by member position
-  std::vector<Time> last_progress_;    // last match-index advance per peer
-  std::vector<Time> last_repair_;      // last full retransmit per peer
 
   /// The last message sent (see send_wire). Its sole holder once every
   /// receiver has dropped its copy, and then rewritten for the next one.

@@ -1,6 +1,7 @@
 #include "rbcast/switch_broadcast.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace canopus::rbcast {
 
@@ -24,10 +25,7 @@ void SwitchBroadcast::start() {
 
 void SwitchBroadcast::stop() {
   running_ = false;
-  if (heartbeat_timer_ != simnet::kInvalidEvent) {
-    sim_.cancel(heartbeat_timer_);
-    heartbeat_timer_ = simnet::kInvalidEvent;
-  }
+  sim_.cancel(std::exchange(heartbeat_timer_, simnet::kInvalidEvent));
 }
 
 bool SwitchBroadcast::is_member(NodeId peer) const {

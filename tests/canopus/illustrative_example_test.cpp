@@ -57,6 +57,72 @@ TEST_F(IllustrativeExample, RemoteRequestsBufferedUntilRoundFinishes) {
   EXPECT_EQ(c.node(5).store().read(8), 80u);
 }
 
+/// Stands in for a remote representative (§4.5): sends proposal-requests
+/// from its own node id and logs every proposal it gets back.
+class RequestProbe final : public simnet::Process {
+ public:
+  using Log = std::vector<std::pair<NodeId, proto::Proposal>>;
+  explicit RequestProbe(Log& log) : log_(log) {}
+  void request(NodeId dst, const proto::ProposalRequest& pr) { send(dst, pr); }
+  void on_message(const simnet::Message& m) override {
+    if (const auto* p = m.as<proto::Proposal>())
+      log_.emplace_back(node_id(), *p);
+  }
+
+ private:
+  Log& log_;
+};
+
+TEST(ParkedProposalRequests, AnsweredOnceEachInArrivalOrderWhenRoundCompletes) {
+  // Event 3: A is asked for its super-leaf's state before its round 1 is
+  // done (the first request is what starts A's cycle). Probes on spare
+  // client machines send, 1 µs apart, two requests for A's height-1
+  // ancestor and then one for the other super-leaf's vnode. A answers the
+  // first two, in arrival order, once its round completes; the second
+  // requester has the lower node id, so only arrival order puts it second.
+  // The third request waits on a vnode A never merges: it gets nothing.
+  simnet::RackConfig rc;
+  rc.racks = 2;
+  rc.servers_per_rack = 3;
+  rc.clients_per_rack = 2;
+  simnet::Cluster cluster = simnet::build_multi_rack(rc);
+  const std::vector<NodeId> spare = cluster.clients;
+  CanopusCluster c(std::move(cluster), {}, 42);
+
+  RequestProbe::Log log;
+  RequestProbe first(log), second(log), third(log);
+  c.net().attach(spare[1], first);
+  c.net().attach(spare[0], second);
+  c.net().attach(spare[2], third);
+
+  const NodeId a = c.server(0);
+  const VnodeId own = c.lot()->ancestor(a, 1);
+  const VnodeId other = c.lot()->ancestor(c.server(3), 1);
+  ASSERT_NE(own, other);
+  auto request_at = [&](Time t, RequestProbe& probe, VnodeId v) {
+    c.sim().at(t, [&probe, a, v] {
+      proto::ProposalRequest pr;
+      pr.cycle = 1;
+      pr.round = 2;
+      pr.vnode = v;
+      probe.request(a, pr);
+    });
+  };
+  request_at(kMillisecond, first, own);
+  request_at(kMillisecond + kMicrosecond, second, own);
+  request_at(kMillisecond + 2 * kMicrosecond, third, other);
+  c.sim().run_until(kSecond);
+
+  ASSERT_GE(c.node(0).last_committed_cycle(), 1u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].first, spare[1]);
+  EXPECT_EQ(log[1].first, spare[0]);
+  for (const auto& [requester, p] : log) {
+    EXPECT_EQ(p.cycle, 1u);
+    EXPECT_EQ(p.vnode, own);
+  }
+}
+
 TEST_F(IllustrativeExample, ConsensusOrderGroupsRequestSets) {
   // Event 7: the final order is a concatenation of per-node request sets
   // ({RD,RE,RF,RA,RC,RB} in the paper's example — set membership keeps

@@ -101,7 +101,6 @@ TEST(EmulationTable, RemoveDropsFromAllAncestors) {
   EXPECT_EQ(e.emulators(t.root()).size(), 5u);
   EXPECT_EQ(e.emulators(t.super_leaf_vnode(1)),
             (std::vector<NodeId>{3, 5}));
-  EXPECT_EQ(e.live_members(1), (std::vector<NodeId>{3, 5}));
   // Super-leaf 0 unaffected.
   EXPECT_EQ(e.emulators(t.super_leaf_vnode(0)).size(), 3u);
 }
