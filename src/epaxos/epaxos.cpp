@@ -1,14 +1,75 @@
 #include "epaxos/epaxos.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace canopus::epaxos {
+
+namespace {
+/// Slots in a lane's first ring. A leader's lane on a loaded replica holds
+/// its in-flight instances and its share of the repair ring.
+constexpr std::size_t kLaneSlots = 8;
+}  // namespace
+
+void EPaxosNode::Instance::reset() {
+  batch.reset();
+  deps.clear();
+  ok_from.clear();
+  live = committed = executed = own = false;
+}
+
+EPaxosNode::Instance* EPaxosNode::Lane::find(std::uint64_t seq) {
+  if (seq < base || seq - base >= ring.size()) return nullptr;
+  Instance& slot = ring[(head + (seq - base)) & (ring.size() - 1)];
+  return slot.live ? &slot : nullptr;
+}
+
+EPaxosNode::Instance& EPaxosNode::Lane::make(std::uint64_t seq) {
+  assert(seq >= base);
+  const std::uint64_t offset = seq - base;
+  if (offset >= ring.size()) {
+    // Grow to a power of two that reaches `seq`, the window first, in seq
+    // order. The moved slots take their vectors' capacity along.
+    std::vector<Instance> grown(
+        std::bit_ceil(std::max<std::uint64_t>(offset + 1, kLaneSlots)));
+    for (std::size_t i = 0; i < ring.size(); ++i)
+      grown[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    ring.swap(grown);
+    head = 0;
+  }
+  Instance& slot = ring[(head + offset) & (ring.size() - 1)];
+  slot.live = true;
+  return slot;
+}
+
+void EPaxosNode::Lane::drop_through(std::uint64_t upto) {
+  if (upto < base) return;
+  if (upto - base >= ring.size()) {  // the whole window goes
+    for (Instance& slot : ring) slot.reset();
+    head = 0;
+    base = upto + 1;
+    return;
+  }
+  for (; base <= upto; ++base) {
+    ring[head].reset();
+    head = (head + 1) & (ring.size() - 1);
+  }
+}
 
 EPaxosNode::EPaxosNode(std::vector<NodeId> replicas, Config cfg)
     : replicas_(std::move(replicas)), cfg_(cfg) {}
 
 void EPaxosNode::on_start() {}
+
+EPaxosNode::Lane& EPaxosNode::lane(NodeId replica) {
+  if (replica >= lanes_.size()) {
+    NodeId top = replica;
+    for (NodeId r : replicas_) top = std::max(top, r);
+    lanes_.resize(std::size_t{top} + 1);
+  }
+  return lanes_[replica];
+}
 
 std::size_t EPaxosNode::fast_quorum() const {
   // EPaxos fast-path quorum: F + floor((F+1)/2) for N = 2F+1.
@@ -89,9 +150,9 @@ void EPaxosNode::flush_batch() {
   const InstanceId id{node_id(), next_seq_++};
   net().busy(node_id(),
              static_cast<Time>(pending_.size()) * kCpuPerCommand);
-  Instance& inst = instances_[id];
-  inst.batch = std::make_shared<const std::vector<kv::Request>>(
-      std::move(pending_));
+  Instance& inst = record(id);
+  // A copy, so pending_ keeps its capacity for the next batch.
+  inst.batch = std::make_shared<const std::vector<kv::Request>>(pending_);
   pending_.clear();
   inst.own = true;  // the leader's own vote is implicit
 
@@ -122,10 +183,10 @@ void EPaxosNode::handle_pre_accept(NodeId src, const PreAccept& pa) {
   if (pruned(pa.id)) {
     // Stale retransmit for an instance this replica already executed and
     // pruned: ack without resurrecting a record.
-    send(src, PreAcceptOk{pa.id, pa.deps});
+    send_pre_accept_ok(src, pa);
     return;
   }
-  Instance& inst = instances_[pa.id];
+  Instance& inst = record(pa.id);
   if (!inst.committed) {  // a commit's attributes are authoritative
     inst.batch = pa.batch;
     inst.deps = pa.deps;
@@ -136,18 +197,30 @@ void EPaxosNode::handle_pre_accept(NodeId src, const PreAccept& pa) {
   // Zero-interference fast path: the acceptor sees no conflicting
   // instances, so it echoes the dependencies unchanged and the leader's
   // fast quorum check succeeds.
-  send(src, PreAcceptOk{pa.id, pa.deps});
+  send_pre_accept_ok(src, pa);
+}
+
+void EPaxosNode::send_pre_accept_ok(NodeId leader, const PreAccept& pa) {
+  // The leader has usually dropped the last ack by the next PreAccept, so
+  // the memo's block carries this one (DESIGN.md §5.2).
+  simnet::Payload& memo = lane(leader).ok_memo;
+  if (!memo.rewrite<PreAcceptOk>([&](PreAcceptOk& ok) {
+        ok.id = pa.id;
+        ok.deps = pa.deps;
+      }))
+    memo = simnet::Payload(PreAcceptOk{pa.id, pa.deps});
+  send(leader, memo);
 }
 
 void EPaxosNode::handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok) {
-  auto it = instances_.find(ok.id);
-  if (it == instances_.end() || it->second.committed) return;
-  Instance& inst = it->second;
-  if (!inst.ok_from.insert(src).second) return;  // retransmit duplicate
-  if (inst.ok_from.size() + 1 >= fast_quorum()) {
-    inst.committed = true;
+  Instance* inst = find(ok.id);
+  if (inst == nullptr || inst->committed) return;
+  if (inst->acked_by(src)) return;  // retransmit duplicate
+  inst->ok_from.push_back(src);
+  if (inst->ok_from.size() + 1 >= fast_quorum()) {
+    inst->committed = true;
     register_commit(ok.id);
-    const simnet::Payload msg(Commit{ok.id, inst.deps});
+    const simnet::Payload msg(Commit{ok.id, inst->deps});
     for (NodeId peer : replicas_) {
       if (peer != node_id()) send(peer, msg);
     }
@@ -157,7 +230,7 @@ void EPaxosNode::handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok) {
 
 void EPaxosNode::handle_commit(const Commit& c) {
   if (pruned(c.id)) return;  // stale retransmit; already executed here
-  Instance& inst = instances_[c.id];
+  Instance& inst = record(c.id);
   inst.deps = c.deps;
   inst.committed = true;
   register_commit(c.id);
@@ -171,7 +244,7 @@ void EPaxosNode::handle_commit(const Commit& c) {
 
 void EPaxosNode::handle_commit_full(const CommitFull& cf) {
   if (pruned(cf.id)) return;  // stale repair reply; already executed here
-  Instance& inst = instances_[cf.id];
+  Instance& inst = record(cf.id);
   if (inst.committed && (inst.executed || inst.batch)) return;
   if (!inst.batch) inst.batch = cf.batch;
   inst.deps = cf.deps;
@@ -186,10 +259,10 @@ void EPaxosNode::handle_fetch(NodeId src, const Fetch& f) {
   // resident) this replica holds; the requester rotates targets if we
   // cannot cover the range.
   for (std::uint64_t s = f.from; s <= f.to; ++s) {
-    auto it = instances_.find(InstanceId{f.replica, s});
-    if (it == instances_.end() || !it->second.committed || !it->second.batch)
-      continue;
-    send(src, CommitFull{it->first, it->second.batch, it->second.deps});
+    const InstanceId id{f.replica, s};
+    const Instance* inst = find(id);
+    if (inst == nullptr || !inst->committed || !inst->batch) continue;
+    send(src, CommitFull{id, inst->batch, inst->deps});
   }
 }
 
@@ -244,10 +317,14 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
   // reject this image and let the rotation find a donor whose frontier
   // passes it.
   std::vector<InstanceId> replay;
-  for (const auto& [id, inst] : instances_) {
-    if (inst.executed && id.seq > covered_upto(id.replica)) {
-      if (!inst.batch) return;
-      replay.push_back(id);
+  for (NodeId r = 0; r < lanes_.size(); ++r) {
+    Lane& l = lanes_[r];
+    for (std::uint64_t seq = std::max(l.base, covered_upto(r) + 1);
+         seq - l.base < l.ring.size(); ++seq) {
+      const Instance* inst = l.find(seq);
+      if (inst == nullptr || !inst->executed) continue;
+      if (!inst->batch) return;
+      replay.push_back(InstanceId{r, seq});
     }
   }
   // Install: adopt the donor's set digest and per-replica frontiers here,
@@ -260,7 +337,6 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
     raise(exec_contig_[r]);
     raise(max_executed_[r]);
     raise(max_committed_seen_[r]);
-    raise(pruned_below_[r]);
     gap_attempts_[r] = 0;
     if (r == node_id()) {
       own_committed_ = std::max(own_committed_, upto);
@@ -270,11 +346,9 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
         own_uncommitted_.pop_front();
     }
     // Records the image covers will never execute here: drop them so no
-    // stale retransmit resurrects one (pruned_below_ guards the handlers).
-    auto it = instances_.lower_bound(InstanceId{r, 0});
-    while (it != instances_.end() && it->first.replica == r &&
-           it->first.seq <= upto)
-      it = instances_.erase(it);
+    // stale retransmit resurrects one (the lane's base guards the
+    // handlers).
+    lane(r).drop_through(upto);
   }
   std::erase_if(blocked_, [&](const InstanceId& id) {
     return id.seq <= covered_upto(id.replica);
@@ -288,16 +362,16 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
   // the final state.
   std::sort(replay.begin(), replay.end());
   for (const InstanceId& id : replay) {
-    auto it = instances_.find(id);
-    if (it == instances_.end() || !it->second.batch) continue;
-    for (const kv::Request& r : *it->second.batch) {
+    const Instance* inst = find(id);
+    if (inst == nullptr || !inst->batch) continue;
+    for (const kv::Request& r : *inst->batch) {
       if (r.is_write) {
         apply_write(r);
         set_digest_.append(r);
       }
       ++executed_;
     }
-    if (on_commit) on_commit(executed_, *it->second.batch);
+    if (on_commit) on_commit(executed_, *inst->batch);
   }
   for (NodeId r : replicas_) advance_exec_contig(r);
   retry_blocked();
@@ -307,8 +381,8 @@ void EPaxosNode::register_commit(const InstanceId& id) {
   if (id.replica == node_id()) {
     own_committed_ = std::max(own_committed_, id.seq);
     while (!own_uncommitted_.empty()) {
-      auto it = instances_.find(own_uncommitted_.front().first);
-      if (it != instances_.end() && !it->second.committed) break;
+      const Instance* inst = find(own_uncommitted_.front().first);
+      if (inst != nullptr && !inst->committed) break;
       own_uncommitted_.pop_front();
     }
   }
@@ -320,9 +394,9 @@ void EPaxosNode::register_commit(const InstanceId& id) {
   // repair fetch covers it.
   auto& contig = contig_[id.replica];
   while (true) {
-    auto it = instances_.find(InstanceId{id.replica, contig + 1});
-    if (it == instances_.end() || !it->second.committed ||
-        (!it->second.executed && !it->second.batch))
+    const Instance* inst = find(InstanceId{id.replica, contig + 1});
+    if (inst == nullptr || !inst->committed ||
+        (!inst->executed && !inst->batch))
       break;
     ++contig;
   }
@@ -375,15 +449,13 @@ void EPaxosNode::arm_repair_timer() {
     // acceptors that have not answered.
     const Time stale = sim().now() - cfg_.repair_retry;
     for (const auto& [id, proposed_at] : own_uncommitted_) {
-      auto it = instances_.find(id);
-      if (it == instances_.end() || it->second.committed) continue;
+      const Instance* inst = find(id);
+      if (inst == nullptr || inst->committed) continue;
       work_left = true;
       if (proposed_at > stale) continue;
-      const simnet::Payload msg(
-          PreAccept{id, it->second.batch, it->second.deps});
+      const simnet::Payload msg(PreAccept{id, inst->batch, inst->deps});
       for (NodeId peer : replicas_) {
-        if (peer != node_id() && !it->second.ok_from.contains(peer))
-          send(peer, msg);
+        if (peer != node_id() && !inst->acked_by(peer)) send(peer, msg);
       }
     }
     if (work_left) arm_repair_timer();
@@ -408,20 +480,20 @@ void EPaxosNode::retry_blocked() {
 }
 
 bool EPaxosNode::try_execute(const InstanceId& id) {
-  auto it = instances_.find(id);
-  if (it == instances_.end()) return true;  // pruned == long executed
-  if (!it->second.committed) return false;
-  if (it->second.executed) return true;
-  if (!it->second.batch) {
+  const Instance* inst = find(id);
+  if (inst == nullptr) return true;  // pruned == long executed
+  if (!inst->committed) return false;
+  if (inst->executed) return true;
+  if (!inst->batch) {
     // Committed without its batch (lost PreAccept): park until the repair
     // plane fetches the batch back via CommitFull.
     if (std::find(blocked_.begin(), blocked_.end(), id) == blocked_.end())
       blocked_.push_back(id);
     return false;
   }
-  for (const InstanceId& dep : it->second.deps) {
-    auto dit = instances_.find(dep);
-    if (dit != instances_.end() && !dit->second.committed) {
+  for (const InstanceId& dep : inst->deps) {
+    const Instance* d = find(dep);
+    if (d != nullptr && !d->committed) {
       if (std::find(blocked_.begin(), blocked_.end(), id) == blocked_.end())
         blocked_.push_back(id);
       return false;
@@ -429,31 +501,29 @@ bool EPaxosNode::try_execute(const InstanceId& id) {
   }
   // Dependencies all committed: execute them first in InstanceId order
   // (our stand-in for EPaxos' SCC/seq execution order), then self.
-  for (const InstanceId& dep : it->second.deps) {
-    auto dit = instances_.find(dep);
-    if (dit != instances_.end() && !dit->second.executed && dep < id)
-      execute(dep);
+  for (const InstanceId& dep : inst->deps) {
+    const Instance* d = find(dep);
+    if (d != nullptr && !d->executed && dep < id) execute(dep);
   }
   execute(id);
   return true;
 }
 
 void EPaxosNode::execute(const InstanceId& id) {
-  if (pruned(id)) return;  // covered by an installed snapshot
-  Instance& inst = instances_[id];
-  if (inst.executed || !inst.batch) return;
-  inst.executed = true;
+  Instance* const inst = find(id);  // null once a snapshot covered it
+  if (inst == nullptr || inst->executed || !inst->batch) return;
+  inst->executed = true;
   auto& mx = max_executed_[id.replica];
   mx = std::max(mx, id.seq);
   advance_exec_contig(id.replica);
 
-  for (const kv::Request& r : *inst.batch) {
+  for (const kv::Request& r : *inst->batch) {
     ++executed_;
     if (r.is_write) {
       apply_write(r);
       set_digest_.append(r);
-      if (inst.own) ack_write(r);
-    } else if (inst.own && r.origin == node_id()) {
+      if (inst->own) ack_write(r);
+    } else if (inst->own && r.origin == node_id()) {
       // Reads travel through the protocol (§8.1.1) and are answered where
       // they entered, when their instance executes. The protocol already
       // charged kCpuPerCommand for them.
@@ -463,17 +533,16 @@ void EPaxosNode::execute(const InstanceId& id) {
   active_interfering_.erase(
       std::remove(active_interfering_.begin(), active_interfering_.end(), id),
       active_interfering_.end());
-  if (on_commit) on_commit(executed_, *inst.batch);
+  if (on_commit) on_commit(executed_, *inst->batch);
   // Executed batches stay resident in a bounded ring for peer repair, then
   // become dead weight and are dropped.
   repair_ring_.push_back(id);
   while (repair_ring_.size() > cfg_.repair_window) {
     const InstanceId victim = repair_ring_.front();
     repair_ring_.pop_front();
-    auto evict = instances_.find(victim);
-    if (evict != instances_.end()) evict->second.batch.reset();
+    if (Instance* evict = find(victim)) evict->batch.reset();
     // Executed + evicted records below the executed frontier no longer
-    // serve repair: erase them so the instance map stays bounded too.
+    // serve repair: erase them so the lanes stay bounded too.
     prune_instances(victim.replica);
   }
   flush_replies();
@@ -482,26 +551,21 @@ void EPaxosNode::execute(const InstanceId& id) {
 void EPaxosNode::advance_exec_contig(NodeId replica) {
   auto& ec = exec_contig_[replica];
   while (true) {
-    auto it = instances_.find(InstanceId{replica, ec + 1});
-    if (it == instances_.end() || !it->second.executed) break;
+    const Instance* inst = find(InstanceId{replica, ec + 1});
+    if (inst == nullptr || !inst->executed) break;
     ++ec;
   }
 }
 
 void EPaxosNode::prune_instances(NodeId replica) {
-  auto& below = pruned_below_[replica];
+  Lane& l = lane(replica);
   const auto ec = exec_contig_.find(replica);
   const std::uint64_t frontier = ec == exec_contig_.end() ? 0 : ec->second;
-  while (below < frontier) {
-    auto it = instances_.find(InstanceId{replica, below + 1});
-    if (it == instances_.end()) {  // already gone (snapshot install)
-      ++below;
-      continue;
-    }
+  while (l.base <= frontier) {
     // Batch still resident means it is still in the repair ring: keep it.
-    if (!it->second.executed || it->second.batch) break;
-    instances_.erase(it);
-    ++below;
+    const Instance* inst = l.find(l.base);
+    if (inst != nullptr && (!inst->executed || inst->batch)) break;
+    l.drop_through(l.base);
   }
 }
 

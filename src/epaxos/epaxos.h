@@ -22,16 +22,16 @@
 // instances gather dependencies and execute in dependency order.
 #pragma once
 
+#include <algorithm>
 #include <deque>
-#include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "kv/replica.h"
 #include "kv/types.h"
+#include "simnet/payload.h"
 
 namespace canopus::epaxos {
 
@@ -175,16 +175,47 @@ class EPaxosNode : public kv::ReplicaNode {
   struct Instance {
     std::shared_ptr<const std::vector<kv::Request>> batch;
     std::vector<InstanceId> deps;
-    /// Acceptors whose PreAcceptOk arrived (dedup: PreAccepts are
-    /// retransmitted after a partition, so acks can repeat).
-    std::unordered_set<NodeId> ok_from;
+    /// Acceptors whose PreAcceptOk arrived, each once (dedup: PreAccepts
+    /// are retransmitted after a partition, so acks can repeat).
+    std::vector<NodeId> ok_from;
+    bool live = false;  ///< a record occupies this lane slot
     bool committed = false;
     bool executed = false;
     bool own = false;  ///< this node is the command leader
+
+    bool acked_by(NodeId acceptor) const {
+      return std::ranges::find(ok_from, acceptor) != ok_from.end();
+    }
+    /// Frees the slot. Its vectors keep their capacity for the next record.
+    void reset();
+  };
+
+  /// One command leader's instance records on this replica (DESIGN.md
+  /// §7.3): a ring of slots indexed by sequence number from `base`. A seq
+  /// below `base` is pruned, and one at or above it whose slot is not live
+  /// has no record. Records leave only from the front, so the ring keeps
+  /// its capacity and allocates only when a record lands past its end.
+  struct Lane {
+    /// The live record of `seq`, or null.
+    Instance* find(std::uint64_t seq);
+    /// The record of `seq`, made live if absent. Precondition: seq >= base.
+    Instance& make(std::uint64_t seq);
+    /// Frees every slot up to `upto` and moves `base` past it.
+    void drop_through(std::uint64_t upto);
+
+    std::vector<Instance> ring;  ///< a power of two slots, or none yet
+    std::size_t head = 0;        ///< ring index of `base`
+    /// Records below this seq are pruned; stale retransmits for them are
+    /// acked or ignored without resurrecting state.
+    std::uint64_t base = 1;
+    /// This replica's last PreAcceptOk to the leader, rewritten in place
+    /// once the leader has dropped it (DESIGN.md §5.2).
+    simnet::Payload ok_memo;
   };
 
   void flush_batch();
   void handle_pre_accept(NodeId src, const PreAccept& pa);
+  void send_pre_accept_ok(NodeId leader, const PreAccept& pa);
   void handle_pre_accept_ok(NodeId src, const PreAcceptOk& ok);
   void handle_commit(const Commit& c);
   void handle_fetch(NodeId src, const Fetch& f);
@@ -198,21 +229,35 @@ class EPaxosNode : public kv::ReplicaNode {
   bool try_execute(const InstanceId& id);
   void execute(const InstanceId& id);
   void advance_exec_contig(NodeId replica);
-  /// Erases executed, batch-evicted records at the head of `replica`'s
-  /// instance space (everything at or below the executed frontier that no
-  /// longer serves repair) and advances pruned_below_.
+  /// Erases executed, batch-evicted records at the front of `replica`'s
+  /// lane (everything at or below the executed frontier that no longer
+  /// serves repair) and advances its base.
   void prune_instances(NodeId replica);
+  /// `replica`'s lane. The first call makes every replica's, so a
+  /// reference to one lane survives looking up another.
+  Lane& lane(NodeId replica);
+  /// The record of `id`, made live if absent. Precondition: !pruned(id).
+  Instance& record(const InstanceId& id) {
+    return lane(id.replica).make(id.seq);
+  }
+  /// The live record of `id`, or null (pruned, or never made here).
+  Instance* find(const InstanceId& id) {
+    return id.replica < lanes_.size() ? lanes_[id.replica].find(id.seq)
+                                      : nullptr;
+  }
   bool pruned(const InstanceId& id) const {
-    const auto it = pruned_below_.find(id.replica);
-    return it != pruned_below_.end() && id.seq <= it->second;
+    return id.replica < lanes_.size() && id.seq < lanes_[id.replica].base;
   }
   std::size_t fast_quorum() const;
 
   std::vector<NodeId> replicas_;
   Config cfg_;
   std::uint64_t next_seq_ = 1;
+  /// Requests staged for the next instance. Its batch is a copy, so this
+  /// vector keeps its capacity.
   std::vector<kv::Request> pending_;
-  std::map<InstanceId, Instance> instances_;
+  /// One per command leader, indexed by node id; empty until first use.
+  std::vector<Lane> lanes_;
   /// Interfering instances not yet committed, for dependency collection.
   std::vector<InstanceId> active_interfering_;
   /// Committed instances parked on uncommitted dependencies.
@@ -229,9 +274,6 @@ class EPaxosNode : public kv::ReplicaNode {
   /// prefix-closed for that replica (the snapshot-donor eligibility test).
   std::unordered_map<NodeId, std::uint64_t> exec_contig_;
   std::unordered_map<NodeId, std::uint64_t> max_executed_;
-  /// Records at or below this seq are pruned; stale retransmits for them
-  /// are acked/ignored without resurrecting state.
-  std::unordered_map<NodeId, std::uint64_t> pruned_below_;
   /// Bounded fetch rotation (the PR 10 bugfix): per-replica attempt count
   /// since the frontier last advanced, and the frontier it was counted at.
   /// One full rotation of targets without progress escalates to a

@@ -19,7 +19,9 @@
 // immutable while it is shared — exactly the semantics a real wire gives
 // you. Only its sole holder may change it, through Payload::rewrite or
 // Payload::rewrite_body, and only a sender's last-sent memo does: RaftNode's
-// (raft.cpp, send_wire) and the four view-bodied senders' (below).
+// (raft.cpp, send_wire), an EPaxos acceptor's last PreAcceptOk to each
+// command leader (epaxos.cpp, send_pre_accept_ok) and the four view-bodied
+// senders' (below).
 //
 // The count belongs to the payload, not to a std::shared_ptr, because of
 // that rewrite. The last other holder may drop its copy on another thread

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
@@ -327,6 +328,103 @@ TEST_F(EPaxosTest, FanOutSharesOnePayload) {
   EXPECT_EQ(commits.size(), 4u);
   EXPECT_EQ(distinct(commits), 1u);
   for (auto& n : nodes_) EXPECT_EQ(n->store().read(7), 77u);
+}
+
+// An acceptor sends its PreAcceptOks to a leader through a memo of the last
+// one (DESIGN.md §5.2): once the leader has dropped an ack, the next ack
+// rewrites the same block. The trace keeps only the block's address, since
+// a held copy would make the memo refuse the rewrite.
+TEST_F(EPaxosTest, PreAcceptOksToOneLeaderShareOneBlock) {
+  build(3);
+  const NodeId leader = cluster_.servers[0];
+  const NodeId acceptor = cluster_.servers[1];
+  std::vector<const void*> blocks;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    if (m.as<PreAcceptOk>() != nullptr && m.src() == acceptor &&
+        m.dst() == leader)
+      blocks.push_back(m.payload().raw());
+  });
+  // One instance per write: each flushes 5 ms after it arrives, and its
+  // ack is delivered long before the next one is sent.
+  for (int i = 0; i < 4; ++i)
+    write_at((1 + 20 * i) * kMillisecond, 0, 1 + i, 10 + i);
+  sim_->run_until(kSecond);
+  ASSERT_EQ(blocks.size(), 4u);
+  EXPECT_EQ(std::set<const void*>(blocks.begin(), blocks.end()).size(), 1u);
+  for (auto& n : nodes_) EXPECT_EQ(n->executed_requests(), 4u);
+}
+
+// The same acks while something else holds each one: no rewrite, so every
+// ack is a fresh block.
+TEST_F(EPaxosTest, HeldPreAcceptOkGetsAFreshBlock) {
+  build(3);
+  const NodeId leader = cluster_.servers[0];
+  const NodeId acceptor = cluster_.servers[1];
+  std::vector<simnet::Payload> held;
+  net_->set_trace([&](Time, const simnet::Message& m) {
+    if (m.as<PreAcceptOk>() != nullptr && m.src() == acceptor &&
+        m.dst() == leader)
+      held.push_back(m.payload());
+  });
+  for (int i = 0; i < 4; ++i)
+    write_at((1 + 20 * i) * kMillisecond, 0, 1 + i, 10 + i);
+  sim_->run_until(kSecond);
+  ASSERT_EQ(held.size(), 4u);
+  std::set<const void*> blocks;
+  for (const simnet::Payload& p : held) blocks.insert(p.raw());
+  EXPECT_EQ(blocks.size(), 4u);
+  for (std::size_t i = 0; i < held.size(); ++i)
+    EXPECT_EQ(held[i].as<PreAcceptOk>()->id.seq, i + 1);
+}
+
+// A leader's lane (DESIGN.md §7.3) outgrows its first 8 slots while the
+// fast quorum stalls, with its window already wrapped past the ring's
+// start, and wraps again once the stall heals and pruning resumes. Every
+// replica still executes every instance exactly once, and the repair ring
+// stays bounded throughout.
+TEST_F(EPaxosTest, LanesGrowAndWrapAcrossAStalledQuorum) {
+  Config cfg;
+  cfg.repair_retry = 20 * kMillisecond;
+  cfg.repair_window = 4;
+  build(5, cfg);
+  std::size_t retained = 0;
+  for (Time t = 10 * kMillisecond; t < 3 * kSecond; t += 10 * kMillisecond)
+    sim_->at(t, [&] {
+      for (auto& n : nodes_)
+        retained = std::max(retained, n->log_entries_retained());
+    });
+  int writes = 0;
+  const auto write_run = [&](Time from, int count) {
+    for (int i = 0; i < count; ++i, ++writes)
+      write_at(from + static_cast<Time>(i) * 10 * kMillisecond, 0,
+               static_cast<std::uint64_t>(100 + writes),
+               static_cast<std::uint64_t>(1000 + writes));
+  };
+  // 6 instances commit normally and are pruned behind the window.
+  write_run(kMillisecond, 6);
+  sim_->run_until(100 * kMillisecond);
+  // The leader reaches 1 of 4 acceptors: its ack and the leader's own
+  // vote are below the fast quorum of 3, so 20 instances stall.
+  for (int peer = 2; peer < 5; ++peer)
+    net_->sever(cluster_.servers[0], cluster_.servers[peer]);
+  write_run(100 * kMillisecond, 20);
+  sim_->run_until(400 * kMillisecond);
+  EXPECT_EQ(nodes_[0]->executed_requests(), 6u);
+  for (int peer = 2; peer < 5; ++peer)
+    net_->heal(cluster_.servers[0], cluster_.servers[peer]);
+  // Retransmits finish the stalled instances; 40 more wrap the lanes.
+  write_run(400 * kMillisecond, 40);
+  sim_->run_until(3 * kSecond);
+  for (auto& n : nodes_) {
+    EXPECT_EQ(n->executed_requests(), static_cast<std::uint64_t>(writes));
+    EXPECT_TRUE(n->set_digest() == nodes_[0]->set_digest());
+    EXPECT_EQ(n->set_digest().count(), static_cast<std::uint64_t>(writes));
+    for (int i = 0; i < writes; ++i)
+      EXPECT_EQ(n->store().read(100 + static_cast<std::uint64_t>(i)),
+                1000u + static_cast<std::uint64_t>(i));
+  }
+  EXPECT_GT(retained, 0u);
+  EXPECT_LE(retained, cfg.repair_window);
 }
 
 }  // namespace

@@ -83,9 +83,10 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace canopus::workload {
 namespace {
 
-/// Measured 262.9 B per committed write; 316.25 while each write set took a
-/// second block, and 2077 before merged states shared their inputs' write
-/// sets and committed cycles gave back their read buffers.
+/// Measured 264.6 B per committed write; 262.9 before retained cycles kept
+/// their fetch and parked-request lists' capacity, 316.25 while each write
+/// set took a second block, and 2077 before merged states shared their
+/// inputs' write sets and committed cycles gave back their read buffers.
 constexpr double kBytesPerWrite = 290.0;
 
 struct Sample {
