@@ -9,6 +9,7 @@
 
 #include "canopus/lot.h"
 #include "canopus/node.h"
+#include "kv/store.h"
 #include "simnet/event_queue.h"
 #include "simnet/network.h"
 #include "simnet/payload_testing.h"
@@ -174,6 +175,30 @@ void BM_HistogramRecord(benchmark::State& state) {
   benchmark::DoNotOptimize(h.median());
 }
 BENCHMARK(BM_HistogramRecord);
+
+/// One replica's store under uniform writes over 1M keys, from empty, with
+/// every growth included. Arg: writes per store. 180 000 and 600 000 are
+/// bench/e2e `lan-write`'s writes per replica in its timed prefix and in
+/// its whole `hi` trial.
+void BM_StoreInsertUniform(benchmark::State& state) {
+  std::vector<kv::Request> writes(static_cast<std::size_t>(state.range(0)));
+  Rng rng(7);
+  for (kv::Request& w : writes) {
+    w.is_write = true;
+    w.key = rng.below(1'000'000);
+    w.value = rng();
+  }
+  for (auto _ : state) {
+    kv::Store store;
+    for (const kv::Request& w : writes) store.apply(w);
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StoreInsertUniform)
+    ->Arg(180'000)
+    ->Arg(600'000)
+    ->Unit(benchmark::kMillisecond);
 
 /// A full 9-node consensus cycle: submit one write, run to commit.
 void BM_CanopusFullCycle(benchmark::State& state) {

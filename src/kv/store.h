@@ -24,9 +24,11 @@ using StoreImage = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 ///
 /// Every participant applies every committed write, so this sits on each
 /// replica's hot path. The map is a flat open-addressing table (DESIGN.md
-/// §8.3): one contiguous array of {key, value} slots, power-of-two
-/// capacity, Fibonacci hash, linear probing, doubled once it would pass
-/// 3/4 load. A new key costs no allocation except at a doubling, so
+/// §8.3): one contiguous array of {key, value} slots, Fibonacci hash
+/// scaled to the capacity, linear probing, grown once it would pass 3/4
+/// load. A table below kHugeSlots doubles; from there it grows by half a
+/// power of two (2^k, 3 * 2^(k-1), 2^(k+1)), so a grown table stays at
+/// least half full. A new key costs no allocation except at a growth, so
 /// inserting n keys allocates O(log n) times. Keys are never erased.
 /// kEmptyKey marks a free slot; a write to that key itself lives in a
 /// side slot. A table of kMappedFrom bytes or more is a memory mapping of
@@ -44,6 +46,8 @@ class Store {
   }
 
   std::size_t size() const { return used_ + (empty_key_value_ ? 1 : 0); }
+  /// Slots in the table (the side slot not counted).
+  std::size_t capacity() const { return slots_.size(); }
 
   StoreImage export_image() const {
     StoreImage img;
@@ -60,7 +64,7 @@ class Store {
     *this = Store();
     if (img.empty()) return;
     std::size_t cap = kMinCapacity;
-    while (!within_load(img.size(), cap)) cap *= 2;
+    while (!within_load(img.size(), cap)) cap = grown(cap);
     rehash(cap);
     for (const auto& [k, v] : img) put(k, v);
   }
@@ -73,6 +77,10 @@ class Store {
 
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   static constexpr std::size_t kMinCapacity = 16;
+  /// The slots in 2 MiB, the x86-64 huge-page size. A mapped table below it
+  /// faults in 4 KiB pages, so growing it in steps smaller than a doubling
+  /// would fault more often (DESIGN.md §8.3).
+  static constexpr std::size_t kHugeSlots = (2 << 20) / sizeof(Slot);
   /// glibc's initial mmap threshold, which it raises as it frees mapped
   /// blocks.
   static constexpr std::size_t kMappedFrom = 128 * 1024;
@@ -80,7 +88,7 @@ class Store {
   /// The slot table's allocator. A table of kMappedFrom bytes or more is
   /// an anonymous memory mapping of its own, unmapped when it is freed; a
   /// smaller one comes from operator new. Every replica applies the same
-  /// writes, so a deployment's tables all double at one commit and free
+  /// writes, so a deployment's tables all grow at one commit and free
   /// their old arrays together. Left in the malloc heap, those arrays were
   /// reused piecemeal by smaller objects, and the process's resident peak
   /// followed the heap's layout instead of its live size (DESIGN.md §8.3).
@@ -105,13 +113,25 @@ class Store {
     return 4 * n <= 3 * cap;
   }
 
-  /// Index of `key`'s slot, or of the free slot where it would go. The load
-  /// bound keeps a free slot in the table, so the probe terminates.
+  /// The capacity after `cap`: double below kHugeSlots, then alternately
+  /// x3/2 and x4/3.
+  static std::size_t grown(std::size_t cap) {
+    if (cap < kHugeSlots) return 2 * cap;
+    return std::has_single_bit(cap) ? cap + cap / 2 : cap + cap / 3;
+  }
+
+  /// Index of `key`'s slot, or of the free slot where it would go. The home
+  /// slot is the Fibonacci hash scaled by the capacity (the high word of
+  /// hash * capacity; Lemire 2019), which is the hash's top log2(capacity)
+  /// bits when the capacity is a power of two. The load bound keeps a free
+  /// slot in the table, so the probe terminates.
   std::size_t probe(std::uint64_t key) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+    const std::size_t cap = slots_.size();
+    const std::uint64_t hash = key * 0x9e3779b97f4a7c15ULL;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(hash) * cap) >> 64);
     while (slots_[i].key != key && slots_[i].key != kEmptyKey)
-      i = (i + 1) & mask;
+      if (++i == cap) i = 0;
     return i;
   }
 
@@ -127,7 +147,7 @@ class Store {
       return;
     }
     if (!within_load(used_ + 1, slots_.size())) {
-      rehash(2 * slots_.size());
+      rehash(grown(slots_.size()));
       i = probe(key);
     }
     slots_[i] = {key, value};
@@ -137,14 +157,12 @@ class Store {
   void rehash(std::size_t cap) {
     std::vector<Slot, TableAllocator<Slot>> old(cap, Slot{kEmptyKey, 0});
     old.swap(slots_);
-    shift_ = std::countl_zero(static_cast<std::uint64_t>(cap)) + 1;
     for (const Slot& s : old)
       if (s.key != kEmptyKey) slots_[probe(s.key)] = s;
   }
 
   std::vector<Slot, TableAllocator<Slot>> slots_;
   std::size_t used_ = 0;  ///< occupied slots (the side slot not counted)
-  int shift_ = 64;        ///< 64 - log2(capacity)
   std::optional<std::uint64_t> empty_key_value_;  ///< the side slot
 };
 

@@ -98,6 +98,110 @@ TEST(Store, MatchesOrderedMapAcrossGrowth) {
   EXPECT_EQ(s.export_image(), StoreImage(ref.begin(), ref.end()));
 }
 
+TEST(Store, MatchesOrderedMapPastTheHugePageSize) {
+  // About 230 000 distinct keys take the table past 2 MiB of slots, where
+  // it grows by half a power of two: through 196 608 and 393 216 slots.
+  // Every key written so far is checked at each growth.
+  Store s;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  std::vector<std::size_t> caps;
+  Rng rng(33);
+  for (int i = 0; i < 320'000; ++i) {
+    std::uint64_t key = 0;
+    switch (rng.below(4)) {
+      case 0: key = rng.below(2) == 0 ? kMaxKey : rng.below(4); break;
+      case 1: key = rng.below(200'000); break;
+      default: key = rng(); break;
+    }
+    const std::uint64_t value = rng.below(8) == 0 ? 0 : rng();
+    s.apply(write(key, value));
+    ref[key] = value;
+    if (caps.empty() || caps.back() != s.capacity()) {
+      caps.push_back(s.capacity());
+      for (const auto& [k, v] : ref) ASSERT_EQ(s.read(k), v) << k;
+    }
+    ASSERT_EQ(s.read(key), value) << key;
+    const std::uint64_t other = rng.below(400'000);  // present or absent
+    const auto it = ref.find(other);
+    ASSERT_EQ(s.read(other), it == ref.end() ? 0 : it->second) << other;
+  }
+  EXPECT_NE(std::find(caps.begin(), caps.end(), 196'608u), caps.end());
+  EXPECT_EQ(caps.back(), 393'216u);
+  EXPECT_EQ(s.size(), ref.size());
+  for (const auto& [k, v] : ref) EXPECT_EQ(s.read(k), v) << k;
+  EXPECT_EQ(s.export_image(), StoreImage(ref.begin(), ref.end()));
+}
+
+TEST(Store, GrowsByHalfAPowerOfTwoFromTheHugePageSize) {
+  // Tables below 2 MiB of slots (131 072) double; from there each growth
+  // alternates x3/2 and x4/3, so a grown table is at least half full.
+  Store s;
+  std::vector<std::size_t> caps;
+  for (std::uint64_t k = 0; k < 400'000; ++k) {
+    s.apply(write(k * 0x10001, k));
+    const std::size_t cap = s.capacity();
+    if (caps.empty() || caps.back() != cap) caps.push_back(cap);
+    ASSERT_LE(4 * s.size(), 3 * cap) << "load past 3/4 at " << s.size();
+    if (cap > 131'072) {
+      ASSERT_LE(cap, 2 * s.size()) << "at " << s.size();
+    }
+  }
+  std::vector<std::size_t> want;
+  for (std::size_t c = 16; c <= 131'072; c *= 2) want.push_back(c);
+  for (std::size_t c : {196'608, 262'144, 393'216, 524'288, 786'432})
+    want.push_back(c);
+  EXPECT_EQ(caps, want);
+
+  Store restored;  // restore sizes once, on the same schedule
+  restored.restore(s.export_image());
+  EXPECT_EQ(restored.capacity(), 786'432u);
+  EXPECT_EQ(restored.read(std::uint64_t{399'999} * 0x10001), 399'999u);
+}
+
+TEST(Store, ProbesWrapAtANonPowerOfTwoCapacity) {
+  // Keys whose home is one of the last two slots of a 196 608-slot table.
+  // The home of key k is the high word of (k * C) * capacity, so the key
+  // whose hash is the first at or above slot * 2^64 / capacity, plus nth,
+  // is (hash + nth) * C^-1 (mod 2^64).
+  constexpr std::uint64_t kC = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t inverse = kC;  // right in 3 low bits; each step doubles that
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kC * inverse;
+  ASSERT_EQ(kC * inverse, 1u);
+  constexpr std::size_t kCap = 196'608;
+  const auto homed_at = [&](std::size_t slot, std::uint64_t nth) {
+    const auto hash = static_cast<std::uint64_t>(
+        ((static_cast<unsigned __int128>(slot) << 64) + kCap - 1) / kCap);
+    return (hash + nth) * inverse;
+  };
+
+  Store s;
+  std::uint64_t filler = 0;
+  while (s.capacity() < kCap) s.apply(write(++filler * 0x10001, 1));
+  ASSERT_EQ(s.capacity(), kCap);
+  // Twelve keys for the last two slots and four for the first: at least
+  // ten of the former wrap past the end, onto the start of the table.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t n = 0; n < 6; ++n) {
+    keys.push_back(homed_at(kCap - 2, n));
+    keys.push_back(homed_at(kCap - 1, n));
+  }
+  for (std::uint64_t n = 0; n < 4; ++n) keys.push_back(homed_at(0, n));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    s.apply(write(keys[i], 1000 + i));
+  ASSERT_EQ(s.capacity(), kCap);
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(s.read(keys[i]), 1000 + i) << i;
+  // Misses homed at the end must also probe across the wrap.
+  EXPECT_EQ(s.read(homed_at(kCap - 1, 100)), 0u);
+  EXPECT_EQ(s.read(homed_at(kCap - 2, 100)), 0u);
+
+  // A growth re-reads every slot of the old table: a key written past its
+  // end would be lost here.
+  while (s.capacity() == kCap) s.apply(write(++filler * 0x10001, 1));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(s.read(keys[i]), 1000 + i) << i;
+}
+
 TEST(Store, ExportImageIsSortedAndIndependentOfInsertionOrder) {
   Rng rng(99);
   std::vector<std::uint64_t> keys = {0, kMaxKey, 1, kMaxKey - 1};
