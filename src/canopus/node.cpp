@@ -52,19 +52,14 @@ void CanopusNode::make_broadcast() {
   }
 }
 
-void CanopusNode::crash() {
-  crashed_ = true;
+void CanopusNode::on_crash() {
   joining_ = false;
   if (rb_) rb_->stop();
   sim().cancel(std::exchange(pipeline_timer_, simnet::kInvalidEvent));
   sim().cancel(std::exchange(join_timer_, simnet::kInvalidEvent));
 }
 
-void CanopusNode::recover() {
-  if (!crashed_) return;
-  crashed_ = false;
-  enter_joining();
-}
+void CanopusNode::on_recover() { enter_joining(); }
 
 void CanopusNode::enter_joining() {
   joining_ = true;
@@ -87,7 +82,7 @@ void CanopusNode::enter_joining() {
 }
 
 void CanopusNode::on_message(const simnet::Message& m) {
-  if (crashed_) return;
+  if (crashed()) return;
   if (joining_) {
     // A joining node is not a member: it ignores all protocol traffic
     // (including its stale broadcast groups) until the sponsor's ack.
@@ -112,7 +107,7 @@ void CanopusNode::on_message(const simnet::Message& m) {
 // --------------------------------------------------------------------------
 
 void CanopusNode::send_join_request() {
-  if (crashed_ || !joining_) return;
+  if (crashed() || !joining_) return;
   // Rotate through the original super-leaf roster (§3 assumption 6: a
   // joiner knows its rack peers) until a live sibling sponsors us. If the
   // whole super-leaf is gone this retries forever: the node stalls, as
@@ -213,7 +208,7 @@ void CanopusNode::handle_join_ack(const proto::JoinAck& ack) {
 // --------------------------------------------------------------------------
 
 void CanopusNode::intake(std::span<const kv::Request> reqs) {
-  if (crashed_ || joining_) return;
+  if (crashed() || joining_) return;
   for (kv::Request r : reqs) {
     r.origin = node_id();
     if (r.is_write) {
@@ -284,7 +279,7 @@ CanopusNode::CycleState& CanopusNode::cycle(CycleId c) {
 }
 
 void CanopusNode::maybe_start_next_cycle(bool timer_fired) {
-  if (crashed_ || joining_) return;
+  if (crashed() || joining_) return;
   // Pending membership updates count as local work: an idle system must
   // still start the cycle that carries an exclusion or a join.
   const bool local_work = !pending_writes_.empty() ||
@@ -415,7 +410,7 @@ void CanopusNode::arm_pipeline_timer() {
 
 void CanopusNode::handle_rb_deliver(NodeId /*origin*/,
                                     const simnet::Payload& payload) {
-  if (crashed_) return;
+  if (crashed()) return;
   const auto* p = payload.as<proto::Proposal>();
   if (p == nullptr) return;
   // Stale delivery for a committed cycle: a straggler entry drained from a
@@ -609,7 +604,7 @@ void CanopusNode::issue_fetch(CycleId c, VnodeId v) {
     // RE-CREATE an empty, forever-uncommitted husk below last_committed_
     // that wedges prune_history and makes retained state grow without
     // bound — so probe the map, never materialize.
-    if (crashed_ || joining_ || c <= last_committed_) return;
+    if (crashed() || joining_ || c <= last_committed_) return;
     auto mit = cycles_.find(c);
     if (mit == cycles_.end()) return;  // pruned: stale timer
     CycleState& s = mit->second;
@@ -681,7 +676,7 @@ void CanopusNode::handle_fetched_proposal(const proto::Proposal& p) {
 // --------------------------------------------------------------------------
 
 void CanopusNode::handle_peer_failed(NodeId peer) {
-  if (crashed_) return;
+  if (crashed()) return;
   if (peer == node_id()) {
     // Our own super-leaf suspected us (we fell behind long enough for our
     // broadcast group to elect a replacement leader). Crash-stop semantics

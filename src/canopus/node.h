@@ -47,17 +47,6 @@ class CanopusNode : public kv::ReplicaNode {
   /// protocol; replies surface via the commit hook only).
   void submit(kv::Request r) { intake({&r, 1}); }
 
-  /// Crash-stop this node (also silences its broadcast groups).
-  void crash();
-
-  /// Rejoin after a crash (the PR 10 state-transfer path). The node enters
-  /// joining mode: it discards all volatile and committed state, asks a
-  /// live super-leaf sibling to sponsor it, and — once the sponsor's kJoin
-  /// membership update commits — installs the sponsor's snapshot, rebuilds
-  /// its broadcast groups, commit-catches-up on the in-flight cycle window,
-  /// and resumes contributing from an agreed activation cycle.
-  void recover();
-  bool crashed() const { return crashed_; }
   /// True between recover() and the snapshot install: the node is not yet
   /// a comparable member (its digest chain restarts at the install).
   bool joining() const { return joining_; }
@@ -126,6 +115,18 @@ class CanopusNode : public kv::ReplicaNode {
     /// state can serve a later cycle (see cycle()).
     void reset();
   };
+
+  /// A crash stops the broadcast groups and cancels the pipeline and join
+  /// timers; a pending fetch retry finds the node crashed and does nothing.
+  void on_crash() override;
+  /// Rejoin after a crash by state transfer (DESIGN.md §14.1). The node
+  /// enters joining mode: it discards all volatile and committed state,
+  /// asks a live super-leaf sibling to sponsor it, and — once the
+  /// sponsor's kJoin membership update commits — installs the sponsor's
+  /// snapshot, rebuilds its broadcast groups, commit-catches-up on the
+  /// in-flight cycle window, and resumes contributing from an agreed
+  /// activation cycle.
+  void on_recover() override;
 
   // --- message handlers ---------------------------------------------------
   /// Client intake, shared by submit() and client batches.
@@ -236,7 +237,6 @@ class CanopusNode : public kv::ReplicaNode {
   bool pending_rejoin_ = false;
 
   simnet::EventId pipeline_timer_ = simnet::kInvalidEvent;
-  bool crashed_ = false;
   /// Consecutive cycles this node started with nothing to propose; bounds
   /// idle pipeline churn (see maybe_start_next_cycle).
   std::size_t empty_streak_ = 0;

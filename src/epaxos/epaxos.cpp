@@ -60,8 +60,6 @@ void EPaxosNode::Lane::drop_through(std::uint64_t upto) {
 EPaxosNode::EPaxosNode(std::vector<NodeId> replicas, Config cfg)
     : replicas_(std::move(replicas)), cfg_(cfg) {}
 
-void EPaxosNode::on_start() {}
-
 EPaxosNode::Lane& EPaxosNode::lane(NodeId replica) {
   if (replica >= lanes_.size()) {
     NodeId top = replica;
@@ -78,22 +76,12 @@ std::size_t EPaxosNode::fast_quorum() const {
   return f + (f + 1) / 2;
 }
 
-void EPaxosNode::crash() {
-  crashed_ = true;
-  // The un-proposed batch and unsent replies are volatile; committed
-  // instances model state recovered from the durable log.
-  pending_.clear();
-  drop_replies();
-}
+void EPaxosNode::on_crash() { pending_.clear(); }
 
-void EPaxosNode::recover() {
-  if (!crashed_) return;
-  crashed_ = false;
-  resync();
-}
+void EPaxosNode::on_recover() { resync(); }
 
 void EPaxosNode::resync() {
-  if (crashed_) return;
+  if (crashed()) return;
   for (NodeId peer : replicas_) {
     if (peer != node_id()) send(peer, SeqProbe{});
   }
@@ -105,20 +93,15 @@ void EPaxosNode::resync() {
 }
 
 void EPaxosNode::submit(kv::Request r) {
-  if (crashed_) return;
+  if (crashed()) return;
   r.origin = node_id();
   pending_.push_back(r);
-  if (!batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    after(cfg_.batch_interval, [this] {
-      batch_timer_armed_ = false;
-      if (!crashed_) flush_batch();
-    });
-  }
+  after_once(batch_timer_armed_, cfg_.batch_interval,
+             [this] { flush_batch(); });
 }
 
 void EPaxosNode::on_message(const simnet::Message& m) {
-  if (crashed_) return;
+  if (crashed()) return;
   if (const auto* batch = m.as<kv::ClientBatch>()) {
     for (const kv::Request& r : batch->reqs) submit(r);
   } else if (const auto* pa = m.as<PreAccept>()) {
@@ -140,7 +123,7 @@ void EPaxosNode::on_message(const simnet::Message& m) {
   } else if (const auto* si = m.as<SeqInfo>()) {
     auto& seen = max_committed_seen_[m.src()];
     seen = std::max(seen, si->committed_seq);
-    if (contig_[m.src()] < seen) arm_repair_timer();
+    if (lane(m.src()).contig < seen) arm_repair_timer();
   }
 }
 
@@ -274,11 +257,8 @@ void EPaxosNode::handle_snap_request(NodeId src) {
   // silent; the requester's rotation finds another (or this one becomes
   // eligible once its own gaps close).
   for (NodeId r : replicas_) {
-    const auto ec = exec_contig_.find(r);
-    const auto mx = max_executed_.find(r);
-    const std::uint64_t e = ec == exec_contig_.end() ? 0 : ec->second;
-    const std::uint64_t m = mx == max_executed_.end() ? 0 : mx->second;
-    if (e != m) return;
+    const Lane& l = lane(r);
+    if (l.exec_contig != l.max_executed) return;
   }
   SnapshotMsg s;
   s.snap = capture_snapshot();
@@ -286,10 +266,7 @@ void EPaxosNode::handle_snap_request(NodeId src) {
   s.snap.set_count = set_digest_.count();
   s.executed_count = executed_;
   s.covered.reserve(replicas_.size());
-  for (NodeId r : replicas_) {
-    const auto ec = exec_contig_.find(r);
-    s.covered.emplace_back(r, ec == exec_contig_.end() ? 0 : ec->second);
-  }
+  for (NodeId r : replicas_) s.covered.emplace_back(r, lane(r).exec_contig);
   send(src, s);
 }
 
@@ -303,7 +280,7 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
   // Stale (a slow donor answered after the gap closed): ignore.
   bool advances = false;
   for (const auto& [r, upto] : covered) {
-    if (upto > contig_[r]) {
+    if (upto > lane(r).contig) {
       advances = true;
       break;
     }
@@ -333,11 +310,12 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
   executed_ = s.executed_count;
   for (const auto& [r, upto] : covered) {
     auto raise = [upto](std::uint64_t& v) { v = std::max(v, upto); };
-    raise(contig_[r]);
-    raise(exec_contig_[r]);
-    raise(max_executed_[r]);
+    Lane& l = lane(r);
+    raise(l.contig);
+    raise(l.exec_contig);
+    raise(l.max_executed);
     raise(max_committed_seen_[r]);
-    gap_attempts_[r] = 0;
+    l.gap_attempts = 0;
     if (r == node_id()) {
       own_committed_ = std::max(own_committed_, upto);
       if (next_seq_ <= upto) next_seq_ = upto + 1;
@@ -348,7 +326,7 @@ void EPaxosNode::handle_snapshot(const SnapshotMsg& s) {
     // Records the image covers will never execute here: drop them so no
     // stale retransmit resurrects one (the lane's base guards the
     // handlers).
-    lane(r).drop_through(upto);
+    l.drop_through(upto);
   }
   std::erase_if(blocked_, [&](const InstanceId& id) {
     return id.seq <= covered_upto(id.replica);
@@ -392,7 +370,7 @@ void EPaxosNode::register_commit(const InstanceId& id) {
   // An instance counts only once it is executable (or executed): a commit
   // whose batch never arrived must keep the frontier behind it so the
   // repair fetch covers it.
-  auto& contig = contig_[id.replica];
+  std::uint64_t& contig = lane(id.replica).contig;
   while (true) {
     const Instance* inst = find(InstanceId{id.replica, contig + 1});
     if (inst == nullptr || !inst->committed ||
@@ -405,11 +383,8 @@ void EPaxosNode::register_commit(const InstanceId& id) {
 }
 
 void EPaxosNode::arm_repair_timer() {
-  if (repair_timer_armed_ || crashed_) return;
-  repair_timer_armed_ = true;
-  after(cfg_.repair_retry, [this] {
-    repair_timer_armed_ = false;
-    if (crashed_) return;
+  if (crashed()) return;
+  after_once(repair_timer_armed_, cfg_.repair_retry, [this] {
     bool work_left = false;
     // Missed instances of other leaders: fetch the gap. Ask the command
     // leader first; rotate to the other replicas on subsequent attempts in
@@ -420,20 +395,19 @@ void EPaxosNode::arm_repair_timer() {
     // CommitFull fetches forever.
     for (const auto& [replica, seen] : max_committed_seen_) {
       if (replica == node_id()) continue;
-      const std::uint64_t contig = contig_[replica];
+      Lane& l = lane(replica);
+      const std::uint64_t contig = l.contig;
       if (contig >= seen) {
-        gap_attempts_[replica] = 0;
+        l.gap_attempts = 0;
         continue;
       }
-      if (contig > gap_at_[replica])  // progress resets the budget
-        gap_attempts_[replica] = 0;
-      gap_at_[replica] = contig;
+      if (contig > l.gap_at) l.gap_attempts = 0;  // progress resets the budget
+      l.gap_at = contig;
       std::vector<NodeId> targets{replica};
       for (NodeId peer : replicas_) {
         if (peer != node_id() && peer != replica) targets.push_back(peer);
       }
-      const std::size_t attempt =
-          static_cast<std::size_t>(gap_attempts_[replica]++);
+      const std::size_t attempt = static_cast<std::size_t>(l.gap_attempts++);
       const bool too_wide = seen - contig > cfg_.repair_window;
       const bool rotated_dry = attempt >= targets.size();
       work_left = true;
@@ -513,8 +487,8 @@ void EPaxosNode::execute(const InstanceId& id) {
   Instance* const inst = find(id);  // null once a snapshot covered it
   if (inst == nullptr || inst->executed || !inst->batch) return;
   inst->executed = true;
-  auto& mx = max_executed_[id.replica];
-  mx = std::max(mx, id.seq);
+  Lane& l = lane(id.replica);
+  l.max_executed = std::max(l.max_executed, id.seq);
   advance_exec_contig(id.replica);
 
   for (const kv::Request& r : *inst->batch) {
@@ -549,7 +523,7 @@ void EPaxosNode::execute(const InstanceId& id) {
 }
 
 void EPaxosNode::advance_exec_contig(NodeId replica) {
-  auto& ec = exec_contig_[replica];
+  std::uint64_t& ec = lane(replica).exec_contig;
   while (true) {
     const Instance* inst = find(InstanceId{replica, ec + 1});
     if (inst == nullptr || !inst->executed) break;
@@ -559,9 +533,7 @@ void EPaxosNode::advance_exec_contig(NodeId replica) {
 
 void EPaxosNode::prune_instances(NodeId replica) {
   Lane& l = lane(replica);
-  const auto ec = exec_contig_.find(replica);
-  const std::uint64_t frontier = ec == exec_contig_.end() ? 0 : ec->second;
-  while (l.base <= frontier) {
+  while (l.base <= l.exec_contig) {
     // Batch still resident means it is still in the repair ring: keep it.
     const Instance* inst = l.find(l.base);
     if (inst != nullptr && (!inst->executed || inst->batch)) break;

@@ -144,18 +144,11 @@ class EPaxosNode : public kv::ReplicaNode {
  public:
   EPaxosNode(std::vector<NodeId> replicas, Config cfg);
 
-  void on_start() override;
   void on_message(const simnet::Message& m) override;
 
   /// Local submission path for tests.
   void submit(kv::Request r);
 
-  /// Crash-stop: drop all traffic and timers until recover(). Committed
-  /// instances survive (durable log); the pending batch is volatile.
-  void crash();
-  /// Restart after a crash and probe peers for missed instances.
-  void recover();
-  bool crashed() const { return crashed_; }
   /// Probes every peer for instances this replica missed.
   void resync();
 
@@ -190,11 +183,12 @@ class EPaxosNode : public kv::ReplicaNode {
     void reset();
   };
 
-  /// One command leader's instance records on this replica (DESIGN.md
-  /// §7.3): a ring of slots indexed by sequence number from `base`. A seq
-  /// below `base` is pruned, and one at or above it whose slot is not live
-  /// has no record. Records leave only from the front, so the ring keeps
-  /// its capacity and allocates only when a record lands past its end.
+  /// One command leader's instance records on this replica, with their
+  /// repair frontiers (DESIGN.md §7.3): a ring of slots indexed by
+  /// sequence number from `base`. A seq below `base` is pruned, and one at
+  /// or above it whose slot is not live has no record. Records leave only
+  /// from the front, so the ring keeps its capacity and allocates only
+  /// when a record lands past its end.
   struct Lane {
     /// The live record of `seq`, or null.
     Instance* find(std::uint64_t seq);
@@ -211,8 +205,28 @@ class EPaxosNode : public kv::ReplicaNode {
     /// This replica's last PreAcceptOk to the leader, rewritten in place
     /// once the leader has dropped it (DESIGN.md §5.2).
     simnet::Payload ok_memo;
+
+    // --- repair frontiers ---------------------------------------------
+    /// Highest seq with every instance <= it committed locally; below the
+    /// leader's max_committed_seen_ entry it marks a gap to repair.
+    std::uint64_t contig = 0;
+    /// Executed frontier (all seqs <= it executed locally) and highest
+    /// executed seq: equal iff this replica's executed set is
+    /// prefix-closed for the leader (the snapshot-donor eligibility test).
+    std::uint64_t exec_contig = 0;
+    std::uint64_t max_executed = 0;
+    /// Bounded fetch rotation: attempts since the frontier last advanced,
+    /// and the frontier they were counted at. One full rotation of targets
+    /// without progress escalates to a SnapRequest.
+    std::uint64_t gap_attempts = 0;
+    std::uint64_t gap_at = 0;
   };
 
+  /// A crash loses the pending batch; committed instances survive (the
+  /// durable log).
+  void on_crash() override;
+  /// A restarted replica probes its peers for the instances it missed.
+  void on_recover() override;
   void flush_batch();
   void handle_pre_accept(NodeId src, const PreAccept& pa);
   void send_pre_accept_ok(NodeId leader, const PreAccept& pa);
@@ -264,22 +278,10 @@ class EPaxosNode : public kv::ReplicaNode {
   std::vector<InstanceId> blocked_;
 
   // --- repair state -------------------------------------------------------
-  /// Per command leader: highest seq with every instance <= it committed
-  /// locally, and the highest seq known committed anywhere. contig < max
-  /// means this replica has a gap to repair.
-  std::unordered_map<NodeId, std::uint64_t> contig_;
+  /// Per command leader: the highest seq known committed anywhere. A map,
+  /// not a lane field: the repair timer walks it, so its iteration order
+  /// is the order of the repair sends.
   std::unordered_map<NodeId, std::uint64_t> max_committed_seen_;
-  /// Per-replica executed frontier (all seqs <= it executed locally) and
-  /// highest executed seq — equal iff this node's executed set is
-  /// prefix-closed for that replica (the snapshot-donor eligibility test).
-  std::unordered_map<NodeId, std::uint64_t> exec_contig_;
-  std::unordered_map<NodeId, std::uint64_t> max_executed_;
-  /// Bounded fetch rotation (the PR 10 bugfix): per-replica attempt count
-  /// since the frontier last advanced, and the frontier it was counted at.
-  /// One full rotation of targets without progress escalates to a
-  /// SnapRequest.
-  std::unordered_map<NodeId, std::uint64_t> gap_attempts_;
-  std::unordered_map<NodeId, std::uint64_t> gap_at_;
   /// Own instances not yet committed, oldest first, with their proposal
   /// times — the repair timer retransmits PreAccepts lost to a partition.
   std::deque<std::pair<InstanceId, Time>> own_uncommitted_;
@@ -287,7 +289,6 @@ class EPaxosNode : public kv::ReplicaNode {
   /// bounded by cfg_.repair_window).
   std::deque<InstanceId> repair_ring_;
   bool repair_timer_armed_ = false;
-  bool crashed_ = false;
   /// This replica's own latest committed seq (answer to SeqProbe).
   std::uint64_t own_committed_ = 0;
 

@@ -9,6 +9,12 @@
 // decides *when* a write commits and *where* a read is served; this class
 // decides what applying, answering and transferring state do, and
 // implements each of those operations once.
+//
+// The crash-stop lifecycle lives here too: crash() loses the unsent
+// replies and recover() restarts only a crashed node, and each protocol
+// says in on_crash()/on_recover() what else a crash loses and how a
+// restart re-enters it. A one-shot timer armed through after_once() keeps
+// firing across a crash but skips its body while the node is down.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,24 @@ namespace canopus::kv {
 
 class ReplicaNode : public simnet::Process {
  public:
+  // --- crash-stop lifecycle ----------------------------------------------
+  /// Crash-stop: unsent replies are volatile and die with the process;
+  /// on_crash() drops the protocol's own volatile state. A crashed node's
+  /// handlers and timer bodies do nothing until recover().
+  void crash() {
+    crashed_ = true;
+    drop_replies();
+    on_crash();
+  }
+  /// Restart after a crash with the durable state intact; on_recover()
+  /// re-enters the protocol. Does nothing on a live node.
+  void recover() {
+    if (!crashed_) return;
+    crashed_ = false;
+    on_recover();
+  }
+  bool crashed() const { return crashed_; }
+
   // --- observers --------------------------------------------------------
   std::uint64_t committed_writes() const { return digest_.count(); }
   /// Reads this node answered from its store.
@@ -42,6 +66,27 @@ class ReplicaNode : public simnet::Process {
   std::function<void(const Snapshot&)> on_snapshot_install;
 
  protected:
+  /// What a crash loses beyond the reply buffer.
+  virtual void on_crash() = 0;
+  /// How a restarted node re-enters the protocol.
+  virtual void on_recover() = 0;
+
+  /// Arms a one-shot timer unless `armed` says one is pending. When it
+  /// fires it clears `armed` and runs `fn` unless the node has crashed, so
+  /// a body due while the node is down is skipped and the next arm after
+  /// recover() fires again.
+  template <class F>
+  void after_once(bool& armed, Time delay, F fn) {
+    if (armed) return;
+    armed = true;
+    auto once = [this, &armed, fn] {
+      armed = false;
+      if (!crashed_) fn();
+    };
+    static_assert(simnet::InlineFn::fits_inline<decltype(once)>);
+    after(delay, std::move(once));
+  }
+
   /// Applies one committed write to the store and the commit digest.
   void apply_write(const Request& w) {
     store_.apply(w);
@@ -96,8 +141,7 @@ class ReplicaNode : public simnet::Process {
   }
 
   /// Empties the buffer. Its map nodes, with their completion vectors,
-  /// are kept for the next clients to reply to. Crash: unsent replies are
-  /// volatile and die with the process.
+  /// are kept for the next clients to reply to.
   void drop_replies() {
     while (!reply_buffer_.empty()) {
       auto node = reply_buffer_.extract(reply_buffer_.begin());
@@ -164,6 +208,7 @@ class ReplicaNode : public simnet::Process {
   /// id. Kept apart from reply_buffer_, whose spare nodes pass from client
   /// to client.
   std::vector<simnet::Payload> reply_memos_;
+  bool crashed_ = false;
 };
 
 }  // namespace canopus::kv

@@ -57,6 +57,23 @@ class Log {
 
   void append(LogEntry e) { entries_.push_back(std::move(e)); }
 
+  /// Adopts `entries` as the entries after index `anchor`: one this log
+  /// already holds with the same term is kept, the first one that
+  /// conflicts truncates the log there, and the rest are appended. Entries
+  /// at or below the base are already covered by installed state.
+  void merge_after(LogIndex anchor, const std::vector<LogEntry>& entries) {
+    LogIndex idx = anchor;
+    for (const LogEntry& e : entries) {
+      ++idx;
+      if (idx <= base_index_) continue;
+      if (idx <= last_index()) {
+        if (term_at(idx) == e.term) continue;  // already have it
+        truncate_after(idx - 1);
+      }
+      append(e);
+    }
+  }
+
   /// Truncates the log so that last_index() == i. Never truncates into the
   /// compacted prefix (i >= base_index() required).
   void truncate_after(LogIndex i) { entries_.resize(i - base_index_); }

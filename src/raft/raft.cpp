@@ -102,10 +102,7 @@ void RaftNode::become_candidate() {
     become_leader(/*append_noop=*/true);
     return;
   }
-  WireMsg m;
-  m.group = group_;
-  m.type = MsgType::kRequestVote;
-  m.term = term_;
+  WireMsg m = header(MsgType::kRequestVote);
   m.last_log_index = log_.last_index();
   m.last_log_term = log_.last_term();
   for (const Peer& p : peers_) {
@@ -142,7 +139,7 @@ void RaftNode::broadcast_heartbeats() {
       // full retransmit. Merely-slow peers keep advancing match_index and
       // are never retransmitted to — that would only deepen their backlog.
       p.last_repair = sim_.now();
-      send_append(p);
+      send_entries(p, p.next_index);
     } else {
       notify_commit(p);  // pure liveness + commit index
     }
@@ -151,46 +148,30 @@ void RaftNode::broadcast_heartbeats() {
       sim_.after(opt_.heartbeat_interval, [this] { broadcast_heartbeats(); });
 }
 
-void RaftNode::send_append(Peer& peer) {
-  if (peer.next_index <= log_.base_index()) {
+WireMsg RaftNode::header(MsgType type) const {
+  WireMsg m;
+  m.group = group_;
+  m.type = type;
+  m.term = term_;
+  return m;
+}
+
+void RaftNode::send_entries(Peer& peer, LogIndex from) {
+  if (from <= log_.base_index()) {
     // The entries this peer needs were compacted away: state transfer.
     send_install_snapshot(peer);
     return;
   }
-  WireMsg m;
-  m.group = group_;
-  m.type = MsgType::kAppendEntries;
-  m.term = term_;
-  m.prev_log_index = peer.next_index - 1;
+  WireMsg m = header(MsgType::kAppendEntries);
+  m.prev_log_index = from - 1;
   m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
   peer.sent_up_to = log_.last_index();
-  send_wire(peer.id, std::move(m), peer.next_index, log_.last_index());
-}
-
-void RaftNode::send_new_entries(Peer& peer) {
-  const LogIndex start = std::max(peer.next_index, peer.sent_up_to + 1);
-  if (start > log_.last_index()) return;  // nothing new on the wire
-  if (start <= log_.base_index()) {
-    send_install_snapshot(peer);
-    return;
-  }
-  WireMsg m;
-  m.group = group_;
-  m.type = MsgType::kAppendEntries;
-  m.term = term_;
-  m.prev_log_index = start - 1;
-  m.prev_log_term = log_.term_at(m.prev_log_index);
-  m.leader_commit = commit_;
-  peer.sent_up_to = log_.last_index();
-  send_wire(peer.id, std::move(m), start, log_.last_index());
+  send_wire(peer.id, std::move(m), from, log_.last_index());
 }
 
 void RaftNode::notify_commit(const Peer& peer) {
-  WireMsg m;
-  m.group = group_;
-  m.type = MsgType::kAppendEntries;
-  m.term = term_;
+  WireMsg m = header(MsgType::kAppendEntries);
   // Anchor at the committed prefix the peer plausibly holds (entries
   // already put on the wire this term, or acked): a follower only advances
   // its commit up to the prefix an AppendEntries VERIFIED, so anchoring at
@@ -218,7 +199,9 @@ std::optional<LogIndex> RaftNode::propose(simnet::Payload payload) {
   own.match_index = idx;
   own.next_index = idx + 1;
   for (Peer& p : peers_) {
-    if (p.id != self_) send_new_entries(p);
+    // Only entries not yet put on the wire for this peer.
+    const LogIndex from = std::max(p.next_index, p.sent_up_to + 1);
+    if (p.id != self_ && from <= idx) send_entries(p, from);
   }
   advance_commit();  // single-member groups commit immediately
   return idx;
@@ -250,11 +233,7 @@ void RaftNode::on_message(NodeId src, const WireMsg& m) {
 }
 
 void RaftNode::handle_request_vote(NodeId src, const WireMsg& m) {
-  WireMsg reply;
-  reply.group = group_;
-  reply.type = MsgType::kVoteReply;
-  reply.term = term_;
-  reply.vote_granted = false;
+  WireMsg reply = header(MsgType::kVoteReply);
 
   const bool log_ok =
       m.last_log_term > log_.last_term() ||
@@ -275,22 +254,21 @@ void RaftNode::handle_vote_reply(NodeId src, const WireMsg& m) {
   if (votes_.size() >= quorum()) become_leader(/*append_noop=*/true);
 }
 
-void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
-  WireMsg reply;
-  reply.group = group_;
-  reply.type = MsgType::kAppendReply;
-  reply.term = term_;
-  reply.success = false;
-
+bool RaftNode::accept_leader(NodeId src, const WireMsg& m) {
   if (m.term < term_) {
-    send_wire(src, std::move(reply));
-    return;
+    send_wire(src, header(MsgType::kAppendReply));
+    return false;
   }
-  // Valid leader for this term.
   if (role_ != Role::kFollower) become_follower(m.term);
   leader_ = src;
   last_leader_contact_ = sim_.now();
   reset_election_timer();
+  return true;
+}
+
+void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
+  if (!accept_leader(src, m)) return;
+  WireMsg reply = header(MsgType::kAppendReply);
 
   // Consistency check. An anchor inside our compacted prefix is consistent
   // by construction: everything at or below the base was committed and
@@ -308,18 +286,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
     return;
   }
 
-  // Append/repair: drop conflicting suffix, append new entries. Entries at
-  // or below the compaction base are already covered by installed state.
-  LogIndex idx = m.prev_log_index;
-  for (const LogEntry& e : m.entries) {
-    ++idx;
-    if (idx <= log_.base_index()) continue;
-    if (idx <= log_.last_index()) {
-      if (log_.term_at(idx) == e.term) continue;  // already have it
-      log_.truncate_after(idx - 1);
-    }
-    log_.append(e);
-  }
+  log_.merge_after(m.prev_log_index, m.entries);
 
   // Commit advance is bounded by the prefix this message VERIFIED
   // (prev_log_index + new entries), not by our last_index(): anything
@@ -358,15 +325,12 @@ void RaftNode::handle_append_reply(NodeId src, const WireMsg& m) {
     next = std::max<LogIndex>(1, std::min(next, m.match_index + 1));
     peer->next_index = next;
     peer->sent_up_to = next - 1;
-    send_append(*peer);  // redirects to InstallSnapshot below the base
+    send_entries(*peer, next);  // InstallSnapshot below the base
   }
 }
 
 void RaftNode::send_install_snapshot(Peer& peer) {
-  WireMsg m;
-  m.group = group_;
-  m.type = MsgType::kInstallSnapshot;
-  m.term = term_;
+  WireMsg m = header(MsgType::kInstallSnapshot);
   m.prev_log_index = snap_index_;
   m.prev_log_term = snap_term_;
   m.leader_commit = commit_;
@@ -377,20 +341,8 @@ void RaftNode::send_install_snapshot(Peer& peer) {
 }
 
 void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
-  WireMsg reply;
-  reply.group = group_;
-  reply.type = MsgType::kAppendReply;
-  reply.term = term_;
-  reply.success = false;
-
-  if (m.term < term_) {
-    send_wire(src, std::move(reply));
-    return;
-  }
-  if (role_ != Role::kFollower) become_follower(m.term);
-  leader_ = src;
-  last_leader_contact_ = sim_.now();
-  reset_election_timer();
+  if (!accept_leader(src, m)) return;
+  WireMsg reply = header(MsgType::kAppendReply);
 
   const LogIndex s = m.prev_log_index;
   if (s <= commit_) {
@@ -494,17 +446,8 @@ bool RaftNode::finish_dissolution(const WireMsg& m) {
   // committed here and matches unless compaction moved past it.
   if (!m.entries.empty() && m.prev_log_index >= log_.base_index() &&
       m.prev_log_index <= log_.last_index() &&
-      log_.term_at(m.prev_log_index) == m.prev_log_term) {
-    LogIndex idx = m.prev_log_index;
-    for (const LogEntry& e : m.entries) {
-      ++idx;
-      if (idx <= log_.last_index()) {
-        if (log_.term_at(idx) == e.term) continue;  // already have it
-        log_.truncate_after(idx - 1);
-      }
-      log_.append(e);
-    }
-  }
+      log_.term_at(m.prev_log_index) == m.prev_log_term)
+    log_.merge_after(m.prev_log_index, m.entries);
   const LogIndex last = m.last_log_index;
   if (last == 0 || last < log_.base_index() || last > log_.last_index() ||
       log_.term_at(last) != m.last_log_term)

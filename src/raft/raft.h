@@ -180,11 +180,12 @@ class RaftNode {
   void reset_election_timer();
   void stop_timers();
   void broadcast_heartbeats();
-  /// Full repair send: (re)transmits everything from next_index. Used on
-  /// nack, on heartbeat for lagging peers, and on leader election.
-  void send_append(Peer& peer);
-  /// Steady-state send: only entries not yet put on the wire for this peer.
-  void send_new_entries(Peer& peer);
+  /// A message of this group and term; the caller fills the rest.
+  WireMsg header(MsgType type) const;
+  /// Sends `peer` every entry from `from` on, anchored at `from - 1`, or
+  /// the snapshot when `from` was compacted away. A repair resends from
+  /// next_index; propose sends only what is not yet on the wire.
+  void send_entries(Peer& peer, LogIndex from);
   /// Cheap commit-index notification (no entries, prev = match index).
   void notify_commit(const Peer& peer);
   void advance_commit();
@@ -193,6 +194,10 @@ class RaftNode {
 
   void handle_request_vote(NodeId src, const WireMsg& m);
   void handle_vote_reply(NodeId src, const WireMsg& m);
+  /// The receiver rules AppendEntries and InstallSnapshot share: a message
+  /// from a stale term gets a failed AppendReply and returns false;
+  /// otherwise `src` is this term's leader.
+  bool accept_leader(NodeId src, const WireMsg& m);
   void handle_append_entries(NodeId src, const WireMsg& m);
   void handle_append_reply(NodeId src, const WireMsg& m);
   void handle_install_snapshot(NodeId src, const WireMsg& m);

@@ -26,29 +26,23 @@ void RaftKvNode::on_start() {
   raft_->start(/*bootstrap_as_leader=*/node_id() == members_[0]);
 }
 
-void RaftKvNode::crash() {
-  crashed_ = true;
+void RaftKvNode::on_crash() {
   if (raft_) raft_->stop();
-  pending_.clear();        // volatile: unproposed batches die with the node
-  drop_replies();
+  pending_.clear();
 }
 
-void RaftKvNode::recover() {
-  if (!crashed_) return;
-  crashed_ = false;
-  // Durable state (log, term, vote) survives; the node rejoins as a
-  // follower and the leader's AppendEntries backoff repairs its log.
+void RaftKvNode::on_recover() {
   if (raft_) raft_->start(/*bootstrap_as_leader=*/false);
 }
 
 void RaftKvNode::submit(kv::Request r) {
-  if (crashed_) return;
+  if (crashed()) return;
   r.origin = node_id();
   enqueue(std::move(r));
 }
 
 void RaftKvNode::on_message(const simnet::Message& m) {
-  if (crashed_) return;
+  if (crashed()) return;
   if (const auto* w = m.as<WireMsg>()) {
     if (raft_) raft_->on_message(m.src(), *w);
   } else if (const auto* batch = m.as<kv::ClientBatch>()) {
@@ -87,12 +81,7 @@ void RaftKvNode::enqueue(kv::Request r) {
 }
 
 void RaftKvNode::arm_flush_timer() {
-  if (flush_timer_armed_) return;
-  flush_timer_armed_ = true;
-  after(kKvBatchInterval, [this] {
-    flush_timer_armed_ = false;
-    if (!crashed_) flush_batch();
-  });
+  after_once(flush_timer_armed_, kKvBatchInterval, [this] { flush_batch(); });
 }
 
 void RaftKvNode::flush_batch() {

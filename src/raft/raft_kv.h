@@ -76,13 +76,6 @@ class RaftKvNode : public kv::ReplicaNode {
   /// Local submission path for examples/tests.
   void submit(kv::Request r);
 
-  /// Crash-stop: silences the Raft member and all local timers.
-  void crash();
-  /// Restart after a crash with the durable state (log, term) intact; the
-  /// node rejoins as a follower and is repaired by the leader.
-  void recover();
-  bool crashed() const { return crashed_; }
-
   // --- observers (store, digest and counters: kv::ReplicaNode) ----------
   bool is_leader() const { return raft_ && raft_->is_leader(); }
   NodeId leader_hint() const {
@@ -94,6 +87,11 @@ class RaftKvNode : public kv::ReplicaNode {
   }
 
  private:
+  /// A crash stops the Raft member and loses the unproposed writes.
+  void on_crash() override;
+  /// The durable state (log, term, vote) survives: the node rejoins as a
+  /// follower and the leader's AppendEntries backoff repairs its log.
+  void on_recover() override;
   void enqueue(kv::Request r);
   void arm_flush_timer();
   void flush_batch();
@@ -106,7 +104,6 @@ class RaftKvNode : public kv::ReplicaNode {
   /// The last KvForward sent, refilled once its leader has dropped it.
   simnet::Payload forward_memo_;
   bool flush_timer_armed_ = false;
-  bool crashed_ = false;
 };
 
 }  // namespace canopus::raft

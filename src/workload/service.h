@@ -11,7 +11,8 @@
 //
 // Semantics the interface pins down:
 //  * crash(i)  — crash-stop: the network drops all traffic to/from the
-//    node AND the protocol instance silences its timers. Volatile state
+//    node AND the protocol instance goes silent (kv::ReplicaNode::crash:
+//    its timers are cancelled or skip their bodies). Volatile state
 //    (un-proposed batches, unsent replies) is lost; committed state models
 //    a durable log.
 //  * recover(i) — restart with durable state; the protocol's own repair
@@ -67,7 +68,6 @@ class ConsensusService {
   /// the node thread's execution context on the threaded one.
   void crash(std::size_t i) {
     host_.crash(servers_[i]);
-    up_[i] = false;
     ever_crashed_[i] = true;
     host_.post(servers_[i], [this, i] { node_crash(i); });
   }
@@ -80,12 +80,11 @@ class ConsensusService {
   bool recover(std::size_t i) {
     if (!supports_recover()) return false;
     host_.recover(servers_[i]);
-    up_[i] = true;
     host_.post(servers_[i], [this, i] { node_recover(i); });
     return true;
   }
 
-  bool up(std::size_t i) const { return up_[i]; }
+  bool up(std::size_t i) const { return host_.is_up(servers_[i]); }
   bool ever_crashed(std::size_t i) const { return ever_crashed_[i]; }
   virtual bool supports_recover() const { return true; }
 
@@ -93,7 +92,7 @@ class ConsensusService {
   /// Concrete services may narrow this further (a Canopus node mid-rejoin
   /// is not yet a member and its digest chain restarts at the install).
   virtual bool comparable(std::size_t i) const {
-    return up_[i] && (supports_recover() || !ever_crashed_[i]);
+    return up(i) && (supports_recover() || !ever_crashed_[i]);
   }
 
   // --- safety/progress observers ---------------------------------------
@@ -134,7 +133,6 @@ class ConsensusService {
   ConsensusService(runtime::Host& host, std::vector<NodeId> servers)
       : host_(host),
         servers_(std::move(servers)),
-        up_(servers_.size(), true),
         ever_crashed_(servers_.size(), false) {}
 
   virtual void node_crash(std::size_t i) = 0;
@@ -142,7 +140,6 @@ class ConsensusService {
 
   runtime::Host& host_;
   std::vector<NodeId> servers_;
-  std::vector<bool> up_;
   std::vector<bool> ever_crashed_;
 };
 

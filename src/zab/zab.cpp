@@ -14,8 +14,6 @@ ZabNode::ZabNode(std::vector<NodeId> members, Config cfg)
       std::min(cfg_.followers, static_cast<int>(members_.size()) - 1);
 }
 
-void ZabNode::on_start() {}
-
 ZabNode::Role ZabNode::role() const {
   if (node_id() == leader_) return Role::kLeader;
   const auto pos = static_cast<std::size_t>(
@@ -25,20 +23,12 @@ ZabNode::Role ZabNode::role() const {
                                                          : Role::kObserver;
 }
 
-void ZabNode::crash() {
-  crashed_ = true;
-  // Volatile request buffers die with the process; the committed store,
-  // the uncommitted/ready tables and the leader's in-flight table model
-  // state recovered from the durable log.
+void ZabNode::on_crash() {
   if (role() == Role::kLeader) pending_.clear();
-  drop_replies();
 }
 
-void ZabNode::recover() {
-  if (!crashed_) return;
-  crashed_ = false;
+void ZabNode::on_recover() {
   if (role() == Role::kLeader) {
-    // Resume the commit pipeline: unacked proposals go out again.
     if (!in_flight_.empty()) arm_retransmit_timer();
   } else {
     resync();
@@ -46,7 +36,7 @@ void ZabNode::recover() {
 }
 
 void ZabNode::resync() {
-  if (crashed_ || role() == Role::kLeader) return;
+  if (crashed() || role() == Role::kLeader) return;
   send(leader_, SyncReq{next_apply_});
   arm_sync_timer();
 }
@@ -75,7 +65,7 @@ void ZabNode::intake(std::span<const kv::Request> reqs) {
 }
 
 void ZabNode::on_message(const simnet::Message& m) {
-  if (crashed_) return;
+  if (crashed()) return;
   if (const auto* batch = m.as<kv::ClientBatch>()) {
     intake(batch->reqs);
   } else if (const auto* f = m.as<Forward>()) {
@@ -102,12 +92,8 @@ void ZabNode::handle_forward(const Forward& f) {
 }
 
 void ZabNode::arm_batch_timer() {
-  if (batch_timer_armed_) return;
-  batch_timer_armed_ = true;
-  after(cfg_.batch_interval, [this] {
-    batch_timer_armed_ = false;
-    if (!crashed_) flush_batch();
-  });
+  after_once(batch_timer_armed_, cfg_.batch_interval,
+             [this] { flush_batch(); });
 }
 
 void ZabNode::flush_batch() {
@@ -130,7 +116,6 @@ void ZabNode::flush_batch() {
   }
   arm_retransmit_timer();
   if (quorum() <= 1) {  // degenerate single-node ensemble
-    fl.committed = true;
     ready_[z] = fl.batch;
     in_flight_.erase(z);
     advance_apply();
@@ -138,11 +123,9 @@ void ZabNode::flush_batch() {
 }
 
 void ZabNode::arm_retransmit_timer() {
-  if (retransmit_timer_armed_ || in_flight_.empty()) return;
-  retransmit_timer_armed_ = true;
-  after(cfg_.sync_retry, [this] {
-    retransmit_timer_armed_ = false;
-    if (crashed_ || in_flight_.empty()) return;
+  if (in_flight_.empty()) return;
+  after_once(retransmit_timer_armed_, cfg_.sync_retry, [this] {
+    if (in_flight_.empty()) return;
     // A proposal still unacked after a full retry interval was lost to a
     // crash or partition: resend it to every follower that has not acked.
     for (const auto& [zxid, fl] : in_flight_) {
@@ -169,11 +152,10 @@ void ZabNode::handle_propose(NodeId src, const Propose& p) {
 
 void ZabNode::handle_ack(NodeId src, const Ack& a) {
   auto it = in_flight_.find(a.zxid);
-  if (it == in_flight_.end() || it->second.committed) return;
+  if (it == in_flight_.end()) return;
   InFlight& fl = it->second;
   if (!fl.acked.insert(src).second) return;  // duplicate ack (retransmit)
   if (fl.acked.size() + 1 < quorum()) return;
-  fl.committed = true;
 
   // Commit to followers (they hold the batch); Inform observers with data.
   // One payload per fan-out. members_[1..followers] are the followers.
@@ -280,11 +262,8 @@ void ZabNode::advance_apply() {
 }
 
 void ZabNode::arm_sync_timer() {
-  if (sync_timer_armed_ || role() == Role::kLeader) return;
-  sync_timer_armed_ = true;
-  after(cfg_.sync_retry, [this] {
-    sync_timer_armed_ = false;
-    if (crashed_) return;
+  if (role() == Role::kLeader) return;
+  after_once(sync_timer_armed_, cfg_.sync_retry, [this] {
     if (next_apply_ <= max_committed_seen_) {
       send(leader_, SyncReq{next_apply_});
       arm_sync_timer();

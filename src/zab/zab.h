@@ -110,20 +110,12 @@ class ZabNode : public kv::ReplicaNode {
   /// cfg.followers are followers, the rest observers.
   ZabNode(std::vector<NodeId> members, Config cfg);
 
-  void on_start() override;
   void on_message(const simnet::Message& m) override;
 
   void submit(kv::Request r) {
-    if (!crashed_) intake({&r, 1});
+    if (!crashed()) intake({&r, 1});
   }
 
-  /// Crash-stop: the node drops all traffic and timers until recover().
-  /// Committed state, the uncommitted proposal buffer and (on the leader)
-  /// the in-flight table survive — the durable-log crash-recovery model.
-  void crash();
-  /// Restart after a crash; a non-leader immediately requests catch-up.
-  void recover();
-  bool crashed() const { return crashed_; }
   /// Asks the leader to resend committed batches this node is missing.
   void resync();
 
@@ -143,8 +135,14 @@ class ZabNode : public kv::ReplicaNode {
     std::shared_ptr<const std::vector<kv::Request>> batch;
     /// Followers whose Ack arrived (the leader's own vote is implicit).
     std::unordered_set<NodeId> acked;
-    bool committed = false;
   };
+
+  /// A crash loses the leader's unproposed writes. Committed state, the
+  /// uncommitted and ready tables and the leader's in-flight table survive:
+  /// the durable-log crash-recovery model.
+  void on_crash() override;
+  /// The leader retransmits its unacked proposals; a member catches up.
+  void on_recover() override;
 
   /// Client intake, shared by submit() and client batches: reads are
   /// served locally, writes batched (leader) or forwarded.
@@ -199,7 +197,6 @@ class ZabNode : public kv::ReplicaNode {
   /// needs catch-up.
   Zxid max_committed_seen_ = 0;
   bool sync_timer_armed_ = false;
-  bool crashed_ = false;
 
   // Snapshot state: the leader caches the exported image per applied
   // frontier (one export serves every lagging member at that frontier).

@@ -7,53 +7,12 @@
 #include <memory>
 #include <vector>
 
-#include "simnet/topology.h"
+#include "testutil/replica_cluster.h"
 
 namespace canopus::raft {
 namespace {
 
-class RaftKvTest : public ::testing::Test {
- protected:
-  void build(int n, Options opt = {}) {
-    sim_ = std::make_unique<simnet::Simulator>(42);
-    simnet::RackConfig rc;
-    rc.racks = 1;
-    rc.servers_per_rack = n;
-    rc.clients_per_rack = 0;
-    cluster_ = simnet::build_multi_rack(rc);
-    net_ = std::make_unique<simnet::Network>(*sim_, cluster_.topo);
-    for (int i = 0; i < n; ++i) {
-      nodes_.push_back(std::make_unique<RaftKvNode>(cluster_.servers, opt));
-      net_->attach(cluster_.servers[static_cast<size_t>(i)], *nodes_.back());
-    }
-  }
-
-  void write_at(Time t, int node, std::uint64_t key, std::uint64_t val) {
-    sim_->at(t, [this, node, key, val] {
-      kv::Request r;
-      r.is_write = true;
-      r.key = key;
-      r.value = val;
-      r.arrival = sim_->now();
-      nodes_[static_cast<size_t>(node)]->submit(r);
-    });
-  }
-
-  void crash(int node) {
-    net_->crash(cluster_.servers[static_cast<size_t>(node)]);
-    nodes_[static_cast<size_t>(node)]->crash();
-  }
-
-  void recover(int node) {
-    net_->recover(cluster_.servers[static_cast<size_t>(node)]);
-    nodes_[static_cast<size_t>(node)]->recover();
-  }
-
-  std::unique_ptr<simnet::Simulator> sim_;
-  simnet::Cluster cluster_;
-  std::unique_ptr<simnet::Network> net_;
-  std::vector<std::unique_ptr<RaftKvNode>> nodes_;
-};
+class RaftKvTest : public testutil::ReplicaClusterTest<RaftKvNode, Options> {};
 
 TEST_F(RaftKvTest, BootstrapLeaderIsNodeZero) {
   build(3);

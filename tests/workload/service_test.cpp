@@ -158,6 +158,51 @@ TEST_P(ServiceTest, RecoveredNodeConvergesAfterMissingWrites) {
   EXPECT_TRUE(d.all_agree());
 }
 
+// recover() restarts only a crashed node: on live servers it changes no
+// protocol state and sends nothing, and on the simulator Host::post runs
+// inline, so the calls add no event either.
+TEST_P(ServiceTest, RecoverOnLiveServersChangesNothing) {
+  struct Outcome {
+    std::vector<std::uint64_t> fingerprints;
+    std::vector<std::uint64_t> writes;
+    std::vector<std::uint64_t> progress;
+    simnet::NetworkStats stats;
+    std::uint64_t events = 0;
+  };
+  const auto run = [](System sys, bool recover_live) {
+    Deployment d(sys);
+    d.write_at(5 * kMillisecond, 0, 1, 11);
+    d.write_at(499 * kMillisecond, 4, 2, 22);  // in flight at the calls
+    d.sim.run_until(500 * kMillisecond);
+    if (recover_live) {
+      for (std::size_t i = 0; i < d.service->num_servers(); ++i)
+        EXPECT_TRUE(d.service->recover(i));
+    }
+    d.write_at(600 * kMillisecond, 1, 3, 33);
+    d.sim.run_until(2 * kSecond);
+    Outcome o;
+    for (std::size_t i = 0; i < d.service->num_servers(); ++i) {
+      o.fingerprints.push_back(d.service->commit_fingerprint(i));
+      o.writes.push_back(d.service->committed_writes(i));
+      o.progress.push_back(d.service->progress(i));
+    }
+    o.stats = d.net->stats();
+    o.events = d.sim.events_processed();
+    return o;
+  };
+  const Outcome plain = run(GetParam(), false);
+  const Outcome recovered = run(GetParam(), true);
+  EXPECT_EQ(recovered.fingerprints, plain.fingerprints);
+  EXPECT_EQ(recovered.writes, plain.writes);
+  EXPECT_EQ(recovered.progress, plain.progress);
+  EXPECT_EQ(recovered.stats.messages, plain.stats.messages);
+  EXPECT_EQ(recovered.stats.bytes, plain.stats.bytes);
+  EXPECT_EQ(recovered.stats.dropped, plain.stats.dropped);
+  EXPECT_EQ(recovered.stats.duplicated, plain.stats.duplicated);
+  EXPECT_EQ(recovered.stats.reordered, plain.stats.reordered);
+  EXPECT_EQ(recovered.events, plain.events);
+}
+
 TEST_P(ServiceTest, OnCommitHookFiresWithBatches) {
   Deployment d(GetParam());
   std::uint64_t hook_writes = 0;
